@@ -53,7 +53,7 @@ for period, depth in ((Period.THREE, 8), (Period.FIVE, 6)):
 # extension machinery applies along the whole family
 for eps in (0.98, 1.02):
     rep = solve_fixed_point_eps(eps)
-    seq = ScalingSequence.eps_stationary(rep.c_star, eps)
+    seq = ScalingSequence.stationary(Period.THREE, rep.c_star, eps)
     f = build_pwa(seq, 8)
     s = f.tower.factors[0].s
     curve = extend(*seed_pieces(f), depth=6)

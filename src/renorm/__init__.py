@@ -8,6 +8,8 @@ extensions, the eps-continuum of fixed points, and the three-branch
 renormalization horseshoe with entropy ln 3.
 """
 
+__version__ = "0.1.0"  # the one version string; reports embed it
+
 from .quadratic import Branch, QuadraticUnimodal, eval_map, iterate, orbit, preimage
 from .scaling import (
     FeasibleDomain,
@@ -18,9 +20,7 @@ from .scaling import (
     feasible_domain,
     gaps,
     return_map,
-    return_map_eps,
     scaling_closed_form_tripling,
-    scaling_eps,
     scaling_from_critical,
 )
 from .solver import (
@@ -43,7 +43,6 @@ from .tower import (
 from .pwa import (
     PiecewiseAffineMap,
     build_pwa,
-    eval_pwa,
     fixed_residual,
     partial_renormalize,
     renormalize,
@@ -74,5 +73,3 @@ from .horseshoe import (
     entropy_estimate,
     symbol_scaling_sequence,
 )
-
-__version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .scaling import (
 from .solver import MultipleRoots, NoRoot, continuum_sweep, solve_fixed_point
 from .tower import (
     DEFAULT_DEPTH,
+    DepthUnderflow,
     InvalidFactor,
     ScalingSequence,
     build_tower,
@@ -47,14 +48,22 @@ NUMERICAL_ERRORS = (
     EmptyDomain,
     DivisionGuard,
     InvalidFactor,
+    DepthUnderflow,
     hs.ExpansionTooWeak,
     ext.FillerOvershoot,
     ext.NonConvergent,
 )
 
 
+EXTENSION_DEPTH = {Period.THREE: 8, Period.FIVE: 6}
+
+
 def _period(args) -> Period:
-    return Period.THREE if args.period == 3 else Period.FIVE
+    return Period(args.period)
+
+
+def _depth(args, default: int) -> int:
+    return default if args.depth is None else args.depth
 
 
 def _add_common(p):
@@ -108,6 +117,9 @@ def _merge_config(args):
     for key, value in DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
+    Period(args.period)  # raises ValueError unless 3 or 5, e.g. from a config
+    if args.depth is not None and not (isinstance(args.depth, int) and args.depth >= 1):
+        raise ValueError(f"depth must be an integer >= 1, got {args.depth!r}")
     return args
 
 
@@ -192,7 +204,7 @@ def cmd_plotdata(args) -> int:
     if kind == "scaling":
         cs = np.linspace(1e-3, 0.499, args.grid)
         cond = conditions(period, cs)
-        k = period.k
+        k = period.p
         header = ["c"] + [f"S{i}" for i in range(1, k + 1)] + ["sum"]
         rows = [
             tuple([c] + [float(cond[i][j]) for i in range(k)] + [float(cond[:k, j].sum())])
@@ -221,7 +233,7 @@ def cmd_plotdata(args) -> int:
             x = y
     elif kind == "tower":
         rep, seq = _solved_sequence(period, args.tol)
-        t = build_tower(seq, args.depth or DEFAULT_DEPTH)
+        t = build_tower(seq, _depth(args, DEFAULT_DEPTH))
         header = ["n", "family", "lo", "hi"]
         rows = [
             (n, i, *t.generations[n - 1][i])
@@ -230,7 +242,7 @@ def cmd_plotdata(args) -> int:
         ]
     else:  # extension
         rep, seq = _solved_sequence(period, args.tol)
-        depth = args.depth or (8 if period is Period.THREE else 6)
+        depth = _depth(args, EXTENSION_DEPTH[period])
         f = build_pwa(seq, depth + 2)
         curve = ext.extend(*ext.seed_pieces(f, resolution=args.resolution), depth=depth,
                            resolution=args.resolution)
@@ -247,7 +259,7 @@ def cmd_plotdata(args) -> int:
 def cmd_tower(args) -> int:
     period = _period(args)
     rep, seq = _solved_sequence(period, args.tol)
-    depth = args.depth or DEFAULT_DEPTH
+    depth = _depth(args, DEFAULT_DEPTH)
     t = build_tower(seq, depth)
     margin, decay = verify_proper(seq, depth)
     rr = ratio_report(t)
@@ -279,7 +291,7 @@ def cmd_tower(args) -> int:
 def cmd_extend(args) -> int:
     period = _period(args)
     rep, seq = _solved_sequence(period, args.tol)
-    depth = args.depth or (8 if period is Period.THREE else 6)
+    depth = _depth(args, EXTENSION_DEPTH[period])
     f = build_pwa(seq, depth + 2)
     curve = ext.extend(*ext.seed_pieces(f, resolution=args.resolution), depth=depth,
                        resolution=args.resolution)
@@ -305,7 +317,7 @@ def cmd_extend(args) -> int:
 def cmd_horseshoe(args) -> int:
     eps = tuple(float(x) for x in (args.eps or "1.02,1.0,0.98").split(","))
     b = hs.build_branch_system(*eps)
-    n_max = min(args.depth or 6, hs.CYLINDER_CAP)
+    n_max = min(_depth(args, 6), hs.CYLINDER_CAP)
     counts = [hs.cylinder_count(b, n) for n in range(1, n_max + 1)]
     sweep = continuum_sweep(min(eps), max(eps), 5)
     word = hs.dense_orbit_word(2, alphabet=len(eps))

@@ -234,7 +234,7 @@ def symbol_scaling_sequence(b: BranchSystem, alpha: Word) -> ScalingSequence:
     cs = coded_orbit(b, alpha, n)
     letters = alpha.cyclic(n)
     levels = [LevelData(c=cs[m], eps=b.epsilons[letters[m]]) for m in range(n)]
-    return ScalingSequence.from_levels(Period.THREE, levels, "symbol")
+    return ScalingSequence.from_levels(Period.THREE, levels)
 
 
 def dense_orbit_word(max_len: int, alphabet: int = 3) -> Word:

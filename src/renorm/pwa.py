@@ -19,8 +19,8 @@ from __future__ import annotations
 import bisect as _bisect
 from dataclasses import dataclass
 
-from .quadratic import QuadraticUnimodal, eval_raw, orbit
-from .scaling import Period
+from .quadratic import QuadraticUnimodal, eval_raw
+from .scaling import Period, _orbit_points
 from .tower import Affine, ScalingSequence, Tower, build_tower, local_intervals
 
 DISPATCH_TOL = 1e-14
@@ -135,18 +135,15 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
             xa, xb = H(a_loc), H(b_loc)
             va, vb = eval_raw(c0, xa), eval_raw(c0, xb)
             if period is Period.THREE and i == 3 and lv.eps != 1.0:
-                # the pulled endpoint is the inner (w_n) one, local 1 - s3
-                u3 = orbit(QuadraticUnimodal(lv.c), 3)[3]
+                # the pulled endpoint is the inner (w_n) one, local 1 - s3;
+                # the one place besides _orbit_points that applies the pull
+                u3 = _orbit_points(period, lv.c)[3]
                 va += vprod * u3 * (lv.eps - 1.0)
             amap = Affine.through(xa, va, xb, vb)
             lo, hi = (xa, xb) if xa <= xb else (xb, xa)
             branches.append(PWABranch(m, i, lo, hi, amap))
         vprod *= f.s[-1]
     return PiecewiseAffineMap(period, t, seq, branches, c0)
-
-
-def eval_pwa(f: PiecewiseAffineMap, x: float) -> float:
-    return f(x)
 
 
 def _gen1_branch_maps(f: PiecewiseAffineMap) -> dict:

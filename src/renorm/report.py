@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from importlib import resources
 
-import jsonschema
 import numpy as _np
 
+from . import __version__
+
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 
 def make_report(command: str, config: dict, results: dict) -> dict:
@@ -24,7 +23,7 @@ def make_report(command: str, config: dict, results: dict) -> dict:
         "command": command,
         "provenance": {
             "tool": "renorm",
-            "version": TOOL_VERSION,
+            "version": __version__,
             "schema_version": SCHEMA_VERSION,
             "config": config,
         },
@@ -65,13 +64,19 @@ def to_json(doc: dict) -> str:
     return _fmt(doc) + "\n"
 
 
-def load_schema() -> dict:
-    with resources.files("renorm.schemas").joinpath("report.schema.json").open() as fh:
-        return json.load(fh)
-
-
 def validate_report(doc: dict) -> None:
-    jsonschema.validate(json.loads(to_json(doc)), load_schema())
+    """Check the envelope make_report builds; the results are free-form."""
+    prov = doc.get("provenance")
+    if not (
+        isinstance(doc.get("command"), str)
+        and isinstance(prov, dict)
+        and prov.get("tool") == "renorm"
+        and isinstance(prov.get("version"), str)
+        and prov.get("schema_version") == SCHEMA_VERSION
+        and isinstance(prov.get("config"), dict)
+        and isinstance(doc.get("results"), dict)
+    ):
+        raise RuntimeError(f"malformed report envelope: {doc!r:.200}")
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -15,6 +15,12 @@ R(c) = (u^{p+1}... orbit endpoint - c)/s2 sends the critical point of a
 renormalizable map to the critical point of its renormalization; its
 fixed point is the self-similar configuration.
 
+The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
+the orbit from the pulled point; eps = 1 is the unperturbed map, so both
+are read off one orbit (_orbit_points), the only place eps enters the
+orbit.  pwa.build_pwa applies the same pull to the inner endpoint value of
+each I_3 branch, the one other site that knows the rule.
+
 All condition evaluators accept numpy arrays of critical points so the
 domain scanner can sweep (0, 1/2) in one shot.
 """
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadratic import QuadraticUnimodal, eval_raw, orbit
+from .quadratic import eval_raw
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 
@@ -41,10 +47,6 @@ class Period(enum.Enum):
 
     @property
     def p(self) -> int:
-        return self.value
-
-    @property
-    def k(self) -> int:
         return self.value
 
 
@@ -112,63 +114,61 @@ class FeasibleDomain:
         return None
 
 
-def _orbit_points(c, k):
-    """[0, u(0), ..., u^k(0)] for scalar or array c."""
-    x = np.zeros_like(np.asarray(c, dtype=float)) if np.ndim(c) else 0.0
+# (p, 2p - 2): the pulled orbit index and the last index the conditions read
+_ORBIT_SPAN = {Period.THREE: (3, 4), Period.FIVE: (5, 8)}
+
+
+def _orbit_points(period: Period, c, eps: float = 1.0):
+    """[0, u(0), ..., u^{2p-2}(0)] for scalar or array c, with u^p(0)
+    replaced by eps*u^p(0) and the orbit continued from the pulled point.
+
+    Multiplying by eps = 1.0 is exact, so the unperturbed orbit comes out
+    bitwise; the perturbation is defined for period three only.
+    """
+    if eps != 1.0:
+        if period is not Period.THREE:
+            raise ValueError("eps-perturbation is defined for period three only")
+        if not eps > 0.0:
+            raise ValueError("eps must be positive")
+    p, last = _ORBIT_SPAN[period]
+    x = 0.0
     out = [x]
-    for _ in range(k):
-        out.append(eval_raw(c, out[-1]))
+    for _ in range(p):
+        x = eval_raw(c, x)
+        out.append(x)
+    x = out[p] = eps * x
+    for _ in range(p, last):
+        x = eval_raw(c, x)
+        out.append(x)
     return out
 
 
-def _components(period: Period, c):
-    o = _orbit_points(c, 4 if period is Period.THREE else 8)
+def _components(period: Period, o):
     if period is Period.THREE:
         return (o[3], o[4] - o[1], 1.0 - o[2])
     return (o[5], o[8] - o[3], o[6] - o[1], o[2] - o[7], 1.0 - o[4])
 
 
-def _gap_components(period: Period, c):
-    o = _orbit_points(c, 4 if period is Period.THREE else 8)
+def _gap_components(period: Period, o):
     if period is Period.THREE:
         return (o[1] - o[3], o[2] - o[4])
     return (o[3] - o[5], o[1] - o[8], o[7] - o[6], o[4] - o[2])
 
 
-def conditions(period: Period, c):
+def conditions(period: Period, c, eps: float = 1.0):
     """All positivity conditions (scaling components then gaps), vectorized."""
-    return np.array(_components(period, c) + _gap_components(period, c))
+    o = _orbit_points(period, c, eps)
+    return np.array(_components(period, o) + _gap_components(period, o))
 
 
-def scaling_from_critical(period: Period, c: float) -> ScalingFactor:
-    return ScalingFactor(period, tuple(float(x) for x in _components(period, c)), c=c)
+def scaling_from_critical(period: Period, c: float, eps: float = 1.0) -> ScalingFactor:
+    s = _components(period, _orbit_points(period, c, eps))
+    return ScalingFactor(period, tuple(float(x) for x in s), c=c, eps=eps)
 
 
 def gaps(period: Period, c: float) -> GapVector:
-    return GapVector(period, tuple(float(x) for x in _gap_components(period, c)))
-
-
-def scaling_eps(c: float, eps: float) -> ScalingFactor:
-    """Tripling factor with the inner I_1-endpoint pulled to eps*u^3(0)."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    o = orbit(QuadraticUnimodal(c), 3)
-    s1 = eps * o[3]
-    s2 = eval_raw(c, s1) - o[1]
-    s3 = 1.0 - o[2]
-    return ScalingFactor(Period.THREE, (s1, s2, s3), c=c, eps=eps)
-
-
-def _eps_conditions(c, eps):
-    """Positivity conditions of the eps-perturbed tripling system."""
-    o = _orbit_points(c, 3)
-    s1 = eps * o[3]
-    top = eval_raw(c, s1)
-    s2 = top - o[1]
-    s3 = 1.0 - o[2]
-    gl = o[1] - s1
-    gr = o[2] - top
-    return np.array((s1, s2, s3, gl, gr))
+    g = _gap_components(period, _orbit_points(period, c))
+    return GapVector(period, tuple(float(x) for x in g))
 
 
 def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
@@ -177,16 +177,10 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     anyway and a violation flags a broken implementation."""
     if not 0.0 < c < 0.5:
         return False
-    if eps != 1.0:
-        if period is not Period.THREE:
-            raise ValueError("eps-perturbation is defined for period three only")
-        cond = _eps_conditions(c, eps)
-    else:
-        cond = conditions(period, c)
+    cond = conditions(period, c, eps)
     if not bool(np.all(cond > 0.0)):
         return False
-    k = period.k
-    if float(np.sum(cond[:k])) >= 1.0:
+    if float(np.sum(cond[: period.p])) >= 1.0:
         raise RuntimeError(
             "positivity held but the simplex sum exceeded 1; "
             "the gap conditions should forbid this"
@@ -196,23 +190,12 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
 
 def return_map(period: Period, c: float, eps: float = 1.0):
     """R(c) = (last orbit point - c)/s2, the rescaled next critical point."""
-    if eps != 1.0:
-        if period is not Period.THREE:
-            raise ValueError("eps-perturbation is defined for period three only")
-        o = _orbit_points(c, 3)
-        top = eval_raw(c, eps * o[3])
-        s2 = top - o[1]
-    else:
-        o = _orbit_points(c, 4 if period is Period.THREE else 8)
-        top = o[-1]
-        s2 = top - (o[1] if period is Period.THREE else o[3])
-    if np.ndim(c) == 0 and s2 <= S2_FLOOR:
+    o = _orbit_points(period, c, eps)
+    top = o[-1]
+    s2 = top - (o[1] if period is Period.THREE else o[3])
+    if isinstance(s2, float) and s2 <= S2_FLOOR:  # arrays carry inf/nan instead
         raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
     return (top - c) / s2
-
-
-def return_map_eps(c: float, eps: float) -> float:
-    return return_map(Period.THREE, c, eps=eps)
 
 
 def _poly_p(c):
@@ -244,8 +227,7 @@ def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
     def worst(c):
         if c <= 0.0 or c >= 0.5:
             return -1.0
-        cond = _eps_conditions(c, eps) if eps != 1.0 else conditions(period, c)
-        return float(np.min(cond))
+        return float(np.min(conditions(period, c, eps)))
 
     a, b = ok_pt, bad_pt
     while abs(b - a) > tol:
@@ -255,12 +237,11 @@ def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
         else:
             b = mid
     c = 0.5 * (a + b)
-    cond = _eps_conditions(c, eps) if eps != 1.0 else conditions(period, c)
-    name = CONDITION_NAMES[period][int(np.argmin(cond))]
+    name = CONDITION_NAMES[period][int(np.argmin(conditions(period, c, eps)))]
     return c, name
 
 
-def _refine_touch(period, fn, lo, hi, tol):
+def _refine_touch(fn, lo, hi, tol):
     """Golden-section minimum of a single condition; used for punctures."""
     inv = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -300,7 +281,7 @@ def feasible_domain(
     if refine_tol > 1e-9:
         raise ValueError("refine_tol must be <= 1e-9")
     cs = np.arange(scan_step, 0.5, scan_step)
-    cond = _eps_conditions(cs, eps) if eps != 1.0 else conditions(period, cs)
+    cond = conditions(period, cs, eps)
     worst = cond.min(axis=0)
     ok = worst > 0.0
     if not ok.any():
@@ -338,12 +319,8 @@ def feasible_domain(
                     continue  # an ordinary smooth minimum, not a touch
                 a = cs[i0 + t]
                 b = cs[i0 + t + 2]
-                fn = (
-                    (lambda x, j=j: float(_eps_conditions(x, eps)[j]))
-                    if eps != 1.0
-                    else (lambda x, j=j: float(conditions(period, x)[j]))
-                )
-                x, v = _refine_touch(period, fn, a, b, refine_tol)
+                fn = lambda x, j=j: float(conditions(period, x, eps)[j])
+                x, v = _refine_touch(fn, a, b, refine_tol)
                 if v < 1e-10:
                     touch.append((x, names[j]))
         # collapse coincident touches (several conditions can vanish together)

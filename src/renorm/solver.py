@@ -14,6 +14,7 @@ import numpy as np
 
 from .scaling import (
     DivisionGuard,
+    EmptyDomain,
     FeasibleDomain,
     Period,
     feasible_domain,
@@ -92,7 +93,7 @@ def _scan_roots(g, lo, hi, grid):
     return [(xs[i], xs[i + 1]) for i in hits]
 
 
-def _report(period, g, R, bracket, tol, eps=1.0):
+def _report(period, g, R, bracket, tol, eps):
     c = float(_refine_root(g, bracket[0], bracket[1], tol))
     residual = float(abs(R(c) - c))
     deriv = float((R(c + DERIV_STEP) - R(c - DERIV_STEP)) / (2.0 * DERIV_STEP))
@@ -107,12 +108,8 @@ def _report(period, g, R, bracket, tol, eps=1.0):
     )
 
 
-def solve_fixed_point(
-    period: Period,
-    domain: FeasibleDomain | None = None,
-    tol: float = POLISH_TOL,
-) -> FixedPointReport:
-    """The unique fixed point of R over the feasible domain.
+def _solve(period, eps, domain, tol):
+    """The unique fixed point of R(., eps) over the feasible domain.
 
     Raises NoRoot if no sub-interval brackets a root and MultipleRoots if
     more than one shows up (which would contradict the uniqueness claim).
@@ -120,10 +117,13 @@ def solve_fixed_point(
     if tol < 1e-14:
         raise ValueError("tol must be >= 1e-14")
     if domain is None:
-        domain = feasible_domain(period)
+        try:
+            domain = feasible_domain(period, eps=eps)
+        except EmptyDomain as exc:
+            raise NoRoot(f"no feasible domain at eps={eps}: {exc}") from exc
 
     def R(c):
-        return return_map(period, c)
+        return return_map(period, c, eps)
 
     def g(c):
         try:
@@ -136,37 +136,24 @@ def solve_fixed_point(
         pad = 2.0 * domain.boundary_tol
         brackets.extend(_scan_roots(g, lo + pad, hi - pad, SCAN_GRID))
     if not brackets:
-        raise NoRoot(f"no sign change of R(c)-c over {domain.intervals}")
+        raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:
-        raise MultipleRoots(f"{len(brackets)} roots found: {brackets}")
-    return _report(period, g, R, brackets[0], tol)
+        raise MultipleRoots(f"{len(brackets)} roots at eps={eps}: {brackets}")
+    return _report(period, g, R, brackets[0], tol, eps)
+
+
+def solve_fixed_point(
+    period: Period,
+    domain: FeasibleDomain | None = None,
+    tol: float = POLISH_TOL,
+) -> FixedPointReport:
+    """The unique fixed point of R over the feasible domain."""
+    return _solve(period, 1.0, domain, tol)
 
 
 def solve_fixed_point_eps(eps: float, tol: float = POLISH_TOL) -> FixedPointReport:
     """Fixed point of the eps-perturbed tripling return map."""
-    try:
-        domain = feasible_domain(Period.THREE, eps=eps)
-    except Exception as exc:
-        raise NoRoot(f"no feasible domain at eps={eps}: {exc}") from exc
-
-    def R(c):
-        return return_map(Period.THREE, c, eps=eps)
-
-    def g(c):
-        try:
-            return R(c) - c
-        except DivisionGuard:
-            return np.nan
-
-    brackets = []
-    for lo, hi in domain.intervals:
-        pad = 2.0 * domain.boundary_tol
-        brackets.extend(_scan_roots(g, lo + pad, hi - pad, SCAN_GRID))
-    if not brackets:
-        raise NoRoot(f"no sign change of R(c,eps)-c at eps={eps}")
-    if len(brackets) > 1:
-        raise MultipleRoots(f"{len(brackets)} roots at eps={eps}: {brackets}")
-    return _report(Period.THREE, g, R, brackets[0], tol, eps=eps)
+    return _solve(Period.THREE, eps, None, tol)
 
 
 def continuum_sweep(eps_lo: float, eps_hi: float, steps: int) -> ContinuumTable:

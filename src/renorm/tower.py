@@ -11,12 +11,13 @@ z_n = H_n(0) reproduce the min/max alternation of the labeled endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadratic import QuadraticUnimodal, eval_raw, orbit
-from .scaling import Period, ScalingFactor, scaling_eps, scaling_from_critical
+from .scaling import Period, ScalingFactor, scaling_from_critical
 
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
@@ -28,6 +29,11 @@ class InvalidFactor(ValueError):
         self.depth = depth
         self.factor = factor
         super().__init__(f"scaling factor leaves the simplex at depth {depth}: {factor.s}")
+
+
+class DepthUnderflow(ArithmeticError):
+    """The chain slope left the normal float range; deeper sizes lose their
+    relative precision (subnormal) and then vanish (0.0)."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,6 @@ class ScalingSequence:
     """
 
     period: Period
-    kind: str
     _fn: object
     length: int | None = None
 
@@ -90,42 +95,29 @@ class ScalingSequence:
         fn = self._fn
         return ScalingSequence(
             self.period,
-            self.kind,
             lambda m, _fn=fn, _k=k: _fn(m + _k),
             None if self.length is None else self.length - k,
         )
 
     def factor(self, m: int) -> ScalingFactor:
         lv = self.level(m)
-        if lv.eps != 1.0:
-            return scaling_eps(lv.c, lv.eps)
-        return scaling_from_critical(self.period, lv.c)
+        return scaling_from_critical(self.period, lv.c, lv.eps)
 
     @staticmethod
-    def stationary(period: Period, c: float) -> "ScalingSequence":
-        return ScalingSequence(period, "stationary", lambda m: LevelData(c, 1.0))
+    def stationary(period: Period, c: float, eps: float = 1.0) -> "ScalingSequence":
+        return ScalingSequence(period, lambda m: LevelData(c, eps))
 
     @staticmethod
-    def eps_stationary(c: float, eps: float) -> "ScalingSequence":
-        return ScalingSequence(
-            Period.THREE, "eps-stationary", lambda m: LevelData(c, eps)
-        )
-
-    @staticmethod
-    def from_levels(period: Period, levels, kind: str) -> "ScalingSequence":
+    def from_levels(period: Period, levels) -> "ScalingSequence":
         levels = tuple(levels)
-        return ScalingSequence(
-            period, kind, lambda m, _lv=levels: _lv[m - 1], len(levels)
-        )
+        return ScalingSequence(period, lambda m, _lv=levels: _lv[m - 1], len(levels))
 
     @staticmethod
     def from_factor(factor: ScalingFactor) -> "ScalingSequence":
         """Stationary rule from a factor that remembers its critical point."""
         if factor.c is None:
             raise ValueError("factor carries no generating critical point")
-        if factor.eps != 1.0:
-            return ScalingSequence.eps_stationary(factor.c, factor.eps)
-        return ScalingSequence.stationary(factor.period, factor.c)
+        return ScalingSequence.stationary(factor.period, factor.c, factor.eps)
 
 
 def level_anchor(period: Period, lv: LevelData) -> float:
@@ -203,6 +195,8 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
         h = Affine(-f.s[1], a + f.s[1])  # t -> a + s2*(1-t), orientation reversing
         rescale.append(h)
         chains.append(chains[-1] @ h)
+        if abs(chains[-1].a) < sys.float_info.min:
+            raise DepthUnderflow(f"tower slope underflows to a subnormal at depth {m} of {depth}")
 
     generations = []
     local_lengths = []

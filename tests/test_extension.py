@@ -179,11 +179,12 @@ def test_extension_along_eps_continuum():
     # the contraction identity s2^2 = s3 persists along the eps-family,
     # so each perturbed fixed point extends with a flat Lipschitz profile
     from renorm.solver import solve_fixed_point_eps
+    from renorm.scaling import Period
     from renorm.tower import ScalingSequence
     from renorm.pwa import build_pwa
 
     rep = solve_fixed_point_eps(0.98)
-    seq = ScalingSequence.eps_stationary(rep.c_star, 0.98)
+    seq = ScalingSequence.stationary(Period.THREE, rep.c_star, 0.98)
     f = build_pwa(seq, 8)
     s = f.tower.factors[0].s
     assert abs(s[1] ** 2 - s[2]) <= 1e-10

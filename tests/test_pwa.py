@@ -8,7 +8,6 @@ from renorm.pwa import (
     DepthExhausted,
     OutsideDomain,
     build_pwa,
-    eval_pwa,
     fixed_residual,
     partial_renormalize,
     renormalize,
@@ -47,7 +46,7 @@ def test_generation_one_branch_values(seq3):
 def test_affine_vs_quadratic_midpoint(f3):
     b1 = next(b for b in f3.branches if b.level == 1 and b.family == 1)
     mid = 0.5 * (b1.lo + b1.hi)
-    v = eval_pwa(f3, mid)
+    v = f3(mid)
     assert min(b1.map(b1.lo), b1.map(b1.hi)) < v < max(b1.map(b1.lo), b1.map(b1.hi))
     assert abs(v - eval_raw(f3.c0, mid)) > 1e-5
 
@@ -61,24 +60,24 @@ def test_quintupling_branch_families(f5):
 
 def test_eval_at_branch_endpoint(f3):
     w1 = f3.tower.labels["w"][1]  # inner endpoint of I_3^1
-    assert eval_pwa(f3, w1) == pytest.approx(eval_raw(f3.c0, w1), abs=1e-13)
+    assert f3(w1) == pytest.approx(eval_raw(f3.c0, w1), abs=1e-13)
 
 
 def test_eval_at_zero(f3):
-    assert eval_pwa(f3, 0.0) == pytest.approx(ORBIT3[1], abs=1e-12)
+    assert f3(0.0) == pytest.approx(ORBIT3[1], abs=1e-12)
 
 
 def test_eval_in_gap_raises(f3):
     x1 = f3.tower.labels["x"][1]
     y1 = f3.tower.y(1)
     with pytest.raises(OutsideDomain):
-        eval_pwa(f3, 0.5 * (x1 + y1))  # inside the left gap
+        f3(0.5 * (x1 + y1))  # inside the left gap
 
 
 def test_eval_deeper_than_resolved_raises(f3):
     lo, hi = f3.tower.critical_enclosure
     with pytest.raises(OutsideDomain):
-        eval_pwa(f3, 0.5 * (lo + hi))
+        f3(0.5 * (lo + hi))
 
 
 def test_combinatorics_three(f3):
@@ -108,7 +107,7 @@ def test_fixed_residual_along_eps_continuum(eps):
     from renorm.solver import solve_fixed_point_eps
 
     rep = solve_fixed_point_eps(eps)
-    seq = ScalingSequence.eps_stationary(rep.c_star, eps)
+    seq = ScalingSequence.stationary(Period.THREE, rep.c_star, eps)
     assert fixed_residual(seq, 8).sup_norm <= 1e-9
 
 
@@ -143,14 +142,14 @@ def test_shift_identity_consistent_orbit_data():
         cs.append(0.5 * (lo + hi))
     cs.reverse()
     levels = [LevelData(c) for c in cs]
-    seq = ScalingSequence.from_levels(Period.THREE, levels, "orbit")
+    seq = ScalingSequence.from_levels(Period.THREE, levels)
     res = shift_residual(seq, 6)
     assert res.sup_norm <= 1e-9
 
 
 def test_shift_identity_inconsistent_data_fails():
     levels = [LevelData(c) for c in (0.44, 0.45, 0.44, 0.45, 0.44, 0.45)]
-    seq = ScalingSequence.from_levels(Period.THREE, levels, "adhoc")
+    seq = ScalingSequence.from_levels(Period.THREE, levels)
     assert shift_residual(seq, 6).sup_norm > 1e-4
 
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+import renorm
 from renorm import report as rpt
 from renorm.cli import main
 from renorm.solver import NoRoot
@@ -27,6 +28,13 @@ def test_float_serialization_roundtrip():
 def test_report_schema_validation():
     with pytest.raises(Exception):
         rpt.validate_report({"command": "solve"})  # missing provenance/results
+    doc = rpt.make_report("solve", {"period": 3}, {"c_star": 0.44})
+    rpt.validate_report(doc)
+    assert doc["provenance"]["version"] == renorm.__version__ == "0.1.0"
+    for key, bad in (("tool", "other"), ("schema_version", 2), ("config", [])):
+        broken = dict(doc, provenance=dict(doc["provenance"], **{key: bad}))
+        with pytest.raises(Exception):
+            rpt.validate_report(broken)
 
 
 def test_atomic_write(tmp_path):
@@ -175,6 +183,38 @@ def test_cli_out_file_and_config(tmp_path, capsys):
     code, _ = run_cli(capsys, "solve", "--config", str(cfg), "--period", "3",
                       "--out", str(out_path))
     assert json.loads(out_path.read_text())["results"]["period"] == 3
+
+
+@pytest.mark.parametrize(
+    "config", [{"period": 4}, {"period": "3"}, {"depth": 0}, {"depth": "5"}]
+)
+def test_cli_bad_config_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(capsys, "tower", "--config", str(cfg)) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tower", "--period", "3", "--depth", "0"],
+        ["extend", "--period", "5", "--depth", "0"],
+        ["plotdata", "tower", "--period", "3", "--depth", "-1"],
+        ["horseshoe", "--depth", "-3"],
+        ["horseshoe", "--depth", "0"],
+    ],
+)
+def test_cli_depth_below_one_is_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_cli_depth_underflow_is_numerical_failure(capsys):
+    assert main(["tower", "--period", "3", "--depth", "500"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "underflows" in captured.err
 
 
 def test_cli_usage_error():

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from renorm.quadratic import QuadraticUnimodal, orbit
+from renorm.quadratic import QuadraticUnimodal, eval_map, orbit
 from renorm.scaling import (
     Period,
     conditions,
@@ -9,9 +11,7 @@ from renorm.scaling import (
     feasible_domain,
     gaps,
     return_map,
-    return_map_eps,
     scaling_closed_form_tripling,
-    scaling_eps,
     scaling_from_critical,
 )
 from reference_values import (
@@ -144,16 +144,38 @@ def test_return_map_no_fixed_point_at_041():
 
 
 def test_scaling_eps_reduces_to_unperturbed():
-    a = scaling_eps(0.440262, 1.0)
+    a = scaling_from_critical(Period.THREE, 0.440262, eps=1.0)
     b = scaling_from_critical(Period.THREE, 0.440262)
     assert a.s == b.s  # identical code path at eps = 1
+    # and bitwise the printed unperturbed tri-factor of the plain orbit
+    o = orbit(QuadraticUnimodal(0.440262), 4)
+    assert a.s == (o[3], o[4] - o[1], 1.0 - o[2])
 
 
 @pytest.mark.parametrize("eps", [0.98, 1.02])
 def test_scaling_eps_positive_near_one(eps):
-    f = scaling_eps(0.44, eps)
+    f = scaling_from_critical(Period.THREE, 0.44, eps=eps)
     assert f.is_valid
-    assert return_map_eps(0.44, eps) > 0.0
+    assert f.eps == eps
+    assert return_map(Period.THREE, 0.44, eps=eps) > 0.0
+
+
+def test_eps_conditions_match_printed_tripling_formulas(fd3):
+    # s1 = eps*u^3(0), s2 = u(eps*u^3(0)) - u(0), s3 = 1 - u^2(0) and the
+    # gaps Gl = u(0) - s1, Gr = u^2(0) - u(s1), built from the plain orbit
+    rng = random.Random(20100)
+    for _ in range(40):
+        lo, hi = fd3.intervals[rng.randrange(len(fd3.intervals))]
+        c = rng.uniform(lo, hi)
+        eps = rng.uniform(0.96, 1.04)
+        u = QuadraticUnimodal(c)
+        o = orbit(u, 3)
+        s1 = eps * o[3]
+        top = eval_map(u, s1)
+        want = (s1, top - o[1], 1.0 - o[2], o[1] - s1, o[2] - top)
+        assert tuple(conditions(Period.THREE, c, eps)) == want
+        assert scaling_from_critical(Period.THREE, c, eps).s == want[:3]
+        assert return_map(Period.THREE, c, eps) == (top - c) / want[1]
 
 
 def test_eps_feasibility_flag():
@@ -161,6 +183,22 @@ def test_eps_feasibility_flag():
     assert feasibility(Period.THREE, 0.44, eps=1.02)
     with pytest.raises(ValueError):
         feasibility(Period.FIVE, 0.387, eps=0.98)
+    with pytest.raises(ValueError):
+        conditions(Period.FIVE, 0.387, eps=0.98)
+    with pytest.raises(ValueError):
+        return_map(Period.FIVE, 0.387, eps=0.98)
+    with pytest.raises(ValueError):
+        feasible_domain(Period.FIVE, eps=0.98)
+    with pytest.raises(ValueError):
+        scaling_from_critical(Period.FIVE, 0.387, eps=0.98)
+
+
+def test_eps_must_be_positive():
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            scaling_from_critical(Period.THREE, 0.44, eps=eps)
+        with pytest.raises(ValueError):
+            return_map(Period.THREE, 0.44, eps=eps)
 
 
 def test_simplex_identity_on_feasible_grid(fd3):

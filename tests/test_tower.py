@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from renorm.scaling import Period, ScalingFactor, gaps, scaling_from_critical
 from renorm.tower import (
+    DepthUnderflow,
     InvalidFactor,
     ScalingSequence,
     build_tower,
@@ -185,6 +188,22 @@ def test_sequence_from_factor(rep3):
     assert t.factors[0].s == f.s
     with pytest.raises(ValueError):
         ScalingSequence.from_factor(ScalingFactor(Period.THREE, (0.1, 0.1, 0.1)))
+    # an eps factor yields the eps-stationary rule
+    fe = scaling_from_critical(Period.THREE, 0.44, eps=0.98)
+    seq = ScalingSequence.from_factor(fe)
+    assert seq.level(4).eps == 0.98
+    assert build_tower(seq, 3).factors[2] == fe
+
+
+def test_depth_underflow_raises(seq3):
+    # |s2|^n at c* leaves the normal binary64 range at depth 315 (and reaches
+    # 0.0 at 332); sizes stop being relatively precise there
+    t = build_tower(seq3, 314)
+    assert abs(t.chains[-1].a) >= sys.float_info.min
+    assert t.size(314, 1) > 0.0
+    for depth in (315, 332, 500):
+        with pytest.raises(DepthUnderflow):
+            build_tower(seq3, depth)
 
 
 def test_quintupling_labels(seq5):
