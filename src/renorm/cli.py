@@ -66,17 +66,32 @@ def _depth(args, default: int) -> int:
     return default if args.depth is None else args.depth
 
 
+# the common flags' type= and choices, applied alike to config-file values
+FLAG_TYPES = {
+    "period": int,
+    "tol": float,
+    "depth": int,
+    "grid": int,
+    "step": float,
+    "resolution": int,
+    "eps": str,
+    "seed": int,
+    "out": str,
+    "format": str,
+}
+FLAG_CHOICES = {"period": (3, 5), "format": ("json", "csv")}
+FLAG_HELP = {"eps": "comma-separated eps list"}
+
+
 def _add_common(p):
-    p.add_argument("--period", type=int, choices=(3, 5), default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--resolution", type=int, default=None)
-    p.add_argument("--eps", type=str, default=None, help="comma-separated eps list")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--format", type=str, choices=("json", "csv"), default=None)
+    for key, conv in FLAG_TYPES.items():
+        p.add_argument(
+            f"--{key}",
+            type=conv,
+            choices=FLAG_CHOICES.get(key),
+            default=None,
+            help=FLAG_HELP.get(key),
+        )
     p.add_argument("--config", type=str, default=None, help="JSON file of defaults; flags win")
 
 
@@ -106,19 +121,37 @@ DEFAULTS = {
 }
 
 
+def _config_value(key, value):
+    """A config-file value put through its flag's type= and choices.
+
+    The conversion must be exact: "1e-10" for tol, 2.5 for grid, "5" for
+    depth and any bool are refused with ValueError (exit 2), not coerced.
+    """
+    conv = FLAG_TYPES[key]
+    try:
+        out = conv(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if isinstance(value, bool) or out is None or out != value:
+        raise ValueError(f"config {key}={value!r} is not a valid {conv.__name__}")
+    choices = FLAG_CHOICES.get(key)
+    if choices is not None and out not in choices:
+        raise ValueError(f"config {key}={value!r} is not one of {choices}")
+    return out
+
+
 def _merge_config(args):
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
     for key, value in vars(args).items():
-        if value is None and key in cfg:
-            setattr(args, key, cfg[key])
+        if value is None and cfg.get(key) is not None:
+            setattr(args, key, _config_value(key, cfg[key]))
     for key, value in DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-    Period(args.period)  # raises ValueError unless 3 or 5, e.g. from a config
-    if args.depth is not None and not (isinstance(args.depth, int) and args.depth >= 1):
+    if args.depth is not None and args.depth < 1:
         raise ValueError(f"depth must be an integer >= 1, got {args.depth!r}")
     return args
 

@@ -21,8 +21,9 @@ are read off one orbit (_orbit_points), the only place eps enters the
 orbit.  pwa.build_pwa applies the same pull to the inner endpoint value of
 each I_3 branch, the one other site that knows the rule.
 
-All condition evaluators accept numpy arrays of critical points so the
-domain scanner can sweep (0, 1/2) in one shot.
+All condition evaluators and return_map accept numpy arrays of critical
+points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
+scans each feasible interval in one call.
 """
 
 from __future__ import annotations
@@ -189,12 +190,21 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
 
 
 def return_map(period: Period, c: float, eps: float = 1.0):
-    """R(c) = (last orbit point - c)/s2, the rescaled next critical point."""
+    """R(c) = (last orbit point - c)/s2, the rescaled next critical point.
+
+    One guard rule for both paths: where s2 <= S2_FLOOR a scalar c raises
+    DivisionGuard and an array c gets NaN, so an array call equals the
+    scalar calls elementwise, bitwise, with NaN standing for the raise.
+    """
     o = _orbit_points(period, c, eps)
     top = o[-1]
     s2 = top - (o[1] if period is Period.THREE else o[3])
-    if isinstance(s2, float) and s2 <= S2_FLOOR:  # arrays carry inf/nan instead
-        raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
+    if isinstance(s2, float):
+        if s2 <= S2_FLOOR:
+            raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
+    else:
+        # dividing by NaN is quiet: no value from across the pole, no warning
+        s2[s2 <= S2_FLOOR] = np.nan
     return (top - c) / s2
 
 

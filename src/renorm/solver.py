@@ -1,7 +1,9 @@
 """Fixed points of the return maps R(c) and R(c, eps).
 
 Roots of R(c) - c are isolated by a sign scan over the feasible domain,
-refined by bisection and polished with a secant step loop.  Each period
+one array call of R per feasible interval (R is NaN where its s2 guard
+trips, so the scan never pairs values across a pole), then refined by
+scalar bisection and polished with a secant step loop.  Each period
 has exactly one expanding fixed point; finding none or several is
 surfaced as an error rather than silently resolved.
 """
@@ -85,10 +87,13 @@ def _refine_root(f, lo, hi, tol):
 
 
 def _scan_roots(g, lo, hi, grid):
-    """Sign changes of g on [lo, hi] sampled at spacing grid."""
+    """Sign changes of g on [lo, hi] sampled at spacing grid.
+
+    g takes the whole grid as one array; NaN values never pair into a hit.
+    """
     n = max(int(np.ceil((hi - lo) / grid)), 2)
     xs = np.linspace(lo, hi, n + 1)
-    vals = np.array([g(x) for x in xs])
+    vals = g(xs)
     hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
     return [(xs[i], xs[i + 1]) for i in hits]
 
@@ -126,6 +131,7 @@ def _solve(period, eps, domain, tol):
         return return_map(period, c, eps)
 
     def g(c):
+        # arrays come back NaN-masked from R; only a scalar c can raise
         try:
             return R(c) - c
         except DivisionGuard:

@@ -195,6 +195,40 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, config):
 
 
 @pytest.mark.parametrize(
+    "command, config",
+    [
+        (["solve"], {"tol": "1e-10"}),
+        (["plotdata", "scaling"], {"grid": "10"}),
+        (["plotdata", "scaling"], {"grid": 2.5}),
+        (["plotdata", "scaling"], {"grid": True}),
+        (["solve"], {"tol": [1e-10]}),
+        (["solve"], {"format": "xml"}),
+    ],
+)
+def test_cli_config_values_take_their_flag_types(tmp_path, capsys, command, config):
+    # a value its flag's type= would not give exactly is a usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(capsys, *command, "--config", str(cfg)) == (2, "")
+
+
+def test_cli_numeric_config_matches_flags(tmp_path, capsys):
+    # a valid numeric config gives the bytes the same flags give
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"period": 5, "tol": 1e-12, "grid": 40}))
+    for command in (["solve"], ["plotdata", "scaling"]):
+        from_config = run_cli(capsys, *command, "--config", str(cfg))
+        from_flags = run_cli(
+            capsys, *command, "--period", "5", "--tol", "1e-12", "--grid", "40"
+        )
+        assert from_config[0] == 0
+        assert from_config == from_flags
+    doc = json.loads(run_cli(capsys, "solve", "--config", str(cfg))[1])
+    assert doc["provenance"]["config"]["tol"] == 1e-12
+    assert doc["provenance"]["config"]["grid"] == 40
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["tower", "--period", "3", "--depth", "0"],

@@ -5,6 +5,7 @@ import pytest
 
 from renorm.quadratic import QuadraticUnimodal, eval_map, orbit
 from renorm.scaling import (
+    DivisionGuard,
     Period,
     conditions,
     feasibility,
@@ -176,6 +177,27 @@ def test_eps_conditions_match_printed_tripling_formulas(fd3):
         assert tuple(conditions(Period.THREE, c, eps)) == want
         assert scaling_from_critical(Period.THREE, c, eps).s == want[:3]
         assert return_map(Period.THREE, c, eps) == (top - c) / want[1]
+
+
+@pytest.mark.parametrize(
+    "period, eps",
+    [(Period.THREE, 1.0), (Period.FIVE, 1.0), (Period.THREE, 0.96), (Period.THREE, 1.04)],
+)
+def test_array_return_map_nan_exactly_where_scalar_guard_trips(period, eps):
+    # the array path must mask the s2 pole, not divide across it: NaN at
+    # exactly the points where a scalar call raises, bitwise equal elsewhere
+    cs = np.linspace(1e-4, 0.5 - 1e-4, 20001)
+    vals = return_map(period, cs, eps)
+    tripped = np.zeros(cs.shape, dtype=bool)
+    want = np.full(cs.shape, np.nan)
+    for k, c in enumerate(cs):
+        try:
+            want[k] = return_map(period, float(c), eps)
+        except DivisionGuard:
+            tripped[k] = True
+    assert 0 < tripped.sum() < len(cs)  # the grid reaches both sides of the guard
+    assert np.array_equal(np.isnan(vals), tripped)
+    assert vals[~tripped].tobytes() == want[~tripped].tobytes()
 
 
 def test_eps_feasibility_flag():

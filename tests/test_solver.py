@@ -1,11 +1,22 @@
-import math
+import random
 
+import numpy as np
 import pytest
 
-from renorm.scaling import FeasibleDomain, Period
+from renorm.scaling import (
+    DivisionGuard,
+    FeasibleDomain,
+    Period,
+    feasible_domain,
+    return_map,
+)
 from renorm.solver import (
+    POLISH_TOL,
+    SCAN_GRID,
     NoRoot,
+    _refine_root,
     _scan_roots,
+    _solve,
     continuum_sweep,
     solve_fixed_point,
     solve_fixed_point_eps,
@@ -101,8 +112,43 @@ def test_continuum_sweep_validates():
 
 
 def test_scan_finds_multiple_brackets():
-    hits = _scan_roots(math.sin, 1.0, 7.0, 0.01)
+    hits = _scan_roots(np.sin, 1.0, 7.0, 0.01)  # g takes the whole grid
     assert len(hits) == 2  # pi and 2*pi
+
+
+def _scalar_reference_solve(period, eps):
+    """The sign scan as one scalar return_map call per grid point."""
+    domain = feasible_domain(period, eps=eps)
+
+    def g(c):
+        try:
+            return return_map(period, c, eps) - c
+        except DivisionGuard:
+            return np.nan
+
+    brackets = []
+    for lo, hi in domain.intervals:
+        pad = 2.0 * domain.boundary_tol
+        lo, hi = lo + pad, hi - pad
+        n = max(int(np.ceil((hi - lo) / SCAN_GRID)), 2)
+        xs = np.linspace(lo, hi, n + 1)
+        vals = np.array([g(x) for x in xs])
+        hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
+        brackets.extend((xs[i], xs[i + 1]) for i in hits)
+    assert len(brackets) == 1
+    return brackets[0], _refine_root(g, brackets[0][0], brackets[0][1], POLISH_TOL)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the scan grids hit s2 == 0.0
+def test_array_scan_matches_scalar_reference_bitwise():
+    rng = random.Random(30300)
+    cases = [(Period.THREE, 1.0), (Period.FIVE, 1.0)]
+    cases += [(Period.THREE, rng.uniform(0.96, 1.04)) for _ in range(20)]
+    for period, eps in cases:
+        rep = _solve(period, eps, None, POLISH_TOL)
+        bracket, c = _scalar_reference_solve(period, eps)
+        assert rep.bracketing_interval == (float(bracket[0]), float(bracket[1]))
+        assert rep.c_star == float(c)
 
 
 def test_tolerance_validation():
