@@ -350,8 +350,8 @@ def cmd_extend(args) -> int:
 def cmd_horseshoe(args) -> int:
     eps = tuple(float(x) for x in (args.eps or "1.02,1.0,0.98").split(","))
     b = hs.build_branch_system(*eps)
-    n_max = min(_depth(args, 6), hs.CYLINDER_CAP)
-    counts = [hs.cylinder_count(b, n) for n in range(1, n_max + 1)]
+    # deepest level first: a depth over the cap is refused before any work
+    counts = [hs.cylinder_count(b, n) for n in range(_depth(args, 6), 0, -1)][::-1]
     sweep = continuum_sweep(min(eps), max(eps), 5)
     word = hs.dense_orbit_word(2, alphabet=len(eps))
     coding = hs.code_to_point(b, word, min(len(word), 12))

@@ -91,15 +91,25 @@ class BranchSystem:
 
 
 def _invert_branch(b: BranchSystem, i: int, ys):
-    """Vectorized monotone bisection of R(., eps_i) = y inside A_i."""
+    """Vectorized monotone bisection of R(., eps_i) = y inside A_i.
+
+    At most 64 steps; it stops after the first step that moves no lane.
+    That step is a fixed point of the update (the same lo and hi give the
+    same mid and comparison), so the rest of a fixed 64 steps would change
+    nothing and the result is bitwise theirs.  A width test would stop
+    short of that point and change the result.
+    """
     ys = np.asarray(ys, dtype=float)
     lo = np.full_like(ys, b.domains[i][0])
     hi = np.full_like(ys, b.domains[i][1])
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         below = b.map(i, mid) < ys
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+        new_lo = np.where(below, mid, lo)
+        new_hi = np.where(below, hi, mid)
+        if (new_lo == lo).all() and (new_hi == hi).all():
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -212,14 +222,24 @@ def cylinder_count(b: BranchSystem, n: int, tol: float = 1e-10) -> int:
     los = np.array([d[0] for d in b.domains])
     his = np.array([d[1] for d in b.domains])
     for _ in range(n - 1):
-        new_lo = np.concatenate(
-            [_invert_branch(b, i, los) for i in range(b.alphabet)]
-        )
-        new_hi = np.concatenate(
-            [_invert_branch(b, i, his) for i in range(b.alphabet)]
-        )
-        los, his = new_lo, new_hi
+        los, his = _next_level(b, los, his)
     return int(np.count_nonzero(his - los >= -slack))
+
+
+def _next_level(b: BranchSystem, los, his):
+    """Endpoints of the (n+1)-cylinders from those of the n-cylinders,
+    letter-major: R_i^{-1} of every n-cylinder for i = 0, 1, ...
+
+    Both endpoint arrays go through one inversion per letter; the lanes
+    are independent, and per-call overhead dominates these small arrays.
+    """
+    k = len(los)
+    ends = np.concatenate([los, his])
+    inv = [_invert_branch(b, i, ends) for i in range(b.alphabet)]
+    return (
+        np.concatenate([x[:k] for x in inv]),
+        np.concatenate([x[k:] for x in inv]),
+    )
 
 
 def entropy_estimate(b: BranchSystem, n: int) -> float:

@@ -29,6 +29,7 @@ scans each feasible interval in one call.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,10 +157,16 @@ def _gap_components(period: Period, o):
     return (o[3] - o[5], o[1] - o[8], o[7] - o[6], o[4] - o[2])
 
 
+def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
+    """All positivity conditions (scaling components then gaps) as a tuple;
+    the scalar refinements read it without building an array."""
+    o = _orbit_points(period, c, eps)
+    return _components(period, o) + _gap_components(period, o)
+
+
 def conditions(period: Period, c, eps: float = 1.0):
     """All positivity conditions (scaling components then gaps), vectorized."""
-    o = _orbit_points(period, c, eps)
-    return np.array(_components(period, o) + _gap_components(period, o))
+    return np.array(_condition_values(period, c, eps))
 
 
 def scaling_from_critical(period: Period, c: float, eps: float = 1.0) -> ScalingFactor:
@@ -234,15 +241,16 @@ class EmptyDomain(RuntimeError):
 def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
     """Bisect min(all conditions) between a feasible and an infeasible point."""
 
-    def worst(c):
-        if c <= 0.0 or c >= 0.5:
-            return -1.0
-        return float(np.min(conditions(period, c, eps)))
+    def feasible(c):
+        # all(), not min(): a NaN condition must count as infeasible
+        if not 0.0 < c < 0.5:
+            return False
+        return all(v > 0.0 for v in _condition_values(period, c, eps))
 
     a, b = ok_pt, bad_pt
     while abs(b - a) > tol:
         mid = 0.5 * (a + b)
-        if worst(mid) > 0.0:
+        if feasible(mid):
             a = mid
         else:
             b = mid
@@ -253,7 +261,7 @@ def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
 
 def _refine_touch(fn, lo, hi, tol):
     """Golden-section minimum of a single condition; used for punctures."""
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
@@ -308,8 +316,8 @@ def feasible_domain(
     punctures = []
     for run in runs:
         i0, i1 = run[0], run[-1]
-        lo_out = cs[i0] - scan_step if i0 > 0 else 0.0
-        hi_out = cs[i1] + scan_step if i1 + 1 < len(cs) else 0.5
+        lo_out = float(cs[i0]) - scan_step if i0 > 0 else 0.0
+        hi_out = float(cs[i1]) + scan_step if i1 + 1 < len(cs) else 0.5
         lo, lo_name = _bisect_boundary(period, float(cs[i0]), lo_out, refine_tol, eps)
         hi, hi_name = _bisect_boundary(period, float(cs[i1]), hi_out, refine_tol, eps)
         boundaries.append((lo, lo_name))
@@ -327,9 +335,9 @@ def feasible_domain(
             for t in interior:
                 if vals[t + 1] > 1e-4:
                     continue  # an ordinary smooth minimum, not a touch
-                a = cs[i0 + t]
-                b = cs[i0 + t + 2]
-                fn = lambda x, j=j: float(conditions(period, x, eps)[j])
+                a = float(cs[i0 + t])
+                b = float(cs[i0 + t + 2])
+                fn = lambda x, j=j: _condition_values(period, x, eps)[j]
                 x, v = _refine_touch(fn, a, b, refine_tol)
                 if v < 1e-10:
                     touch.append((x, names[j]))

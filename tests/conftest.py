@@ -61,3 +61,18 @@ def curve5(f5):
 @pytest.fixture(scope="session")
 def bsys():
     return build_branch_system(1.02, 1.00, 0.98)
+
+
+@pytest.fixture(scope="session")
+def bsys2():
+    return build_branch_system(1.01, 1.0)
+
+
+@pytest.fixture(scope="session")
+def bsys4():
+    return build_branch_system(1.015, 1.005, 0.995, 0.985)
+
+
+@pytest.fixture(scope="session")
+def bsys5():
+    return build_branch_system(1.02, 1.01, 1.00, 0.99, 0.98)

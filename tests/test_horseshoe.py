@@ -4,7 +4,11 @@ import pytest
 from renorm.pwa import shift_residual
 from renorm.tower import verify_proper
 from renorm.horseshoe import (
+    CODING_PAD,
+    BranchSystem,
     Word,
+    _invert_branch,
+    _next_level,
     build_branch_system,
     code_to_point,
     coded_orbit,
@@ -82,32 +86,28 @@ def test_entropy_estimate(bsys):
     assert abs(entropy_estimate(bsys, 10) - np.log(3.0)) < 0.01
 
 
-def test_alphabet_four():
-    b4 = build_branch_system(1.015, 1.005, 0.995, 0.985)
+def test_alphabet_four(bsys4):
     for n in range(1, 6):
-        assert cylinder_count(b4, n) == 4**n
-    assert abs(entropy_estimate(b4, 5) - np.log(4.0)) < 0.01
+        assert cylinder_count(bsys4, n) == 4**n
+    assert abs(entropy_estimate(bsys4, 5) - np.log(4.0)) < 0.01
 
 
-def test_alphabet_five():
-    b5 = build_branch_system(1.02, 1.01, 1.00, 0.99, 0.98)
+def test_alphabet_five(bsys5):
     for n in range(1, 7):
-        assert cylinder_count(b5, n) == 5**n
-    assert abs(entropy_estimate(b5, 6) - np.log(5.0)) < 0.01
+        assert cylinder_count(bsys5, n) == 5**n
+    assert abs(entropy_estimate(bsys5, 6) - np.log(5.0)) < 0.01
 
 
-def test_cylinder_cap(bsys):
+def test_cylinder_cap(bsys, bsys2):
     with pytest.raises(ValueError):
         cylinder_count(bsys, 15)
-    b5 = build_branch_system(1.01, 1.0)
     # two letters are fine at depth 14; five letters at depth 14 are not
-    assert cylinder_count(b5, 14) == 2**14
+    assert cylinder_count(bsys2, 14) == 2**14
 
 
-def test_cylinder_total_cap():
-    b5 = build_branch_system(1.02, 1.01, 1.00, 0.99, 0.98)
+def test_cylinder_total_cap(bsys5):
     with pytest.raises(ValueError):
-        cylinder_count(b5, 12)
+        cylinder_count(bsys5, 12)
 
 
 def test_symbol_sequence_constant_word_is_stationary(bsys, rep3):
@@ -168,3 +168,72 @@ def test_word_validation():
     with pytest.raises(ValueError):
         Word((0, 1), alphabet=1)
     assert Word((0, 1, 2)).shift().symbols == (1, 2)
+
+
+# The inversion before it stopped early: a fixed 64 bisection steps, and
+# each endpoint array inverted on its own.  The early stop and the joint
+# call must leave every number bitwise as this gives it.
+def _invert_fixed_64(b, i, ys):
+    ys = np.asarray(ys, dtype=float)
+    lo = np.full_like(ys, b.domains[i][0])
+    hi = np.full_like(ys, b.domains[i][1])
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = b.map(i, mid) < ys
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _backward_fixed_64(b, letters):
+    x = 0.5 * (b.base[0] + b.base[1])
+    xs = [0.0] * len(letters)
+    for n in range(len(letters) - 1, -1, -1):
+        x = float(_invert_fixed_64(b, letters[n], x))
+        xs[n] = x
+    return xs
+
+
+@pytest.mark.parametrize("name, depth", [("bsys2", 14), ("bsys", 10), ("bsys4", 5), ("bsys5", 6)])
+def test_cylinder_levels_bitwise_fixed_64(request, name, depth):
+    b = request.getfixturevalue(name)
+    los = np.array([d[0] for d in b.domains])
+    his = np.array([d[1] for d in b.domains])
+    ref_lo, ref_hi = los, his
+    for _ in range(depth - 1):
+        los, his = _next_level(b, los, his)
+        ref_lo = np.concatenate([_invert_fixed_64(b, i, ref_lo) for i in range(b.alphabet)])
+        ref_hi = np.concatenate([_invert_fixed_64(b, i, ref_hi) for i in range(b.alphabet)])
+        assert los.tobytes() == ref_lo.tobytes()
+        assert his.tobytes() == ref_hi.tobytes()
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5"])
+def test_codings_bitwise_fixed_64(request, name):
+    b = request.getfixturevalue(name)
+    m = b.alphabet
+    rng = np.random.default_rng(40 + m)
+    for _ in range(4):
+        word = Word(tuple(int(x) for x in rng.integers(0, m, size=10)), m)
+        ref = _backward_fixed_64(b, word.symbols)
+        cod = code_to_point(b, word, 10)
+        assert np.float64(cod.c_alpha).tobytes() == np.float64(ref[0]).tobytes()
+        resid = abs(b.map(word.symbols[0], ref[0]) - ref[1])
+        assert np.float64(cod.residual).tobytes() == np.float64(resid).tobytes()
+        orbit = coded_orbit(b, word, 8)
+        ref = _backward_fixed_64(b, word.cyclic(8 + CODING_PAD))[:8]
+        assert np.array(orbit).tobytes() == np.array(ref).tobytes()
+
+
+def test_inversion_stops_before_the_cap(bsys, monkeypatch):
+    # the A_i are ~1e-5 wide, so every lane stops moving well before 64 steps
+    steps = []
+    real_map = BranchSystem.map
+
+    def counting_map(b, i, c):
+        steps.append(i)
+        return real_map(b, i, c)
+
+    monkeypatch.setattr(BranchSystem, "map", counting_map)
+    _invert_branch(bsys, 1, np.linspace(*bsys.base, 50))
+    assert 0 < len(steps) < 64

@@ -244,6 +244,22 @@ def test_cli_depth_below_one_is_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["horseshoe", "--depth", "15"], "need 1 <= n <= 14"),
+        (["horseshoe", "--depth", "10", "--eps", "1.02,1.01,1.0,0.99,0.98"],
+         "5^10 cylinders exceed the desk-scale cap"),
+    ],
+)
+def test_cli_horseshoe_depth_above_cap_is_usage_error(capsys, argv, message):
+    # refused, not clamped to the cap, and before any level is enumerated
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_depth_underflow_is_numerical_failure(capsys):
     assert main(["tower", "--period", "3", "--depth", "500"]) == 3
     captured = capsys.readouterr()

@@ -260,3 +260,17 @@ def test_conditions_vectorized_matches_scalar():
     for j, c in enumerate(cs):
         scal = conditions(Period.THREE, float(c))
         assert np.allclose(vec[:, j], scal, atol=0, rtol=0)
+
+
+def test_boundary_bisection_treats_nan_condition_as_infeasible(monkeypatch):
+    # a NaN condition past c = 0.3 must end the feasible side there, as
+    # np.min(...) > 0 made it; min() over a tuple would skip the NaN
+    import renorm.scaling as sc
+
+    def values(period, c, eps=1.0):
+        return (1.0, float("nan") if c > 0.3 else 1.0, 1.0, 1.0, 1.0)
+
+    monkeypatch.setattr(sc, "_condition_values", values)
+    c, name = sc._bisect_boundary(Period.THREE, 0.1, 0.4, 1e-12)
+    assert c == pytest.approx(0.3, abs=1e-11)
+    assert name == "S2"
