@@ -17,7 +17,7 @@ from renorm import (
     build_branch_system,
     code_to_point,
     continuum_sweep,
-    cylinder_count,
+    cylinder_counts,
     dense_orbit_word,
     entropy_estimate,
     shift_residual,
@@ -43,11 +43,11 @@ print(f"coding of {word.symbols[:8]}...: c(alpha) = {cod.c_alpha:.12f}, "
       f"conjugacy residual {cod.residual:.1e}")
 
 print("cylinder counts (full 3-shift):",
-      [cylinder_count(b, n) for n in range(1, 8)])
+      cylinder_counts(b, 7))
 print(f"entropy estimate at n=10: {entropy_estimate(b, 10):.9f} vs ln 3 = {np.log(3):.9f}")
 
 b5 = build_branch_system(1.02, 1.01, 1.00, 0.99, 0.98)
-print("five branches instead:", [cylinder_count(b5, n) for n in range(1, 5)],
+print("five branches instead:", cylinder_counts(b5, 4),
       f"-> entropy ln 5 = {np.log(5):.4f}: unbounded in the alphabet size")
 print()
 

@@ -69,6 +69,7 @@ from .horseshoe import (
     code_to_point,
     coded_orbit,
     cylinder_count,
+    cylinder_counts,
     dense_orbit_word,
     entropy_estimate,
     symbol_scaling_sequence,

@@ -55,9 +55,6 @@ NUMERICAL_ERRORS = (
 )
 
 
-EXTENSION_DEPTH = {Period.THREE: 8, Period.FIVE: 6}
-
-
 def _period(args) -> Period:
     return Period(args.period)
 
@@ -275,7 +272,7 @@ def cmd_plotdata(args) -> int:
         ]
     else:  # extension
         rep, seq = _solved_sequence(period, args.tol)
-        depth = _depth(args, EXTENSION_DEPTH[period])
+        depth = _depth(args, ext.DEFAULT_DEPTH[period])
         f = build_pwa(seq, depth + 2)
         curve = ext.extend(*ext.seed_pieces(f, resolution=args.resolution), depth=depth,
                            resolution=args.resolution)
@@ -324,7 +321,7 @@ def cmd_tower(args) -> int:
 def cmd_extend(args) -> int:
     period = _period(args)
     rep, seq = _solved_sequence(period, args.tol)
-    depth = _depth(args, EXTENSION_DEPTH[period])
+    depth = _depth(args, ext.DEFAULT_DEPTH[period])
     f = build_pwa(seq, depth + 2)
     curve = ext.extend(*ext.seed_pieces(f, resolution=args.resolution), depth=depth,
                        resolution=args.resolution)
@@ -350,8 +347,7 @@ def cmd_extend(args) -> int:
 def cmd_horseshoe(args) -> int:
     eps = tuple(float(x) for x in (args.eps or "1.02,1.0,0.98").split(","))
     b = hs.build_branch_system(*eps)
-    # deepest level first: a depth over the cap is refused before any work
-    counts = [hs.cylinder_count(b, n) for n in range(_depth(args, 6), 0, -1)][::-1]
+    counts = hs.cylinder_counts(b, _depth(args, 6))
     sweep = continuum_sweep(min(eps), max(eps), 5)
     word = hs.dense_orbit_word(2, alphabet=len(eps))
     coding = hs.code_to_point(b, word, min(len(word), 12))

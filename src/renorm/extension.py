@@ -23,6 +23,7 @@ from .quadratic import eval_raw
 from .scaling import Period
 from .tower import Affine, Tower
 
+DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}  # extension depth when none is given
 DERIV_MATCH_TOL = 1e-12
 MONOTONE_GRID = 257
 TIP_FLOOR = 1e-8

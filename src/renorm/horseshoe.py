@@ -196,11 +196,13 @@ def coded_orbit(b: BranchSystem, alpha: Word, count: int):
     return _backward_codings(b, letters, count)
 
 
-def cylinder_count(b: BranchSystem, n: int, tol: float = 1e-10) -> int:
-    """Number of nonempty n-cylinders via nested inverse-branch intervals.
+def cylinder_counts(b: BranchSystem, n: int, tol: float = 1e-10) -> list:
+    """Numbers of nonempty k-cylinders for k = 1..n from one pass of nested
+    inverse-branch intervals.
 
-    Every composition's image covers the base (that is checked), so for a
-    genuine horseshoe the count is alphabet^n; words whose nested interval
+    The A_i must be disjoint and increasing and each branch image must
+    cover the base (both checked before any nesting), so for a genuine
+    horseshoe the count is alphabet^k; words whose nested interval
     collapses inconsistently would be dropped.
     """
     if not 1 <= n <= CYLINDER_CAP:
@@ -211,19 +213,27 @@ def cylinder_count(b: BranchSystem, n: int, tol: float = 1e-10) -> int:
         )
     base_lo, base_hi = b.base
     slack = tol * (base_hi - base_lo)
-    for i in range(b.alphabet):
-        lo, hi = b.domains[i]
-        img_lo = b.map(i, lo)
-        img_hi = b.map(i, hi)
+    for i, (lo, hi) in enumerate(b.domains):
+        img_lo, img_hi = b.map(i, lo), b.map(i, hi)
         if img_lo > base_lo + 1e-9 or img_hi < base_hi - 1e-9:
             raise RuntimeError(
                 f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
             )
+    ends = [x for d in b.domains for x in d]
+    if any(not x < y for x, y in zip(ends, ends[1:])):
+        raise RuntimeError(f"branch domains {b.domains} are not disjoint and increasing")
     los = np.array([d[0] for d in b.domains])
     his = np.array([d[1] for d in b.domains])
+    counts = [int(np.count_nonzero(his - los >= -slack))]
     for _ in range(n - 1):
         los, his = _next_level(b, los, his)
-    return int(np.count_nonzero(his - los >= -slack))
+        counts.append(int(np.count_nonzero(his - los >= -slack)))
+    return counts
+
+
+def cylinder_count(b: BranchSystem, n: int, tol: float = 1e-10) -> int:
+    """Number of nonempty n-cylinders; the last of cylinder_counts."""
+    return cylinder_counts(b, n, tol)[-1]
 
 
 def _next_level(b: BranchSystem, los, his):

@@ -20,11 +20,10 @@ import bisect as _bisect
 from dataclasses import dataclass
 
 from .quadratic import QuadraticUnimodal, eval_raw
-from .scaling import Period, _orbit_points
-from .tower import Affine, ScalingSequence, Tower, build_tower, local_intervals
+from .scaling import COMBINATORICS, Period, _orbit_points
+from .tower import Affine, ScalingSequence, Tower, build_tower
 
 DISPATCH_TOL = 1e-14
-CYCLES = {Period.THREE: (2, 3, 1), Period.FIVE: (2, 5, 1, 3, 4)}
 
 
 class OutsideDomain(ValueError):
@@ -120,6 +119,8 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
         raise ValueError("depth must be >= 2")
     t = build_tower(seq, depth)
     period = seq.period
+    # the family whose left end u^{p-1}(0) u maps to the pulled u^p(0)
+    pulled = [left for left, _ in COMBINATORICS[period].intervals].index(period.p - 1) + 1
     c0 = t.levels[0].c
     branches = []
     vprod = 1.0  # product of vertical factors s_last over levels < m
@@ -127,18 +128,17 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
         lv = t.levels[m - 1]
         f = t.factors[m - 1]
         H = t.chains[m - 1]
-        local = local_intervals(period, lv, f)
         for i in t.families:
             if i == 2:
                 continue
-            a_loc, b_loc = local[i]
+            a_loc, b_loc = t.local[m - 1][i]
             xa, xb = H(a_loc), H(b_loc)
             va, vb = eval_raw(c0, xa), eval_raw(c0, xb)
-            if period is Period.THREE and i == 3 and lv.eps != 1.0:
+            if i == pulled and lv.eps != 1.0:
                 # the pulled endpoint is the inner (w_n) one, local 1 - s3;
                 # the one place besides _orbit_points that applies the pull
-                u3 = _orbit_points(period, lv.c)[3]
-                va += vprod * u3 * (lv.eps - 1.0)
+                up = _orbit_points(period, lv.c)[period.p]
+                va += vprod * up * (lv.eps - 1.0)
             amap = Affine.through(xa, va, xb, vb)
             lo, hi = (xa, xb) if xa <= xb else (xb, xa)
             branches.append(PWABranch(m, i, lo, hi, amap))
@@ -154,7 +154,7 @@ def _cycle_composition(f: PiecewiseAffineMap) -> Affine:
     """The p-1 first-generation branch maps along the cycle, innermost first."""
     big = _gen1_branch_maps(f)
     comp = Affine.identity()
-    for fam in CYCLES[f.period][1:]:
+    for fam in COMBINATORICS[f.period].cycle[1:]:
         comp = big[fam] @ comp
     return comp
 
@@ -193,7 +193,7 @@ def verify_combinatorics(f: PiecewiseAffineMap, n: int, tol: float = 1e-10) -> b
     """
     if not 1 <= n <= f.depth - 1:
         raise ValueError(f"need 1 <= n <= depth-1, got n={n}")
-    cycle = CYCLES[f.period]
+    cycle = COMBINATORICS[f.period].cycle
     steps = f.period.p ** (n - 1)
     gen = f.tower.generations[n - 1]
     pts = list(gen[cycle[0]])
@@ -277,9 +277,7 @@ def partial_renormalize(f: PiecewiseAffineMap, n: int, branch: str, samples_per_
     is materialized from its endpoint orbits, which keeps the whole
     transform affine exactly.
     """
-    fams3 = {"+": 3, "-": 1}
-    fams5 = {"+": 5, "++": 1, "-": 4, "--": 3}
-    fams = fams3 if f.period is Period.THREE else fams5
+    fams = COMBINATORICS[f.period].tags
     if branch not in fams:
         raise ValueError(f"unknown branch tag {branch!r} for {f.period}")
     if n >= f.depth:

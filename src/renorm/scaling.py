@@ -1,25 +1,27 @@
 """Scaling factors, gaps, feasibility and the critical-point return map.
 
-For period three the orbit of 0 under u_c determines a scaling tri-factor
+One table, COMBINATORICS, holds all that differs between the periods.
+Its rows list the first-generation intervals I_1 .. I_p left to right as
+(left, right) indices into the critical orbit o_k = u^k(0), ONE standing
+for the point 1.0:
 
-    s1 = u^3(0),  s2 = u^4(0) - u(0),  s3 = 1 - u^2(0)
+    p = 3:  I1 = (0, 3)  I2 = (1, 4)  I3 = (2, ONE)
+    p = 5:  I1 = (0, 5)  I2 = (3, 8)  I3 = (1, 6)  I4 = (7, 2)  I5 = (4, ONE)
 
-and for period five a quint-factor
-
-    s1 = u^5(0),          s2 = u^8(0) - u^3(0),  s3 = u^6(0) - u(0),
-    s4 = u^2(0) - u^7(0), s5 = 1 - u^4(0).
-
-A critical point is feasible when every component and every gap between
-consecutive first-generation intervals is positive.  The return map
-R(c) = (u^{p+1}... orbit endpoint - c)/s2 sends the critical point of a
-renormalizable map to the critical point of its renormalization; its
-fixed point is the self-similar configuration.
+The scaling factor is the lengths s_j = o[right] - o[left] (for tripling
+s1 = u^3(0), s2 = u^4(0) - u(0), s3 = 1 - u^2(0)), the gaps are
+o[next left] - o[this right], and a critical point is feasible when all
+of them are positive.  The return map R(c) = (o[right of I_2] - c)/s2
+sends the critical point of a renormalizable map to that of its
+renormalization; its fixed point is the self-similar configuration.  The
+rows also carry the condition names, the renormalization cycle, the
+tower's endpoint labels and the micro-renormalization tags.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
 are read off one orbit (_orbit_points), the only place eps enters the
-orbit.  pwa.build_pwa applies the same pull to the inner endpoint value of
-each I_3 branch, the one other site that knows the rule.
+orbit.  pwa.build_pwa applies the same pull to the branch value at u^2(0),
+the inner end of I_3, the one other site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
@@ -31,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,14 +50,46 @@ class Period(enum.Enum):
     THREE = 3
     FIVE = 5
 
-    @property
-    def p(self) -> int:
-        return self.value
+    def __init__(self, p: int):
+        self.p = p  # a plain attribute: every orbit evaluation reads it
 
 
-CONDITION_NAMES = {
-    Period.THREE: ("S1", "S2", "S3", "Gl", "Gr"),
-    Period.FIVE: ("S1", "S2", "S3", "S4", "S5", "Gl", "Gr1", "Gr2", "Gr3"),
+ONE = -1  # the orbit index of the point 1.0, counted below every other index
+
+
+@dataclass(frozen=True)
+class Combinatorics:
+    """One period's row of the table (see the module docstring)."""
+
+    intervals: tuple  # I_1 .. I_p, left to right, as (left, right) orbit indices
+    names: tuple      # the conditions: each I_j's length, then each gap
+    cycle: tuple      # the intervals in the order u visits them, from I_2
+    labels: dict      # tower endpoint label -> (family, 0 lower / 1 upper end)
+    tags: dict        # partial_renormalize tag -> the family it reproduces
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(plus, minus) orbit indices of each condition o[plus] - o[minus]."""
+        ivs = self.intervals
+        lengths = tuple((right, left) for left, right in ivs)
+        return lengths + tuple((b[0], a[1]) for a, b in zip(ivs, ivs[1:]))
+
+
+COMBINATORICS = {
+    Period.THREE: Combinatorics(
+        intervals=((0, 3), (1, 4), (2, ONE)),
+        names=("S1", "S2", "S3", "Gl", "Gr"),
+        cycle=(2, 3, 1),
+        labels={"x": (1, 1), "w": (3, 0)},
+        tags={"+": 3, "-": 1},
+    ),
+    Period.FIVE: Combinatorics(
+        intervals=((0, 5), (3, 8), (1, 6), (7, 2), (4, ONE)),
+        names=("S1", "S2", "S3", "S4", "S5", "Gl", "Gr1", "Gr2", "Gr3"),
+        cycle=(2, 5, 1, 3, 4),
+        labels={"a": (1, 1), "h": (5, 0), "d": (3, 0), "e": (3, 1), "f": (4, 0), "g": (4, 1)},
+        tags={"+": 5, "++": 1, "-": 4, "--": 3},
+    ),
 }
 
 
@@ -116,13 +151,10 @@ class FeasibleDomain:
         return None
 
 
-# (p, 2p - 2): the pulled orbit index and the last index the conditions read
-_ORBIT_SPAN = {Period.THREE: (3, 4), Period.FIVE: (5, 8)}
-
-
 def _orbit_points(period: Period, c, eps: float = 1.0):
-    """[0, u(0), ..., u^{2p-2}(0)] for scalar or array c, with u^p(0)
-    replaced by eps*u^p(0) and the orbit continued from the pulled point.
+    """[0, u(0), ..., u^{2p-2}(0), 1.0] for scalar or array c: the critical
+    orbit with u^p(0) replaced by eps*u^p(0) and continued from the pulled
+    point, then the point 1.0 at index ONE.
 
     Multiplying by eps = 1.0 is exact, so the unperturbed orbit comes out
     bitwise; the perturbation is defined for period three only.
@@ -132,50 +164,45 @@ def _orbit_points(period: Period, c, eps: float = 1.0):
             raise ValueError("eps-perturbation is defined for period three only")
         if not eps > 0.0:
             raise ValueError("eps must be positive")
-    p, last = _ORBIT_SPAN[period]
+    p = period.p
     x = 0.0
     out = [x]
     for _ in range(p):
         x = eval_raw(c, x)
         out.append(x)
     x = out[p] = eps * x
-    for _ in range(p, last):
+    for _ in range(p, 2 * p - 2):
         x = eval_raw(c, x)
         out.append(x)
+    out.append(1.0)
     return out
 
 
-def _components(period: Period, o):
-    if period is Period.THREE:
-        return (o[3], o[4] - o[1], 1.0 - o[2])
-    return (o[5], o[8] - o[3], o[6] - o[1], o[2] - o[7], 1.0 - o[4])
-
-
-def _gap_components(period: Period, o):
-    if period is Period.THREE:
-        return (o[1] - o[3], o[2] - o[4])
-    return (o[3] - o[5], o[1] - o[8], o[7] - o[6], o[4] - o[2])
-
-
 def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
-    """All positivity conditions (scaling components then gaps) as a tuple;
-    the scalar refinements read it without building an array."""
+    """All positivity conditions (lengths then gaps) as a tuple; the
+    scalar refinements read it without building an array."""
     o = _orbit_points(period, c, eps)
-    return _components(period, o) + _gap_components(period, o)
+    return tuple([o[i] - o[j] for i, j in COMBINATORICS[period].pairs])
+
+
+def _condition(period: Period, pair, c, eps: float = 1.0):
+    """The one condition o[plus] - o[minus] a puncture refinement follows."""
+    o = _orbit_points(period, c, eps)
+    return o[pair[0]] - o[pair[1]]
 
 
 def conditions(period: Period, c, eps: float = 1.0):
-    """All positivity conditions (scaling components then gaps), vectorized."""
+    """All positivity conditions (lengths then gaps), vectorized."""
     return np.array(_condition_values(period, c, eps))
 
 
 def scaling_from_critical(period: Period, c: float, eps: float = 1.0) -> ScalingFactor:
-    s = _components(period, _orbit_points(period, c, eps))
+    s = _condition_values(period, c, eps)[: period.p]
     return ScalingFactor(period, tuple(float(x) for x in s), c=c, eps=eps)
 
 
 def gaps(period: Period, c: float) -> GapVector:
-    g = _gap_components(period, _orbit_points(period, c))
+    g = _condition_values(period, c)[period.p :]
     return GapVector(period, tuple(float(x) for x in g))
 
 
@@ -197,15 +224,16 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
 
 
 def return_map(period: Period, c: float, eps: float = 1.0):
-    """R(c) = (last orbit point - c)/s2, the rescaled next critical point.
+    """R(c) = (u^{2p-2}(0) - c)/s2, the rescaled next critical point.
 
     One guard rule for both paths: where s2 <= S2_FLOOR a scalar c raises
     DivisionGuard and an array c gets NaN, so an array call equals the
     scalar calls elementwise, bitwise, with NaN standing for the raise.
     """
     o = _orbit_points(period, c, eps)
-    top = o[-1]
-    s2 = top - (o[1] if period is Period.THREE else o[3])
+    left, right = COMBINATORICS[period].intervals[1]
+    top = o[right]
+    s2 = top - o[left]
     if isinstance(s2, float):
         if s2 <= S2_FLOOR:
             raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
@@ -255,7 +283,7 @@ def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
         else:
             b = mid
     c = 0.5 * (a + b)
-    name = CONDITION_NAMES[period][int(np.argmin(conditions(period, c, eps)))]
+    name = COMBINATORICS[period].names[int(np.argmin(conditions(period, c, eps)))]
     return c, name
 
 
@@ -296,7 +324,7 @@ def feasible_domain(
     """
     if not 0.0 < scan_step <= 1e-2:
         raise ValueError("scan_step must lie in (0, 1e-2]")
-    if refine_tol > 1e-9:
+    if not refine_tol <= 1e-9:
         raise ValueError("refine_tol must be <= 1e-9")
     cs = np.arange(scan_step, 0.5, scan_step)
     cond = conditions(period, cs, eps)
@@ -310,7 +338,7 @@ def feasible_domain(
     splits = np.flatnonzero(np.diff(idx) > 1)
     runs = np.split(idx, splits + 1)
 
-    names = CONDITION_NAMES[period]
+    comb = COMBINATORICS[period]
     intervals = []
     boundaries = []
     punctures = []
@@ -337,10 +365,10 @@ def feasible_domain(
                     continue  # an ordinary smooth minimum, not a touch
                 a = float(cs[i0 + t])
                 b = float(cs[i0 + t + 2])
-                fn = lambda x, j=j: _condition_values(period, x, eps)[j]
+                fn = lambda x, pair=comb.pairs[j]: _condition(period, pair, x, eps)
                 x, v = _refine_touch(fn, a, b, refine_tol)
                 if v < 1e-10:
-                    touch.append((x, names[j]))
+                    touch.append((x, comb.names[j]))
         # collapse coincident touches (several conditions can vanish together)
         touch.sort()
         cut = []

@@ -119,7 +119,7 @@ def _solve(period, eps, domain, tol):
     Raises NoRoot if no sub-interval brackets a root and MultipleRoots if
     more than one shows up (which would contradict the uniqueness claim).
     """
-    if tol < 1e-14:
+    if not tol >= 1e-14:  # NaN fails the comparison and is refused
         raise ValueError("tol must be >= 1e-14")
     if domain is None:
         try:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadratic import QuadraticUnimodal, eval_raw, orbit
-from .scaling import Period, ScalingFactor, scaling_from_critical
+from .quadratic import QuadraticUnimodal, orbit
+from .scaling import COMBINATORICS, Period, ScalingFactor, scaling_from_critical
 
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
@@ -120,27 +120,14 @@ class ScalingSequence:
         return ScalingSequence.stationary(factor.period, factor.c, factor.eps)
 
 
-def level_anchor(period: Period, lv: LevelData) -> float:
-    """Left endpoint of the local central interval: u(0) or u^3(0)."""
-    o = orbit(QuadraticUnimodal(lv.c), 3)
-    return o[1] if period is Period.THREE else o[3]
-
-
 def local_intervals(period: Period, lv: LevelData, factor: ScalingFactor):
-    """Unit-square positions of the next-generation intervals."""
-    s = factor.s
-    o = orbit(QuadraticUnimodal(lv.c), 2)
-    if period is Period.THREE:
-        a = o[1]
-        return {1: (0.0, s[0]), 2: (a, a + s[1]), 3: (1.0 - s[2], 1.0)}
-    o3 = eval_raw(lv.c, o[2])
-    return {
-        1: (0.0, s[0]),
-        2: (o3, o3 + s[1]),
-        3: (o[1], o[1] + s[2]),
-        4: (o[2] - s[3], o[2]),
-        5: (1.0 - s[4], 1.0),
-    }
+    """Unit-square positions of the next-generation intervals: each s_j laid
+    off from the end of I_j with the lower orbit index (u^k(0), k < p, or 1.0)."""
+    o = orbit(QuadraticUnimodal(lv.c), period.p - 1) + [1.0]  # 1.0 at ONE
+    out = {}
+    for j, ((left, right), s) in enumerate(zip(COMBINATORICS[period].intervals, factor.s), 1):
+        out[j] = (o[left], o[left] + s) if left < right else (o[right] - s, o[right])
+    return out
 
 
 @dataclass
@@ -153,7 +140,7 @@ class Tower:
     rescale: list       # h_m for m = 1..depth  (index m-1)
     chains: list        # H_0 .. H_depth        (index m)
     generations: list   # n = 1..depth (index n-1): {family: (lo, hi)}
-    local_lengths: list # n = 1..depth (index n-1): {family: unit-square length}
+    local: list         # n = 1..depth (index n-1): local_intervals of level n
     labels: dict
 
     @property
@@ -163,11 +150,12 @@ class Tower:
     def size(self, n: int, i: int) -> float:
         # slope-product form: exact relative precision at any depth, unlike
         # differencing the absolute endpoints
-        return abs(self.chains[n - 1].a) * self.local_lengths[n - 1][i]
+        lo, hi = self.local[n - 1][i]
+        return abs(self.chains[n - 1].a) * (hi - lo)
 
     @property
     def families(self):
-        return (1, 2, 3) if self.period is Period.THREE else (1, 2, 3, 4, 5)
+        return tuple(range(1, self.period.p + 1))
 
     def y(self, n: int) -> float:
         return self.labels["y"][n]
@@ -188,62 +176,34 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
             raise InvalidFactor(m, f)
         factors.append(f)
 
+    local = [local_intervals(period, lv, f) for lv, f in zip(levels, factors)]
     rescale = []
     chains = [Affine.identity()]
-    for m, (lv, f) in enumerate(zip(levels, factors), start=1):
-        a = level_anchor(period, lv)
-        h = Affine(-f.s[1], a + f.s[1])  # t -> a + s2*(1-t), orientation reversing
+    for m, (loc, f) in enumerate(zip(local, factors), start=1):
+        h = Affine(-f.s[1], loc[2][1])  # t -> a + s2*(1-t) onto I_2, orientation reversing
         rescale.append(h)
         chains.append(chains[-1] @ h)
         if abs(chains[-1].a) < sys.float_info.min:
             raise DepthUnderflow(f"tower slope underflows to a subnormal at depth {m} of {depth}")
 
     generations = []
-    local_lengths = []
-    for n, (lv, f) in enumerate(zip(levels, factors), start=1):
-        H = chains[n - 1]
-        gen = {}
-        loc = {}
-        for i, (lo, hi) in local_intervals(period, lv, f).items():
-            p, q = H(lo), H(hi)
-            gen[i] = (p, q) if p <= q else (q, p)
-            loc[i] = hi - lo
-        generations.append(gen)
-        local_lengths.append(loc)
+    for H, loc in zip(chains, local):
+        ends = {i: (H(lo), H(hi)) for i, (lo, hi) in loc.items()}
+        generations.append({i: (p, q) if p <= q else (q, p) for i, (p, q) in ends.items()})
 
+    # the image of each local endpoint; whether it lands at the min or max
+    # side follows the chain's orientation, so the min/max parity
+    # alternation of the labeled endpoints emerges untracked
     labels = {
         "y": [H(1.0) for H in chains],
         "z": [H(0.0) for H in chains],
     }
-    if period is Period.THREE:
-        labels["x"] = [None] + [
-            chains[n - 1](factors[n - 1].s[0]) for n in range(1, depth + 1)
-        ]
-        labels["w"] = [None] + [
-            chains[n - 1](1.0 - factors[n - 1].s[2]) for n in range(1, depth + 1)
-        ]
-    else:
-        labels["a"] = [None] + [
-            chains[n - 1](factors[n - 1].s[0]) for n in range(1, depth + 1)
-        ]
-        labels["h"] = [None] + [
-            chains[n - 1](1.0 - factors[n - 1].s[4]) for n in range(1, depth + 1)
-        ]
-        # d/f mark the image of the local lower endpoint, e/g the upper;
-        # whether that lands at the min or max side follows the chain's
-        # orientation, so the min/max parity alternation emerges untracked
-        for name, fam, local_t in (("d", 3, 0), ("e", 3, 1), ("f", 4, 0), ("g", 4, 1)):
-            vals = [None]
-            for n in range(1, depth + 1):
-                lv, f = levels[n - 1], factors[n - 1]
-                lo_loc, hi_loc = local_intervals(period, lv, f)[fam]
-                t_val = lo_loc if local_t == 0 else hi_loc
-                vals.append(chains[n - 1](t_val))
-            labels[name] = vals
+    for name, (fam, end) in COMBINATORICS[period].labels.items():
+        labels[name] = [None] + [H(loc[fam][end]) for H, loc in zip(chains, local)]
 
     return Tower(
         period, depth, seq, levels, factors, rescale, chains,
-        generations, local_lengths, labels,
+        generations, local, labels,
     )
 
 

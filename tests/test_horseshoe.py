@@ -13,6 +13,7 @@ from renorm.horseshoe import (
     code_to_point,
     coded_orbit,
     cylinder_count,
+    cylinder_counts,
     dense_orbit_word,
     entropy_estimate,
     symbol_scaling_sequence,
@@ -80,6 +81,43 @@ def test_cylinder_counts_full_shift(bsys):
     assert cylinder_count(bsys, 6) == 729
     for n in range(1, 11):
         assert cylinder_count(bsys, n) == 3**n
+
+
+def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
+    assert cylinder_counts(bsys, 10) == [3**n for n in range(1, 11)]
+    assert cylinder_counts(bsys5, 6) == [5**n for n in range(1, 7)]
+    # one nesting step per level, and a refused depth nests nothing
+    calls = []
+    real_next = _next_level
+
+    def counting_next(b, los, his):
+        calls.append(len(los))
+        return real_next(b, los, his)
+
+    monkeypatch.setattr("renorm.horseshoe._next_level", counting_next)
+    assert cylinder_count(bsys, 6) == 729
+    assert calls == [3**n for n in range(1, 6)]
+    calls.clear()
+    with pytest.raises(ValueError):
+        cylinder_counts(bsys5, 10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["repeated", "overlapping"])
+def test_cylinder_count_refuses_non_disjoint_domains(bsys, kind, monkeypatch):
+    # both systems pass the cover check; without the disjointness check
+    # each counted [3, 9, 27, 81], a full shift that is not there
+    if kind == "repeated":
+        b = BranchSystem((1.0,) * 3, (bsys.reports[1],) * 3, (bsys.domains[1],) * 3)
+    else:
+        d0, d1, d2 = bsys.domains
+        b = BranchSystem(bsys.epsilons, bsys.reports, ((d0[0], 0.5 * (d1[0] + d1[1])), d1, d2))
+    monkeypatch.setattr("renorm.horseshoe._next_level", None)  # refused before any nesting
+    for n in (1, 4):
+        with pytest.raises(RuntimeError, match="not disjoint and increasing"):
+            cylinder_count(b, n)
+        with pytest.raises(RuntimeError, match="not disjoint and increasing"):
+            cylinder_counts(b, n)
 
 
 def test_entropy_estimate(bsys):

@@ -275,6 +275,7 @@ def test_cli_usage_error():
 
 def test_cli_bad_tolerance_is_usage_error(capsys):
     assert main(["solve", "--period", "3", "--tol", "1e-20"]) == 2
+    assert main(["solve", "--period", "3", "--tol", "nan"]) == 2
     assert main(["feasible", "--period", "3", "--step", "0.2"]) == 2
 
 

@@ -127,8 +127,11 @@ def test_feasible_domain_coarse_scan_still_finds_it():
 def test_feasible_domain_validates_arguments():
     with pytest.raises(ValueError):
         feasible_domain(Period.THREE, scan_step=0.5)
+    for tol in (1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            feasible_domain(Period.THREE, refine_tol=tol)
     with pytest.raises(ValueError):
-        feasible_domain(Period.THREE, refine_tol=1e-3)
+        feasible_domain(Period.THREE, scan_step=float("nan"))
 
 
 def test_return_map_fixed_points():

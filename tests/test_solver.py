@@ -152,5 +152,8 @@ def test_array_scan_matches_scalar_reference_bitwise():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        solve_fixed_point(Period.THREE, tol=1e-16)
+    for tol in (1e-16, float("nan")):
+        with pytest.raises(ValueError):
+            solve_fixed_point(Period.THREE, tol=tol)
+        with pytest.raises(ValueError):
+            solve_fixed_point_eps(1.01, tol=tol)
