@@ -19,7 +19,6 @@ from renorm import (
     lipschitz_profile,
     max_slope_profile,
     quadratic_tip,
-    seed_pieces,
     solve_fixed_point,
     unimodal_check,
 )
@@ -28,9 +27,8 @@ from renorm.solver import solve_fixed_point_eps
 for period, depth in ((Period.THREE, 8), (Period.FIVE, 6)):
     rep = solve_fixed_point(period)
     seq = ScalingSequence.stationary(period, rep.c_star)
-    f = build_pwa(seq, depth + 2)
-    k1, k2 = seed_pieces(f)
-    curve = extend(k1, k2, depth=depth)
+    f = build_pwa(seq, 2)  # extend reads the first generation only
+    curve = extend(f, depth)
 
     print(f"=== period {period.p} extension, {depth} transform levels ===")
     lam = lipschitz_profile(curve)
@@ -39,10 +37,10 @@ for period, depth in ((Period.THREE, 8), (Period.FIVE, 6)):
     print("max |slope| per level:      ", [f"{x:.2e}" for x in ms])
     print(f"largest one-sided slope mismatch at the marked points: "
           f"{curve.junction_mismatch():.2e}")
-    lo, hi = curve.meta["window"]
+    lo, hi = curve.window
     print(f"unresolved window around c*: width {hi - lo:.2e} "
           f"(bound s2^{depth} = {f.tower.factors[0].s[1]**depth:.2e})")
-    tip = quadratic_tip(curve, rep.c_star)
+    tip = quadratic_tip(curve)
     print(f"quadratic tip: measured {tip:.9f} vs algebraic "
           f"{1.0 / (1.0 - rep.c_star)**2:.9f}")
     print(f"unimodal: {unimodal_check(curve)}")
@@ -54,9 +52,9 @@ for period, depth in ((Period.THREE, 8), (Period.FIVE, 6)):
 for eps in (0.98, 1.02):
     rep = solve_fixed_point_eps(eps)
     seq = ScalingSequence.stationary(Period.THREE, rep.c_star, eps)
-    f = build_pwa(seq, 8)
+    f = build_pwa(seq, 2)
     s = f.tower.factors[0].s
-    curve = extend(*seed_pieces(f), depth=6)
+    curve = extend(f, 6)
     lam = lipschitz_profile(curve)
     print(f"eps = {eps}: c*_eps = {rep.c_star:.9f}, s2^2 - s3 = {s[1]**2 - s[2]:.1e}, "
           f"lambda flat: {max(lam) - min(lam):.1e}")

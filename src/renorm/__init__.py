@@ -50,15 +50,11 @@ from .pwa import (
     verify_combinatorics,
 )
 from .extension import (
-    GapFiller,
-    GraphTransform,
     SampledCurve,
     extend,
-    graph_transform,
     lipschitz_profile,
     max_slope_profile,
     quadratic_tip,
-    seed_pieces,
     unimodal_check,
 )
 from .horseshoe import (

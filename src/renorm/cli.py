@@ -228,6 +228,14 @@ def _solved_sequence(period, tol):
     return rep, ScalingSequence.stationary(period, rep.c_star)
 
 
+def _extension(args, period):
+    """The solved fixed point, the depth and the fixed point's extension;
+    extend reads generation 1 only, so a depth-2 map is enough."""
+    rep, seq = _solved_sequence(period, args.tol)
+    depth = _depth(args, ext.DEFAULT_DEPTH[period])
+    return rep, depth, ext.extend(build_pwa(seq, 2), depth, args.resolution)
+
+
 def cmd_plotdata(args) -> int:
     period = _period(args)
     kind = args.kind
@@ -271,11 +279,7 @@ def cmd_plotdata(args) -> int:
             for i in t.families
         ]
     else:  # extension
-        rep, seq = _solved_sequence(period, args.tol)
-        depth = _depth(args, ext.DEFAULT_DEPTH[period])
-        f = build_pwa(seq, depth + 2)
-        curve = ext.extend(*ext.seed_pieces(f, resolution=args.resolution), depth=depth,
-                           resolution=args.resolution)
+        _, _, curve = _extension(args, period)
         header = ["x", "value", "derivative", "level"]
         rows = [
             (float(x), float(y), float(d), int(m))
@@ -320,12 +324,8 @@ def cmd_tower(args) -> int:
 
 def cmd_extend(args) -> int:
     period = _period(args)
-    rep, seq = _solved_sequence(period, args.tol)
-    depth = _depth(args, ext.DEFAULT_DEPTH[period])
-    f = build_pwa(seq, depth + 2)
-    curve = ext.extend(*ext.seed_pieces(f, resolution=args.resolution), depth=depth,
-                       resolution=args.resolution)
-    tip = ext.quadratic_tip(curve, rep.c_star)
+    rep, depth, curve = _extension(args, period)
+    tip = ext.quadratic_tip(curve)
     _emit_report(
         args,
         {
@@ -337,7 +337,7 @@ def cmd_extend(args) -> int:
             "junction_mismatch": curve.junction_mismatch(),
             "quadratic_tip": tip,
             "quadratic_tip_algebraic": 1.0 / (1.0 - rep.c_star) ** 2,
-            "window": list(curve.meta["window"]),
+            "window": list(curve.window),
             "unimodal": ext.unimodal_check(curve),
         },
     )
@@ -371,11 +371,7 @@ def cmd_horseshoe(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    period = _period(args)
-    if args.suite == "horseshoe" and period is Period.FIVE:
-        print("horseshoe suite runs on the period-three system", file=sys.stderr)
-        return 2
-    rows = ver.run_suite(args.suite, period, seed=args.seed, quick=not args.full)
+    rows = ver.run_suite(args.suite, _period(args), seed=args.seed, quick=not args.full)
     failed = [r for r in rows if not r["ok"]]
     for r in rows:
         status = "PASS" if r["ok"] else "FAIL"

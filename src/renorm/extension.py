@@ -1,12 +1,13 @@
 """Graph-transform extension of the piecewise-affine fixed point.
 
-Two seed curve pieces cover [0, y_1] and [z_1, 1]: affine branches of the
-fixed point where those exist, monotone C^1 interpolants across the gaps.
-The box map F (horizontal: the central rescale; vertical: y -> 1 - s_last
-(1 - y)) pushes the seeds into the central interval level by level; the
-union is a sampled C^{1+Lip} unimodal curve whose only unresolved part is
-a geometrically small window around the critical point, closed by the
-quadratic-tip parabola.
+extend(f, depth) is the one way to build the extension of a PWA map f.
+Two seed curve pieces cover [0, y_1] and [z_1, 1]: affine branches of
+f's first generation where those exist, monotone C^1 interpolants across
+the gaps.  The box map F of f's level-1 data (horizontal: the central
+rescale; vertical: y -> 1 - s_last (1 - y)) pushes the seeds into the
+central interval level by level; the union is a sampled C^{1+Lip}
+unimodal curve whose only unresolved part is a geometrically small
+window around the critical point, closed by the quadratic-tip parabola.
 
 Slopes transform by -s_last/s2 per level and derivative Lipschitz bounds
 by s_last/s2^2, which equals 1 exactly at the fixed points: that identity
@@ -15,7 +16,7 @@ is why the Lipschitz profile does not grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .scaling import Period
 from .tower import Affine, Tower
 
 DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}  # extension depth when none is given
-DERIV_MATCH_TOL = 1e-12
-MONOTONE_GRID = 257
+MIN_RESOLUTION = 64  # samples per piece
+JUNCTION_GAP = 1e-9  # pieces closer than this meet at a junction
+TIP_LEVELS = 4  # deepest resolved levels the tip constant is read from
 TIP_FLOOR = 1e-8
 
 
@@ -43,29 +45,15 @@ class GraphTransform:
     vertical: Affine     # y -> 1 - s_last*(1 - y)
 
     @property
-    def horizontal_factor(self) -> float:
-        return abs(self.horizontal.a)
-
-    @property
-    def vertical_factor(self) -> float:
-        return abs(self.vertical.a)
-
-    @property
     def slope_factor(self) -> float:
         # dy'/dx' for a graph piece pushed through the box map; the
         # reversing horizontal makes this negative
         return self.vertical.a / self.horizontal.a
 
-    @property
-    def lip_factor(self) -> float:
-        return self.vertical_factor / self.horizontal_factor**2
 
-
-def graph_transform(t: Tower, vertical_factor: float | None = None) -> GraphTransform:
-    """The box map of a tower's level-1 data.  vertical_factor overrides
-    s_last for negative-control experiments."""
-    s = t.factors[0].s
-    v = s[-1] if vertical_factor is None else vertical_factor
+def graph_transform(t: Tower) -> GraphTransform:
+    """The box map of a tower's level-1 data."""
+    v = t.factors[0].s[-1]
     return GraphTransform(t.rescale[0], Affine(v, 1.0 - v))
 
 
@@ -90,6 +78,9 @@ class CurvePiece:
         dx = np.diff(self.xs)
         return float(np.max(dd / dx)) if len(dd) else 0.0
 
+    def max_slope(self) -> float:
+        return float(np.max(np.abs(self.ds)))
+
 
 def transform_piece(F: GraphTransform, p: CurvePiece) -> CurvePiece:
     xs = F.horizontal(p.xs)[::-1]
@@ -98,70 +89,58 @@ def transform_piece(F: GraphTransform, p: CurvePiece) -> CurvePiece:
     return CurvePiece(xs, ys, ds, p.level + 1, p.kind)
 
 
-@dataclass(frozen=True)
-class GapFiller:
-    """Monotone C^1 interpolant factory for the gaps of D_s.
-
-    Cubic Hermite by default; if the cubic loses monotonicity for some
-    endpoint data, fall back to the rational quadratic-over-linear form,
-    which is monotone whenever both endpoint slopes share the secant's
-    sign.
-    """
-
-    kind: str = "monotone-cubic"
-
-    def build(self, x0, x1, v0, v1, m0, m1, resolution) -> CurvePiece:
-        xs = np.linspace(x0, x1, resolution)
-        for attempt in (self.kind, "rational-quadratic"):
-            ys, ds = _hermite_eval(attempt, xs, x0, x1, v0, v1, m0, m1)
-            secant = np.sign(v1 - v0)
-            if np.all(secant * ds >= -1e-15) and np.all(ys >= -1e-12) and np.all(
-                ys <= 1.0 + 1e-12
-            ):
-                return CurvePiece(xs, ys, ds, 0, "filler")
-        raise FillerOvershoot(
-            f"no monotone interpolant for gap [{x0}, {x1}] with slopes ({m0}, {m1})"
-        )
+def _cubic_hermite(t, h, v0, v1, m0, m1):
+    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
+    h10 = t * (1.0 - t) ** 2
+    h01 = t * t * (3.0 - 2.0 * t)
+    h11 = t * t * (t - 1.0)
+    ys = v0 * h00 + h * m0 * h10 + v1 * h01 + h * m1 * h11
+    dh00 = 6.0 * t * t - 6.0 * t
+    dh10 = 3.0 * t * t - 4.0 * t + 1.0
+    dh01 = -dh00
+    dh11 = 3.0 * t * t - 2.0 * t
+    ds = (v0 * dh00 + h * m0 * dh10 + v1 * dh01 + h * m1 * dh11) / h
+    return ys, ds
 
 
-def _hermite_eval(kind, xs, x0, x1, v0, v1, m0, m1):
+def _rational_quadratic(t, h, v0, v1, m0, m1):
+    # quadratic over linear: monotone whenever both endpoint slopes share
+    # the secant's sign, undefined (NaN) otherwise
+    if (v1 - v0) == 0.0 or m0 * m1 <= 0.0:
+        return np.full_like(t, np.nan), np.full_like(t, np.nan)
+    vbar = (m0 * v1 + m1 * v0) / (m0 + m1)
+    w = m0 * h / (2.0 * (vbar - v0))
+    num = v0 * (1 - t) ** 2 + 2 * w * vbar * t * (1 - t) + v1 * t * t
+    den = (1 - t) ** 2 + 2 * w * t * (1 - t) + t * t
+    ys = num / den
+    dnum = -2 * v0 * (1 - t) + 2 * w * vbar * (1 - 2 * t) + 2 * v1 * t
+    dden = -2 * (1 - t) + 2 * w * (1 - 2 * t) + 2 * t
+    ds = (dnum * den - num * dden) / (den * den) / h
+    return ys, ds
+
+
+def fill_gap(x0, x1, v0, v1, m0, m1, resolution) -> CurvePiece:
+    """The monotone C^1 interpolant of a gap of D_s: the cubic Hermite
+    form, or the rational quadratic one where the cubic loses
+    monotonicity or leaves the unit square."""
+    xs = np.linspace(x0, x1, resolution)
     h = x1 - x0
     t = (xs - x0) / h
-    if kind == "monotone-cubic":
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        ys = v0 * h00 + h * m0 * h10 + v1 * h01 + h * m1 * h11
-        dh00 = 6.0 * t * t - 6.0 * t
-        dh10 = 3.0 * t * t - 4.0 * t + 1.0
-        dh01 = -dh00
-        dh11 = 3.0 * t * t - 2.0 * t
-        ds = (v0 * dh00 + h * m0 * dh10 + v1 * dh01 + h * m1 * dh11) / h
-        return ys, ds
-    if kind == "rational-quadratic":
-        if (v1 - v0) == 0.0 or m0 * m1 <= 0.0:
-            return np.full_like(xs, np.nan), np.full_like(xs, np.nan)
-        vbar = (m0 * v1 + m1 * v0) / (m0 + m1)
-        w = m0 * h / (2.0 * (vbar - v0))
-        num = v0 * (1 - t) ** 2 + 2 * w * vbar * t * (1 - t) + v1 * t * t
-        den = (1 - t) ** 2 + 2 * w * t * (1 - t) + t * t
-        ys = num / den
-        dnum = -2 * v0 * (1 - t) + 2 * w * vbar * (1 - 2 * t) + 2 * v1 * t
-        dden = -2 * (1 - t) + 2 * w * (1 - 2 * t) + 2 * t
-        ds = (dnum * den - num * dden) / (den * den) / h
-        return ys, ds
-    raise ValueError(f"unknown filler kind {kind!r}")
+    secant = np.sign(v1 - v0)
+    for form in (_cubic_hermite, _rational_quadratic):
+        ys, ds = form(t, h, v0, v1, m0, m1)
+        if np.all(secant * ds >= -1e-15) and np.all(ys >= -1e-12) and np.all(ys <= 1.0 + 1e-12):
+            return CurvePiece(xs, ys, ds, 0, "filler")
+    raise FillerOvershoot(
+        f"no monotone interpolant for gap [{x0}, {x1}] with slopes ({m0}, {m1})"
+    )
 
 
 @dataclass
 class SampledCurve:
     pieces: list
-    period: Period
     c_star: float
-    factor: tuple
-    transform: GraphTransform | None = None
-    meta: dict = field(default_factory=dict)
+    window: tuple  # the central window the quadratic tip closes
 
     def __post_init__(self):
         self.pieces = sorted(self.pieces, key=lambda p: p.lo)
@@ -175,24 +154,16 @@ class SampledCurve:
         return np.concatenate([p.ys for p in self.pieces])
 
     @property
-    def derivatives(self) -> np.ndarray:
-        return np.concatenate([p.ds for p in self.pieces])
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.concatenate([np.full(len(p.xs), p.level) for p in self.pieces])
-
-    @property
     def depth(self) -> int:
         return max(p.level for p in self.pieces)
 
-    def junctions(self, gap_tol: float = 1e-9):
+    def junctions(self):
         """Marked points where two pieces meet, with one-sided slopes."""
         out = []
         for a, b in zip(self.pieces[:-1], self.pieces[1:]):
             if b.kind == "tip" or a.kind == "tip":
                 continue
-            if abs(b.lo - a.hi) <= gap_tol:
+            if abs(b.lo - a.hi) <= JUNCTION_GAP:
                 out.append(
                     {
                         "x": a.hi,
@@ -211,28 +182,24 @@ class SampledCurve:
         return max(abs(j["left_slope"] - j["right_slope"]) for j in js)
 
 
-def _branch_piece(f, branch, resolution) -> CurvePiece:
+def _branch_piece(branch, resolution) -> CurvePiece:
     xs = np.linspace(branch.lo, branch.hi, resolution)
     ys = branch.map.a * xs + branch.map.b
     ds = np.full(resolution, branch.map.a)
     return CurvePiece(xs, ys, ds, 0, "affine")
 
 
-def seed_pieces(f, filler: GapFiller | None = None, resolution: int = 256):
-    """The two seed curves: K2 over [0, y_1] and K1 over [z_1, 1].
+def seed_pieces(f, resolution: int = 256):
+    """The two seed curves as piece lists: K1 over [z_1, 1], K2 over [0, y_1].
 
-    Branch pieces carry the affine fixed-point data; gap fillers match
-    value and slope on both sides.  The slopes at y_1 and z_1 come from
-    the box-map images of the opposite seed's outer ends, which is what
-    makes every marked point a C^1 junction after extension.
+    Branch pieces carry f's first-generation affine data; gap fillers
+    match value and slope on both sides.  The slopes at y_1 and z_1 come
+    from the box-map images of the opposite seed's outer ends, which is
+    what makes every marked point a C^1 junction after extension.
     """
-    if filler is None:
-        filler = GapFiller()
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64 samples per piece")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} samples per piece")
     t = f.tower
-    if t.depth < 2:
-        raise ValueError("seed pieces need a depth >= 2 fixed point")
     F = graph_transform(t)
     gen1 = {b.family: b for b in f.branches if b.level == 1}
     y1, z1 = t.y(1), t.z(1)
@@ -240,60 +207,47 @@ def seed_pieces(f, filler: GapFiller | None = None, resolution: int = 256):
     first, last = gen1[fams[0]], gen1[fams[-1]]
 
     # K2: branch over I_1^1, then the left gap up to y_1
-    k2_pieces = [_branch_piece(f, first, resolution)]
     m_y1 = F.slope_factor * last.map.a
-    k2_pieces.append(
-        filler.build(
-            first.hi, y1, first.map(first.hi), f(y1), first.map.a, m_y1, resolution
-        )
-    )
-    k2 = SampledCurve(k2_pieces, f.period, f.c0, t.factors[0].s, F)
+    k2 = [
+        _branch_piece(first, resolution),
+        fill_gap(first.hi, y1, first.map(first.hi), f(y1), first.map.a, m_y1, resolution),
+    ]
 
     # K1: the right gap from z_1, then the remaining branches and gaps to 1
     m_z1 = F.slope_factor * first.map.a
     inner = [gen1[i] for i in fams[1:]]
-    k1_pieces = [
-        filler.build(
+    k1 = [
+        fill_gap(
             z1, inner[0].lo, f(z1), inner[0].map(inner[0].lo), m_z1,
             inner[0].map.a, resolution,
         )
     ]
     for a, b in zip(inner[:-1], inner[1:]):
-        k1_pieces.append(_branch_piece(f, a, resolution))
-        k1_pieces.append(
-            filler.build(
-                a.hi, b.lo, a.map(a.hi), b.map(b.lo), a.map.a, b.map.a, resolution
-            )
-        )
-    k1_pieces.append(_branch_piece(f, inner[-1], resolution))
-    k1 = SampledCurve(k1_pieces, f.period, f.c0, t.factors[0].s, F)
+        k1.append(_branch_piece(a, resolution))
+        k1.append(fill_gap(a.hi, b.lo, a.map(a.hi), b.map(b.lo), a.map.a, b.map.a, resolution))
+    k1.append(_branch_piece(inner[-1], resolution))
     return k1, k2
 
 
-def extend(
-    k1: SampledCurve,
-    k2: SampledCurve,
-    F: GraphTransform | None = None,
-    depth: int = 8,
-    resolution: int = 256,
-) -> SampledCurve:
-    """Union of the box-map images of the seeds, levels 0..depth, plus the
-    quadratic-tip closure over the remaining central window."""
+def extend(f, depth: int, resolution: int = 256) -> SampledCurve:
+    """The C^{1+Lip} extension of the PWA map f: its seeds and their
+    box-map images, levels 0..depth, plus the quadratic-tip closure over
+    the remaining central window.  Only f's first generation is read.
+    Raises NonConvergent at the first level whose samples collapse below
+    float resolution (the Lipschitz quotients there would be nan or inf)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if resolution < 64:
-        raise ValueError("resolution must be >= 64")
-    if F is None:
-        F = k1.transform
-    if any(len(p.xs) < 64 for p in k1.pieces + k2.pieces):
-        raise ValueError("seed pieces are sampled below 64 points")
-    pieces = list(k1.pieces) + list(k2.pieces)
+    F = graph_transform(f.tower)
+    k1, k2 = seed_pieces(f, resolution)
+    pieces = k1 + k2
     current = pieces
-    for _ in range(depth):
+    for m in range(1, depth + 1):
         current = [transform_piece(F, p) for p in current]
+        if any(np.any(np.diff(p.xs) <= 0.0) for p in current):
+            raise NonConvergent(f"level {m} of {depth}: samples collapse below float resolution")
         pieces.extend(current)
 
-    c = k1.c_star
+    c = f.c0
     left = max(p.hi for p in pieces if p.hi <= c)
     right = min(p.lo for p in pieces if p.lo >= c)
 
@@ -313,37 +267,30 @@ def extend(
         depth + 1, "tip",
     )
     pieces.append(tip)
-    curve = SampledCurve(pieces, k1.period, c, k1.factor, F)
-    curve.meta["window"] = (left, right)
-    curve.meta["tip_parabola"] = l_hat
-    return curve
+    return SampledCurve(pieces, c, (left, right))
 
 
-def lipschitz_profile(curve: SampledCurve, per_level: bool = True):
-    """Per-level Lipschitz constants of the sampled derivative."""
-    depth = curve.depth
-    lam = []
-    for m in range(depth + 1):
-        vals = [p.lipschitz() for p in curve.pieces if p.level == m and p.kind != "tip"]
-        if vals:
-            lam.append(max(vals))
-    return lam if per_level else max(lam)
-
-
-def max_slope_profile(curve: SampledCurve):
+def _per_level_max(curve: SampledCurve, measure) -> list:
+    """max of measure(piece) over each level's non-tip pieces."""
     out = []
     for m in range(curve.depth + 1):
-        vals = [
-            float(np.max(np.abs(p.ds)))
-            for p in curve.pieces
-            if p.level == m and p.kind != "tip"
-        ]
+        vals = [measure(p) for p in curve.pieces if p.level == m and p.kind != "tip"]
         if vals:
             out.append(max(vals))
     return out
 
 
-def quadratic_tip(curve: SampledCurve, c_star: float, use_levels: int = 4) -> float:
+def lipschitz_profile(curve: SampledCurve) -> list:
+    """Per-level Lipschitz constants of the sampled derivative."""
+    return _per_level_max(curve, CurvePiece.lipschitz)
+
+
+def max_slope_profile(curve: SampledCurve) -> list:
+    """Per-level largest |slope|."""
+    return _per_level_max(curve, CurvePiece.max_slope)
+
+
+def quadratic_tip(curve: SampledCurve) -> float:
     """Tip constant from the marked points approaching the critical point.
 
     The tip limit is taken along the sequence of piece junctions (the
@@ -351,6 +298,7 @@ def quadratic_tip(curve: SampledCurve, c_star: float, use_levels: int = 4) -> fl
     the innermost junction of each level whose 1 - value is still above
     the float noise floor; the deepest resolved levels are extrapolated.
     """
+    c = curve.c_star
     ratios = []
     for m in range(curve.depth + 1):
         best = None
@@ -360,14 +308,14 @@ def quadratic_tip(curve: SampledCurve, c_star: float, use_levels: int = 4) -> fl
             for x, y in ((p.lo, float(p.ys[0])), (p.hi, float(p.ys[-1]))):
                 if 1.0 - y < TIP_FLOOR:
                     continue
-                cand = (abs(x - c_star), (1.0 - y) / (x - c_star) ** 2)
+                cand = (abs(x - c), (1.0 - y) / (x - c) ** 2)
                 if best is None or cand < best:
                     best = cand
         if best is not None:
             ratios.append(best[1])
     if not ratios:
         raise NonConvergent("no resolved samples near the critical point")
-    tail = ratios[-use_levels:]
+    tail = ratios[-TIP_LEVELS:]
     spread = (max(tail) - min(tail)) / abs(tail[-1])
     if spread > 1e-3:
         raise NonConvergent(f"tip ratios spread {spread:.2e} over the last levels: {tail}")

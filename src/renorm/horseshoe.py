@@ -113,6 +113,24 @@ def _invert_branch(b: BranchSystem, i: int, ys):
     return 0.5 * (lo + hi)
 
 
+def _preimage(e: float, c: float, target: float, step: float, span: float) -> float:
+    """The x beside the fixed point c, on the side step (-1 or 1), with
+    R(x, e) = target: double a bracket from c until R crosses target, then
+    bisect it.  R increases, so R(x) < target puts x below the preimage."""
+    w = span / 4.0
+    # step * (R - target) < 0: R has not yet reached target on that side
+    while step * (return_map(Period.THREE, c + step * w, eps=e) - target) < 0.0:
+        w *= 2.0
+    lo, hi = sorted((c, c + step * w))
+    while hi - lo > INVERSE_TOL:
+        mid = 0.5 * (lo + hi)
+        if return_map(Period.THREE, mid, eps=e) < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def build_branch_system(*epsilons: float) -> BranchSystem:
     """Solve the fixed points and branch domains for eps_0 > eps_1 > ...
 
@@ -134,32 +152,12 @@ def build_branch_system(*epsilons: float) -> BranchSystem:
         raise RuntimeError(f"fixed points are not increasing: {cs}")
     base_lo, base_hi = cs[0], cs[-1]
 
-    domains = []
-    for e, c in zip(epsilons, cs):
-        # expand a bracket around the fixed point until R covers the base
-        span = (base_hi - base_lo) or 1e-6
-        w = span / 4.0
-        while return_map(Period.THREE, c - w, eps=e) > base_lo:
-            w *= 2.0
-        lo_lo, lo_hi = c - w, c
-        while lo_hi - lo_lo > INVERSE_TOL:
-            mid = 0.5 * (lo_lo + lo_hi)
-            if return_map(Period.THREE, mid, eps=e) < base_lo:
-                lo_lo = mid
-            else:
-                lo_hi = mid
-        w = span / 4.0
-        while return_map(Period.THREE, c + w, eps=e) < base_hi:
-            w *= 2.0
-        hi_lo, hi_hi = c, c + w
-        while hi_hi - hi_lo > INVERSE_TOL:
-            mid = 0.5 * (hi_lo + hi_hi)
-            if return_map(Period.THREE, mid, eps=e) < base_hi:
-                hi_lo = mid
-            else:
-                hi_hi = mid
-        domains.append((0.5 * (lo_lo + lo_hi), 0.5 * (hi_lo + hi_hi)))
-    return BranchSystem(tuple(epsilons), tuple(reports), tuple(domains))
+    span = (base_hi - base_lo) or 1e-6
+    domains = tuple(
+        (_preimage(e, c, base_lo, -1.0, span), _preimage(e, c, base_hi, 1.0, span))
+        for e, c in zip(epsilons, cs)
+    )
+    return BranchSystem(tuple(epsilons), tuple(reports), domains)
 
 
 def _backward_codings(b: BranchSystem, letters, count: int):

@@ -111,9 +111,9 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
     """Materialize f_s (or g_s) down to the given depth.
 
     Every branch endpoint value is u_{c0} of the endpoint, with c0 the
-    critical point generating level 1; the single exception is the inner
-    endpoint of tripling I_3 branches when that level carries eps != 1,
-    which is pulled by the vertically-rescaled perturbation.
+    critical point generating level 1, plus, on the pulled family's inner
+    endpoint, the vertically rescaled perturbation of that level; it is
+    exactly 0.0 at eps = 1.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -134,7 +134,7 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
             a_loc, b_loc = t.local[m - 1][i]
             xa, xb = H(a_loc), H(b_loc)
             va, vb = eval_raw(c0, xa), eval_raw(c0, xb)
-            if i == pulled and lv.eps != 1.0:
+            if i == pulled:
                 # the pulled endpoint is the inner (w_n) one, local 1 - s3;
                 # the one place besides _orbit_points that applies the pull
                 up = _orbit_points(period, lv.c)[period.p]

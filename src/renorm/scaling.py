@@ -303,8 +303,7 @@ def _refine_touch(fn, lo, hi, tol):
             a, x1, f1 = x1, x2, f2
             x2 = a + inv * (b - a)
             f2 = fn(x2)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+    return 0.5 * (a + b)
 
 
 def feasible_domain(
@@ -317,10 +316,10 @@ def feasible_domain(
 
     Outer boundaries are bisected on the minimum over all conditions and
     labeled with the condition that vanishes there.  Interior punctures,
-    where one condition touches zero without changing sign, are found by
-    refining per-condition grid minima; each puncture splits its feasible
-    interval in two, matching the punctured unions printed in the source
-    domains.
+    where conditions touch zero without changing sign, are found by
+    refining each grid minimum once and are named after every condition
+    that vanishes there; each puncture splits its feasible interval in
+    two, matching the punctured unions printed in the source domains.
     """
     if not 0.0 < scan_step <= 1e-2:
         raise ValueError("scan_step must lie in (0, 1e-2]")
@@ -351,32 +350,26 @@ def feasible_domain(
         boundaries.append((lo, lo_name))
         boundaries.append((hi, hi_name))
 
-        # interior touch points of single conditions
-        touch = []
+        # interior touch points: grid minima that dip to near zero (above
+        # 1e-4 is an ordinary smooth minimum), keyed by the grid index
+        # before the minimum, each with the first condition dipping there
+        touch = {}
         for j in range(cond.shape[0]):
             vals = cond[j, i0 : i1 + 1]
-            if len(vals) < 3:
-                continue
-            interior = np.flatnonzero(
-                (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:])
-            )
-            for t in interior:
-                if vals[t + 1] > 1e-4:
-                    continue  # an ordinary smooth minimum, not a touch
-                a = float(cs[i0 + t])
-                b = float(cs[i0 + t + 2])
-                fn = lambda x, pair=comb.pairs[j]: _condition(period, pair, x, eps)
-                x, v = _refine_touch(fn, a, b, refine_tol)
-                if v < 1e-10:
-                    touch.append((x, comb.names[j]))
-        # collapse coincident touches (several conditions can vanish together)
-        touch.sort()
+            dips = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]) & (vals[1:-1] <= 1e-4)
+            for t in np.flatnonzero(dips):
+                touch.setdefault(i0 + t, j)
+        # several conditions can vanish at one point: refine each location
+        # once and name it after every condition that vanishes there
         cut = []
-        for x, nm in touch:
-            if cut and abs(x - cut[-1][0]) < 10 * max(refine_tol, 1e-12):
-                cut[-1] = (cut[-1][0], cut[-1][1] + "+" + nm)
-            else:
-                cut.append((x, nm))
+        for k in sorted(touch):
+            pair = comb.pairs[touch[k]]
+            fn = lambda x: _condition(period, pair, x, eps)
+            x = _refine_touch(fn, float(cs[k]), float(cs[k + 2]), refine_tol)
+            vals = _condition_values(period, x, eps)
+            names = sorted(nm for nm, v in zip(comb.names, vals) if v < 1e-10)
+            if names:
+                cut.append((x, "+".join(names)))
         punctures.extend(cut)
 
         pts = [lo] + [x for x, _ in cut] + [hi]

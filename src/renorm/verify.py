@@ -14,7 +14,7 @@ from . import horseshoe as hs
 from .pwa import build_pwa, fixed_residual, shift_residual, tip_ratios, slope_profile, verify_combinatorics
 from .quadratic import eval_raw
 from .scaling import Period, scaling_from_critical
-from .solver import continuum_sweep, solve_fixed_point
+from .solver import FixedPointReport, continuum_sweep, solve_fixed_point
 from .tower import ScalingSequence, build_tower, cantor_dimension, hor_bound, ratio_report, verify_proper
 
 NEGATIVE_CONTROL = {Period.THREE: 0.41, Period.FIVE: 0.3885}
@@ -28,13 +28,8 @@ def check(name, value, bound, ok=None, kind="<="):
     return {"name": name, "value": float(value), "bound": float(bound), "ok": bool(ok)}
 
 
-def _fixed_point(period):
-    return solve_fixed_point(period)
-
-
-def tower_suite(period: Period):
-    rep = _fixed_point(period)
-    c = rep.c_star
+def tower_suite(rep: FixedPointReport):
+    period, c = rep.period, rep.c_star
     seq = ScalingSequence.stationary(period, c)
     depth = 10
     t = build_tower(seq, depth)
@@ -74,9 +69,8 @@ def tower_suite(period: Period):
     return rows
 
 
-def pwa_suite(period: Period):
-    rep = _fixed_point(period)
-    c = rep.c_star
+def pwa_suite(rep: FixedPointReport):
+    period, c = rep.period, rep.c_star
     depth = PWA_DEPTH[period]
     seq = ScalingSequence.stationary(period, c)
     f = build_pwa(seq, depth)
@@ -117,15 +111,11 @@ def pwa_suite(period: Period):
     return rows
 
 
-def extension_suite(period: Period, depth: int | None = None, resolution: int = 256):
-    rep = _fixed_point(period)
-    c = rep.c_star
-    if depth is None:
-        depth = ext.DEFAULT_DEPTH[period]
-    seq = ScalingSequence.stationary(period, c)
-    f = build_pwa(seq, depth + 2)
-    k1, k2 = ext.seed_pieces(f, resolution=resolution)
-    curve = ext.extend(k1, k2, depth=depth, resolution=resolution)
+def extension_suite(rep: FixedPointReport):
+    period, c = rep.period, rep.c_star
+    depth = ext.DEFAULT_DEPTH[period]
+    f = build_pwa(ScalingSequence.stationary(period, c), depth)  # the boxes read depth levels
+    curve = ext.extend(f, depth)
 
     lam = ext.lipschitz_profile(curve)
     noninc = all(b <= a * (1.0 + 1e-6) for a, b in zip(lam[:-1], lam[1:]))
@@ -133,12 +123,12 @@ def extension_suite(period: Period, depth: int | None = None, resolution: int = 
     slopes = ext.max_slope_profile(curve)
     rows.append(check("max-slope-final-level", slopes[-1], 1e-3))
     rows.append(check("junction-mismatch", curve.junction_mismatch(), 1e-6))
-    tip = ext.quadratic_tip(curve, c)
+    tip = ext.quadratic_tip(curve)
     rows.append(check("quadratic-tip", abs(tip * (1.0 - c) ** 2 - 1.0), 1e-6))
     rows.append(check("unimodal", 1.0 if ext.unimodal_check(curve) else 0.0, 1.0, kind=">="))
 
     s = f.tower.factors[0].s
-    w = curve.meta["window"]
+    w = curve.window
     rows.append(check("tip-window-width", w[1] - w[0], s[1] ** depth))
 
     bx = ext.boxes(f.tower, depth)
@@ -156,13 +146,13 @@ def extension_suite(period: Period, depth: int | None = None, resolution: int = 
     return rows
 
 
-def horseshoe_suite(seed: int = 0, quick: bool = True):
+def horseshoe_suite(rep: FixedPointReport, seed: int = 0, quick: bool = True):
+    """The eps-horseshoe around the period-three fixed point rep."""
     b = hs.build_branch_system(1.02, 1.00, 0.98)
     rows = [
         check("branch-derivative-min", min(r.derivative_estimate for r in b.reports), 2.0, kind=">="),
     ]
-    unpert = _fixed_point(Period.THREE).c_star
-    rows.append(check("middle-branch-is-unperturbed", abs(b.fixed_points[1] - unpert), 1e-10))
+    rows.append(check("middle-branch-is-unperturbed", abs(b.fixed_points[1] - rep.c_star), 1e-10))
 
     n_cyl = 6 if quick else 10
     counts = hs.cylinder_counts(b, n_cyl)
@@ -206,23 +196,26 @@ def horseshoe_suite(seed: int = 0, quick: bool = True):
 
 
 SUITES = {
-    "tower": lambda period, seed, quick: tower_suite(period),
-    "pwa": lambda period, seed, quick: pwa_suite(period),
-    "extension": lambda period, seed, quick: extension_suite(period),
-    "horseshoe": lambda period, seed, quick: horseshoe_suite(seed, quick=quick),
+    "tower": tower_suite,
+    "pwa": pwa_suite,
+    "extension": extension_suite,
+    "horseshoe": horseshoe_suite,
 }
 
 
 def run_suite(suite: str, period: Period, seed: int = 0, quick: bool = True):
-    if suite == "all":
-        rows = []
-        for name in ("tower", "pwa", "extension"):
-            for row in SUITES[name](period, seed, quick):
-                rows.append({**row, "name": f"{name}/{row['name']}"})
-        if period is Period.THREE:
-            for row in SUITES["horseshoe"](period, seed, quick):
-                rows.append({**row, "name": f"horseshoe/{row['name']}"})
-        return rows
-    if suite not in SUITES:
+    """One suite's rows, or for "all" the rows of every suite the period
+    runs, named suite/check.  The fixed point is solved once per call."""
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    return SUITES[suite](period, seed, quick)
+    if suite == "horseshoe" and period is not Period.THREE:
+        raise ValueError("horseshoe suite runs on the period-three system")
+    rep = solve_fixed_point(period)
+
+    def rows(name):
+        return horseshoe_suite(rep, seed, quick) if name == "horseshoe" else SUITES[name](rep)
+
+    if suite != "all":
+        return rows(suite)
+    names = ("tower", "pwa", "extension") + (("horseshoe",) if period is Period.THREE else ())
+    return [{**row, "name": f"{name}/{row['name']}"} for name in names for row in rows(name)]

@@ -4,7 +4,7 @@ from renorm.scaling import Period, feasible_domain
 from renorm.solver import solve_fixed_point
 from renorm.tower import ScalingSequence
 from renorm.pwa import build_pwa
-from renorm.extension import extend, seed_pieces
+from renorm.extension import extend
 from renorm.horseshoe import build_branch_system
 
 
@@ -50,12 +50,12 @@ def f5(seq5):
 
 @pytest.fixture(scope="session")
 def curve3(f3):
-    return extend(*seed_pieces(f3), depth=8)
+    return extend(f3, 8)
 
 
 @pytest.fixture(scope="session")
 def curve5(f5):
-    return extend(*seed_pieces(f5), depth=6)
+    return extend(f5, 6)
 
 
 @pytest.fixture(scope="session")

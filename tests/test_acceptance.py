@@ -138,8 +138,8 @@ def test_criterion_11_extension_regularity(curve3):
 
 
 def test_criterion_12_quadratic_tip(curve3, curve5, rep3, rep5):
-    t3 = quadratic_tip(curve3, rep3.c_star)
-    t5 = quadratic_tip(curve5, rep5.c_star)
+    t3 = quadratic_tip(curve3)
+    t5 = quadratic_tip(curve5)
     e3 = abs(t3 * (1 - rep3.c_star) ** 2 - 1.0)
     e5 = abs(t5 * (1 - rep5.c_star) ** 2 - 1.0)
     ok = e3 <= 1e-6 and e5 <= 1e-6

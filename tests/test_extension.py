@@ -5,12 +5,11 @@ from renorm.quadratic import eval_raw
 from renorm.extension import (
     CurvePiece,
     FillerOvershoot,
-    GapFiller,
     NonConvergent,
     SampledCurve,
     boxes,
     extend,
-    graph_transform,
+    fill_gap,
     lipschitz_profile,
     marked_points,
     max_slope_profile,
@@ -18,28 +17,30 @@ from renorm.extension import (
     seed_pieces,
     unimodal_check,
 )
+from renorm.pwa import build_pwa
 from renorm.scaling import Period
+from renorm.tower import ScalingSequence
 from reference_values import ORBIT3, TIP3, TIP5
 
 
 def test_seed_k2_value_at_zero(f3):
     _, k2 = seed_pieces(f3)
-    assert k2.pieces[0].ys[0] == pytest.approx(ORBIT3[1], abs=1e-13)
+    assert k2[0].ys[0] == pytest.approx(ORBIT3[1], abs=1e-13)
 
 
 def test_seed_domains(f3):
     k1, k2 = seed_pieces(f3)
     t = f3.tower
-    assert k2.pieces[0].lo == 0.0
-    assert k2.pieces[-1].hi == pytest.approx(t.y(1), abs=1e-14)
-    assert k1.pieces[0].lo == pytest.approx(t.z(1), abs=1e-14)
-    assert k1.pieces[-1].hi == 1.0
+    assert k2[0].lo == 0.0
+    assert k2[-1].hi == pytest.approx(t.y(1), abs=1e-14)
+    assert k1[0].lo == pytest.approx(t.z(1), abs=1e-14)
+    assert k1[-1].hi == 1.0
 
 
 def test_seed_fillers_monotone(f3):
     k1, k2 = seed_pieces(f3)
-    for curve, sgn in ((k2, 1.0), (k1, -1.0)):
-        for p in curve.pieces:
+    for pieces, sgn in ((k2, 1.0), (k1, -1.0)):
+        for p in pieces:
             if p.kind == "filler":
                 assert np.all(sgn * p.ds >= -1e-15)
                 assert np.all(np.diff(p.ys) * sgn > 0.0)
@@ -51,8 +52,7 @@ def test_junction_slopes_match_at_seed_ends(f3, curve3):
 
 
 def test_depth_one_pieces_inside_first_box(f3):
-    k1, k2 = seed_pieces(f3)
-    curve = extend(k1, k2, depth=1)
+    curve = extend(f3, 1)
     bx = boxes(f3.tower, 1)
     (xlo, xhi), (ylo, yhi) = bx[1]
     for p in curve.pieces:
@@ -63,7 +63,7 @@ def test_depth_one_pieces_inside_first_box(f3):
 
 def test_window_shrinks_geometrically(f3, curve3):
     s2 = f3.tower.factors[0].s[1]
-    lo, hi = curve3.meta["window"]
+    lo, hi = curve3.window
     assert hi - lo <= s2**8
 
 
@@ -102,16 +102,28 @@ def test_lipschitz_level_one_equals_seed(curve3):
     assert lam[1] == pytest.approx(lam[0], rel=1e-9)
 
 
-def test_lipschitz_negative_control(f3):
-    # inflate the vertical factor: s_last > s2^2 makes the bound grow
-    t = f3.tower
-    s2 = t.factors[0].s[1]
-    F_bad = graph_transform(t, vertical_factor=1.2 * s2**2)
-    k1, k2 = seed_pieces(f3)
-    curve = extend(k1, k2, F=F_bad, depth=6)
-    lam = lipschitz_profile(curve)
-    assert lam[-1] > 2.0 * lam[0]
-    assert lam[1] == pytest.approx(1.2 * lam[0], rel=1e-9)
+def test_lipschitz_negative_control():
+    # off the fixed point s_last != s2^2: at c = 0.42 the derivative's
+    # Lipschitz constant grows by s3/s2^2 = 1.608 per level
+    f = build_pwa(ScalingSequence.stationary(Period.THREE, 0.42), 2)
+    s = f.tower.factors[0].s
+    ratio = s[2] / s[1] ** 2
+    assert ratio > 1.5
+    lam = lipschitz_profile(extend(f, 6))
+    assert lam[-1] > 10.0 * lam[0]
+    assert lam[1] == pytest.approx(ratio * lam[0], rel=1e-9)
+
+
+def test_extension_reads_first_generation_only(seq3, f3):
+    # a depth-2 map extends to the same curve, bitwise, as the depth-10 one
+    shallow = extend(build_pwa(seq3, 2), 8)
+    deep = extend(f3, 8)
+    assert shallow.window == deep.window
+    assert len(shallow.pieces) == len(deep.pieces)
+    for a, b in zip(shallow.pieces, deep.pieces):
+        assert (a.level, a.kind) == (b.level, b.kind)
+        for xa, xb in ((a.xs, b.xs), (a.ys, b.ys), (a.ds, b.ds)):
+            assert np.array_equal(xa, xb)
 
 
 def test_slope_decay(curve3):
@@ -121,12 +133,12 @@ def test_slope_decay(curve3):
 
 
 def test_quadratic_tip_three(curve3, rep3):
-    tip = quadratic_tip(curve3, rep3.c_star)
+    tip = quadratic_tip(curve3)
     assert tip == pytest.approx(TIP3, rel=1e-6)
 
 
 def test_quadratic_tip_five(curve5, rep5):
-    tip = quadratic_tip(curve5, rep5.c_star)
+    tip = quadratic_tip(curve5)
     assert tip == pytest.approx(TIP5, rel=1e-6)
 
 
@@ -140,8 +152,8 @@ def test_quadratic_tip_symmetric_control():
         ys = eval_raw(0.5, xs)
         ds = -2.0 * (xs - 0.5) / 0.25
         pieces.append(CurvePiece(xs, ys, ds, m, "affine"))
-    curve = SampledCurve(pieces, Period.THREE, 0.5, (0.25, 0.25, 0.25))
-    assert quadratic_tip(curve, 0.5) == pytest.approx(4.0, rel=1e-9)
+    curve = SampledCurve(pieces, 0.5, (0.5 - 2.0**-6, 0.5))
+    assert quadratic_tip(curve) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_quadratic_tip_nonconvergent_guard():
@@ -151,9 +163,9 @@ def test_quadratic_tip_nonconvergent_guard():
         ys = 1.0 - (2.0 + m) * (xs - 0.3) ** 2  # drifting curvature
         ds = -2.0 * (2.0 + m) * (xs - 0.3)
         pieces.append(CurvePiece(xs, ys, ds, m, "affine"))
-    curve = SampledCurve(pieces, Period.THREE, 0.3, (0.25, 0.25, 0.25))
+    curve = SampledCurve(pieces, 0.3, (0.3 - 0.0125, 0.3))
     with pytest.raises(NonConvergent):
-        quadratic_tip(curve, 0.3)
+        quadratic_tip(curve)
 
 
 def test_unimodal(curve3, curve5):
@@ -179,31 +191,37 @@ def test_extension_along_eps_continuum():
     # the contraction identity s2^2 = s3 persists along the eps-family,
     # so each perturbed fixed point extends with a flat Lipschitz profile
     from renorm.solver import solve_fixed_point_eps
-    from renorm.scaling import Period
-    from renorm.tower import ScalingSequence
-    from renorm.pwa import build_pwa
 
     rep = solve_fixed_point_eps(0.98)
     seq = ScalingSequence.stationary(Period.THREE, rep.c_star, 0.98)
     f = build_pwa(seq, 8)
     s = f.tower.factors[0].s
     assert abs(s[1] ** 2 - s[2]) <= 1e-10
-    curve = extend(*seed_pieces(f), depth=6)
+    curve = extend(f, 6)
     lam = lipschitz_profile(curve)
     assert all(b <= a * (1.0 + 1e-6) for a, b in zip(lam[:-1], lam[1:]))
-    tip = quadratic_tip(curve, rep.c_star)
+    tip = quadratic_tip(curve)
     assert tip == pytest.approx(1.0 / (1.0 - rep.c_star) ** 2, rel=1e-6)
 
 
 def test_filler_overshoot_raises():
-    filler = GapFiller()
     with pytest.raises(FillerOvershoot):
-        filler.build(0.0, 1.0, 0.2, 0.8, 1.0, -1.0, 65)
+        fill_gap(0.0, 1.0, 0.2, 0.8, 1.0, -1.0, 65)
+
+
+def test_filler_falls_back_to_rational_quadratic():
+    # slopes 3 and 3 across a secant of 1 make the cubic overshoot; the
+    # rational quadratic form matches the same data monotonically
+    p = fill_gap(0.0, 1.0, 0.0, 1.0, 3.0, 3.0, 65)
+    assert np.all(np.diff(p.ys) > 0.0)
+    assert (p.ys[0], p.ys[-1]) == pytest.approx((0.0, 1.0), abs=1e-15)
+    assert (p.ds[0], p.ds[-1]) == pytest.approx((3.0, 3.0), rel=1e-12)
 
 
 def test_resolution_validation(f3):
     with pytest.raises(ValueError):
         seed_pieces(f3, resolution=16)
-    k1, k2 = seed_pieces(f3)
     with pytest.raises(ValueError):
-        extend(k1, k2, depth=0)
+        extend(f3, 8, resolution=16)
+    with pytest.raises(ValueError):
+        extend(f3, 0)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,29 @@ def test_cli_extend_report(capsys):
     assert abs(res["quadratic_tip"] - res["quadratic_tip_algebraic"]) < 1e-5
 
 
+BENCH_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "reference_outputs.json"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "extend --period 3",
+        "extend --period 5",
+        "plotdata extension --period 3",
+        "plotdata extension --period 5",
+        "verify all --period 5",
+    ],
+)
+def test_cli_output_matches_recorded_digest(capsys, command):
+    # the benchmark's recorded stdout digests, checked in-process
+    with open(BENCH_REFERENCES) as fh:
+        reference = json.load(fh)[command]
+    code, out = run_cli(capsys, *command.split())
+    data = out.encode()
+    assert code == 0
+    assert {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)} == reference
+
+
 def test_cli_horseshoe_report(capsys):
     code, out = run_cli(capsys, "horseshoe", "--depth", "4")
     doc = json.loads(out)
@@ -267,6 +292,23 @@ def test_cli_depth_underflow_is_numerical_failure(capsys):
     assert "underflows" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["extend", "--period", "3", "--depth", "13"],
+        ["plotdata", "extension", "--period", "5", "--depth", "9"],
+        ["extend", "--period", "3", "--depth", "400"],
+    ],
+)
+def test_cli_extension_past_float_resolution_is_numerical_failure(capsys, argv):
+    # the first level whose samples collapse (p3: 13, p5: 9) is refused,
+    # not reported as a nan Lipschitz constant
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "collapse below float resolution" in captured.err
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
@@ -297,6 +339,25 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
         lambda *a, **k: [{"name": "forced", "value": 2.0, "bound": 1.0, "ok": False}],
     )
     assert main(["verify", "tower", "--period", "3"]) == 1
+
+
+def test_cli_verify_horseshoe_five_is_usage_error(capsys):
+    assert main(["verify", "horseshoe", "--period", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "period-three" in captured.err
+
+
+def test_verify_all_solves_the_fixed_point_once(monkeypatch):
+    from renorm import verify as ver
+    from renorm.scaling import Period
+
+    calls = []
+    solve = ver.solve_fixed_point
+    monkeypatch.setattr(ver, "solve_fixed_point", lambda p: calls.append(p) or solve(p))
+    rows = ver.run_suite("all", Period.THREE)
+    assert calls == [Period.THREE]
+    assert {r["name"].split("/")[0] for r in rows} == {"tower", "pwa", "extension", "horseshoe"}
 
 
 def test_cli_verify_tower(capsys):

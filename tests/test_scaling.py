@@ -117,6 +117,19 @@ def test_feasible_domain_five(fd5):
     assert fd5.punctures and "S1" in fd5.punctures[0][1]
 
 
+@pytest.mark.parametrize("period, eps", [(Period.THREE, 1.0), (Period.FIVE, 1.0), (Period.THREE, 1.03)])
+def test_each_puncture_is_refined_once(monkeypatch, period, eps):
+    # all lengths touch zero at one point: one refinement names them all
+    import renorm.scaling as sc
+
+    calls = []
+    refine = sc._refine_touch
+    monkeypatch.setattr(sc, "_refine_touch", lambda *a: calls.append(a) or refine(*a))
+    fd = feasible_domain(period, eps=eps)
+    assert len(calls) == len(fd.punctures) == 1
+    assert fd.punctures[0][1] == "+".join(f"S{j}" for j in range(1, period.p + 1))
+
+
 def test_feasible_domain_coarse_scan_still_finds_it():
     fd = feasible_domain(Period.THREE, scan_step=1e-2)
     assert any(lo < 0.44 < hi for lo, hi in fd.intervals)
