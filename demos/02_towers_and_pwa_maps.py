@@ -34,7 +34,8 @@ for n in (1, 2):
         lo, hi = t.generations[n - 1][i]
         print(f"  I_{i}^{n} = [{lo:.8f}, {hi:.8f}]  (|.| = {t.size(n, i):.3e})")
 
-margin, decay = verify_proper(seq, 10)
+t10 = build_tower(seq, 10)
+margin, decay = verify_proper(t10)
 print(f"properness margin = {margin:.6f} (distance to the simplex boundary)")
 print(f"geometric decay |I_j^n| <= (1-margin)^n: {decay}")
 
@@ -42,7 +43,7 @@ rr = ratio_report(t)
 print(f"generation ratios constant to {rr.max_deviation:.1e};"
       f" they equal the factor {tuple(round(x, 6) for x in rr.factor)}")
 
-hb = hor_bound(build_tower(seq, 10))
+hb = hor_bound(t10)
 print(f"bounded geometry: |I-hat_2^n|/|I_2^n|^2 in [1/rho, rho] with rho = {hb.rho}")
 print(f"  (at the fixed point the ratio is exactly 1: {hb.ratios[0]:.9f}, ...)")
 

@@ -10,7 +10,7 @@ renormalization horseshoe with entropy ln 3.
 
 __version__ = "0.1.0"  # the one version string; reports embed it
 
-from .quadratic import Branch, QuadraticUnimodal, eval_map, iterate, orbit, preimage
+from .quadratic import QuadraticUnimodal, eval_map, orbit
 from .scaling import (
     FeasibleDomain,
     GapVector,
@@ -44,7 +44,6 @@ from .pwa import (
     PiecewiseAffineMap,
     build_pwa,
     fixed_residual,
-    partial_renormalize,
     renormalize,
     shift_residual,
     verify_combinatorics,

@@ -142,6 +142,11 @@ def _merge_config(args):
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(cfg) - set(FLAG_TYPES))
+        if unknown:
+            raise ValueError(f"config keys {unknown} are not flags")
     for key, value in vars(args).items():
         if value is None and cfg.get(key) is not None:
             setattr(args, key, _config_value(key, cfg[key]))
@@ -286,6 +291,8 @@ def cmd_plotdata(args) -> int:
             for p in curve.pieces
             for x, y, d, m in zip(p.xs, p.ys, p.ds, [p.level] * len(p.xs))
         ]
+    if not rows:
+        raise ValueError(f"--grid {args.grid} leaves no data row")
     _emit(args, rpt.to_csv(header, rows))
     return 0
 
@@ -295,7 +302,7 @@ def cmd_tower(args) -> int:
     rep, seq = _solved_sequence(period, args.tol)
     depth = _depth(args, DEFAULT_DEPTH)
     t = build_tower(seq, depth)
-    margin, decay = verify_proper(seq, depth)
+    margin, decay = verify_proper(t)
     rr = ratio_report(t)
     hb = hor_bound(t)
     _emit_report(

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadratic import eval_raw
 from .scaling import Period
 from .tower import Affine, Tower
 
@@ -336,16 +335,6 @@ def boxes(t: Tower, depth: int):
         vprod *= t.factors[n - 1].s[-1]
         out.append((t.generations[n - 1][2], (1.0 - vprod, 1.0)))
     return out
-
-
-def marked_points(t: Tower, count: int):
-    """p_n: alternating (y_k, u(y_k)) and (z_k, u(z_k)) junction points."""
-    c = t.levels[0].c
-    pts = []
-    for n in range(1, count + 1):
-        x = t.y((n + 1) // 2) if n % 2 == 1 else t.z(n // 2)
-        pts.append((x, eval_raw(c, x)))
-    return pts
 
 
 def unimodal_check(curve: SampledCurve) -> bool:

@@ -23,6 +23,7 @@ from .tower import LevelData, ScalingSequence
 INVERSE_TOL = 1e-13
 CYLINDER_CAP = 14          # depth cap for the three-letter system
 CYLINDER_TOTAL_CAP = 3**14  # and the matching bound on alphabet**n overall
+CYLINDER_SLACK = 1e-10      # negative cylinder width forgiven, relative to the base
 CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
 
 
@@ -48,9 +49,6 @@ class Word:
 
     def __len__(self):
         return len(self.symbols)
-
-    def shift(self, k: int = 1) -> "Word":
-        return Word(self.symbols[k:], self.alphabet)
 
     def cyclic(self, n: int) -> tuple:
         """First n letters of the periodic extension."""
@@ -113,10 +111,10 @@ def _invert_branch(b: BranchSystem, i: int, ys):
     return 0.5 * (lo + hi)
 
 
-def _preimage(e: float, c: float, target: float, step: float, span: float) -> float:
+def _domain_end(e: float, c: float, target: float, step: float, span: float) -> float:
     """The x beside the fixed point c, on the side step (-1 or 1), with
     R(x, e) = target: double a bracket from c until R crosses target, then
-    bisect it.  R increases, so R(x) < target puts x below the preimage."""
+    bisect it.  R increases, so R(x) < target puts x below the answer."""
     w = span / 4.0
     # step * (R - target) < 0: R has not yet reached target on that side
     while step * (return_map(Period.THREE, c + step * w, eps=e) - target) < 0.0:
@@ -154,7 +152,7 @@ def build_branch_system(*epsilons: float) -> BranchSystem:
 
     span = (base_hi - base_lo) or 1e-6
     domains = tuple(
-        (_preimage(e, c, base_lo, -1.0, span), _preimage(e, c, base_hi, 1.0, span))
+        (_domain_end(e, c, base_lo, -1.0, span), _domain_end(e, c, base_hi, 1.0, span))
         for e, c in zip(epsilons, cs)
     )
     return BranchSystem(tuple(epsilons), tuple(reports), domains)
@@ -194,7 +192,7 @@ def coded_orbit(b: BranchSystem, alpha: Word, count: int):
     return _backward_codings(b, letters, count)
 
 
-def cylinder_counts(b: BranchSystem, n: int, tol: float = 1e-10) -> list:
+def cylinder_counts(b: BranchSystem, n: int) -> list:
     """Numbers of nonempty k-cylinders for k = 1..n from one pass of nested
     inverse-branch intervals.
 
@@ -210,7 +208,7 @@ def cylinder_counts(b: BranchSystem, n: int, tol: float = 1e-10) -> list:
             f"{b.alphabet}^{n} cylinders exceed the desk-scale cap {CYLINDER_TOTAL_CAP}"
         )
     base_lo, base_hi = b.base
-    slack = tol * (base_hi - base_lo)
+    slack = CYLINDER_SLACK * (base_hi - base_lo)
     for i, (lo, hi) in enumerate(b.domains):
         img_lo, img_hi = b.map(i, lo), b.map(i, hi)
         if img_lo > base_lo + 1e-9 or img_hi < base_hi - 1e-9:
@@ -229,9 +227,9 @@ def cylinder_counts(b: BranchSystem, n: int, tol: float = 1e-10) -> list:
     return counts
 
 
-def cylinder_count(b: BranchSystem, n: int, tol: float = 1e-10) -> int:
+def cylinder_count(b: BranchSystem, n: int) -> int:
     """Number of nonempty n-cylinders; the last of cylinder_counts."""
-    return cylinder_counts(b, n, tol)[-1]
+    return cylinder_counts(b, n)[-1]
 
 
 def _next_level(b: BranchSystem, los, his):

@@ -19,11 +19,13 @@ from __future__ import annotations
 import bisect as _bisect
 from dataclasses import dataclass
 
-from .quadratic import QuadraticUnimodal, eval_raw
+from .quadratic import eval_raw
 from .scaling import COMBINATORICS, Period, _orbit_points
 from .tower import Affine, ScalingSequence, Tower, build_tower
 
 DISPATCH_TOL = 1e-14
+COMBI_TOL = 1e-10   # containment slack of the endpoint chase
+TIP_FLOOR = 1e-8    # tip_ratios stops where 1 - f(y_n) reaches float noise
 
 
 class OutsideDomain(ValueError):
@@ -31,10 +33,6 @@ class OutsideDomain(ValueError):
 
 
 class DepthExhausted(RuntimeError):
-    pass
-
-
-class BranchUndefined(ValueError):
     pass
 
 
@@ -72,15 +70,6 @@ class PiecewiseAffineMap:
     @property
     def depth(self) -> int:
         return self.tower.depth
-
-    @property
-    def u0(self) -> QuadraticUnimodal:
-        return QuadraticUnimodal(self.c0)
-
-    @property
-    def critical_value_anchor(self) -> float:
-        """u_{c0}(0), the left endpoint of the first central interval."""
-        return eval_raw(self.c0, 0.0)
 
     def branch_at(self, x: float, tol: float = DISPATCH_TOL) -> PWABranch:
         i = _bisect.bisect_right(self._los, x) - 1
@@ -146,13 +135,9 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
     return PiecewiseAffineMap(period, t, seq, branches, c0)
 
 
-def _gen1_branch_maps(f: PiecewiseAffineMap) -> dict:
-    return {b.family: b.map for b in f.branches if b.level == 1}
-
-
 def _cycle_composition(f: PiecewiseAffineMap) -> Affine:
     """The p-1 first-generation branch maps along the cycle, innermost first."""
-    big = _gen1_branch_maps(f)
+    big = {b.family: b.map for b in f.branches if b.level == 1}
     comp = Affine.identity()
     for fam in COMBINATORICS[f.period].cycle[1:]:
         comp = big[fam] @ comp
@@ -185,7 +170,7 @@ def renormalize(f: PiecewiseAffineMap) -> PiecewiseAffineMap:
     return PiecewiseAffineMap(f.period, t, shifted, new_branches, t.levels[0].c)
 
 
-def verify_combinatorics(f: PiecewiseAffineMap, n: int, tol: float = 1e-10) -> bool:
+def verify_combinatorics(f: PiecewiseAffineMap, n: int) -> bool:
     """Endpoint-chase the generation-n cycle under f^(p^(n-1)).
 
     True iff each interval's endpoints land in the next interval of the
@@ -200,14 +185,14 @@ def verify_combinatorics(f: PiecewiseAffineMap, n: int, tol: float = 1e-10) -> b
     order = list(cycle[1:]) + [cycle[0]]
     # iterates of endpoints drift off branch closures by rounding, so
     # dispatch forgives up to a tenth of the containment tolerance
-    snap = 0.1 * tol
+    snap = 0.1 * COMBI_TOL
     for fam in order:
         try:
             pts = [f.iterate(x, steps, tol=snap) for x in pts]
         except OutsideDomain:
             return False
         lo, hi = gen[fam]
-        if not all(lo - tol <= v <= hi + tol for v in pts):
+        if not all(lo - COMBI_TOL <= v <= hi + COMBI_TOL for v in pts):
             return False
     return True
 
@@ -223,12 +208,8 @@ def _residual_at_endpoints(rf, ref):
 def fixed_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
     """sup |R f - f| over the renormalized map's branch endpoints."""
     f = build_pwa(seq, depth)
-    rf = renormalize(f)
-    pts = rf.endpoints()
-    sup = 0.0
-    for x in pts:
-        sup = max(sup, abs(rf(x) - f(x)))
-    return RenormResidual(sup, len(pts), depth)
+    sup, npts = _residual_at_endpoints(f, renormalize(f))
+    return RenormResidual(sup, npts, depth)
 
 
 def shift_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
@@ -240,71 +221,7 @@ def shift_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
     return RenormResidual(sup, npts, depth)
 
 
-def micro_intervals(f: PiecewiseAffineMap, n: int) -> dict:
-    """The landing intervals of the micro-renormalizations at depth n.
-
-    '+' is the image of the central interval, [f(y_n), 1]; the others are
-    the preimage objects reached by the remaining branch tags: two forward
-    steps for the tag feeding the left family, single and double branch
-    preimages of the central interval for the period-five tags.
-    """
-    t = f.tower
-    y_n, z_n = t.y(n), t.z(n)
-    out = {"+": (f(y_n), 1.0)}
-    if f.period is Period.THREE:
-        out["-"] = (0.0, f.iterate(y_n, 2))
-        return out
-    big = _gen1_branch_maps(f)
-    out["++"] = (0.0, f.iterate(y_n, 2))
-    b4inv = big[4].inverse()
-    out["-"] = tuple(sorted((b4inv(z_n), b4inv(y_n))))
-    pre2 = big[3].inverse() @ big[4].inverse()
-    out["--"] = tuple(sorted((pre2(y_n), pre2(z_n))))
-    return out
-
-
-def partial_renormalize(f: PiecewiseAffineMap, n: int, branch: str, samples_per_piece: int = 3):
-    """Sampled micro-renormalization R_n^branch on its rescaled domain.
-
-    branch is '+'/'-' for period three and '+'/'++'/'-'/'--' for period
-    five; each tag selects the branch family it reproduces.  Returns
-    (x, value) pairs over h_{s,n}^{-1} of that family's intervals.
-
-    Every deep branch sends its interval into [f(y_n), 1], the image of
-    the central interval, from which the (p^n - 1)-step affine
-    homeomorphism returns to the central interval; composing the two and
-    rescaling yields the branch of the n-shifted map.  The homeomorphism
-    is materialized from its endpoint orbits, which keeps the whole
-    transform affine exactly.
-    """
-    fams = COMBINATORICS[f.period].tags
-    if branch not in fams:
-        raise ValueError(f"unknown branch tag {branch!r} for {f.period}")
-    if n >= f.depth:
-        raise BranchUndefined(f"n={n} leaves no resolved intervals below depth {f.depth}")
-    fam = fams[branch]
-    t = f.tower
-    h_n = t.chains[n]
-    h_inv = h_n.inverse()
-    y_n = t.y(n)
-
-    top = f(y_n)
-    steps = f.period.p**n - 1
-    img_a = f.iterate(top, steps, tol=1e-12)
-    img_b = f.iterate(1.0, steps, tol=1e-12)
-    ret = Affine.through(top, img_a, 1.0, img_b)  # f^(p^n - 1) on [f(y_n), 1]
-    transform = h_inv @ ret
-
-    out = []
-    for k in range(n + 1, f.depth + 1):
-        lo, hi = t.generations[k - 1][fam]
-        for j in range(samples_per_piece):
-            w = lo + (hi - lo) * j / max(samples_per_piece - 1, 1)
-            out.append((h_inv(w), transform(f(w))))
-    return out
-
-
-def tip_ratios(f: PiecewiseAffineMap, floor: float = 1e-8):
+def tip_ratios(f: PiecewiseAffineMap):
     """(1 - f(y_n)) / (y_n - c0)^2 per generation, while above the noise floor.
 
     For the stationary fixed point this equals the tip constant 1/(1-c0)^2
@@ -314,7 +231,7 @@ def tip_ratios(f: PiecewiseAffineMap, floor: float = 1e-8):
     for n in range(1, f.depth):
         yn = f.tower.y(n)
         num = 1.0 - f(yn)
-        if num < floor:
+        if num < TIP_FLOOR:
             break
         out.append(num / (yn - f.c0) ** 2)
     return out

@@ -1,32 +1,20 @@
-"""The quadratic unimodal family u_c and its orbit/preimage machinery.
+"""The quadratic unimodal family u_c and its critical orbit.
 
 u_c(x) = 1 - ((x - c) / (1 - c))**2 on [0, 1], with critical point c and
 critical exponent fixed at 2.  Everything else in the package (scaling
 factors, towers, piecewise-affine maps, extensions) is built out of the
-orbit of 0 under u_c and the two inverse branches.
+orbit of 0 under u_c.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 
 X_TOL = 1e-12          # slack accepted outside [0, 1] before raising
-SQRT_CLAMP = 1e-15     # 1 - y this far below zero is treated as exactly 0
 
 
 class DomainError(ValueError):
     """Argument outside [0, 1] beyond tolerance."""
-
-
-class OutOfIntervalPreimage(ValueError):
-    """The requested preimage branch lands outside [0, 1]."""
-
-
-class Branch(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 @dataclass(frozen=True)
@@ -56,45 +44,9 @@ def eval_map(u: QuadraticUnimodal, x: float) -> float:
     return eval_raw(u.c, x)
 
 
-def iterate(u: QuadraticUnimodal, x: float, k: int) -> float:
-    """k-fold composition u_c^k(x); k = 0 returns x unchanged."""
-    if k < 0:
-        raise ValueError("iteration count must be nonnegative")
-    for _ in range(k):
-        x = eval_map(u, x)
-    return x
-
-
-def orbit(u: QuadraticUnimodal, k: int, x0: float = 0.0) -> list[float]:
-    """[x0, u(x0), ..., u^k(x0)] -- the critical orbit when x0 = 0."""
-    out = [x0]
+def orbit(u: QuadraticUnimodal, k: int) -> list[float]:
+    """The critical orbit [0, u(0), ..., u^k(0)]."""
+    out = [0.0]
     for _ in range(k):
         out.append(eval_map(u, out[-1]))
     return out
-
-
-def preimage(u: QuadraticUnimodal, y: float, branch: Branch) -> float:
-    """Solve u_c(x) = y on the increasing (LEFT) or decreasing (RIGHT) branch.
-
-    The LEFT result is negative exactly when y < u_c(0); that case raises
-    OutOfIntervalPreimage so callers can pick the valid branch.
-    """
-    if y < -X_TOL or y > 1.0 + X_TOL:
-        raise DomainError(f"y={y} outside [0, 1]")
-    r = 1.0 - y
-    if r < 0.0:
-        if r < -SQRT_CLAMP:
-            raise DomainError(f"y={y} above the critical value 1")
-        r = 0.0
-    step = (1.0 - u.c) * math.sqrt(r)
-    x = u.c - step if branch is Branch.LEFT else u.c + step
-    if x < -X_TOL or x > 1.0 + X_TOL:
-        raise OutOfIntervalPreimage(
-            f"{branch.value} preimage of y={y} is {x}, outside [0, 1]"
-        )
-    return x
-
-
-def quadratic_tip_constant(u: QuadraticUnimodal) -> float:
-    """The constant l in (u(y) - u(c)) / (y - c)^2 = -l, here exactly 1/(1-c)^2."""
-    return 1.0 / (1.0 - u.c) ** 2

@@ -14,8 +14,7 @@ o[next left] - o[this right], and a critical point is feasible when all
 of them are positive.  The return map R(c) = (o[right of I_2] - c)/s2
 sends the critical point of a renormalizable map to that of its
 renormalization; its fixed point is the self-similar configuration.  The
-rows also carry the condition names, the renormalization cycle, the
-tower's endpoint labels and the micro-renormalization tags.
+rows also carry the condition names and the renormalization cycle.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
@@ -40,6 +39,7 @@ import numpy as np
 from .quadratic import eval_raw
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
+REFINE_TOL = 1e-12  # bracket width of every domain boundary and puncture
 
 
 class DivisionGuard(ArithmeticError):
@@ -64,8 +64,6 @@ class Combinatorics:
     intervals: tuple  # I_1 .. I_p, left to right, as (left, right) orbit indices
     names: tuple      # the conditions: each I_j's length, then each gap
     cycle: tuple      # the intervals in the order u visits them, from I_2
-    labels: dict      # tower endpoint label -> (family, 0 lower / 1 upper end)
-    tags: dict        # partial_renormalize tag -> the family it reproduces
 
     @cached_property
     def pairs(self) -> tuple:
@@ -80,22 +78,18 @@ COMBINATORICS = {
         intervals=((0, 3), (1, 4), (2, ONE)),
         names=("S1", "S2", "S3", "Gl", "Gr"),
         cycle=(2, 3, 1),
-        labels={"x": (1, 1), "w": (3, 0)},
-        tags={"+": 3, "-": 1},
     ),
     Period.FIVE: Combinatorics(
         intervals=((0, 5), (3, 8), (1, 6), (7, 2), (4, ONE)),
         names=("S1", "S2", "S3", "S4", "S5", "Gl", "Gr1", "Gr2", "Gr3"),
         cycle=(2, 5, 1, 3, 4),
-        labels={"a": (1, 1), "h": (5, 0), "d": (3, 0), "e": (3, 1), "f": (4, 0), "g": (4, 1)},
-        tags={"+": 5, "++": 1, "-": 4, "--": 3},
     ),
 }
 
 
 @dataclass(frozen=True)
 class ScalingFactor:
-    """A point of T_k with the critical point (and eps) that produced it.
+    """A point of T_k.
 
     Out-of-simplex vectors are data, not errors: the feasibility scanner
     has to evaluate infeasible critical points, so validity is a flag.
@@ -103,8 +97,6 @@ class ScalingFactor:
 
     period: Period
     s: tuple
-    c: float | None = None
-    eps: float = 1.0
 
     @property
     def is_valid(self) -> bool:
@@ -131,7 +123,6 @@ class GapVector:
 class FeasibleDomain:
     period: Period
     intervals: list
-    boundary_tol: float
     # (c, condition-name) for each outer boundary and each interior puncture
     boundaries: list = field(default_factory=list)
     punctures: list = field(default_factory=list)
@@ -198,7 +189,7 @@ def conditions(period: Period, c, eps: float = 1.0):
 
 def scaling_from_critical(period: Period, c: float, eps: float = 1.0) -> ScalingFactor:
     s = _condition_values(period, c, eps)[: period.p]
-    return ScalingFactor(period, tuple(float(x) for x in s), c=c, eps=eps)
+    return ScalingFactor(period, tuple(float(x) for x in s))
 
 
 def gaps(period: Period, c: float) -> GapVector:
@@ -212,10 +203,11 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     anyway and a violation flags a broken implementation."""
     if not 0.0 < c < 0.5:
         return False
-    cond = conditions(period, c, eps)
-    if not bool(np.all(cond > 0.0)):
+    vals = _condition_values(period, c, eps)
+    # all(), not min(): a NaN condition must count as infeasible
+    if not all(v > 0.0 for v in vals):
         return False
-    if float(np.sum(cond[: period.p])) >= 1.0:
+    if sum(vals[: period.p]) >= 1.0:
         raise RuntimeError(
             "positivity held but the simplex sum exceeded 1; "
             "the gap conditions should forbid this"
@@ -259,26 +251,19 @@ def scaling_closed_form_tripling(c: float) -> ScalingFactor:
     s1 = 1.0 - p**2 / one_m**14
     s2 = (c**2 * one_m**28 - ((-1.0 + c) ** 15 + p**2) ** 2) / one_m**30
     s3 = (-1.0 + 3.0 * c - 2.0 * c**2 + c**3) ** 2 / one_m**6
-    return ScalingFactor(Period.THREE, (float(s1), float(s2), float(s3)), c=c)
+    return ScalingFactor(Period.THREE, (float(s1), float(s2), float(s3)))
 
 
 class EmptyDomain(RuntimeError):
     """The scan found no feasible point; the predicate must be wrong."""
 
 
-def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
+def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
     """Bisect min(all conditions) between a feasible and an infeasible point."""
-
-    def feasible(c):
-        # all(), not min(): a NaN condition must count as infeasible
-        if not 0.0 < c < 0.5:
-            return False
-        return all(v > 0.0 for v in _condition_values(period, c, eps))
-
     a, b = ok_pt, bad_pt
-    while abs(b - a) > tol:
+    while abs(b - a) > REFINE_TOL:
         mid = 0.5 * (a + b)
-        if feasible(mid):
+        if feasibility(period, mid, eps):
             a = mid
         else:
             b = mid
@@ -287,14 +272,14 @@ def _bisect_boundary(period, ok_pt, bad_pt, tol, eps=1.0):
     return c, name
 
 
-def _refine_touch(fn, lo, hi, tol):
+def _refine_touch(fn, lo, hi):
     """Golden-section minimum of a single condition; used for punctures."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    while b - a > tol:
+    while b - a > REFINE_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
@@ -306,12 +291,7 @@ def _refine_touch(fn, lo, hi, tol):
     return 0.5 * (a + b)
 
 
-def feasible_domain(
-    period: Period,
-    scan_step: float = 1e-4,
-    refine_tol: float = 1e-12,
-    eps: float = 1.0,
-) -> FeasibleDomain:
+def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -> FeasibleDomain:
     """Sign-scan feasibility over (0, 1/2) and refine every boundary.
 
     Outer boundaries are bisected on the minimum over all conditions and
@@ -323,8 +303,6 @@ def feasible_domain(
     """
     if not 0.0 < scan_step <= 1e-2:
         raise ValueError("scan_step must lie in (0, 1e-2]")
-    if not refine_tol <= 1e-9:
-        raise ValueError("refine_tol must be <= 1e-9")
     cs = np.arange(scan_step, 0.5, scan_step)
     cond = conditions(period, cs, eps)
     worst = cond.min(axis=0)
@@ -345,8 +323,8 @@ def feasible_domain(
         i0, i1 = run[0], run[-1]
         lo_out = float(cs[i0]) - scan_step if i0 > 0 else 0.0
         hi_out = float(cs[i1]) + scan_step if i1 + 1 < len(cs) else 0.5
-        lo, lo_name = _bisect_boundary(period, float(cs[i0]), lo_out, refine_tol, eps)
-        hi, hi_name = _bisect_boundary(period, float(cs[i1]), hi_out, refine_tol, eps)
+        lo, lo_name = _bisect_boundary(period, float(cs[i0]), lo_out, eps)
+        hi, hi_name = _bisect_boundary(period, float(cs[i1]), hi_out, eps)
         boundaries.append((lo, lo_name))
         boundaries.append((hi, hi_name))
 
@@ -365,7 +343,7 @@ def feasible_domain(
         for k in sorted(touch):
             pair = comb.pairs[touch[k]]
             fn = lambda x: _condition(period, pair, x, eps)
-            x = _refine_touch(fn, float(cs[k]), float(cs[k + 2]), refine_tol)
+            x = _refine_touch(fn, float(cs[k]), float(cs[k + 2]))
             vals = _condition_values(period, x, eps)
             names = sorted(nm for nm, v in zip(comb.names, vals) if v < 1e-10)
             if names:
@@ -376,10 +354,4 @@ def feasible_domain(
         for a, b in zip(pts[:-1], pts[1:]):
             intervals.append((a, b))
 
-    return FeasibleDomain(
-        period,
-        intervals,
-        boundary_tol=refine_tol,
-        boundaries=boundaries,
-        punctures=punctures,
-    )
+    return FeasibleDomain(period, intervals, boundaries, punctures)

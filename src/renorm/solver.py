@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scaling import (
+    REFINE_TOL,
     DivisionGuard,
     EmptyDomain,
     FeasibleDomain,
@@ -139,7 +140,7 @@ def _solve(period, eps, domain, tol):
 
     brackets = []
     for lo, hi in domain.intervals:
-        pad = 2.0 * domain.boundary_tol
+        pad = 2.0 * REFINE_TOL
         brackets.extend(_scan_roots(g, lo + pad, hi - pad, SCAN_GRID))
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
@@ -157,9 +158,9 @@ def solve_fixed_point(
     return _solve(period, 1.0, domain, tol)
 
 
-def solve_fixed_point_eps(eps: float, tol: float = POLISH_TOL) -> FixedPointReport:
+def solve_fixed_point_eps(eps: float) -> FixedPointReport:
     """Fixed point of the eps-perturbed tripling return map."""
-    return _solve(Period.THREE, eps, None, tol)
+    return _solve(Period.THREE, eps, None, POLISH_TOL)
 
 
 def continuum_sweep(eps_lo: float, eps_hi: float, steps: int) -> ContinuumTable:

@@ -3,9 +3,9 @@
 Each level m of a scaling sequence carries a critical point (and an eps
 for the perturbed tripling variant); the induced affine maps place the
 next generation of intervals inside the current central interval.  The
-central rescalings are orientation reversing, so endpoint labels follow
-parity automatically: with H_n the n-fold composition, y_n = H_n(1) and
-z_n = H_n(0) reproduce the min/max alternation of the labeled endpoints.
+central rescalings are orientation reversing, so the central endpoints
+follow parity automatically: with H_n the n-fold composition, y_n = H_n(1)
+and z_n = H_n(0) alternate between the min and max of I_2^n.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from .scaling import COMBINATORICS, Period, ScalingFactor, scaling_from_critical
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
 DEFAULT_DEPTH = 12
+RATIO_TOL = 1e-12  # ratio_report's constancy bound
+DIM_TOL = 1e-12    # bisection width of cantor_dimension
 
 
 class InvalidFactor(ValueError):
@@ -91,12 +93,12 @@ class ScalingSequence:
     def levels(self, n: int) -> list:
         return [self.level(m) for m in range(1, n + 1)]
 
-    def shift(self, k: int = 1) -> "ScalingSequence":
+    def shift(self) -> "ScalingSequence":
         fn = self._fn
         return ScalingSequence(
             self.period,
-            lambda m, _fn=fn, _k=k: _fn(m + _k),
-            None if self.length is None else self.length - k,
+            lambda m, _fn=fn: _fn(m + 1),
+            None if self.length is None else self.length - 1,
         )
 
     def factor(self, m: int) -> ScalingFactor:
@@ -111,13 +113,6 @@ class ScalingSequence:
     def from_levels(period: Period, levels) -> "ScalingSequence":
         levels = tuple(levels)
         return ScalingSequence(period, lambda m, _lv=levels: _lv[m - 1], len(levels))
-
-    @staticmethod
-    def from_factor(factor: ScalingFactor) -> "ScalingSequence":
-        """Stationary rule from a factor that remembers its critical point."""
-        if factor.c is None:
-            raise ValueError("factor carries no generating critical point")
-        return ScalingSequence.stationary(factor.period, factor.c, factor.eps)
 
 
 def local_intervals(period: Period, lv: LevelData, factor: ScalingFactor):
@@ -191,15 +186,12 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
         ends = {i: (H(lo), H(hi)) for i, (lo, hi) in loc.items()}
         generations.append({i: (p, q) if p <= q else (q, p) for i, (p, q) in ends.items()})
 
-    # the image of each local endpoint; whether it lands at the min or max
-    # side follows the chain's orientation, so the min/max parity
-    # alternation of the labeled endpoints emerges untracked
+    # whether y_n and z_n land at the min or max side follows the chain's
+    # orientation, so their parity alternation emerges untracked
     labels = {
         "y": [H(1.0) for H in chains],
         "z": [H(0.0) for H in chains],
     }
-    for name, (fam, end) in COMBINATORICS[period].labels.items():
-        labels[name] = [None] + [H(loc[fam][end]) for H, loc in zip(chains, local)]
 
     return Tower(
         period, depth, seq, levels, factors, rescale, chains,
@@ -207,13 +199,12 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
     )
 
 
-def verify_proper(seq: ScalingSequence, depth: int):
-    """(margin, decay_ok): distance to the simplex boundary over the first
-    `depth` factors, and the geometric-decay certificate |I_j^n| <= (1-margin)^n."""
-    t = build_tower(seq, depth)
+def verify_proper(t: Tower):
+    """(margin, decay_ok): distance to the simplex boundary over the tower's
+    factors, and the geometric-decay certificate |I_j^n| <= (1-margin)^n."""
     margin = min(f.simplex_margin for f in t.factors)
     decay_ok = margin > 0.0
-    for n in range(1, depth + 1):
+    for n in range(1, t.depth + 1):
         bound = (1.0 - margin) ** n
         for i in t.families:
             if t.size(n, i) > bound:
@@ -231,7 +222,7 @@ class RatioReport:
     constant: bool
 
 
-def ratio_report(t: Tower, tol: float = 1e-12) -> RatioReport:
+def ratio_report(t: Tower) -> RatioReport:
     """Generation-ratio table; meaningful for stationary data, where every
     listed ratio equals the generating factor component."""
     if t.depth < 2:
@@ -251,7 +242,7 @@ def ratio_report(t: Tower, tol: float = 1e-12) -> RatioReport:
         over_parent[i] = op
         dev = max(dev, float(np.max(np.abs(oc - s[i - 1]))))
         dev = max(dev, float(np.max(np.abs(op - s[1]))))
-    return RatioReport(t.period, over_center, over_parent, s, dev, dev <= tol)
+    return RatioReport(t.period, over_center, over_parent, s, dev, dev <= RATIO_TOL)
 
 
 @dataclass(frozen=True)
@@ -262,23 +253,23 @@ class HorBoundReport:
     resolved_depth: int
 
 
-def hor_bound(t: Tower, u: QuadraticUnimodal | None = None) -> HorBoundReport:
+def hor_bound(t: Tower) -> HorBoundReport:
     """Bounded-geometry certificate |I-hat_2^n| / |I_2^n|^2 within [1/rho, rho].
 
-    I-hat_2^n = [u(y_n), 1] is the image of the central interval; rho is the
+    I-hat_2^n = [u(y_n), 1] is the image of the central interval under the
+    quadratic map of the first level's critical point; rho is the
     smallest power of two enclosing every ratio at this depth.  Levels where
     y_n - c falls below float resolution are excluded (the differencing
     noise would swamp the ratio there).
     """
-    if u is None:
-        u = QuadraticUnimodal(t.levels[0].c)
+    c = t.levels[0].c
     ratios = []
     for n in range(1, t.depth + 1):
         yn = t.y(n)
-        if abs(yn - u.c) < 1e-14:
+        if abs(yn - c) < 1e-14:
             break
         # 1 - u(y_n) written without the cancellation of 1 - (1 - t^2)
-        rel = (yn - u.c) / (1.0 - u.c)
+        rel = (yn - c) / (1.0 - c)
         num = rel * rel
         den = t.size(n, 2) ** 2
         ratios.append(num / den)
@@ -290,7 +281,7 @@ def hor_bound(t: Tower, u: QuadraticUnimodal | None = None) -> HorBoundReport:
     return HorBoundReport(float(2**k), True, ratios, len(ratios))
 
 
-def cantor_dimension(f: ScalingFactor, tol: float = 1e-12) -> float:
+def cantor_dimension(f: ScalingFactor) -> float:
     """Moran similarity dimension: the unique d with sum_i s_i^d = 1."""
     s = np.asarray(f.s, dtype=float)
     if np.any(s <= 0.0) or np.any(s >= 1.0):
@@ -304,7 +295,7 @@ def cantor_dimension(f: ScalingFactor, tol: float = 1e-12) -> float:
     lo, hi = 1e-9, 1.0
     if g(hi) >= 0.0:
         return 1.0  # boundary case: the components tile the interval
-    while hi - lo > tol:
+    while hi - lo > DIM_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0.0:
             lo = mid

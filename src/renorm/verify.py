@@ -39,7 +39,7 @@ def tower_suite(rep: FixedPointReport):
         check("scaling-identity |s2^2 - s_last|", abs(s[1] ** 2 - s[-1]), 1e-10),
         check("simplex-margin", t.factors[0].simplex_margin, 0.0, kind=">="),
     ]
-    margin, decay = verify_proper(seq, depth)
+    margin, decay = verify_proper(t)
     rows.append(check("proper-decay", 1.0 if decay else 0.0, 1.0, kind=">="))
     rr = ratio_report(t)
     rows.append(check("ratio-constancy", rr.max_deviation, 1e-12))

@@ -7,7 +7,7 @@ conditions for the domain boundaries.  Run `python make_reference.py`
 and compare against the checked-in literals.
 """
 
-from mpmath import findroot, mp, mpf, sqrt
+from mpmath import findroot, mp, mpf
 
 mp.dps = 50
 
@@ -117,7 +117,6 @@ show("MORAN5", moran(s5f(c5)))
 show("TIP3", 1 / (1 - c3) ** 2)
 show("TIP5", 1 / (1 - c5) ** 2)
 show("U_044_AT_0", u(mpf("0.44"), 0))
-show("PREIMAGE_044_05_RIGHT", mpf("0.44") + mpf("0.56") * sqrt(mpf("0.5")))
 o = orbit(mpf("0.440262"), 4)
 show("ORBIT_0440262_K3", o[3])
 show("ORBIT_0440262_K4", o[4])

@@ -76,7 +76,6 @@ TIP5 = 2.6631769392630028
 
 # spot values for the quadratic family
 U_044_AT_0 = 0.3826530612244898
-PREIMAGE_044_05_RIGHT = 0.8359797974644666
 ORBIT_0440262_K3 = 0.039203656811123033
 ORBIT_0440262_K4 = 0.4866122196725909
 R3_AT_041 = 1.4826519508390846

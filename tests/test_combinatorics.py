@@ -19,7 +19,6 @@ from renorm.scaling import (
 )
 from renorm.tower import Affine, LevelData, ScalingSequence, build_tower, local_intervals
 from renorm.horseshoe import symbol_scaling_sequence, Word
-from renorm.pwa import micro_intervals
 
 
 # The hand-written formulas the table replaced, kept verbatim as the
@@ -72,21 +71,8 @@ def _ref_local_intervals(period, lv, factor):
 
 
 def _ref_labels(t):
-    period, depth, chains, factors = t.period, t.depth, t.chains, t.factors
-    labels = {"y": [H(1.0) for H in chains], "z": [H(0.0) for H in chains]}
-    if period is Period.THREE:
-        labels["x"] = [None] + [chains[n - 1](factors[n - 1].s[0]) for n in range(1, depth + 1)]
-        labels["w"] = [None] + [chains[n - 1](1.0 - factors[n - 1].s[2]) for n in range(1, depth + 1)]
-        return labels
-    labels["a"] = [None] + [chains[n - 1](factors[n - 1].s[0]) for n in range(1, depth + 1)]
-    labels["h"] = [None] + [chains[n - 1](1.0 - factors[n - 1].s[4]) for n in range(1, depth + 1)]
-    for name, fam, local_t in (("d", 3, 0), ("e", 3, 1), ("f", 4, 0), ("g", 4, 1)):
-        vals = [None]
-        for n in range(1, depth + 1):
-            lo_loc, hi_loc = _ref_local_intervals(period, t.levels[n - 1], factors[n - 1])[fam]
-            vals.append(chains[n - 1](lo_loc if local_t == 0 else hi_loc))
-        labels[name] = vals
-    return labels
+    chains = t.chains
+    return {"y": [H(1.0) for H in chains], "z": [H(0.0) for H in chains]}
 
 
 def _bits(values):
@@ -146,7 +132,7 @@ def test_tower_bitwise_reference(rep3, rep5, bsys):
         ref = _ref_labels(t)
         assert list(t.labels) == list(ref)
         for name in ref:
-            assert _bits(ref[name][1:]) == _bits(t.labels[name][1:])
+            assert _bits(ref[name]) == _bits(t.labels[name])
 
 
 def test_local_intervals_need_a_critical_point_in_the_unit_interval():
@@ -186,9 +172,6 @@ def test_table_rows_are_consistent(period):
     for j, k in arrows:
         image = {_step(x, p, central=(j == 2)) for x in ivs[j - 1]}
         assert image == set(ivs[k - 1]), (j, k)
-    # tags name each non-central family once; labels name an end of a family
-    assert sorted(comb.tags.values()) == [i for i in range(1, p + 1) if i != 2]
-    assert all(1 <= fam <= p and end in (0, 1) for fam, end in comb.labels.values())
 
 
 @pytest.mark.parametrize("period", list(Period))
@@ -211,14 +194,3 @@ def test_domain_boundary_names(fd3, fd5):
     assert [n for _, n in fd3.punctures] == ["S1+S2+S3"]
     assert [n for _, n in fd5.punctures] == ["S1+S2+S3+S4+S5"]
 
-
-def test_tags_name_the_family_their_micro_interval_lands_on(f3, f5):
-    # at generation one each tag's landing interval (micro_intervals'
-    # own forward and preimage formulas) is the first-generation interval
-    # of the family the table gives the tag
-    for f in (f3, f5):
-        tags = COMBINATORICS[f.period].tags
-        landing = micro_intervals(f, 1)
-        assert set(landing) == set(tags)
-        for tag, fam in tags.items():
-            assert landing[tag] == pytest.approx(f.tower.generations[0][fam], abs=1e-10), tag

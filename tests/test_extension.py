@@ -11,7 +11,6 @@ from renorm.extension import (
     extend,
     fill_gap,
     lipschitz_profile,
-    marked_points,
     max_slope_profile,
     quadratic_tip,
     seed_pieces,
@@ -79,7 +78,9 @@ def test_curve_hits_quadratic_at_tower_endpoints(f3, curve3):
 
 
 def test_junctions_are_marked_points(f3, curve3):
-    marked = {round(x, 12) for x, _ in marked_points(f3.tower, 12)}
+    # the marked points p_1 .. p_12 sit at y_1, z_1, ..., y_6, z_6
+    t = f3.tower
+    marked = {round(x, 12) for k in range(1, 7) for x in (t.y(k), t.z(k))}
     for j in curve3.junctions():
         if j["left_level"] == j["right_level"] == 0:
             continue  # interior seed junctions within K1/K2

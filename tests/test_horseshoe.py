@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from renorm.pwa import shift_residual
-from renorm.tower import verify_proper
+from renorm.tower import build_tower, verify_proper
 from renorm.horseshoe import (
     CODING_PAD,
     BranchSystem,
@@ -157,7 +157,7 @@ def test_symbol_sequence_constant_word_is_stationary(bsys, rep3):
 
 def test_symbol_sequence_proper(bsys):
     seq = symbol_scaling_sequence(bsys, Word((0, 1, 2) * 2))
-    margin, decay = verify_proper(seq, 6)
+    margin, decay = verify_proper(build_tower(seq, 6))
     assert margin > 0.0 and decay
 
 
@@ -205,7 +205,6 @@ def test_word_validation():
         Word((0, 3))
     with pytest.raises(ValueError):
         Word((0, 1), alphabet=1)
-    assert Word((0, 1, 2)).shift().symbols == (1, 2)
 
 
 # The inversion before it stopped early: a fixed 64 bisection steps, and

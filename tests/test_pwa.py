@@ -4,12 +4,10 @@ from renorm.quadratic import eval_raw
 from renorm.scaling import Period, return_map
 from renorm.tower import LevelData, ScalingSequence
 from renorm.pwa import (
-    BranchUndefined,
     DepthExhausted,
     OutsideDomain,
     build_pwa,
     fixed_residual,
-    partial_renormalize,
     renormalize,
     shift_residual,
     slope_profile,
@@ -40,7 +38,8 @@ def test_generation_one_branch_values(seq3):
     b1 = next(b for b in f.branches if b.level == 1 and b.family == 1)
     assert b1.map(0.0) == pytest.approx(ORBIT3[1], abs=1e-14)
     assert b1.map(b1.hi) == pytest.approx(eval_raw(f.c0, b1.hi), abs=1e-14)
-    assert f.critical_value_anchor == pytest.approx(ORBIT3[1], abs=1e-14)
+    # u(0) is the left end of the first central interval
+    assert f.tower.generations[0][2][0] == pytest.approx(ORBIT3[1], abs=1e-14)
 
 
 def test_affine_vs_quadratic_midpoint(f3):
@@ -59,7 +58,7 @@ def test_quintupling_branch_families(f5):
 
 
 def test_eval_at_branch_endpoint(f3):
-    w1 = f3.tower.labels["w"][1]  # inner endpoint of I_3^1
+    w1 = f3.tower.generations[0][3][0]  # inner endpoint of I_3^1
     assert f3(w1) == pytest.approx(eval_raw(f3.c0, w1), abs=1e-13)
 
 
@@ -68,7 +67,7 @@ def test_eval_at_zero(f3):
 
 
 def test_eval_in_gap_raises(f3):
-    x1 = f3.tower.labels["x"][1]
+    x1 = f3.tower.generations[0][1][1]  # inner endpoint of I_1^1
     y1 = f3.tower.y(1)
     with pytest.raises(OutsideDomain):
         f3(0.5 * (x1 + y1))  # inside the left gap
@@ -161,48 +160,6 @@ def test_depth_exhausted():
         renormalize(rf)
     with pytest.raises(ValueError):
         build_pwa(seq, 1)
-
-
-@pytest.mark.parametrize("branch", ["+", "-"])
-def test_partial_renormalize_three(f3, branch):
-    # stationary data: the n-shifted map is the map itself; the pulled-back
-    # sample abscissae carry rescaling noise, hence the dispatch slack
-    for n in (1, 2):
-        samples = partial_renormalize(f3, n, branch)
-        assert samples
-        for x, v in samples:
-            assert abs(v - f3(x, tol=1e-12)) <= 1e-10
-
-
-@pytest.mark.parametrize("branch", ["+", "++", "-", "--"])
-def test_partial_renormalize_five(f5, branch):
-    for n in (1, 2):
-        samples = partial_renormalize(f5, n, branch)
-        assert samples
-        for x, v in samples:
-            assert abs(v - f5(x, tol=1e-11)) <= 1e-10
-
-
-def test_micro_intervals_generation_one(f3, f5):
-    from renorm.pwa import micro_intervals
-
-    m3 = micro_intervals(f3, 1)
-    t3 = f3.tower
-    # the two-step preimage interval is exactly the first left interval
-    assert m3["-"] == pytest.approx(t3.generations[0][1], abs=1e-12)
-    assert m3["+"][0] == pytest.approx(eval_raw(f3.c0, t3.y(1)), abs=1e-13)
-    m5 = micro_intervals(f5, 1)
-    t5 = f5.tower
-    # single and double branch preimages land exactly on I_4^1 and I_3^1
-    assert m5["-"] == pytest.approx(t5.generations[0][4], abs=1e-10)
-    assert m5["--"] == pytest.approx(t5.generations[0][3], abs=1e-10)
-
-
-def test_partial_renormalize_beyond_depth(f3):
-    with pytest.raises(BranchUndefined):
-        partial_renormalize(f3, f3.depth, "+")
-    with pytest.raises(ValueError):
-        partial_renormalize(f3, 1, "++")  # five-only tag
 
 
 def test_pwa_tip_ratios(f3, rep3):

@@ -1,23 +1,8 @@
 import numpy as np
 import pytest
 
-from renorm.quadratic import (
-    Branch,
-    DomainError,
-    OutOfIntervalPreimage,
-    QuadraticUnimodal,
-    eval_map,
-    iterate,
-    orbit,
-    preimage,
-    quadratic_tip_constant,
-)
-from reference_values import (
-    ORBIT_0440262_K3,
-    ORBIT_0440262_K4,
-    PREIMAGE_044_05_RIGHT,
-    U_044_AT_0,
-)
+from renorm.quadratic import DomainError, QuadraticUnimodal, eval_map, orbit
+from reference_values import ORBIT_0440262_K3, ORBIT_0440262_K4, U_044_AT_0
 
 U44 = QuadraticUnimodal(0.44)
 
@@ -42,52 +27,22 @@ def test_eval_domain_error():
 
 
 def test_iterate_zero_times():
-    assert iterate(U44, 0.37, 0) == 0.37
+    assert orbit(U44, 0) == [0.0]
 
 
 def test_iterate_printed_parameter():
-    u = QuadraticUnimodal(0.440262)
-    assert abs(iterate(u, 0.0, 3) - ORBIT_0440262_K3) < 1e-12
-    assert abs(iterate(u, 0.0, 4) - ORBIT_0440262_K4) < 1e-12
+    o = orbit(QuadraticUnimodal(0.440262), 4)
+    assert abs(o[3] - ORBIT_0440262_K3) < 1e-12
+    assert abs(o[4] - ORBIT_0440262_K4) < 1e-12
 
 
 def test_orbit_matches_iterate():
+    # o[k] is the k-fold composition u^k(0), bitwise
     o = orbit(U44, 5)
-    assert o[0] == 0.0
-    for k, x in enumerate(o):
-        assert x == pytest.approx(iterate(U44, 0.0, k), abs=0)
-
-
-def test_preimage_of_maximum():
-    assert preimage(U44, 1.0, Branch.LEFT) == pytest.approx(0.44, abs=1e-15)
-    assert preimage(U44, 1.0, Branch.RIGHT) == pytest.approx(0.44, abs=1e-15)
-
-
-def test_preimage_of_zero_right():
-    assert preimage(U44, 0.0, Branch.RIGHT) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_preimage_half_right():
-    assert abs(preimage(U44, 0.5, Branch.RIGHT) - PREIMAGE_044_05_RIGHT) < 1e-12
-
-
-def test_preimage_roundtrip_grid():
-    for y in np.linspace(0.0, 1.0, 211):
-        x = preimage(U44, float(y), Branch.RIGHT)
-        assert abs(eval_map(U44, x) - y) <= 1e-12
-        if y >= eval_map(U44, 0.0):
-            x = preimage(U44, float(y), Branch.LEFT)
-            assert abs(eval_map(U44, x) - y) <= 1e-12
-
-
-def test_preimage_left_out_of_interval():
-    # left preimages below u(0) land outside [0, 1]
-    with pytest.raises(OutOfIntervalPreimage):
-        preimage(U44, 0.1, Branch.LEFT)
-
-
-def test_preimage_clamps_tiny_negative_radicand():
-    assert preimage(U44, 1.0 + 5e-16, Branch.LEFT) == pytest.approx(0.44, abs=1e-12)
+    x = 0.0
+    for k in range(6):
+        assert o[k] == x
+        x = eval_map(U44, x)
 
 
 def test_not_symmetric_about_midpoint_unless_half():
@@ -109,15 +64,6 @@ def test_monotone_branches(c):
     right = [eval_map(u, float(x)) for x in np.linspace(c, 1.0, 101)]
     assert all(b > a for a, b in zip(left[:-1], left[1:]))
     assert all(b < a for a, b in zip(right[:-1], right[1:]))
-
-
-def test_tip_constant_symmetric_control():
-    assert quadratic_tip_constant(QuadraticUnimodal(0.5)) == pytest.approx(4.0, abs=1e-15)
-
-
-def test_negative_iterations_rejected():
-    with pytest.raises(ValueError):
-        iterate(U44, 0.2, -1)
 
 
 def test_critical_point_validation():

@@ -124,6 +124,12 @@ def test_cli_plotdata_returnmap_crossings(capsys):
     assert crossings[1] == 1  # exactly one in the second
 
 
+@pytest.mark.parametrize("kind, grid", [("scaling", "0"), ("returnmap", "1")])
+def test_cli_plotdata_grid_without_rows_is_usage_error(capsys, kind, grid):
+    # a header-only CSV is no plot
+    assert run_cli(capsys, "plotdata", kind, "--period", "3", "--grid", grid) == (2, "")
+
+
 def test_cli_plotdata_cobweb(capsys):
     code, out = run_cli(capsys, "plotdata", "cobweb", "--period", "3")
     assert code == 0
@@ -211,7 +217,8 @@ def test_cli_out_file_and_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config", [{"period": 4}, {"period": "3"}, {"depth": 0}, {"depth": "5"}]
+    "config",
+    [{"period": 4}, {"period": "3"}, {"depth": 0}, {"depth": "5"}, [1, 2], 5, {"depht": 30}],
 )
 def test_cli_bad_config_is_usage_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from renorm.scaling import (
+    REFINE_TOL,
     DivisionGuard,
     FeasibleDomain,
     Period,
@@ -50,15 +51,13 @@ def test_quintupling_fixed_point(rep5):
 
 
 def test_no_root_in_first_component(fd3):
-    first_only = FeasibleDomain(
-        Period.THREE, [fd3.intervals[0]], fd3.boundary_tol
-    )
+    first_only = FeasibleDomain(Period.THREE, [fd3.intervals[0]])
     with pytest.raises(NoRoot):
         solve_fixed_point(Period.THREE, first_only)
 
 
 def test_no_root_in_first_component_five(fd5):
-    first_only = FeasibleDomain(Period.FIVE, [fd5.intervals[0]], fd5.boundary_tol)
+    first_only = FeasibleDomain(Period.FIVE, [fd5.intervals[0]])
     with pytest.raises(NoRoot):
         solve_fixed_point(Period.FIVE, first_only)
 
@@ -128,7 +127,7 @@ def _scalar_reference_solve(period, eps):
 
     brackets = []
     for lo, hi in domain.intervals:
-        pad = 2.0 * domain.boundary_tol
+        pad = 2.0 * REFINE_TOL
         lo, hi = lo + pad, hi - pad
         n = max(int(np.ceil((hi - lo) / SCAN_GRID)), 2)
         xs = np.linspace(lo, hi, n + 1)
@@ -155,5 +154,3 @@ def test_tolerance_validation():
     for tol in (1e-16, float("nan")):
         with pytest.raises(ValueError):
             solve_fixed_point(Period.THREE, tol=tol)
-        with pytest.raises(ValueError):
-            solve_fixed_point_eps(1.01, tol=tol)

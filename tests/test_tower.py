@@ -39,8 +39,8 @@ def test_endpoint_labels_follow_orbit(seq3):
     assert t.y(0) == 1.0 and t.z(0) == 0.0
     assert t.y(1) == pytest.approx(ORBIT3[1], abs=1e-13)   # u(0)
     assert t.z(1) == pytest.approx(ORBIT3[4], abs=1e-13)   # u^4(0)
-    assert t.labels["x"][1] == pytest.approx(ORBIT3[3], abs=1e-13)  # u^3(0)
-    assert t.labels["w"][1] == pytest.approx(ORBIT3[2], abs=1e-13)  # u^2(0)
+    assert t.generations[0][1][1] == pytest.approx(ORBIT3[3], abs=1e-13)  # x_1 = u^3(0)
+    assert t.generations[0][3][0] == pytest.approx(ORBIT3[2], abs=1e-13)  # w_1 = u^2(0)
     # parity alternation: y odd = min, y even = max of the central interval
     for n in range(1, 5):
         lo, hi = t.generations[n - 1][2]
@@ -85,13 +85,13 @@ def test_critical_enclosure(seq3, rep3):
 
 
 def test_verify_proper_stationary(seq3):
-    margin, decay = verify_proper(seq3, 10)
+    margin, decay = verify_proper(build_tower(seq3, 10))
     assert margin == pytest.approx(S3_STAR[2], abs=1e-9)  # min component s3
     assert decay
 
 
 def test_verify_proper_single_generation(seq3):
-    margin, decay = verify_proper(seq3, 1)
+    margin, decay = verify_proper(build_tower(seq3, 1))
     assert margin > 0.0 and decay
 
 
@@ -181,20 +181,6 @@ def test_sequence_shift(seq3, bsys):
     assert seq3.shift().level(5) == seq3.level(6)
 
 
-def test_sequence_from_factor(rep3):
-    f = scaling_from_critical(Period.THREE, rep3.c_star)
-    seq = ScalingSequence.from_factor(f)
-    t = build_tower(seq, 3)
-    assert t.factors[0].s == f.s
-    with pytest.raises(ValueError):
-        ScalingSequence.from_factor(ScalingFactor(Period.THREE, (0.1, 0.1, 0.1)))
-    # an eps factor yields the eps-stationary rule
-    fe = scaling_from_critical(Period.THREE, 0.44, eps=0.98)
-    seq = ScalingSequence.from_factor(fe)
-    assert seq.level(4).eps == 0.98
-    assert build_tower(seq, 3).factors[2] == fe
-
-
 def test_depth_underflow_raises(seq3):
     # |s2|^n at c* leaves the normal binary64 range at depth 315 (and reaches
     # 0.0 at 332); sizes stop being relatively precise there
@@ -208,13 +194,17 @@ def test_depth_underflow_raises(seq3):
 
 def test_quintupling_labels(seq5):
     t = build_tower(seq5, 4)
-    # d/f are the min endpoints at odd generations, max at even ones
+    # d/f, the images of the lower local ends of I_3 and I_4, are the min
+    # endpoints at odd generations and max at even ones; e/g the other way
     for n in range(1, 5):
+        H, loc = t.chains[n - 1], t.local[n - 1]
+        d, e = H(loc[3][0]), H(loc[3][1])
+        f, g = H(loc[4][0]), H(loc[4][1])
         lo3, hi3 = t.generations[n - 1][3]
         lo4, hi4 = t.generations[n - 1][4]
         if n % 2 == 1:
-            assert t.labels["d"][n] == lo3 and t.labels["e"][n] == hi3
-            assert t.labels["f"][n] == lo4 and t.labels["g"][n] == hi4
+            assert d == lo3 and e == hi3
+            assert f == lo4 and g == hi4
         else:
-            assert t.labels["d"][n] == hi3 and t.labels["e"][n] == lo3
-            assert t.labels["f"][n] == hi4 and t.labels["g"][n] == lo4
+            assert d == hi3 and e == lo3
+            assert f == hi4 and g == lo4
