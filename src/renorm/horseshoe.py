@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import Period, return_map
+from .scaling import DivisionGuard, Period, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
 
@@ -25,6 +25,8 @@ CYLINDER_CAP = 14          # depth cap for the three-letter system
 CYLINDER_TOTAL_CAP = 3**14  # and the matching bound on alphabet**n overall
 CYLINDER_SLACK = 1e-10      # negative cylinder width forgiven, relative to the base
 CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
+LANE_BLOCK = 1 << 13  # inversion lanes per call: big enough to share the
+                      # per-call overhead, small enough to stay in cache
 
 
 class ExpansionTooWeak(RuntimeError):
@@ -88,26 +90,52 @@ class BranchSystem:
         return return_map(Period.THREE, c, eps=self.epsilons[i])
 
 
-def _invert_branch(b: BranchSystem, i: int, ys):
+def _invert_branch(b: BranchSystem, i, ys):
     """Vectorized monotone bisection of R(., eps_i) = y inside A_i.
 
-    At most 64 steps; it stops after the first step that moves no lane.
-    That step is a fixed point of the update (the same lo and hi give the
-    same mid and comparison), so the rest of a fixed 64 steps would change
-    nothing and the result is bitwise theirs.  A width test would stop
-    short of that point and change the result.
+    i is one letter or an array of letters, one per lane of ys; each lane
+    reads its own A_i and eps_i, so a call over several letters is bitwise
+    the per-letter calls.  At most 64 steps; it stops after the first step
+    that moves no lane.  That step is a fixed point of the update (the same
+    lo and hi give the same mid and comparison), so the rest of a fixed 64
+    steps would change nothing and the result is bitwise theirs.  A width
+    test would stop short of that point and change the result.
     """
     ys = np.asarray(ys, dtype=float)
-    lo = np.full_like(ys, b.domains[i][0])
-    hi = np.full_like(ys, b.domains[i][1])
+    doms = np.asarray(b.domains)
+    lo = np.broadcast_to(doms[i, 0], ys.shape)
+    hi = np.broadcast_to(doms[i, 1], ys.shape)
+    eps = np.asarray(b.epsilons)[i]
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        below = b.map(i, mid) < ys
+        below = return_map(Period.THREE, mid, eps=eps) < ys
         new_lo = np.where(below, mid, lo)
         new_hi = np.where(below, hi, mid)
         if (new_lo == lo).all() and (new_hi == hi).all():
             break
         lo, hi = new_lo, new_hi
+    return 0.5 * (lo + hi)
+
+
+def _invert_point(b: BranchSystem, i: int, y: float) -> float:
+    """_invert_branch for one float: the same midpoints and comparisons in
+    plain floats, stopping at the same fixed point, so bitwise its lane."""
+    lo, hi = b.domains[i]
+    e = b.epsilons[i]
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        try:
+            below = return_map(Period.THREE, mid, eps=e) < y
+        except DivisionGuard:
+            below = False  # the array path's NaN compares false
+        if below:
+            if mid == lo:
+                break
+            lo = mid
+        elif mid == hi:
+            break
+        else:
+            hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -162,13 +190,15 @@ def _backward_codings(b: BranchSystem, letters, count: int):
     """One backward pass: x_n = R_{a_n}^{-1}(x_{n+1}), n = len-1 .. 0.
 
     Returns x_0 .. x_{count-1}, the coded points of the successive shifts.
-    Backward consistency makes R(x_n, eps_{a_n}) = x_{n+1} hold to the
-    inversion tolerance, which is what towers built from the codings need.
+    Each step depends on the last, so the pass runs in plain floats
+    (_invert_point), bitwise what _invert_branch gives one lane.  Backward
+    consistency makes R(x_n, eps_{a_n}) = x_{n+1} hold to the inversion
+    tolerance, which is what towers built from the codings need.
     """
     x = 0.5 * (b.base[0] + b.base[1])
     xs = [0.0] * len(letters)
     for n in range(len(letters) - 1, -1, -1):
-        x = float(_invert_branch(b, letters[n], x))
+        x = _invert_point(b, letters[n], x)
         xs[n] = x
     return xs[:count]
 
@@ -236,16 +266,19 @@ def _next_level(b: BranchSystem, los, his):
     """Endpoints of the (n+1)-cylinders from those of the n-cylinders,
     letter-major: R_i^{-1} of every n-cylinder for i = 0, 1, ...
 
-    Both endpoint arrays go through one inversion per letter; the lanes
-    are independent, and per-call overhead dominates these small arrays.
+    Every letter's inversion of both endpoint arrays is one run of lanes,
+    letter-major with los before his, cut into blocks of LANE_BLOCK lanes
+    and inverted one _invert_branch call per block.  The lanes are
+    independent, so the blocks change no number.
     """
     k = len(los)
     ends = np.concatenate([los, his])
-    inv = [_invert_branch(b, i, ends) for i in range(b.alphabet)]
-    return (
-        np.concatenate([x[:k] for x in inv]),
-        np.concatenate([x[k:] for x in inv]),
-    )
+    out = np.empty(b.alphabet * 2 * k)
+    for start in range(0, len(out), LANE_BLOCK):
+        lane = np.arange(start, min(start + LANE_BLOCK, len(out)))
+        out[start : start + LANE_BLOCK] = _invert_branch(b, lane // (2 * k), ends[lane % (2 * k)])
+    out = out.reshape(b.alphabet, 2, k)
+    return out[:, 0].ravel(), out[:, 1].ravel()
 
 
 def entropy_estimate(b: BranchSystem, n: int) -> float:

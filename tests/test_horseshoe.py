@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from renorm.pwa import shift_residual
+from renorm.scaling import DivisionGuard
 from renorm.tower import build_tower, verify_proper
+from renorm import horseshoe
 from renorm.horseshoe import (
     CODING_PAD,
+    LANE_BLOCK,
     BranchSystem,
     Word,
     _invert_branch,
+    _invert_point,
     _next_level,
     build_branch_system,
     code_to_point,
@@ -265,12 +269,59 @@ def test_codings_bitwise_fixed_64(request, name):
 def test_inversion_stops_before_the_cap(bsys, monkeypatch):
     # the A_i are ~1e-5 wide, so every lane stops moving well before 64 steps
     steps = []
-    real_map = BranchSystem.map
+    real_map = horseshoe.return_map
 
-    def counting_map(b, i, c):
-        steps.append(i)
-        return real_map(b, i, c)
+    def counting_map(period, c, eps):
+        steps.append(eps)
+        return real_map(period, c, eps=eps)
 
-    monkeypatch.setattr(BranchSystem, "map", counting_map)
+    monkeypatch.setattr(horseshoe, "return_map", counting_map)
     _invert_branch(bsys, 1, np.linspace(*bsys.base, 50))
     assert 0 < len(steps) < 64
+    steps.clear()
+    _invert_point(bsys, 1, 0.5 * (bsys.base[0] + bsys.base[1]))
+    assert 0 < len(steps) < 64
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5"])
+def test_invert_point_is_bitwise_one_lane(request, name):
+    b = request.getfixturevalue(name)
+    lo, hi = b.base
+    span = hi - lo
+    rng = np.random.default_rng(80 + b.alphabet)
+    # seeded points of the base, both base ends, and points outside every
+    # branch image, whose lanes collapse onto an end of A_i
+    below, above = lo - span, hi + span
+    ys = list(rng.uniform(lo, hi, 12)) + [lo, hi, below, above, 0.0, 1.0]
+    lanes = [(i, y) for i in range(b.alphabet) for y in ys]
+    points = [_invert_point(b, i, y) for i, y in lanes]
+    for (i, y), x in zip(lanes, points):
+        assert np.float64(x).tobytes() == _invert_branch(b, i, [y])[0].tobytes()
+    # and one call with a letter per lane inverts every lane the same way
+    letters, lane_ys = (np.array(v) for v in zip(*lanes))
+    assert _invert_branch(b, letters, lane_ys).tobytes() == np.array(points).tobytes()
+    for i, (a, z) in enumerate(b.domains):
+        assert _invert_point(b, i, below) == pytest.approx(a, abs=1e-15)
+        assert _invert_point(b, i, above) == pytest.approx(z, abs=1e-15)
+
+
+def test_invert_point_reads_the_guard_as_the_array_nan(bsys):
+    # a hand-built branch whose domain reaches below the s2 pole at
+    # c ~ 0.352: the scalar raise must steer the bisection as NaN does
+    with pytest.raises(DivisionGuard):
+        bsys.map(1, 0.3)
+    b = BranchSystem((1.0,), bsys.reports[1:2], ((0.3, 0.45),))
+    for y in (0.0, 0.44, 50.0):
+        x = _invert_point(b, 0, y)
+        assert np.float64(x).tobytes() == _invert_branch(b, 0, [y])[0].tobytes()
+
+
+def test_bitwise_levels_span_a_partial_lane_block(request):
+    # the fixed-64 comparison must reach a level cut into several blocks
+    # with a short last one (3 letters, depth 10: 3 * 2 * 3^9 = 118098)
+    (mark,) = test_cylinder_levels_bitwise_fixed_64.pytestmark
+    lanes = []
+    for name, depth in mark.args[1]:
+        m = request.getfixturevalue(name).alphabet
+        lanes += [m * 2 * m**n for n in range(1, depth)]
+    assert any(x > LANE_BLOCK and x % LANE_BLOCK for x in lanes)
