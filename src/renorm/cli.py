@@ -50,6 +50,7 @@ NUMERICAL_ERRORS = (
     InvalidFactor,
     DepthUnderflow,
     hs.ExpansionTooWeak,
+    hs.NotAHorseshoe,
     ext.FillerOvershoot,
     ext.NonConvergent,
 )

@@ -3,30 +3,40 @@
 Fixed points of R(., eps_i) for eps_0 > eps_1 > ... near 1 are ordered
 increasingly in c; each branch maps a small interval A_i around its fixed
 point diffeomorphically onto the common base [c_first*, c_last*] with
-derivative above 2.  Backward composition of the contracting inverse
+derivative above 2.  An outward-rounded interval proof (BranchSystem.slopes)
+certifies the full shift: the A_i are disjoint, each branch image covers
+the base and inf R_i' > 1 on A_i, so there are m^k k-cylinders for every k
+with no enumeration.  Backward composition of the contracting inverse
 branches codes symbol sequences to points of the invariant Cantor set,
-every cylinder is nonempty (the full shift), and the coded critical
-points generate proper scaling data for symbol-driven towers and maps.
+and the coded critical points generate proper scaling data for
+symbol-driven towers and maps.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .scaling import DivisionGuard, Period, return_map
+from .interval import Interval
+from .scaling import COMBINATORICS, S2_FLOOR, DivisionGuard, Period, _orbit_points, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
 
 INVERSE_TOL = 1e-13
-CYLINDER_CAP = 14          # depth cap for the three-letter system
-CYLINDER_TOTAL_CAP = 3**14  # and the matching bound on alphabet**n overall
-CYLINDER_SLACK = 1e-10      # negative cylinder width forgiven, relative to the base
+# delta: the A_i ends are bisected to INVERSE_TOL, so R_i(A_i ends) miss the
+# base ends by up to INVERSE_TOL * R' (about 6e-12).  Each A_i widened by
+# MARGIN/2 has image ends about R' * MARGIN/2 further out, past the base
+# widened by MARGIN, which is where the certificate proves the full shift.
+MARGIN = 1e-11
+MAX_COUNT = 2**63 - 1  # the largest cylinder count: an int64, which np.log takes
 CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
-LANE_BLOCK = 1 << 13  # inversion lanes per call: big enough to share the
-                      # per-call overhead, small enough to stay in cache
+
+
+class NotAHorseshoe(RuntimeError):
+    """A condition of the full-shift certificate failed."""
 
 
 class ExpansionTooWeak(RuntimeError):
@@ -89,37 +99,111 @@ class BranchSystem:
     def map(self, i: int, c):
         return return_map(Period.THREE, c, eps=self.epsilons[i])
 
+    @cached_property
+    def slopes(self) -> tuple:
+        """Enclosures of R_i' over each A_i widened by MARGIN/2, once the
+        interval proof certifies the full shift on the base widened by
+        MARGIN; raises NotAHorseshoe naming the condition that failed.
 
-def _invert_branch(b: BranchSystem, i, ys):
-    """Vectorized monotone bisection of R(., eps_i) = y inside A_i.
+        (a) the widened A_i are disjoint, increasing and inside the widened
+            base;
+        (c) inf R_i' > 1 over each (R_i is smooth there: s2 stays above
+            S2_FLOOR);
+        (b) R_i sends the widened A_i's ends below and above the base, so
+            its monotone image covers the base.
+        Then each inverse branch maps the base into A_i, every word's
+        cylinder is a nonempty interval, and distinct words of one length
+        give disjoint ones: alphabet^k k-cylinders for every k.
+        """
+        lo, hi = self.base[0] - MARGIN, self.base[1] + MARGIN
+        doms = [(a - 0.5 * MARGIN, z + 0.5 * MARGIN) for a, z in self.domains]
+        ends = [x for d in doms for x in d]
+        if any(not x < y for x, y in zip(ends, ends[1:])):
+            raise NotAHorseshoe(f"branch domains {self.domains} are not disjoint and increasing")
+        if not (lo <= ends[0] and ends[-1] <= hi):
+            raise NotAHorseshoe(f"branch domains {self.domains} leave the base {self.base}")
+        out = []
+        for i, ((a, z), e) in enumerate(zip(doms, self.epsilons)):
+            try:
+                slope = _branch_enclosure(Interval(a, z), e)[1]
+            except DivisionGuard as exc:
+                raise NotAHorseshoe(f"branch {i} is not smooth on A_{i}: {exc}") from None
+            if not slope.lo > 1.0:
+                raise NotAHorseshoe(f"branch {i} slope {slope} is not above 1 on A_{i}")
+            img_lo = _branch_enclosure(Interval(a, a), e)[0]
+            img_hi = _branch_enclosure(Interval(z, z), e)[0]
+            if not (img_lo.hi <= lo and img_hi.lo >= hi):
+                raise NotAHorseshoe(
+                    f"branch {i} image [{img_lo.hi}, {img_hi.lo}] does not cover the base"
+                )
+            out.append(slope)
+        return tuple(out)
 
-    i is one letter or an array of letters, one per lane of ys; each lane
-    reads its own A_i and eps_i, so a call over several letters is bitwise
-    the per-letter calls.  At most 64 steps; it stops after the first step
-    that moves no lane.  That step is a fixed point of the update (the same
-    lo and hi give the same mid and comparison), so the rest of a fixed 64
-    steps would change nothing and the result is bitwise theirs.  A width
-    test would stop short of that point and change the result.
-    """
-    ys = np.asarray(ys, dtype=float)
-    doms = np.asarray(b.domains)
-    lo = np.broadcast_to(doms[i, 0], ys.shape)
-    hi = np.broadcast_to(doms[i, 1], ys.shape)
-    eps = np.asarray(b.epsilons)[i]
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = return_map(Period.THREE, mid, eps=eps) < ys
-        new_lo = np.where(below, mid, lo)
-        new_hi = np.where(below, hi, mid)
-        if (new_lo == lo).all() and (new_hi == hi).all():
-            break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+
+class _Jet:
+    """A function of c and its c-derivative, each enclosed over an Interval
+    of c: forward-mode differentiation in interval arithmetic."""
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val: Interval, der: Interval):
+        self.val = val
+        self.der = der
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val + o.val, self.der + o.der)
+        return _Jet(self.val + o, self.der)
+
+    def __sub__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.val - o.val, self.der - o.der)
+        return _Jet(self.val - o, self.der)
+
+    def __rsub__(self, o):  # o is a float
+        return _Jet(o - self.val, -self.der)
+
+    def __mul__(self, o):
+        if o is self:
+            return _Jet(self.val.square(), 2.0 * self.val * self.der)
+        if isinstance(o, _Jet):
+            return _Jet(self.val * o.val, self.val * o.der + self.der * o.val)
+        return _Jet(self.val * o, self.der * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, _Jet):
+            q = self.val / o.val
+            return _Jet(q, (self.der - q * o.der) / o.val)
+        return _Jet(self.val / o, self.der / o)
+
+
+def _branch_enclosure(c: Interval, eps: float) -> tuple:
+    """Enclosures of R(., eps) and dR/dc over the interval c, through the
+    orbit _orbit_points computes (the pull at index 3).  Raises
+    DivisionGuard unless the s2 enclosure stays above S2_FLOOR."""
+    c_jet = _Jet(c, Interval(1.0, 1.0))
+    o = _orbit_points(Period.THREE, c_jet, eps)
+    left, right = COMBINATORICS[Period.THREE].intervals[1]
+    top = o[right]
+    s2 = top - o[left]
+    if not s2.val.lo > S2_FLOOR:
+        raise DivisionGuard(f"s2 enclosure {s2.val} over {c} is not above the floor {S2_FLOOR}")
+    r = (top - c_jet) / s2
+    return r.val, r.der
 
 
 def _invert_point(b: BranchSystem, i: int, y: float) -> float:
-    """_invert_branch for one float: the same midpoints and comparisons in
-    plain floats, stopping at the same fixed point, so bitwise its lane."""
+    """The x in A_i with R(x, eps_i) = y by monotone bisection in plain floats.
+
+    At most 64 steps; it stops after the first step that moves neither
+    end.  That step is a fixed point of the update (the same lo and hi give
+    the same mid and comparison), so the rest of a fixed 64 steps would
+    change nothing and the result is bitwise theirs.  A width test would
+    stop short of that point and change the result.  Where s2 is below the
+    floor, the guard reads as "not below", as a NaN compares.
+    """
     lo, hi = b.domains[i]
     e = b.epsilons[i]
     for _ in range(64):
@@ -127,7 +211,7 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
         try:
             below = return_map(Period.THREE, mid, eps=e) < y
         except DivisionGuard:
-            below = False  # the array path's NaN compares false
+            below = False  # as return_map's NaN on an array compares
         if below:
             if mid == lo:
                 break
@@ -191,9 +275,9 @@ def _backward_codings(b: BranchSystem, letters, count: int):
 
     Returns x_0 .. x_{count-1}, the coded points of the successive shifts.
     Each step depends on the last, so the pass runs in plain floats
-    (_invert_point), bitwise what _invert_branch gives one lane.  Backward
-    consistency makes R(x_n, eps_{a_n}) = x_{n+1} hold to the inversion
-    tolerance, which is what towers built from the codings need.
+    (_invert_point).  Backward consistency makes R(x_n, eps_{a_n}) = x_{n+1}
+    hold to the inversion tolerance, which is what towers built from the
+    codings need.
     """
     x = 0.5 * (b.base[0] + b.base[1])
     xs = [0.0] * len(letters)
@@ -223,62 +307,30 @@ def coded_orbit(b: BranchSystem, alpha: Word, count: int):
 
 
 def cylinder_counts(b: BranchSystem, n: int) -> list:
-    """Numbers of nonempty k-cylinders for k = 1..n from one pass of nested
-    inverse-branch intervals.
+    """Numbers of k-cylinders for k = 1..n: alphabet^k, once b.slopes
+    certifies the full shift (NotAHorseshoe otherwise).
 
-    The A_i must be disjoint and increasing and each branch image must
-    cover the base (both checked before any nesting), so for a genuine
-    horseshoe the count is alphabet^k; words whose nested interval
-    collapses inconsistently would be dropped.
+    Refuses n below 1 and counts above MAX_COUNT, before any proof.
     """
-    if not 1 <= n <= CYLINDER_CAP:
-        raise ValueError(f"need 1 <= n <= {CYLINDER_CAP}")
-    if b.alphabet**n > CYLINDER_TOTAL_CAP:
-        raise ValueError(
-            f"{b.alphabet}^{n} cylinders exceed the desk-scale cap {CYLINDER_TOTAL_CAP}"
-        )
-    base_lo, base_hi = b.base
-    slack = CYLINDER_SLACK * (base_hi - base_lo)
-    for i, (lo, hi) in enumerate(b.domains):
-        img_lo, img_hi = b.map(i, lo), b.map(i, hi)
-        if img_lo > base_lo + 1e-9 or img_hi < base_hi - 1e-9:
-            raise RuntimeError(
-                f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
+    m = b.alphabet
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if m > 1:
+        limit = 1
+        while m ** (limit + 1) <= MAX_COUNT:
+            limit += 1
+        if n > limit:
+            raise ValueError(
+                f"{m}^{n} cylinders exceed the count limit 2^63 - 1: "
+                f"need n <= {limit} for {m} letters"
             )
-    ends = [x for d in b.domains for x in d]
-    if any(not x < y for x, y in zip(ends, ends[1:])):
-        raise RuntimeError(f"branch domains {b.domains} are not disjoint and increasing")
-    los = np.array([d[0] for d in b.domains])
-    his = np.array([d[1] for d in b.domains])
-    counts = [int(np.count_nonzero(his - los >= -slack))]
-    for _ in range(n - 1):
-        los, his = _next_level(b, los, his)
-        counts.append(int(np.count_nonzero(his - los >= -slack)))
-    return counts
+    b.slopes  # the proof, once per system; raises NotAHorseshoe if it fails
+    return [m**k for k in range(1, n + 1)]
 
 
 def cylinder_count(b: BranchSystem, n: int) -> int:
-    """Number of nonempty n-cylinders; the last of cylinder_counts."""
+    """Number of n-cylinders; the last of cylinder_counts."""
     return cylinder_counts(b, n)[-1]
-
-
-def _next_level(b: BranchSystem, los, his):
-    """Endpoints of the (n+1)-cylinders from those of the n-cylinders,
-    letter-major: R_i^{-1} of every n-cylinder for i = 0, 1, ...
-
-    Every letter's inversion of both endpoint arrays is one run of lanes,
-    letter-major with los before his, cut into blocks of LANE_BLOCK lanes
-    and inverted one _invert_branch call per block.  The lanes are
-    independent, so the blocks change no number.
-    """
-    k = len(los)
-    ends = np.concatenate([los, his])
-    out = np.empty(b.alphabet * 2 * k)
-    for start in range(0, len(out), LANE_BLOCK):
-        lane = np.arange(start, min(start + LANE_BLOCK, len(out)))
-        out[start : start + LANE_BLOCK] = _invert_branch(b, lane // (2 * k), ends[lane % (2 * k)])
-    out = out.reshape(b.alphabet, 2, k)
-    return out[:, 0].ravel(), out[:, 1].ravel()
 
 
 def entropy_estimate(b: BranchSystem, n: int) -> float:

@@ -24,9 +24,7 @@ the inner end of I_3, the one other site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
-scans each feasible interval in one call.  For period three eps may be an
-array too, one value per lane, so the horseshoe inverts the branches of
-several eps values in one call.
+scans each feasible interval in one call.
 """
 
 from __future__ import annotations
@@ -150,16 +148,9 @@ def _orbit_points(period: Period, c, eps: float = 1.0):
     point, then the point 1.0 at index ONE.
 
     Multiplying by eps = 1.0 is exact, so the unperturbed orbit comes out
-    bitwise; the perturbation is defined for period three only.  eps may be
-    an array, one value per lane of c: the pull is elementwise, so each
-    lane is bitwise the orbit of its own scalar eps.
+    bitwise; the perturbation is defined for period three only.
     """
-    # a float skips isinstance, which costs more than the scalar checks
-    if eps.__class__ is not float and isinstance(eps, np.ndarray):
-        # a NaN lane compares false and is refused too
-        if period is not Period.THREE or not (eps > 0.0).all():
-            raise ValueError("per-lane eps needs period three and positive lanes")
-    elif eps != 1.0:
+    if eps != 1.0:
         if period is not Period.THREE:
             raise ValueError("eps-perturbation is defined for period three only")
         if not eps > 0.0:
@@ -227,10 +218,9 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
 def return_map(period: Period, c: float, eps: float = 1.0):
     """R(c) = (u^{2p-2}(0) - c)/s2, the rescaled next critical point.
 
-    One guard rule for both paths: where s2 <= S2_FLOOR a scalar call
-    raises DivisionGuard and an array call (array c or per-lane eps) gets
-    NaN, so an array call equals the scalar calls elementwise, bitwise,
-    with NaN standing for the raise.
+    One guard rule for both paths: where s2 <= S2_FLOOR a scalar c raises
+    DivisionGuard and an array c gets NaN, so an array call equals the
+    scalar calls elementwise, bitwise, with NaN standing for the raise.
     """
     o = _orbit_points(period, c, eps)
     left, right = COMBINATORICS[period].intervals[1]

@@ -76,3 +76,8 @@ def bsys4():
 @pytest.fixture(scope="session")
 def bsys5():
     return build_branch_system(1.02, 1.01, 1.00, 0.99, 0.98)
+
+
+@pytest.fixture(scope="session")
+def bsys_wide():
+    return build_branch_system(1.04, 1.00, 0.96)

@@ -12,6 +12,7 @@ from renorm.pwa import fixed_residual, shift_residual, verify_combinatorics
 from renorm.extension import lipschitz_profile, max_slope_profile, quadratic_tip
 from renorm.horseshoe import Word, cylinder_count, build_branch_system, symbol_scaling_sequence
 from reference_values import C3_6DP, C5_6DP, FD3_6DP, FD5_6DP
+from cylinders import resolved_levels, widths_within_bounds
 
 
 def _report(num, ok, detail):
@@ -114,6 +115,17 @@ def test_criterion_09_expansiveness_and_horseshoe(rep3, rep5, bsys):
                    f"{[f'{d:.1f}' for d in derivs]} (>2); sweep decreasing={decreasing}")
 
 
+def _measured_levels_ok(b):
+    """At every resolved level k: m^k nonempty cylinders, each as wide as
+    the certificate's slope bounds say.  Returns (ok, deepest level)."""
+    levels, bounds = resolved_levels(b)
+    ok = all(
+        np.count_nonzero(w > 0.0) == b.alphabet**k and widths_within_bounds(b, k, w, bounds)
+        for k, w in levels
+    )
+    return ok and len(levels) >= 5, len(levels)
+
+
 def test_criterion_10_entropy(bsys):
     t0 = time.perf_counter()
     counts_ok = all(cylinder_count(bsys, n) == 3**n for n in range(1, 11))
@@ -121,10 +133,14 @@ def test_criterion_10_entropy(bsys):
     ent_ok = abs(ent - np.log(3.0)) <= 0.01
     b5 = build_branch_system(1.02, 1.01, 1.00, 0.99, 0.98)
     ok5 = all(cylinder_count(b5, n) == 5**n for n in range(1, 7))
+    meas3, k3 = _measured_levels_ok(bsys)
+    meas5, k5 = _measured_levels_ok(b5)
     dt = time.perf_counter() - t0
-    ok = counts_ok and ent_ok and ok5 and dt < 30.0
+    ok = counts_ok and ent_ok and ok5 and meas3 and meas5 and dt < 30.0
     _report(10, ok, f"3^n counts n<=10: {counts_ok}; entropy(10)={ent:.6f} "
-                    f"(ln3 +/- 0.01); 5^n counts n<=6: {ok5}; runtime={dt:.1f}s (<30s)")
+                    f"(ln3 +/- 0.01); 5^n counts n<=6: {ok5}; measured counts and "
+                    f"widths within the certified slope bounds: 3 letters k<={k3}: {meas3}, "
+                    f"5 letters k<={k5}: {meas5}; runtime={dt:.1f}s (<30s)")
 
 
 def test_criterion_11_extension_regularity(curve3):

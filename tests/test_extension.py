@@ -98,6 +98,21 @@ def test_lipschitz_profile_non_increasing(curve3):
     assert all(b <= a * (1.0 + 1e-6) for a, b in zip(lam[:-1], lam[1:]))
 
 
+@pytest.mark.parametrize("period, refused", [(Period.THREE, 9), (Period.FIVE, 7)])
+def test_resolution_guard_leaves_only_non_increasing_profiles(rep3, rep5, period, refused):
+    # every accepted depth prints a profile non-increasing within 1e-6; the
+    # first refused one is where the samples drop below MIN_SAMPLE_ULPS
+    # (p3 level 9 would rise 1.6e-5, p5 level 7 is 6e-5 off level 0)
+    rep = rep3 if period is Period.THREE else rep5
+    f = build_pwa(ScalingSequence.stationary(period, rep.c_star), 2)
+    for depth in range(1, refused):
+        lam = lipschitz_profile(extend(f, depth))
+        assert all(b <= a * (1.0 + 1e-6) for a, b in zip(lam[:-1], lam[1:]))
+    for depth in (refused, refused + 1):
+        with pytest.raises(NonConvergent, match=f"level {refused} of {depth}: samples closer than"):
+            extend(f, depth)
+
+
 def test_lipschitz_level_one_equals_seed(curve3):
     lam = lipschitz_profile(curve3)
     assert lam[1] == pytest.approx(lam[0], rel=1e-9)

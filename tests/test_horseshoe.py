@@ -1,18 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from renorm.interval import Interval
 from renorm.pwa import shift_residual
 from renorm.scaling import DivisionGuard
 from renorm.tower import build_tower, verify_proper
 from renorm import horseshoe
 from renorm.horseshoe import (
     CODING_PAD,
-    LANE_BLOCK,
+    MARGIN,
     BranchSystem,
+    NotAHorseshoe,
     Word,
-    _invert_branch,
     _invert_point,
-    _next_level,
     build_branch_system,
     code_to_point,
     coded_orbit,
@@ -22,6 +24,7 @@ from renorm.horseshoe import (
     entropy_estimate,
     symbol_scaling_sequence,
 )
+from cylinders import _invert_fixed_64, resolved_levels, widths_within_bounds
 from reference_values import C3_STAR, C_EPS_098, C_EPS_102
 
 
@@ -90,25 +93,27 @@ def test_cylinder_counts_full_shift(bsys):
 def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
     assert cylinder_counts(bsys, 10) == [3**n for n in range(1, 11)]
     assert cylinder_counts(bsys5, 6) == [5**n for n in range(1, 7)]
-    # one nesting step per level, and a refused depth nests nothing
+    # one proof per system, three enclosures per branch, kept for every
+    # later count; a refused depth proves nothing
     calls = []
-    real_next = _next_level
+    real = horseshoe._branch_enclosure
 
-    def counting_next(b, los, his):
-        calls.append(len(los))
-        return real_next(b, los, his)
+    def counting(c, eps):
+        calls.append(eps)
+        return real(c, eps)
 
-    monkeypatch.setattr("renorm.horseshoe._next_level", counting_next)
-    assert cylinder_count(bsys, 6) == 729
-    assert calls == [3**n for n in range(1, 6)]
-    calls.clear()
+    monkeypatch.setattr(horseshoe, "_branch_enclosure", counting)
+    b = dataclasses.replace(bsys)  # a copy without the cached proof
     with pytest.raises(ValueError):
-        cylinder_counts(bsys5, 10)
+        cylinder_counts(b, 40)
     assert calls == []
+    for n in range(1, 9):
+        assert cylinder_count(b, n) == 3**n
+    assert len(calls) == 3 * 3
 
 
 @pytest.mark.parametrize("kind", ["repeated", "overlapping"])
-def test_cylinder_count_refuses_non_disjoint_domains(bsys, kind, monkeypatch):
+def test_cylinder_count_refuses_non_disjoint_domains(bsys, kind):
     # both systems pass the cover check; without the disjointness check
     # each counted [3, 9, 27, 81], a full shift that is not there
     if kind == "repeated":
@@ -116,12 +121,64 @@ def test_cylinder_count_refuses_non_disjoint_domains(bsys, kind, monkeypatch):
     else:
         d0, d1, d2 = bsys.domains
         b = BranchSystem(bsys.epsilons, bsys.reports, ((d0[0], 0.5 * (d1[0] + d1[1])), d1, d2))
-    monkeypatch.setattr("renorm.horseshoe._next_level", None)  # refused before any nesting
     for n in (1, 4):
         with pytest.raises(RuntimeError, match="not disjoint and increasing"):
             cylinder_count(b, n)
         with pytest.raises(RuntimeError, match="not disjoint and increasing"):
             cylinder_counts(b, n)
+
+
+def test_certificate_refuses_domains_outside_the_base(bsys):
+    # A_0 moved below the widened base, still disjoint from A_1
+    (a, z), d1, d2 = bsys.domains
+    b = dataclasses.replace(bsys, domains=((a - 4 * MARGIN, z - 4 * MARGIN), d1, d2))
+    with pytest.raises(NotAHorseshoe, match="leave the base"):
+        cylinder_count(b, 3)
+
+
+def test_certificate_refuses_a_branch_that_misses_the_base(bsys):
+    # A_1 shrunk by 1e-8 at its low end: R_1 ~ 57 puts its image end about
+    # 6e-7 above the base end, far more than MARGIN
+    d0, (a, z), d2 = bsys.domains
+    b = dataclasses.replace(bsys, domains=(d0, (a + 1e-8, z), d2))
+    assert b.map(1, a + 1e-8) - b.base[0] > 100 * MARGIN
+    with pytest.raises(NotAHorseshoe, match="does not cover the base"):
+        cylinder_count(b, 3)
+
+
+def test_certificate_refuses_a_slope_below_one(bsys, monkeypatch):
+    real = horseshoe._branch_enclosure
+
+    def flat(c, eps):
+        r, dr = real(c, eps)
+        return r, dr * (0.9 / dr.hi)
+
+    monkeypatch.setattr(horseshoe, "_branch_enclosure", flat)
+    with pytest.raises(NotAHorseshoe, match="is not above 1"):
+        cylinder_count(dataclasses.replace(bsys), 3)
+
+
+def test_certificate_refuses_a_branch_across_the_s2_pole(bsys):
+    # a hand-built branch whose domain reaches below the s2 pole at c ~ 0.352:
+    # a typed refusal, never a division by an interval around 0
+    with pytest.raises(DivisionGuard):
+        horseshoe._branch_enclosure(Interval(0.3, 0.45), 1.0)
+    b = BranchSystem((1.0,), bsys.reports[1:2], ((0.3, 0.45),))
+    with pytest.raises(NotAHorseshoe):
+        cylinder_count(b, 1)
+    # with a base around it, (a) holds and the s2 floor is what fails
+    rep = bsys.reports[1]
+    reports = (dataclasses.replace(rep, c_star=0.29), dataclasses.replace(rep, c_star=0.46))
+    b = BranchSystem((1.0, 0.99), reports, ((0.3, 0.45), (0.455, 0.458)))
+    with pytest.raises(NotAHorseshoe, match="branch 0 is not smooth"):
+        cylinder_count(b, 1)
+
+
+def test_certified_slopes(bsys, bsys5):
+    for b in (bsys, bsys5):
+        assert len(b.slopes) == b.alphabet
+        for s, rep in zip(b.slopes, b.reports):
+            assert 50.0 < s.lo < rep.derivative_estimate < s.hi < 65.0
 
 
 def test_entropy_estimate(bsys):
@@ -140,16 +197,18 @@ def test_alphabet_five(bsys5):
     assert abs(entropy_estimate(bsys5, 6) - np.log(5.0)) < 0.01
 
 
-def test_cylinder_cap(bsys, bsys2):
-    with pytest.raises(ValueError):
-        cylinder_count(bsys, 15)
-    # two letters are fine at depth 14; five letters at depth 14 are not
-    assert cylinder_count(bsys2, 14) == 2**14
-
-
-def test_cylinder_total_cap(bsys5):
-    with pytest.raises(ValueError):
-        cylinder_count(bsys5, 12)
+def test_count_limit(bsys, bsys5):
+    # counts stay int64, so np.log takes them; past that, a ValueError
+    # naming the limit, before any proof
+    assert cylinder_count(bsys, 39) == 3**39
+    assert cylinder_count(bsys5, 27) == 5**27
+    for b, n, limit in ((bsys, 40, 39), (bsys5, 28, 27)):
+        with pytest.raises(ValueError, match=f"need n <= {limit} for {b.alphabet} letters"):
+            cylinder_count(b, n)
+    with pytest.raises(ValueError, match="2\\^63 - 1"):
+        entropy_estimate(bsys, 41)
+    with pytest.raises(ValueError, match="n >= 1"):
+        cylinder_counts(bsys, 0)
 
 
 def test_symbol_sequence_constant_word_is_stationary(bsys, rep3):
@@ -211,21 +270,6 @@ def test_word_validation():
         Word((0, 1), alphabet=1)
 
 
-# The inversion before it stopped early: a fixed 64 bisection steps, and
-# each endpoint array inverted on its own.  The early stop and the joint
-# call must leave every number bitwise as this gives it.
-def _invert_fixed_64(b, i, ys):
-    ys = np.asarray(ys, dtype=float)
-    lo = np.full_like(ys, b.domains[i][0])
-    hi = np.full_like(ys, b.domains[i][1])
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = b.map(i, mid) < ys
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _backward_fixed_64(b, letters):
     x = 0.5 * (b.base[0] + b.base[1])
     xs = [0.0] * len(letters)
@@ -237,16 +281,31 @@ def _backward_fixed_64(b, letters):
 
 @pytest.mark.parametrize("name, depth", [("bsys2", 14), ("bsys", 10), ("bsys4", 5), ("bsys5", 6)])
 def test_cylinder_levels_bitwise_fixed_64(request, name, depth):
+    # nested cylinder endpoints from the A_i down to depth by the fixed-64
+    # reference; _invert_point gives sampled lanes of every level bitwise,
+    # the extreme first and last ones included
     b = request.getfixturevalue(name)
-    los = np.array([d[0] for d in b.domains])
-    his = np.array([d[1] for d in b.domains])
-    ref_lo, ref_hi = los, his
+    rng = np.random.default_rng(60 + b.alphabet)
+    ends = np.array([x for d in b.domains for x in d])
     for _ in range(depth - 1):
-        los, his = _next_level(b, los, his)
-        ref_lo = np.concatenate([_invert_fixed_64(b, i, ref_lo) for i in range(b.alphabet)])
-        ref_hi = np.concatenate([_invert_fixed_64(b, i, ref_hi) for i in range(b.alphabet)])
-        assert los.tobytes() == ref_lo.tobytes()
-        assert his.tobytes() == ref_hi.tobytes()
+        level = [_invert_fixed_64(b, i, ends) for i in range(b.alphabet)]
+        for i, xs in enumerate(level):
+            for k in {0, len(ends) - 1, *rng.integers(0, len(ends), 8)}:
+                assert np.float64(_invert_point(b, i, ends[k])).tobytes() == xs[k].tobytes()
+        ends = np.concatenate(level)
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5", "bsys_wide"])
+def test_resolved_cylinder_levels(request, name):
+    # the certificate's counts and slope bounds against measured cylinders,
+    # at every level binary64 resolves (k <= 5 for each of these systems)
+    b = request.getfixturevalue(name)
+    levels, bounds = resolved_levels(b)
+    assert [k for k, _ in levels] == [1, 2, 3, 4, 5]
+    counts = cylinder_counts(b, len(levels))
+    for k, widths in levels:
+        assert np.count_nonzero(widths > 0.0) == b.alphabet**k == counts[k - 1]
+        assert widths_within_bounds(b, k, widths, bounds)
 
 
 @pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5"])
@@ -267,7 +326,7 @@ def test_codings_bitwise_fixed_64(request, name):
 
 
 def test_inversion_stops_before_the_cap(bsys, monkeypatch):
-    # the A_i are ~1e-5 wide, so every lane stops moving well before 64 steps
+    # the A_i are ~1e-5 wide, so the bisection stops moving well before 64 steps
     steps = []
     real_map = horseshoe.return_map
 
@@ -276,9 +335,6 @@ def test_inversion_stops_before_the_cap(bsys, monkeypatch):
         return real_map(period, c, eps=eps)
 
     monkeypatch.setattr(horseshoe, "return_map", counting_map)
-    _invert_branch(bsys, 1, np.linspace(*bsys.base, 50))
-    assert 0 < len(steps) < 64
-    steps.clear()
     _invert_point(bsys, 1, 0.5 * (bsys.base[0] + bsys.base[1]))
     assert 0 < len(steps) < 64
 
@@ -296,10 +352,7 @@ def test_invert_point_is_bitwise_one_lane(request, name):
     lanes = [(i, y) for i in range(b.alphabet) for y in ys]
     points = [_invert_point(b, i, y) for i, y in lanes]
     for (i, y), x in zip(lanes, points):
-        assert np.float64(x).tobytes() == _invert_branch(b, i, [y])[0].tobytes()
-    # and one call with a letter per lane inverts every lane the same way
-    letters, lane_ys = (np.array(v) for v in zip(*lanes))
-    assert _invert_branch(b, letters, lane_ys).tobytes() == np.array(points).tobytes()
+        assert np.float64(x).tobytes() == _invert_fixed_64(b, i, [y])[0].tobytes()
     for i, (a, z) in enumerate(b.domains):
         assert _invert_point(b, i, below) == pytest.approx(a, abs=1e-15)
         assert _invert_point(b, i, above) == pytest.approx(z, abs=1e-15)
@@ -313,15 +366,4 @@ def test_invert_point_reads_the_guard_as_the_array_nan(bsys):
     b = BranchSystem((1.0,), bsys.reports[1:2], ((0.3, 0.45),))
     for y in (0.0, 0.44, 50.0):
         x = _invert_point(b, 0, y)
-        assert np.float64(x).tobytes() == _invert_branch(b, 0, [y])[0].tobytes()
-
-
-def test_bitwise_levels_span_a_partial_lane_block(request):
-    # the fixed-64 comparison must reach a level cut into several blocks
-    # with a short last one (3 letters, depth 10: 3 * 2 * 3^9 = 118098)
-    (mark,) = test_cylinder_levels_bitwise_fixed_64.pytestmark
-    lanes = []
-    for name, depth in mark.args[1]:
-        m = request.getfixturevalue(name).alphabet
-        lanes += [m * 2 * m**n for n in range(1, depth)]
-    assert any(x > LANE_BLOCK and x % LANE_BLOCK for x in lanes)
+        assert np.float64(x).tobytes() == _invert_fixed_64(b, 0, [y])[0].tobytes()

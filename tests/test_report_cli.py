@@ -3,6 +3,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import renorm
@@ -276,20 +277,40 @@ def test_cli_depth_below_one_is_usage_error(capsys, argv):
     assert out == ""
 
 
+FIVE_LETTERS = ["--eps", "1.02,1.01,1.0,0.99,0.98"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["horseshoe", "--depth", "15"], "need 1 <= n <= 14"),
-        (["horseshoe", "--depth", "10", "--eps", "1.02,1.01,1.0,0.99,0.98"],
-         "5^10 cylinders exceed the desk-scale cap"),
+        (["horseshoe", "--depth", "40"], "need n <= 39 for 3 letters"),
+        (["horseshoe", "--depth", "41"], "3^41 cylinders exceed the count limit 2^63 - 1"),
+        (["horseshoe", "--depth", "28", *FIVE_LETTERS], "need n <= 27 for 5 letters"),
     ],
 )
-def test_cli_horseshoe_depth_above_cap_is_usage_error(capsys, argv, message):
-    # refused, not clamped to the cap, and before any level is enumerated
+def test_cli_horseshoe_depth_past_count_limit_is_usage_error(capsys, argv, message):
+    # refused, not clamped to the limit, and never a traceback from np.log
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, m, n", [([], 3, 15), (FIVE_LETTERS, 5, 10)])
+def test_cli_horseshoe_counts_past_the_old_caps(capsys, argv, m, n):
+    code, out = run_cli(capsys, "horseshoe", "--depth", str(n), *argv)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["cylinder_counts"] == [m**k for k in range(1, n + 1)]
+    assert res["entropy_estimates"][-1] == pytest.approx(np.log(m), rel=1e-15)
+
+
+def test_cli_horseshoe_without_a_full_shift_is_numerical_failure(capsys):
+    # eps 1.0199 puts A_1 across A_0: the certificate's (a) fails, exit 3
+    assert main(["horseshoe", "--eps", "1.02,1.0199,0.98"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not disjoint and increasing" in captured.err
 
 
 def test_cli_depth_underflow_is_numerical_failure(capsys):
@@ -308,8 +329,8 @@ def test_cli_depth_underflow_is_numerical_failure(capsys):
     ],
 )
 def test_cli_extension_past_float_resolution_is_numerical_failure(capsys, argv):
-    # the first level whose samples collapse (p3: 13, p5: 9) is refused,
-    # not reported as a nan Lipschitz constant
+    # levels whose samples lie closer than MIN_SAMPLE_ULPS (p3 from 9, p5
+    # from 7) are refused, not reported as noisy Lipschitz constants
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
