@@ -64,7 +64,7 @@ def _depth(args, default: int) -> int:
     return default if args.depth is None else args.depth
 
 
-# the common flags' type= and choices, applied alike to config-file values
+# the flags' type= and choices, applied alike to config-file values
 FLAG_TYPES = {
     "period": int,
     "tol": float,
@@ -79,13 +79,23 @@ FLAG_TYPES = {
 }
 FLAG_CHOICES = {"period": (3, 5), "format": ("json", "csv")}
 FLAG_HELP = {"eps": "comma-separated eps list"}
+# the flags each command reads; any other flag or config key is a usage error
+COMMAND_FLAGS = {
+    "solve": ("period", "tol", "step", "out"),
+    "feasible": ("period", "step", "format", "out"),
+    "plotdata": ("period", "tol", "depth", "grid", "step", "resolution", "out"),
+    "tower": ("period", "tol", "depth", "out"),
+    "extend": ("period", "tol", "depth", "resolution", "out"),
+    "horseshoe": ("depth", "eps", "out"),
+    "verify": ("period", "seed", "out"),
+}
 
 
-def _add_common(p):
-    for key, conv in FLAG_TYPES.items():
+def _add_flags(p, command):
+    for key in COMMAND_FLAGS[command]:
         p.add_argument(
             f"--{key}",
-            type=conv,
+            type=FLAG_TYPES[key],
             choices=FLAG_CHOICES.get(key),
             default=None,
             help=FLAG_HELP.get(key),
@@ -97,13 +107,13 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="renorm", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("solve", "feasible", "tower", "extend", "horseshoe"):
-        _add_common(sub.add_parser(name))
+        _add_flags(sub.add_parser(name), name)
     p = sub.add_parser("plotdata")
     p.add_argument("kind", choices=("scaling", "returnmap", "cobweb", "tower", "extension"))
-    _add_common(p)
+    _add_flags(p, "plotdata")
     p = sub.add_parser("verify")
     p.add_argument("suite", choices=("all", "tower", "pwa", "extension", "horseshoe"))
-    _add_common(p)
+    _add_flags(p, "verify")
     p.add_argument("--full", action="store_true", help="acceptance-scale depths")
     return ap
 
@@ -145,17 +155,20 @@ def _merge_config(args):
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(cfg) - set(FLAG_TYPES))
+        unknown = sorted(set(cfg) - set(COMMAND_FLAGS[args.command]))
         if unknown:
-            raise ValueError(f"config keys {unknown} are not flags")
+            raise ValueError(f"config keys {unknown} are not flags of {args.command}")
     for key, value in vars(args).items():
         if value is None and cfg.get(key) is not None:
             setattr(args, key, _config_value(key, cfg[key]))
+    # every default is echoed into the report, read or not, so the default
+    # reports keep their bytes
     for key, value in DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
-    if args.depth is not None and args.depth < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {args.depth!r}")
+    depth = getattr(args, "depth", None)
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
     return args
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .interval import Interval
-from .scaling import COMBINATORICS, S2_FLOOR, DivisionGuard, Period, _orbit_points, return_map
+from .scaling import S2_FLOOR, DivisionGuard, Period, _orbit_points, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
 
@@ -130,8 +130,8 @@ class BranchSystem:
                 raise NotAHorseshoe(f"branch {i} is not smooth on A_{i}: {exc}") from None
             if not slope.lo > 1.0:
                 raise NotAHorseshoe(f"branch {i} slope {slope} is not above 1 on A_{i}")
-            img_lo = _branch_enclosure(Interval(a, a), e)[0]
-            img_hi = _branch_enclosure(Interval(z, z), e)[0]
+            img_lo = _branch_image(Interval(a, a), e)
+            img_hi = _branch_image(Interval(z, z), e)
             if not (img_lo.hi <= lo and img_hi.lo >= hi):
                 raise NotAHorseshoe(
                     f"branch {i} image [{img_lo.hi}, {img_hi.lo}] does not cover the base"
@@ -179,18 +179,25 @@ class _Jet:
         return _Jet(self.val / o, self.der / o)
 
 
-def _branch_enclosure(c: Interval, eps: float) -> tuple:
-    """Enclosures of R(., eps) and dR/dc over the interval c, through the
-    orbit _orbit_points computes (the pull at index 3).  Raises
-    DivisionGuard unless the s2 enclosure stays above S2_FLOOR."""
-    c_jet = _Jet(c, Interval(1.0, 1.0))
-    o = _orbit_points(Period.THREE, c_jet, eps)
-    left, right = COMBINATORICS[Period.THREE].intervals[1]
+def _branch_image(c, eps: float):
+    """An enclosure of R(c, eps) for c an Interval, or a _Jet that carries
+    dR/dc along, through the orbit _orbit_points computes (the pull at
+    index 3).  Raises DivisionGuard unless the s2 enclosure stays above
+    S2_FLOOR."""
+    o = _orbit_points(Period.THREE, c, eps)
+    left, right = Period.THREE.comb.central
     top = o[right]
     s2 = top - o[left]
-    if not s2.val.lo > S2_FLOOR:
-        raise DivisionGuard(f"s2 enclosure {s2.val} over {c} is not above the floor {S2_FLOOR}")
-    r = (top - c_jet) / s2
+    s2_val = getattr(s2, "val", s2)  # a _Jet's value part
+    if not s2_val.lo > S2_FLOOR:
+        over = getattr(c, "val", c)
+        raise DivisionGuard(f"s2 enclosure {s2_val} over {over} is not above the floor {S2_FLOOR}")
+    return (top - c) / s2
+
+
+def _branch_enclosure(c: Interval, eps: float) -> tuple:
+    """Enclosures of R(., eps) and dR/dc over the interval c."""
+    r = _branch_image(_Jet(c, Interval(1.0, 1.0)), eps)
     return r.val, r.der
 
 

@@ -20,7 +20,7 @@ import bisect as _bisect
 from dataclasses import dataclass
 
 from .quadratic import eval_raw
-from .scaling import COMBINATORICS, Period, _orbit_points
+from .scaling import Period, _orbit_points
 from .tower import Affine, ScalingSequence, Tower, build_tower
 
 DISPATCH_TOL = 1e-14
@@ -109,7 +109,7 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
     t = build_tower(seq, depth)
     period = seq.period
     # the family whose left end u^{p-1}(0) u maps to the pulled u^p(0)
-    pulled = [left for left, _ in COMBINATORICS[period].intervals].index(period.p - 1) + 1
+    pulled = [left for left, _ in period.comb.intervals].index(period.p - 1) + 1
     c0 = t.levels[0].c
     branches = []
     vprod = 1.0  # product of vertical factors s_last over levels < m
@@ -139,7 +139,7 @@ def _cycle_composition(f: PiecewiseAffineMap) -> Affine:
     """The p-1 first-generation branch maps along the cycle, innermost first."""
     big = {b.family: b.map for b in f.branches if b.level == 1}
     comp = Affine.identity()
-    for fam in COMBINATORICS[f.period].cycle[1:]:
+    for fam in f.period.comb.cycle[1:]:
         comp = big[fam] @ comp
     return comp
 
@@ -178,7 +178,7 @@ def verify_combinatorics(f: PiecewiseAffineMap, n: int) -> bool:
     """
     if not 1 <= n <= f.depth - 1:
         raise ValueError(f"need 1 <= n <= depth-1, got n={n}")
-    cycle = COMBINATORICS[f.period].cycle
+    cycle = f.period.comb.cycle
     steps = f.period.p ** (n - 1)
     gen = f.tower.generations[n - 1]
     pts = list(gen[cycle[0]])

@@ -1,9 +1,10 @@
 """Scaling factors, gaps, feasibility and the critical-point return map.
 
-One table, COMBINATORICS, holds all that differs between the periods.
-Its rows list the first-generation intervals I_1 .. I_p left to right as
-(left, right) indices into the critical orbit o_k = u^k(0), ONE standing
-for the point 1.0:
+One table, COMBINATORICS, holds all that differs between the periods;
+each Period member carries its row as .comb, so hot calls read it as a
+plain attribute.  The rows list the first-generation intervals I_1 .. I_p
+left to right as (left, right) indices into the critical orbit
+o_k = u^k(0), ONE standing for the point 1.0:
 
     p = 3:  I1 = (0, 3)  I2 = (1, 4)  I3 = (2, ONE)
     p = 5:  I1 = (0, 5)  I2 = (3, 8)  I3 = (1, 6)  I4 = (7, 2)  I5 = (4, ONE)
@@ -18,9 +19,12 @@ rows also carry the condition names and the renormalization cycle.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
-are read off one orbit (_orbit_points), the only place eps enters the
-orbit.  pwa.build_pwa applies the same pull to the branch value at u^2(0),
-the inner end of I_3, the one other site that knows the rule.
+are read off one orbit (_orbit_points): one loop of u-steps, with 1 - c
+computed once and the pull applied inside the loop at step p, the only
+place eps enters the orbit.  The same loop runs on floats, numpy arrays,
+Intervals and horseshoe's interval jets.  pwa.build_pwa applies the same
+pull to the branch value at u^2(0), the inner end of I_3, the one other
+site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
@@ -36,22 +40,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadratic import eval_raw
-
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 REFINE_TOL = 1e-12  # bracket width of every domain boundary and puncture
 
 
 class DivisionGuard(ArithmeticError):
     """s2 fell below the floor; the return map is not evaluable here."""
-
-
-class Period(enum.Enum):
-    THREE = 3
-    FIVE = 5
-
-    def __init__(self, p: int):
-        self.p = p  # a plain attribute: every orbit evaluation reads it
 
 
 ONE = -1  # the orbit index of the point 1.0, counted below every other index
@@ -72,19 +66,36 @@ class Combinatorics:
         lengths = tuple((right, left) for left, right in ivs)
         return lengths + tuple((b[0], a[1]) for a, b in zip(ivs, ivs[1:]))
 
+    @cached_property
+    def central(self) -> tuple:
+        """(left, right) orbit indices of the central interval I_2."""
+        return self.intervals[1]
 
+
+# keyed by the period p; each Period member carries its row as .comb
 COMBINATORICS = {
-    Period.THREE: Combinatorics(
+    3: Combinatorics(
         intervals=((0, 3), (1, 4), (2, ONE)),
         names=("S1", "S2", "S3", "Gl", "Gr"),
         cycle=(2, 3, 1),
     ),
-    Period.FIVE: Combinatorics(
+    5: Combinatorics(
         intervals=((0, 5), (3, 8), (1, 6), (7, 2), (4, ONE)),
         names=("S1", "S2", "S3", "S4", "S5", "Gl", "Gr1", "Gr2", "Gr3"),
         cycle=(2, 5, 1, 3, 4),
     ),
 }
+
+
+class Period(enum.Enum):
+    THREE = 3
+    FIVE = 5
+
+    def __init__(self, p: int):
+        # plain attributes: every orbit evaluation reads them, and a dict
+        # keyed by the member would run Enum.__hash__ in Python each time
+        self.p = p
+        self.comb = COMBINATORICS[p]
 
 
 @dataclass(frozen=True)
@@ -143,12 +154,16 @@ class FeasibleDomain:
 
 
 def _orbit_points(period: Period, c, eps: float = 1.0):
-    """[0, u(0), ..., u^{2p-2}(0), 1.0] for scalar or array c: the critical
-    orbit with u^p(0) replaced by eps*u^p(0) and continued from the pulled
-    point, then the point 1.0 at index ONE.
+    """[0, u(0), ..., u^{2p-2}(0), 1.0] for c a float, a numpy array, an
+    Interval or a horseshoe._Jet: the critical orbit with u^p(0) replaced
+    by eps*u^p(0) and continued from the pulled point, then the point 1.0
+    at index ONE.
 
-    Multiplying by eps = 1.0 is exact, so the unperturbed orbit comes out
-    bitwise; the perturbation is defined for period three only.
+    Each step is quadratic.eval_raw's t = (x - c)/(1 - c), x = 1 - t*t
+    with 1 - c computed once: the same operations in the same order, so
+    every point is bitwise eval_raw's.  Multiplying by eps = 1.0 is exact,
+    so the unperturbed orbit comes out bitwise; the perturbation is defined
+    for period three only.
     """
     if eps != 1.0:
         if period is not Period.THREE:
@@ -156,14 +171,14 @@ def _orbit_points(period: Period, c, eps: float = 1.0):
         if not eps > 0.0:
             raise ValueError("eps must be positive")
     p = period.p
+    d = 1.0 - c
     x = 0.0
     out = [x]
-    for _ in range(p):
-        x = eval_raw(c, x)
-        out.append(x)
-    x = out[p] = eps * x
-    for _ in range(p, 2 * p - 2):
-        x = eval_raw(c, x)
+    for k in range(1, 2 * p - 1):
+        t = (x - c) / d
+        x = 1.0 - t * t
+        if k == p:
+            x = eps * x
         out.append(x)
     out.append(1.0)
     return out
@@ -173,7 +188,7 @@ def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
     """All positivity conditions (lengths then gaps) as a tuple; the
     scalar refinements read it without building an array."""
     o = _orbit_points(period, c, eps)
-    return tuple([o[i] - o[j] for i, j in COMBINATORICS[period].pairs])
+    return tuple([o[i] - o[j] for i, j in period.comb.pairs])
 
 
 def _condition(period: Period, pair, c, eps: float = 1.0):
@@ -204,9 +219,9 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     if not 0.0 < c < 0.5:
         return False
     vals = _condition_values(period, c, eps)
-    # all(), not min(): a NaN condition must count as infeasible
-    if not all(v > 0.0 for v in vals):
-        return False
+    for v in vals:
+        if not v > 0.0:  # not min(): a NaN condition must count as infeasible
+            return False
     if sum(vals[: period.p]) >= 1.0:
         raise RuntimeError(
             "positivity held but the simplex sum exceeded 1; "
@@ -223,7 +238,7 @@ def return_map(period: Period, c: float, eps: float = 1.0):
     scalar calls elementwise, bitwise, with NaN standing for the raise.
     """
     o = _orbit_points(period, c, eps)
-    left, right = COMBINATORICS[period].intervals[1]
+    left, right = period.comb.central
     top = o[right]
     s2 = top - o[left]
     if isinstance(s2, float):
@@ -268,7 +283,7 @@ def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
         else:
             b = mid
     c = 0.5 * (a + b)
-    name = COMBINATORICS[period].names[int(np.argmin(conditions(period, c, eps)))]
+    name = period.comb.names[int(np.argmin(conditions(period, c, eps)))]
     return c, name
 
 
@@ -315,7 +330,7 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     splits = np.flatnonzero(np.diff(idx) > 1)
     runs = np.split(idx, splits + 1)
 
-    comb = COMBINATORICS[period]
+    comb = period.comb
     intervals = []
     boundaries = []
     punctures = []
@@ -331,12 +346,13 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         # interior touch points: grid minima that dip to near zero (above
         # 1e-4 is an ordinary smooth minimum), keyed by the grid index
         # before the minimum, each with the first condition dipping there
+        # (np.nonzero reads row-major, conditions in order)
+        vals = cond[:, i0 : i1 + 1]
+        mid = vals[:, 1:-1]
+        dips = (mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid <= 1e-4)
         touch = {}
-        for j in range(cond.shape[0]):
-            vals = cond[j, i0 : i1 + 1]
-            dips = (vals[1:-1] < vals[:-2]) & (vals[1:-1] < vals[2:]) & (vals[1:-1] <= 1e-4)
-            for t in np.flatnonzero(dips):
-                touch.setdefault(i0 + t, j)
+        for j, t in zip(*np.nonzero(dips)):
+            touch.setdefault(i0 + t, j)
         # several conditions can vanish at one point: refine each location
         # once and name it after every condition that vanishes there
         cut = []

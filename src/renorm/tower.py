@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadratic import QuadraticUnimodal, orbit
-from .scaling import COMBINATORICS, Period, ScalingFactor, scaling_from_critical
+from .scaling import Period, ScalingFactor, scaling_from_critical
 
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
@@ -120,7 +120,7 @@ def local_intervals(period: Period, lv: LevelData, factor: ScalingFactor):
     off from the end of I_j with the lower orbit index (u^k(0), k < p, or 1.0)."""
     o = orbit(QuadraticUnimodal(lv.c), period.p - 1) + [1.0]  # 1.0 at ONE
     out = {}
-    for j, ((left, right), s) in enumerate(zip(COMBINATORICS[period].intervals, factor.s), 1):
+    for j, ((left, right), s) in enumerate(zip(period.comb.intervals, factor.s), 1):
         out[j] = (o[left], o[left] + s) if left < right else (o[right] - s, o[right])
     return out
 

@@ -1,24 +1,38 @@
 """The per-period combinatorics table against the hand-written code it
-replaced, and the table's rows against the dynamics they encode."""
+replaced, the table's rows against the dynamics they encode, and the one
+orbit loop (floats, arrays, Intervals and jets) against the eval_raw
+chain it replaced."""
 
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from renorm import horseshoe, scaling
+from renorm.interval import Interval
 from renorm.quadratic import QuadraticUnimodal, eval_raw, orbit
 from renorm.scaling import (
-    COMBINATORICS,
     ONE,
+    S2_FLOOR,
+    DivisionGuard,
     Period,
     _condition_values,
+    _orbit_points,
     conditions,
+    feasibility,
     gaps,
     return_map,
     scaling_from_critical,
 )
 from renorm.tower import Affine, LevelData, ScalingSequence, build_tower, local_intervals
 from renorm.horseshoe import symbol_scaling_sequence, Word
+
+# the same examples on every run: a bitwise failure must reproduce
+settings.register_profile("bitwise", derandomize=True, database=None, deadline=None, max_examples=300)
+BITWISE = settings.get_profile("bitwise")
 
 
 # The hand-written formulas the table replaced, kept verbatim as the
@@ -101,6 +115,98 @@ def test_conditions_bitwise_reference_scalars():
             assert _bits([return_map(period, c, eps)]) == _bits([(o[-1] - c) / s2])
 
 
+@st.composite
+def _drawn_cases(draw):
+    """(period, c, eps): c anywhere in (0, 1/2) or around the feasible
+    domains, eps exactly 1 or pulled for period three."""
+    period = draw(st.sampled_from(list(Period)))
+    c = draw(st.one_of(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True), st.floats(0.37, 0.46)))
+    eps = 1.0
+    if period is Period.THREE:
+        eps = draw(st.one_of(st.just(1.0), st.floats(0.9, 1.1)))
+    return period, c, eps
+
+
+def _ref_return_map(period, c, eps):
+    """(o[right of I_2] - c)/s2 off the reference orbit, None where s2 is
+    at or below the floor; the arithmetic type is whatever c is."""
+    o = _ref_orbit(period, c, eps)
+    s2 = o[-1] - (o[1] if period is Period.THREE else o[3])
+    low = s2 if isinstance(s2, float) else getattr(s2, "val", s2).lo  # a _Jet's value part
+    if not low > S2_FLOOR:
+        return None
+    return (o[-1] - c) / s2
+
+
+@BITWISE
+@given(_drawn_cases())
+def test_scalar_return_map_is_bitwise_the_reference(case):
+    # a NaN from the array call exactly where the scalar call raises
+    period, c, eps = case
+    want = _ref_return_map(period, c, eps)
+    arr = return_map(period, np.array([c]), eps)
+    if want is None:
+        with pytest.raises(DivisionGuard):
+            return_map(period, c, eps)
+        assert np.isnan(arr[0])
+    else:
+        assert _bits([return_map(period, c, eps)]) == _bits([want]) == arr.tobytes()
+
+
+@BITWISE
+@given(_drawn_cases())
+def test_feasibility_is_the_reference(case):
+    period, c, eps = case
+    o = _ref_orbit(period, c, eps)
+    want = all(v > 0.0 for v in _ref_components(period, o) + _ref_gap_components(period, o))
+    assert feasibility(period, c, eps) is want
+
+
+@BITWISE
+@given(st.integers(0, 4), st.sampled_from([math.nan, 0.0, -1e-300]))
+def test_feasibility_refuses_any_condition_not_above_zero(j, bad):
+    vals = [0.1] * 5
+    vals[j] = bad
+    with mock.patch.object(scaling, "_condition_values", lambda *args: tuple(vals)):
+        assert feasibility(Period.THREE, 0.44) is False
+
+
+def _bounds(points):
+    """Every bound of a list of floats, Intervals or _Jets, as floats."""
+    out = []
+    for x in points:
+        if isinstance(x, float):
+            out.append(x)
+            continue
+        for iv in (x.val, x.der) if isinstance(x, horseshoe._Jet) else (x,):
+            out += [iv.lo, iv.hi]
+    return _bits(out)
+
+
+@BITWISE
+@given(
+    st.floats(0.33, 0.46),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 1e-3)),
+    st.one_of(st.just(1.0), st.floats(0.95, 1.05)),
+)
+def test_interval_and_jet_orbits_are_bitwise_the_reference(lo, width, eps):
+    # the orbits and enclosures the full-shift certificate reads, bound for
+    # bound; lo from 0.33 reaches across the s2 pole near 0.352
+    c = Interval(lo, lo + width)
+    jet = horseshoe._Jet(c, Interval(1.0, 1.0))
+    for x in (c, jet):
+        assert _bounds(_orbit_points(Period.THREE, x, eps)) == _bounds(_ref_orbit(Period.THREE, x, eps) + [1.0])
+    want = _ref_return_map(Period.THREE, jet, eps)
+    if want is None:
+        with pytest.raises(DivisionGuard):
+            horseshoe._branch_enclosure(c, eps)
+        with pytest.raises(DivisionGuard):
+            horseshoe._branch_image(c, eps)
+    else:
+        assert _bounds(horseshoe._branch_enclosure(c, eps)) == _bounds([want.val, want.der])
+        assert _bounds([horseshoe._branch_image(c, eps)]) == _bounds([want.val])
+
+
 def test_conditions_bitwise_reference_arrays():
     cs = np.linspace(1e-4, 0.5 - 1e-4, 4001)
     for period, eps in ((Period.THREE, 1.0), (Period.FIVE, 1.0), (Period.THREE, 0.97), (Period.THREE, 1.03)):
@@ -154,7 +260,7 @@ def _step(k, p, central):
 
 @pytest.mark.parametrize("period", list(Period))
 def test_table_rows_are_consistent(period):
-    comb = COMBINATORICS[period]
+    comb = period.comb
     p = period.p
     ivs = comb.intervals
     assert len(ivs) == p
@@ -180,9 +286,9 @@ def test_table_intervals_are_ordered_at_the_fixed_point(period, rep3, rep5):
     # I_j, each I_j left of the next, as the table's (left, right) reads
     c = (rep3 if period is Period.THREE else rep5).c_star
     o = _ref_orbit(period, c) + [1.0]
-    pts = [o[k] for iv in COMBINATORICS[period].intervals for k in iv]
+    pts = [o[k] for iv in period.comb.intervals for k in iv]
     assert pts == sorted(pts) and len(set(pts)) == len(pts)
-    left, right = COMBINATORICS[period].intervals[1]
+    left, right = period.comb.intervals[1]
     assert o[left] < c < o[right]  # I_2 is the central interval
 
 

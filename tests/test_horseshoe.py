@@ -93,23 +93,30 @@ def test_cylinder_counts_full_shift(bsys):
 def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
     assert cylinder_counts(bsys, 10) == [3**n for n in range(1, 11)]
     assert cylinder_counts(bsys5, 6) == [5**n for n in range(1, 7)]
-    # one proof per system, three enclosures per branch, kept for every
-    # later count; a refused depth proves nothing
+    # one proof per system, kept for every later count: per branch one
+    # derivative enclosure over A_i and two value-only images of its ends;
+    # a refused depth proves nothing
     calls = []
-    real = horseshoe._branch_enclosure
+    real_enclosure, real_image = horseshoe._branch_enclosure, horseshoe._branch_image
 
-    def counting(c, eps):
-        calls.append(eps)
-        return real(c, eps)
+    def enclosure(c, eps):
+        calls.append(("slope", eps))
+        return real_enclosure(c, eps)
 
-    monkeypatch.setattr(horseshoe, "_branch_enclosure", counting)
+    def image(c, eps):
+        if isinstance(c, Interval):  # the slope's own jet orbit is not an image
+            calls.append(("image", eps))
+        return real_image(c, eps)
+
+    monkeypatch.setattr(horseshoe, "_branch_enclosure", enclosure)
+    monkeypatch.setattr(horseshoe, "_branch_image", image)
     b = dataclasses.replace(bsys)  # a copy without the cached proof
     with pytest.raises(ValueError):
         cylinder_counts(b, 40)
     assert calls == []
     for n in range(1, 9):
         assert cylinder_count(b, n) == 3**n
-    assert len(calls) == 3 * 3
+    assert calls == [(kind, e) for e in bsys.epsilons for kind in ("slope", "image", "image")]
 
 
 @pytest.mark.parametrize("kind", ["repeated", "overlapping"])

@@ -103,8 +103,8 @@ def test_branch_enclosures_contain_50_digit_values(request, name):
                 dr = mp.diff(lambda t: _orbit_r(t, e, mp.mpf), mp.mpf(c))
                 assert whole_r.lo <= r <= whole_r.hi
                 assert whole_dr.lo <= dr <= whole_dr.hi
-                # the point enclosure holds mpmath's own 50-digit interval
-                point = horseshoe._branch_enclosure(Interval(c, c), e)[0]
+                # the value-only point image holds mpmath's own 50-digit interval
+                point = horseshoe._branch_image(Interval(c, c), e)
                 ref = _orbit_r(iv.mpf(c), e, iv.mpf)
                 assert point.lo <= ref.a and ref.b <= point.hi
                 assert point.hi - point.lo < 1e-12

@@ -235,7 +235,7 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, config):
         (["plotdata", "scaling"], {"grid": 2.5}),
         (["plotdata", "scaling"], {"grid": True}),
         (["solve"], {"tol": [1e-10]}),
-        (["solve"], {"format": "xml"}),
+        (["feasible"], {"format": "xml"}),
     ],
 )
 def test_cli_config_values_take_their_flag_types(tmp_path, capsys, command, config):
@@ -248,17 +248,47 @@ def test_cli_config_values_take_their_flag_types(tmp_path, capsys, command, conf
 def test_cli_numeric_config_matches_flags(tmp_path, capsys):
     # a valid numeric config gives the bytes the same flags give
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"period": 5, "tol": 1e-12, "grid": 40}))
-    for command in (["solve"], ["plotdata", "scaling"]):
+    for command, config in (
+        (["solve"], {"period": 5, "tol": 1e-12, "step": 2e-4}),
+        (["plotdata", "scaling"], {"period": 5, "tol": 1e-12, "grid": 40}),
+    ):
+        cfg.write_text(json.dumps(config))
         from_config = run_cli(capsys, *command, "--config", str(cfg))
-        from_flags = run_cli(
-            capsys, *command, "--period", "5", "--tol", "1e-12", "--grid", "40"
-        )
+        flags = [x for key, value in config.items() for x in (f"--{key}", str(value))]
+        from_flags = run_cli(capsys, *command, *flags)
         assert from_config[0] == 0
         assert from_config == from_flags
+    cfg.write_text(json.dumps({"period": 5, "tol": 1e-12, "step": 2e-4}))
     doc = json.loads(run_cli(capsys, "solve", "--config", str(cfg))[1])
     assert doc["provenance"]["config"]["tol"] == 1e-12
-    assert doc["provenance"]["config"]["grid"] == 40
+    assert doc["provenance"]["config"]["step"] == 2e-4
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (["solve"], "grid", "5"),
+        (["feasible"], "tol", "1e-10"),
+        (["plotdata", "scaling"], "eps", "1.0,0.99"),
+        (["tower"], "resolution", "64"),
+        (["extend"], "seed", "1"),
+        (["horseshoe"], "period", "3"),
+        (["verify", "tower"], "depth", "4"),
+    ],
+)
+def test_cli_refuses_flags_and_config_keys_the_command_does_not_read(
+    tmp_path, capsys, command, flag, value
+):
+    # accepted, such a flag would only be echoed into provenance.config
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--{flag}", value])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: json.loads(value) if flag != "eps" else value}))
+    capsys.readouterr()
+    assert main([*command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"not flags of {command[0]}" in captured.err
 
 
 @pytest.mark.parametrize(
