@@ -42,6 +42,8 @@ from .tower import (
     verify_proper,
 )
 
+MAX_GRID = 100_000  # plotdata rows; at the ceiling, rows and CSV text take tens of MB
+
 NUMERICAL_ERRORS = (
     NoRoot,
     MultipleRoots,
@@ -258,6 +260,8 @@ def _extension(args, period):
 def cmd_plotdata(args) -> int:
     period = _period(args)
     kind = args.kind
+    if args.grid > MAX_GRID:  # refused before any grid is allocated
+        raise ValueError(f"--grid {args.grid} is above the ceiling {MAX_GRID}")
     if kind == "scaling":
         cs = np.linspace(1e-3, 0.499, args.grid)
         cond = conditions(period, cs)

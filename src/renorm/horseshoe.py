@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .interval import Interval
-from .scaling import S2_FLOOR, DivisionGuard, Period, _orbit_points, return_map
+from .interval import Interval, Jet
+from .scaling import DivisionGuard, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
 
@@ -97,7 +97,7 @@ class BranchSystem:
         return (cs[0], cs[-1])
 
     def map(self, i: int, c):
-        return return_map(Period.THREE, c, eps=self.epsilons[i])
+        return return_map(self.reports[i].period, c, eps=self.epsilons[i])
 
     @cached_property
     def slopes(self) -> tuple:
@@ -123,82 +123,21 @@ class BranchSystem:
         if not (lo <= ends[0] and ends[-1] <= hi):
             raise NotAHorseshoe(f"branch domains {self.domains} leave the base {self.base}")
         out = []
-        for i, ((a, z), e) in enumerate(zip(doms, self.epsilons)):
+        for i, ((a, z), e, rep) in enumerate(zip(doms, self.epsilons, self.reports)):
             try:
-                slope = _branch_enclosure(Interval(a, z), e)[1]
+                slope = return_map(rep.period, Jet(Interval(a, z), Interval(1.0, 1.0)), e).der
             except DivisionGuard as exc:
                 raise NotAHorseshoe(f"branch {i} is not smooth on A_{i}: {exc}") from None
             if not slope.lo > 1.0:
                 raise NotAHorseshoe(f"branch {i} slope {slope} is not above 1 on A_{i}")
-            img_lo = _branch_image(Interval(a, a), e)
-            img_hi = _branch_image(Interval(z, z), e)
+            img_lo = return_map(rep.period, Interval(a, a), e)
+            img_hi = return_map(rep.period, Interval(z, z), e)
             if not (img_lo.hi <= lo and img_hi.lo >= hi):
                 raise NotAHorseshoe(
                     f"branch {i} image [{img_lo.hi}, {img_hi.lo}] does not cover the base"
                 )
             out.append(slope)
         return tuple(out)
-
-
-class _Jet:
-    """A function of c and its c-derivative, each enclosed over an Interval
-    of c: forward-mode differentiation in interval arithmetic."""
-
-    __slots__ = ("val", "der")
-
-    def __init__(self, val: Interval, der: Interval):
-        self.val = val
-        self.der = der
-
-    def __add__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val + o.val, self.der + o.der)
-        return _Jet(self.val + o, self.der)
-
-    def __sub__(self, o):
-        if isinstance(o, _Jet):
-            return _Jet(self.val - o.val, self.der - o.der)
-        return _Jet(self.val - o, self.der)
-
-    def __rsub__(self, o):  # o is a float
-        return _Jet(o - self.val, -self.der)
-
-    def __mul__(self, o):
-        if o is self:
-            return _Jet(self.val.square(), 2.0 * self.val * self.der)
-        if isinstance(o, _Jet):
-            return _Jet(self.val * o.val, self.val * o.der + self.der * o.val)
-        return _Jet(self.val * o, self.der * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, _Jet):
-            q = self.val / o.val
-            return _Jet(q, (self.der - q * o.der) / o.val)
-        return _Jet(self.val / o, self.der / o)
-
-
-def _branch_image(c, eps: float):
-    """An enclosure of R(c, eps) for c an Interval, or a _Jet that carries
-    dR/dc along, through the orbit _orbit_points computes (the pull at
-    index 3).  Raises DivisionGuard unless the s2 enclosure stays above
-    S2_FLOOR."""
-    o = _orbit_points(Period.THREE, c, eps)
-    left, right = Period.THREE.comb.central
-    top = o[right]
-    s2 = top - o[left]
-    s2_val = getattr(s2, "val", s2)  # a _Jet's value part
-    if not s2_val.lo > S2_FLOOR:
-        over = getattr(c, "val", c)
-        raise DivisionGuard(f"s2 enclosure {s2_val} over {over} is not above the floor {S2_FLOOR}")
-    return (top - c) / s2
-
-
-def _branch_enclosure(c: Interval, eps: float) -> tuple:
-    """Enclosures of R(., eps) and dR/dc over the interval c."""
-    r = _branch_image(_Jet(c, Interval(1.0, 1.0)), eps)
-    return r.val, r.der
 
 
 def _invert_point(b: BranchSystem, i: int, y: float) -> float:
@@ -213,10 +152,11 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
     """
     lo, hi = b.domains[i]
     e = b.epsilons[i]
+    period = b.reports[i].period
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         try:
-            below = return_map(Period.THREE, mid, eps=e) < y
+            below = return_map(period, mid, eps=e) < y
         except DivisionGuard:
             below = False  # as return_map's NaN on an array compares
         if below:
@@ -230,18 +170,20 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _domain_end(e: float, c: float, target: float, step: float, span: float) -> float:
-    """The x beside the fixed point c, on the side step (-1 or 1), with
-    R(x, e) = target: double a bracket from c until R crosses target, then
-    bisect it.  R increases, so R(x) < target puts x below the answer."""
+def _domain_end(rep, target: float, step: float, span: float) -> float:
+    """The x beside the fixed point c of the report rep, on the side step
+    (-1 or 1), with R(x, eps) = target: double a bracket from c until R
+    crosses target, then bisect it.  R increases, so R(x) < target puts x
+    below the answer."""
+    period, e, c = rep.period, rep.eps, rep.c_star
     w = span / 4.0
     # step * (R - target) < 0: R has not yet reached target on that side
-    while step * (return_map(Period.THREE, c + step * w, eps=e) - target) < 0.0:
+    while step * (return_map(period, c + step * w, eps=e) - target) < 0.0:
         w *= 2.0
     lo, hi = sorted((c, c + step * w))
     while hi - lo > INVERSE_TOL:
         mid = 0.5 * (lo + hi)
-        if return_map(Period.THREE, mid, eps=e) < target:
+        if return_map(period, mid, eps=e) < target:
             lo = mid
         else:
             hi = mid
@@ -271,8 +213,8 @@ def build_branch_system(*epsilons: float) -> BranchSystem:
 
     span = (base_hi - base_lo) or 1e-6
     domains = tuple(
-        (_domain_end(e, c, base_lo, -1.0, span), _domain_end(e, c, base_hi, 1.0, span))
-        for e, c in zip(epsilons, cs)
+        (_domain_end(r, base_lo, -1.0, span), _domain_end(r, base_hi, 1.0, span))
+        for r in reports
     )
     return BranchSystem(tuple(epsilons), tuple(reports), domains)
 
@@ -352,7 +294,7 @@ def symbol_scaling_sequence(b: BranchSystem, alpha: Word) -> ScalingSequence:
     cs = coded_orbit(b, alpha, n)
     letters = alpha.cyclic(n)
     levels = [LevelData(c=cs[m], eps=b.epsilons[letters[m]]) for m in range(n)]
-    return ScalingSequence.from_levels(Period.THREE, levels)
+    return ScalingSequence.from_levels(b.reports[0].period, levels)
 
 
 def dense_orbit_word(max_len: int, alphabet: int = 3) -> Word:

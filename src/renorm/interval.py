@@ -3,7 +3,9 @@
 Every bound of a result is the round-to-nearest value moved one ulp
 outward with math.nextafter.  A correctly rounded +, -, * or / is within
 half an ulp of the exact value, so each result contains the exact image
-of its operands.  Floats mix in as point intervals.
+of its operands.  Floats mix in as point intervals.  A Jet carries an
+enclosure of a function of c and one of its c-derivative through the same
+operations.
 """
 
 from __future__ import annotations
@@ -73,3 +75,42 @@ class Interval:
         lo = 0.0 if self.lo <= 0.0 <= self.hi else min(a, b)
         sq = _out(lo * lo, max(a, b) ** 2)
         return Interval(max(0.0, sq.lo), sq.hi)  # a square is never negative
+
+
+class Jet:
+    """A function of c and its c-derivative, each enclosed over an Interval
+    of c: forward-mode differentiation in interval arithmetic."""
+
+    __slots__ = ("val", "der")
+
+    def __init__(self, val: Interval, der: Interval):
+        self.val = val
+        self.der = der
+
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.val + o.val, self.der + o.der)
+        return Jet(self.val + o, self.der)
+
+    def __sub__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.val - o.val, self.der - o.der)
+        return Jet(self.val - o, self.der)
+
+    def __rsub__(self, o):  # o is a float
+        return Jet(o - self.val, -self.der)
+
+    def __mul__(self, o):
+        if o is self:
+            return Jet(self.val.square(), 2.0 * self.val * self.der)
+        if isinstance(o, Jet):
+            return Jet(self.val * o.val, self.val * o.der + self.der * o.val)
+        return Jet(self.val * o, self.der * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet):
+            q = self.val / o.val
+            return Jet(q, (self.der - q * o.der) / o.val)
+        return Jet(self.val / o, self.der / o)

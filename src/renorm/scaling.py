@@ -22,13 +22,15 @@ the orbit from the pulled point; eps = 1 is the unperturbed map, so both
 are read off one orbit (_orbit_points): one loop of u-steps, with 1 - c
 computed once and the pull applied inside the loop at step p, the only
 place eps enters the orbit.  The same loop runs on floats, numpy arrays,
-Intervals and horseshoe's interval jets.  pwa.build_pwa applies the same
-pull to the branch value at u^2(0), the inner end of I_3, the one other
-site that knows the rule.
+Intervals and interval.Jets.  pwa.build_pwa applies the same pull to the
+branch value at u^2(0), the inner end of I_3, the one other site that
+knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
-scans each feasible interval in one call.
+scans each feasible interval in one call.  return_map also takes an
+Interval or a Jet of c and then encloses R (and dR/dc for a Jet); its one
+s2 guard has a rule for each of the three kinds of number.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class FeasibleDomain:
 
 def _orbit_points(period: Period, c, eps: float = 1.0):
     """[0, u(0), ..., u^{2p-2}(0), 1.0] for c a float, a numpy array, an
-    Interval or a horseshoe._Jet: the critical orbit with u^p(0) replaced
+    Interval or an interval.Jet: the critical orbit with u^p(0) replaced
     by eps*u^p(0) and continued from the pulled point, then the point 1.0
     at index ONE.
 
@@ -230,12 +232,15 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     return True
 
 
-def return_map(period: Period, c: float, eps: float = 1.0):
+def return_map(period: Period, c, eps: float = 1.0):
     """R(c) = (u^{2p-2}(0) - c)/s2, the rescaled next critical point.
 
-    One guard rule for both paths: where s2 <= S2_FLOOR a scalar c raises
-    DivisionGuard and an array c gets NaN, so an array call equals the
-    scalar calls elementwise, bitwise, with NaN standing for the raise.
+    One s2 guard, with a rule for each kind of c.  Where s2 <= S2_FLOOR a
+    float c raises DivisionGuard and an array c gets NaN, so an array call
+    equals the float calls elementwise, bitwise, with NaN standing for the
+    raise.  An Interval c, or an interval.Jet that carries dR/dc along,
+    gives an enclosure and raises DivisionGuard unless the lower bound of
+    the s2 enclosure lies above the floor.
     """
     o = _orbit_points(period, c, eps)
     left, right = period.comb.central
@@ -244,9 +249,14 @@ def return_map(period: Period, c: float, eps: float = 1.0):
     if isinstance(s2, float):
         if s2 <= S2_FLOOR:
             raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
-    else:
+    elif isinstance(s2, np.ndarray):
         # dividing by NaN is quiet: no value from across the pole, no warning
         s2[s2 <= S2_FLOOR] = np.nan
+    else:
+        s2_val = getattr(s2, "val", s2)  # a Jet's value part
+        if not s2_val.lo > S2_FLOOR:
+            over = getattr(c, "val", c)
+            raise DivisionGuard(f"s2 enclosure {s2_val} over {over} is not above the floor {S2_FLOOR}")
     return (top - c) / s2
 
 
@@ -316,8 +326,10 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     that vanishes there; each puncture splits its feasible interval in
     two, matching the punctured unions printed in the source domains.
     """
-    if not 0.0 < scan_step <= 1e-2:
-        raise ValueError("scan_step must lie in (0, 1e-2]")
+    # the scan holds every condition at every grid point: refuse a step
+    # below 1e-6 (about 130 MB for period five) before allocating
+    if not 1e-6 <= scan_step <= 1e-2:
+        raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     cs = np.arange(scan_step, 0.5, scan_step)
     cond = conditions(period, cs, eps)
     worst = cond.min(axis=0)

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from renorm.interval import Interval
+from renorm.interval import Interval, Jet
 from renorm.pwa import shift_residual
-from renorm.scaling import DivisionGuard
+from renorm.scaling import DivisionGuard, Period, return_map
 from renorm.tower import build_tower, verify_proper
 from renorm import horseshoe
 from renorm.horseshoe import (
@@ -97,19 +97,15 @@ def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
     # derivative enclosure over A_i and two value-only images of its ends;
     # a refused depth proves nothing
     calls = []
-    real_enclosure, real_image = horseshoe._branch_enclosure, horseshoe._branch_image
 
-    def enclosure(c, eps):
-        calls.append(("slope", eps))
-        return real_enclosure(c, eps)
-
-    def image(c, eps):
-        if isinstance(c, Interval):  # the slope's own jet orbit is not an image
+    def counted(period, c, eps=1.0):
+        if isinstance(c, Jet):
+            calls.append(("slope", eps))
+        elif isinstance(c, Interval):
             calls.append(("image", eps))
-        return real_image(c, eps)
+        return return_map(period, c, eps)
 
-    monkeypatch.setattr(horseshoe, "_branch_enclosure", enclosure)
-    monkeypatch.setattr(horseshoe, "_branch_image", image)
+    monkeypatch.setattr(horseshoe, "return_map", counted)
     b = dataclasses.replace(bsys)  # a copy without the cached proof
     with pytest.raises(ValueError):
         cylinder_counts(b, 40)
@@ -154,13 +150,11 @@ def test_certificate_refuses_a_branch_that_misses_the_base(bsys):
 
 
 def test_certificate_refuses_a_slope_below_one(bsys, monkeypatch):
-    real = horseshoe._branch_enclosure
+    def flat(period, c, eps=1.0):
+        r = return_map(period, c, eps)
+        return Jet(r.val, r.der * (0.9 / r.der.hi)) if isinstance(c, Jet) else r
 
-    def flat(c, eps):
-        r, dr = real(c, eps)
-        return r, dr * (0.9 / dr.hi)
-
-    monkeypatch.setattr(horseshoe, "_branch_enclosure", flat)
+    monkeypatch.setattr(horseshoe, "return_map", flat)
     with pytest.raises(NotAHorseshoe, match="is not above 1"):
         cylinder_count(dataclasses.replace(bsys), 3)
 
@@ -169,7 +163,7 @@ def test_certificate_refuses_a_branch_across_the_s2_pole(bsys):
     # a hand-built branch whose domain reaches below the s2 pole at c ~ 0.352:
     # a typed refusal, never a division by an interval around 0
     with pytest.raises(DivisionGuard):
-        horseshoe._branch_enclosure(Interval(0.3, 0.45), 1.0)
+        return_map(Period.THREE, Jet(Interval(0.3, 0.45), Interval(1.0, 1.0)), 1.0)
     b = BranchSystem((1.0,), bsys.reports[1:2], ((0.3, 0.45),))
     with pytest.raises(NotAHorseshoe):
         cylinder_count(b, 1)
@@ -374,3 +368,26 @@ def test_invert_point_reads_the_guard_as_the_array_nan(bsys):
     for y in (0.0, 0.44, 50.0):
         x = _invert_point(b, 0, y)
         assert np.float64(x).tobytes() == _invert_fixed_64(b, 0, [y])[0].tobytes()
+
+
+def test_branch_system_reads_its_period_from_its_reports(rep5):
+    # a one-letter system on the period-five fixed point: the branch map
+    # and its inversion must evaluate R for p = 5, read off the report
+    c = rep5.c_star
+    b = BranchSystem((1.0,), (rep5,), ((c - 1e-4, c + 1e-4),))
+
+    def r5(x):
+        return return_map(Period.FIVE, x)
+
+    for x in (c - 5e-5, c, c + 5e-5):
+        assert b.map(0, x).hex() == r5(x).hex()
+    # the fixed 64-step bisection of _invert_fixed_64, on R for p = 5
+    for y in (r5(c - 3e-5), c, r5(c + 7e-5)):
+        lo, hi = b.domains[0]
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            if r5(mid) < y:
+                lo = mid
+            else:
+                hi = mid
+        assert _invert_point(b, 0, y).hex() == (0.5 * (lo + hi)).hex()

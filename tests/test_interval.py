@@ -1,5 +1,6 @@
 """The outward-rounded Interval against exact rationals, and the
-horseshoe's branch enclosures against 50-digit mpmath values."""
+enclosures return_map gives of the horseshoe's branches against 50-digit
+mpmath values."""
 
 import math
 import operator
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from mpmath import iv, mp
 
-from renorm import horseshoe
-from renorm.interval import Interval
+from renorm.interval import Interval, Jet
+from renorm.scaling import Period, return_map
 
 OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -96,7 +97,8 @@ def test_branch_enclosures_contain_50_digit_values(request, name):
     rng = np.random.default_rng(9200 + b.alphabet)
     try:
         for (a, z), e in zip(b.domains, b.epsilons):
-            whole_r, whole_dr = horseshoe._branch_enclosure(Interval(a, z), e)
+            whole = return_map(Period.THREE, Jet(Interval(a, z), Interval(1.0, 1.0)), e)
+            whole_r, whole_dr = whole.val, whole.der
             for c in [a, z, *rng.uniform(a, z, 6)]:
                 c = float(c)
                 r = _orbit_r(mp.mpf(c), e, mp.mpf)
@@ -104,7 +106,7 @@ def test_branch_enclosures_contain_50_digit_values(request, name):
                 assert whole_r.lo <= r <= whole_r.hi
                 assert whole_dr.lo <= dr <= whole_dr.hi
                 # the value-only point image holds mpmath's own 50-digit interval
-                point = horseshoe._branch_image(Interval(c, c), e)
+                point = return_map(Period.THREE, Interval(c, c), e)
                 ref = _orbit_r(iv.mpf(c), e, iv.mpf)
                 assert point.lo <= ref.a and ref.b <= point.hi
                 assert point.hi - point.lo < 1e-12

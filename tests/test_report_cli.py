@@ -379,6 +379,16 @@ def test_cli_bad_tolerance_is_usage_error(capsys):
     assert main(["feasible", "--period", "3", "--step", "0.2"]) == 2
 
 
+def test_cli_refuses_a_step_below_its_floor_and_a_grid_above_its_ceiling(capsys):
+    # both checks run before the scan or the grid is allocated
+    for command in (["feasible"], ["solve"], ["plotdata", "returnmap"]):
+        assert main([*command, "--period", "5", "--step", "9e-7"]) == 2
+        assert "must lie in [1e-6, 1e-2]" in capsys.readouterr().err
+    for kind in ("scaling", "returnmap", "cobweb"):
+        assert main(["plotdata", kind, "--grid", "100001"]) == 2
+        assert "above the ceiling 100000" in capsys.readouterr().err
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     import renorm.cli as cli_mod
 

@@ -142,6 +142,8 @@ def test_feasible_domain_validates_arguments():
         feasible_domain(Period.THREE, scan_step=0.5)
     with pytest.raises(ValueError):
         feasible_domain(Period.THREE, scan_step=float("nan"))
+    with pytest.raises(ValueError, match=r"must lie in \[1e-6, 1e-2\]"):
+        feasible_domain(Period.FIVE, scan_step=1e-9)  # 5e8 grid points if allowed
 
 
 def test_return_map_fixed_points():
