@@ -8,20 +8,15 @@ failure (no root, weak expansion, empty domain, ...).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 
 import numpy as np
 
-from . import extension as ext
-from . import horseshoe as hs
 from . import report as rpt
-from . import verify as ver
-from .pwa import build_pwa
-from .quadratic import QuadraticUnimodal, eval_map
 from .scaling import (
     DivisionGuard,
-    EmptyDomain,
     Period,
     conditions,
     feasible_domain,
@@ -29,33 +24,32 @@ from .scaling import (
     return_map,
     scaling_from_critical,
 )
-from .solver import MultipleRoots, NoRoot, continuum_sweep, solve_fixed_point
-from .tower import (
-    DEFAULT_DEPTH,
-    DepthUnderflow,
-    InvalidFactor,
-    ScalingSequence,
-    build_tower,
-    cantor_dimension,
-    hor_bound,
-    ratio_report,
-    verify_proper,
-)
+from .solver import continuum_sweep, solve_fixed_point
+
+# The core, scaling and solver, is imported above; every other stage module
+# is imported inside the commands that call it, so that a command compiles
+# and runs only the modules it uses.
 
 MAX_GRID = 100_000  # plotdata rows; at the ceiling, rows and CSV text take tens of MB
 
-NUMERICAL_ERRORS = (
-    NoRoot,
-    MultipleRoots,
-    EmptyDomain,
-    DivisionGuard,
-    InvalidFactor,
-    DepthUnderflow,
-    hs.ExpansionTooWeak,
-    hs.NotAHorseshoe,
-    ext.FillerOvershoot,
-    ext.NonConvergent,
-)
+# the exceptions that exit 3, by the module that defines them
+NUMERICAL_ERRORS = {
+    "solver": ("NoRoot", "MultipleRoots"),
+    "scaling": ("EmptyDomain", "DivisionGuard"),
+    "tower": ("InvalidFactor", "DepthUnderflow"),
+    "horseshoe": ("ExpansionTooWeak", "NotAHorseshoe"),
+    "extension": ("FillerOvershoot", "NonConvergent"),
+}
+
+
+def _numerical_errors() -> tuple:
+    """The classes of NUMERICAL_ERRORS.  Called only from main's except
+    clause, so the modules are imported only when an exception reaches it."""
+    return tuple(
+        getattr(importlib.import_module(f".{module}", __package__), name)
+        for module, names in NUMERICAL_ERRORS.items()
+        for name in names
+    )
 
 
 def _period(args) -> Period:
@@ -245,6 +239,8 @@ def cmd_feasible(args) -> int:
 
 
 def _solved_sequence(period, tol):
+    from .tower import ScalingSequence
+
     rep = solve_fixed_point(period, tol=tol)
     return rep, ScalingSequence.stationary(period, rep.c_star)
 
@@ -252,6 +248,9 @@ def _solved_sequence(period, tol):
 def _extension(args, period):
     """The solved fixed point, the depth and the fixed point's extension;
     extend reads generation 1 only, so a depth-2 map is enough."""
+    from . import extension as ext
+    from .pwa import build_pwa
+
     rep, seq = _solved_sequence(period, args.tol)
     depth = _depth(args, ext.DEFAULT_DEPTH[period])
     return rep, depth, ext.extend(build_pwa(seq, 2), depth, args.resolution)
@@ -282,7 +281,9 @@ def cmd_plotdata(args) -> int:
                 except DivisionGuard:
                     continue
     elif kind == "cobweb":
-        rep, _ = _solved_sequence(period, args.tol)
+        from .quadratic import QuadraticUnimodal, eval_map
+
+        rep = solve_fixed_point(period, tol=args.tol)
         u = QuadraticUnimodal(rep.c_star)
         header = ["x", "y"]
         rows = [(0.0, 0.0)]
@@ -293,6 +294,8 @@ def cmd_plotdata(args) -> int:
             rows.append((y, y))
             x = y
     elif kind == "tower":
+        from .tower import DEFAULT_DEPTH, build_tower
+
         rep, seq = _solved_sequence(period, args.tol)
         t = build_tower(seq, _depth(args, DEFAULT_DEPTH))
         header = ["n", "family", "lo", "hi"]
@@ -316,6 +319,8 @@ def cmd_plotdata(args) -> int:
 
 
 def cmd_tower(args) -> int:
+    from .tower import DEFAULT_DEPTH, build_tower, cantor_dimension, hor_bound, ratio_report, verify_proper
+
     period = _period(args)
     rep, seq = _solved_sequence(period, args.tol)
     depth = _depth(args, DEFAULT_DEPTH)
@@ -348,6 +353,8 @@ def cmd_tower(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from . import extension as ext
+
     period = _period(args)
     rep, depth, curve = _extension(args, period)
     tip = ext.quadratic_tip(curve)
@@ -370,6 +377,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_horseshoe(args) -> int:
+    from . import horseshoe as hs
+
     eps = tuple(float(x) for x in (args.eps or "1.02,1.0,0.98").split(","))
     b = hs.build_branch_system(*eps)
     counts = hs.cylinder_counts(b, _depth(args, 6))
@@ -396,6 +405,8 @@ def cmd_horseshoe(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as ver
+
     rows = ver.run_suite(args.suite, _period(args), seed=args.seed, quick=not args.full)
     failed = [r for r in rows if not r["ok"]]
     for r in rows:
@@ -429,7 +440,7 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return COMMANDS[args.command](args)
-    except NUMERICAL_ERRORS as exc:
+    except _numerical_errors() as exc:  # ahead of ValueError: InvalidFactor is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, json.JSONDecodeError) as exc:

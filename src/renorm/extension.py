@@ -25,6 +25,11 @@ from .tower import Affine, Tower
 
 DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}  # extension depth when none is given
 MIN_RESOLUTION = 64  # samples per piece
+# Each sample is held at every level, and `plotdata extension` writes each
+# as a CSV row.  Peak RSS at this ceiling, the deepest depth that runs:
+# `plotdata extension` 330 MB (p5, depth 4) and `extend` 80 MB, against
+# 30 MB at the floor; a sample per piece costs about 18 kB and 3 kB.
+MAX_RESOLUTION = 16_384
 JUNCTION_GAP = 1e-9  # pieces closer than this meet at a junction
 TIP_LEVELS = 4  # deepest resolved levels the tip constant is read from
 TIP_FLOOR = 1e-8
@@ -203,8 +208,10 @@ def seed_pieces(f, resolution: int = 256):
     from the box-map images of the opposite seed's outer ends, which is
     what makes every marked point a C^1 junction after extension.
     """
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION} samples per piece")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:  # before any sample is allocated
+        raise ValueError(
+            f"resolution {resolution} must lie in [{MIN_RESOLUTION}, {MAX_RESOLUTION}] samples per piece"
+        )
     t = f.tower
     F = graph_transform(t)
     gen1 = {b.family: b for b in f.branches if b.level == 1}

@@ -120,8 +120,8 @@ def _solve(period, eps, domain, tol):
     Raises NoRoot if no sub-interval brackets a root and MultipleRoots if
     more than one shows up (which would contradict the uniqueness claim).
     """
-    if not tol >= 1e-14:  # NaN fails the comparison and is refused
-        raise ValueError("tol must be >= 1e-14")
+    if not 1e-14 <= tol < np.inf:  # NaN fails the comparison and is refused
+        raise ValueError(f"tol must be finite and >= 1e-14, got {tol!r}")
     if domain is None:
         try:
             domain = feasible_domain(period, eps=eps)

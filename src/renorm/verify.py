@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import extension as ext
-from . import horseshoe as hs
 from .pwa import build_pwa, fixed_residual, shift_residual, tip_ratios, slope_profile, verify_combinatorics
 from .quadratic import eval_raw
 from .scaling import Period, scaling_from_critical
@@ -147,7 +146,10 @@ def extension_suite(rep: FixedPointReport):
 
 
 def horseshoe_suite(rep: FixedPointReport, seed: int = 0, quick: bool = True):
-    """The eps-horseshoe around the period-three fixed point rep."""
+    """The eps-horseshoe around the period-three fixed point rep.  Its
+    module is imported here, since `verify all --period 5` skips it."""
+    from . import horseshoe as hs
+
     b = hs.build_branch_system(1.02, 1.00, 0.98)
     rows = [
         check("branch-derivative-min", min(r.derivative_estimate for r in b.reports), 2.0, kind=">="),

@@ -3,6 +3,7 @@ import pytest
 
 from renorm.quadratic import eval_raw
 from renorm.extension import (
+    MAX_RESOLUTION,
     CurvePiece,
     FillerOvershoot,
     NonConvergent,
@@ -239,5 +240,7 @@ def test_resolution_validation(f3):
         seed_pieces(f3, resolution=16)
     with pytest.raises(ValueError):
         extend(f3, 8, resolution=16)
+    with pytest.raises(ValueError, match="must lie in"):
+        seed_pieces(f3, resolution=MAX_RESOLUTION + 1)
     with pytest.raises(ValueError):
         extend(f3, 0)

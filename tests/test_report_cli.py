@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import renorm
+import renorm.cli as cli_mod
 from renorm import report as rpt
 from renorm.cli import main
 from renorm.solver import NoRoot
@@ -376,6 +378,8 @@ def test_cli_usage_error():
 def test_cli_bad_tolerance_is_usage_error(capsys):
     assert main(["solve", "--period", "3", "--tol", "1e-20"]) == 2
     assert main(["solve", "--period", "3", "--tol", "nan"]) == 2
+    assert main(["solve", "--period", "3", "--tol", "inf"]) == 2
+    assert capsys.readouterr().out == ""
     assert main(["feasible", "--period", "3", "--step", "0.2"]) == 2
 
 
@@ -389,6 +393,20 @@ def test_cli_refuses_a_step_below_its_floor_and_a_grid_above_its_ceiling(capsys)
         assert "above the ceiling 100000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["extend"], ["plotdata", "extension"]])
+def test_cli_refuses_a_resolution_above_its_ceiling(monkeypatch, capsys, command):
+    # refused before any sample is allocated: a huge value once exhausted memory
+    from renorm import extension
+
+    allocated = []
+    monkeypatch.setattr(extension, "_branch_piece", lambda *a: allocated.append(a))
+    assert main([*command, "--period", "5", "--resolution", "16385"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must lie in [64, 16384]" in captured.err
+    assert allocated == []
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     import renorm.cli as cli_mod
 
@@ -399,11 +417,44 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert main(["solve", "--period", "3"]) == 3
 
 
-def test_cli_verify_failure_exit_code(monkeypatch, capsys):
-    import renorm.cli as cli_mod
+# for each module of cli.NUMERICAL_ERRORS, a function that module defines
+# and a command that reaches it
+RAISE_THROUGH = {
+    "solver": ("_solve", ["solve", "--period", "3"]),
+    "scaling": ("conditions", ["feasible", "--period", "5"]),
+    "tower": ("build_tower", ["tower", "--period", "3"]),
+    "horseshoe": ("build_branch_system", ["horseshoe"]),
+    "extension": ("extend", ["extend", "--period", "5"]),
+}
 
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(module, name) for module, names in cli_mod.NUMERICAL_ERRORS.items() for name in names],
+)
+def test_every_numerical_error_exits_3(monkeypatch, capsys, module, name):
+    # InvalidFactor is a ValueError: it exits 3 only while the numerical
+    # clause comes first
+    error = getattr(importlib.import_module(f"renorm.{module}"), name)
+    function, argv = RAISE_THROUGH[module]
+
+    class Forced(error):  # InvalidFactor and ExpansionTooWeak take their own arguments
+        def __init__(self):
+            Exception.__init__(self, "forced")
+
+    def boom(*args, **kwargs):
+        raise Forced()
+
+    monkeypatch.setattr(f"renorm.{module}.{function}", boom)
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical failure: forced\n"
+
+
+def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli_mod.ver, "run_suite",
+        "renorm.verify.run_suite",
         lambda *a, **k: [{"name": "forced", "value": 2.0, "bound": 1.0, "ok": False}],
     )
     assert main(["verify", "tower", "--period", "3"]) == 1

@@ -151,6 +151,6 @@ def test_array_scan_matches_scalar_reference_bitwise():
 
 
 def test_tolerance_validation():
-    for tol in (1e-16, float("nan")):
+    for tol in (1e-16, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             solve_fixed_point(Period.THREE, tol=tol)
