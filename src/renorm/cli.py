@@ -79,16 +79,30 @@ FLAG_HELP = {"eps": "comma-separated eps list"}
 COMMAND_FLAGS = {
     "solve": ("period", "tol", "step", "out"),
     "feasible": ("period", "step", "format", "out"),
-    "plotdata": ("period", "tol", "depth", "grid", "step", "resolution", "out"),
     "tower": ("period", "tol", "depth", "out"),
     "extend": ("period", "tol", "depth", "resolution", "out"),
     "horseshoe": ("depth", "eps", "out"),
     "verify": ("period", "seed", "out"),
 }
+# plotdata reads its flags kind by kind
+PLOTDATA_FLAGS = {
+    "scaling": ("period", "grid", "out"),
+    "returnmap": ("period", "grid", "step", "out"),
+    "cobweb": ("period", "tol", "out"),
+    "tower": ("period", "tol", "depth", "out"),
+    "extension": ("period", "tol", "depth", "resolution", "out"),
+}
 
 
-def _add_flags(p, command):
-    for key in COMMAND_FLAGS[command]:
+def _command_flags(args) -> tuple:
+    """The invoked command's name (with plotdata's kind) and the flags it reads."""
+    if args.command == "plotdata":
+        return f"plotdata {args.kind}", PLOTDATA_FLAGS[args.kind]
+    return args.command, COMMAND_FLAGS[args.command]
+
+
+def _add_flags(p, flags):
+    for key in flags:
         p.add_argument(
             f"--{key}",
             type=FLAG_TYPES[key],
@@ -103,13 +117,13 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="renorm", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("solve", "feasible", "tower", "extend", "horseshoe"):
-        _add_flags(sub.add_parser(name), name)
-    p = sub.add_parser("plotdata")
-    p.add_argument("kind", choices=("scaling", "returnmap", "cobweb", "tower", "extension"))
-    _add_flags(p, "plotdata")
+        _add_flags(sub.add_parser(name), COMMAND_FLAGS[name])
+    kinds = sub.add_parser("plotdata").add_subparsers(dest="kind", required=True)
+    for kind, flags in PLOTDATA_FLAGS.items():
+        _add_flags(kinds.add_parser(kind), flags)
     p = sub.add_parser("verify")
     p.add_argument("suite", choices=("all", "tower", "pwa", "extension", "horseshoe"))
-    _add_flags(p, "verify")
+    _add_flags(p, COMMAND_FLAGS["verify"])
     p.add_argument("--full", action="store_true", help="acceptance-scale depths")
     return ap
 
@@ -151,9 +165,10 @@ def _merge_config(args):
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(cfg) - set(COMMAND_FLAGS[args.command]))
+        name, flags = _command_flags(args)
+        unknown = sorted(set(cfg) - set(flags))
         if unknown:
-            raise ValueError(f"config keys {unknown} are not flags of {args.command}")
+            raise ValueError(f"config keys {unknown} are not flags of {name}")
     for key, value in vars(args).items():
         if value is None and cfg.get(key) is not None:
             setattr(args, key, _config_value(key, cfg[key]))

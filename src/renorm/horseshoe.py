@@ -15,6 +15,7 @@ symbol-driven towers and maps.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +34,7 @@ INVERSE_TOL = 1e-13
 MARGIN = 1e-11
 MAX_COUNT = 2**63 - 1  # the largest cylinder count: an int64, which np.log takes
 CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
+NODE_CAP = 4096  # memo entries per branch (about 0.4 MB); later nodes are not stored
 
 
 class NotAHorseshoe(RuntimeError):
@@ -100,6 +102,11 @@ class BranchSystem:
         return return_map(self.reports[i].period, c, eps=self.epsilons[i])
 
     @cached_property
+    def _nodes(self) -> tuple:
+        """Per-branch memo {node: R(node)} of _invert_point's bisection."""
+        return tuple({} for _ in self.epsilons)
+
+    @cached_property
     def slopes(self) -> tuple:
         """Enclosures of R_i' over each A_i widened by MARGIN/2, once the
         interval proof certifies the full shift on the base widened by
@@ -143,28 +150,40 @@ class BranchSystem:
 def _invert_point(b: BranchSystem, i: int, y: float) -> float:
     """The x in A_i with R(x, eps_i) = y by monotone bisection in plain floats.
 
-    At most 64 steps; it stops after the first step that moves neither
-    end.  That step is a fixed point of the update (the same lo and hi give
-    the same mid and comparison), so the rest of a fixed 64 steps would
-    change nothing and the result is bitwise theirs.  A width test would
-    stop short of that point and change the result.  Where s2 is below the
-    floor, the guard reads as "not below", as a NaN compares.
+    At most 64 steps.  It returns mid as soon as mid equals lo or hi,
+    without evaluating R there: whichever way the comparison would go, the
+    update either leaves lo and hi as they are or collapses them onto mid,
+    so every later step of a fixed 64 finds the same mid and their result
+    0.5 * (lo + hi) is mid, bitwise.  A width test would stop short of that
+    point and change the result.
+
+    The nodes are the same for every y until the path splits, so R at each
+    node is read from the branch's memo (b._nodes[i]) and evaluated only on
+    a miss.  R is a pure function of the node, so a memo hit is bitwise the
+    evaluation.  A full memo (NODE_CAP entries) still evaluates new nodes
+    but stores none: the first inversions store the top levels, which
+    every later word passes through.  Where s2 is below the floor the
+    guard is stored as NaN, which compares as "not below", as return_map's
+    NaN on an array does.
     """
     lo, hi = b.domains[i]
     e = b.epsilons[i]
     period = b.reports[i].period
+    memo = b._nodes[i]
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        try:
-            below = return_map(period, mid, eps=e) < y
-        except DivisionGuard:
-            below = False  # as return_map's NaN on an array compares
-        if below:
-            if mid == lo:
-                break
+        if mid == lo or mid == hi:
+            return mid
+        r = memo.get(mid)
+        if r is None:
+            try:
+                r = return_map(period, mid, eps=e)
+            except DivisionGuard:
+                r = math.nan
+            if len(memo) < NODE_CAP:
+                memo[mid] = r
+        if r < y:
             lo = mid
-        elif mid == hi:
-            break
         else:
             hi = mid
     return 0.5 * (lo + hi)

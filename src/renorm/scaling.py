@@ -331,8 +331,13 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     if not 1e-6 <= scan_step <= 1e-2:
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     cs = np.arange(scan_step, 0.5, scan_step)
-    cond = conditions(period, cs, eps)
-    worst = cond.min(axis=0)
+    # one row per condition, never stacked into one matrix: that stack
+    # (195 KiB for period three, 351 KiB for five) can be large enough for
+    # the allocator to map it afresh, page fault by page fault, every call
+    cond = _condition_values(period, cs, eps)
+    worst = cond[0]
+    for row in cond[1:]:
+        worst = np.minimum(worst, row)
     ok = worst > 0.0
     if not ok.any():
         raise EmptyDomain(f"no feasible point for {period} at step {scan_step}")
@@ -359,7 +364,7 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         # 1e-4 is an ordinary smooth minimum), keyed by the grid index
         # before the minimum, each with the first condition dipping there
         # (np.nonzero reads row-major, conditions in order)
-        vals = cond[:, i0 : i1 + 1]
+        vals = np.array([row[i0 : i1 + 1] for row in cond])
         mid = vals[:, 1:-1]
         dips = (mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid <= 1e-4)
         touch = {}

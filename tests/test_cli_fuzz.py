@@ -1,8 +1,9 @@
 """Fuzzed flags and config files: every draw ends in a documented exit code.
 
-A command, a subset of the flags and config keys it reads (and sometimes
-one it does not), and values for them: malformed strings, negatives,
-zero, nan, inf and in-range values.  `main()` must return 0, 1, 2 or 3,
+A command, a subset of the flags and config keys it reads (for plotdata,
+the ones its drawn kind reads; sometimes a key it does not read too),
+and values for them: malformed strings, negatives, zero, nan, inf and
+in-range values.  `main()` must return 0, 1, 2 or 3,
 or argparse must exit 2; no other exception may escape.  Every drawn
 value is cheap to run even if its guard were missing (resolution at most
 4096, grid at most 2000, depth at most 50, at most 5 eps values); the
@@ -15,7 +16,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
-from renorm.cli import COMMAND_FLAGS, main
+from renorm.cli import COMMAND_FLAGS, PLOTDATA_FLAGS, main
 
 BAD = ["x", "", "-1", "0", "nan", "inf", "-inf"]
 FLAG_VALUES = {
@@ -38,11 +39,15 @@ SUBCOMMAND = {
 
 @st.composite
 def invocations(draw):
-    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    command = draw(st.sampled_from(sorted([*COMMAND_FLAGS, "plotdata"])))
     argv = [command]
     if command in SUBCOMMAND:
         argv.append(draw(st.sampled_from(SUBCOMMAND[command])))
-    flags = [k for k in COMMAND_FLAGS[command] if k != "out"]
+    if command == "plotdata":
+        readers = PLOTDATA_FLAGS.get(argv[1], ("period",))  # argparse refuses "bogus"
+    else:
+        readers = COMMAND_FLAGS[command]
+    flags = [k for k in readers if k != "out"]
     extra = draw(st.sampled_from(["none", "grid", "eps", "period"]))  # maybe not a flag of command
     for key in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)):
         argv += [f"--{key}", draw(st.sampled_from(FLAG_VALUES[key] + BAD))]

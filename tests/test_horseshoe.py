@@ -326,8 +326,8 @@ def test_codings_bitwise_fixed_64(request, name):
         assert np.array(orbit).tobytes() == np.array(ref).tobytes()
 
 
-def test_inversion_stops_before_the_cap(bsys, monkeypatch):
-    # the A_i are ~1e-5 wide, so the bisection stops moving well before 64 steps
+def _count_evaluations(monkeypatch):
+    """The list of eps values of every R evaluation _invert_point makes."""
     steps = []
     real_map = horseshoe.return_map
 
@@ -336,8 +336,67 @@ def test_inversion_stops_before_the_cap(bsys, monkeypatch):
         return real_map(period, c, eps=eps)
 
     monkeypatch.setattr(horseshoe, "return_map", counting_map)
-    _invert_point(bsys, 1, 0.5 * (bsys.base[0] + bsys.base[1]))
+    return steps
+
+
+def test_inversion_stops_before_the_cap(bsys, monkeypatch):
+    # the A_i are ~1e-5 wide, so the bisection stops moving well before 64
+    # steps; a copy starts with an empty memo, whatever ran on bsys before
+    b = dataclasses.replace(bsys)
+    steps = _count_evaluations(monkeypatch)
+    _invert_point(b, 1, 0.5 * (b.base[0] + b.base[1]))
     assert 0 < len(steps) < 64
+
+
+def test_repeated_inversion_evaluates_nothing(bsys, monkeypatch):
+    b = dataclasses.replace(bsys)
+    y = 0.5 * (b.base[0] + b.base[1])
+    x = _invert_point(b, 1, y)
+    steps = _count_evaluations(monkeypatch)
+    assert _invert_point(b, 1, y).hex() == x.hex()
+    assert steps == []
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys5"])
+def test_warmed_memo_codes_bitwise(request, name):
+    # codings on a system whose memo other words filled equal those on a
+    # fresh copy and the fixed-64 reference
+    b = request.getfixturevalue(name)
+    m = b.alphabet
+    rng = np.random.default_rng(120 + m)
+    warm = dataclasses.replace(b)
+    for _ in range(6):
+        coded_orbit(warm, Word(tuple(int(x) for x in rng.integers(0, m, size=12)), m), 6)
+    assert all(warm._nodes)
+    for _ in range(4):
+        word = Word(tuple(int(x) for x in rng.integers(0, m, size=10)), m)
+        ref = _backward_fixed_64(b, word.symbols)[0]
+        ref_orbit = [x.hex() for x in _backward_fixed_64(b, word.cyclic(8 + CODING_PAD))[:8]]
+        for system in (warm, dataclasses.replace(b)):
+            assert code_to_point(system, word, 10).c_alpha.hex() == ref.hex()
+            assert [x.hex() for x in coded_orbit(system, word, 8)] == ref_orbit
+
+
+def test_memo_is_per_branch(bsys):
+    # two branches on one domain with different eps: a node's R belongs to
+    # its branch, so a memo shared between branches would answer wrongly
+    b = BranchSystem(bsys.epsilons[:2], bsys.reports[:2], (bsys.domains[1],) * 2)
+    y = 0.5 * (bsys.base[0] + bsys.base[1])
+    for i in (0, 1):
+        x = _invert_point(b, i, y)
+        assert np.float64(x).tobytes() == _invert_fixed_64(b, i, [y])[0].tobytes()
+
+
+def test_capped_memo_stays_bitwise(bsys, monkeypatch):
+    # past the cap nodes are evaluated, not stored; results do not change
+    monkeypatch.setattr(horseshoe, "NODE_CAP", 8)
+    b = dataclasses.replace(bsys)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        word = Word(tuple(int(x) for x in rng.integers(0, 3, size=10)), 3)
+        ref = _backward_fixed_64(bsys, word.cyclic(6 + CODING_PAD))[:6]
+        assert np.array(coded_orbit(b, word, 6)).tobytes() == np.array(ref).tobytes()
+    assert [len(memo) for memo in b._nodes] == [8, 8, 8]
 
 
 @pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5"])
@@ -365,9 +424,11 @@ def test_invert_point_reads_the_guard_as_the_array_nan(bsys):
     with pytest.raises(DivisionGuard):
         bsys.map(1, 0.3)
     b = BranchSystem((1.0,), bsys.reports[1:2], ((0.3, 0.45),))
-    for y in (0.0, 0.44, 50.0):
-        x = _invert_point(b, 0, y)
-        assert np.float64(x).tobytes() == _invert_fixed_64(b, 0, [y])[0].tobytes()
+    for _ in range(2):  # the second pass reads the guard from the memo
+        for y in (0.0, 0.44, 50.0):
+            x = _invert_point(b, 0, y)
+            assert np.float64(x).tobytes() == _invert_fixed_64(b, 0, [y])[0].tobytes()
+    assert any(np.isnan(r) for r in b._nodes[0].values())
 
 
 def test_branch_system_reads_its_period_from_its_reports(rep5):

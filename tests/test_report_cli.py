@@ -252,7 +252,8 @@ def test_cli_numeric_config_matches_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     for command, config in (
         (["solve"], {"period": 5, "tol": 1e-12, "step": 2e-4}),
-        (["plotdata", "scaling"], {"period": 5, "tol": 1e-12, "grid": 40}),
+        (["plotdata", "scaling"], {"period": 5, "grid": 40}),
+        (["plotdata", "cobweb"], {"period": 5, "tol": 1e-12}),
     ):
         cfg.write_text(json.dumps(config))
         from_config = run_cli(capsys, *command, "--config", str(cfg))
@@ -291,6 +292,38 @@ def test_cli_refuses_flags_and_config_keys_the_command_does_not_read(
     assert main([*command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"not flags of {command[0]}" in captured.err
+
+
+PLOTDATA_READS = {
+    "scaling": ("period", "grid", "out"),
+    "returnmap": ("period", "grid", "step", "out"),
+    "cobweb": ("period", "tol", "out"),
+    "tower": ("period", "tol", "depth", "out"),
+    "extension": ("period", "tol", "depth", "resolution", "out"),
+}
+PLOTDATA_UNREAD = [
+    (kind, flag)
+    for kind, flags in PLOTDATA_READS.items()
+    for flag in cli_mod.FLAG_TYPES
+    if flag not in flags
+]
+UNREAD_VALUE = {"period": 3, "tol": float("nan"), "depth": 3, "grid": 5, "step": 1e-3,
+                "resolution": 64, "eps": "1.0,0.99", "seed": 1, "out": "x.csv", "format": "csv"}
+
+
+@pytest.mark.parametrize("kind, flag", PLOTDATA_UNREAD)
+def test_cli_plotdata_refuses_flags_its_kind_does_not_read(tmp_path, capsys, kind, flag):
+    # each kind takes only its own flags, as every other command does
+    value = UNREAD_VALUE[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(["plotdata", kind, "--period", "3", f"--{flag}", str(value)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    assert main(["plotdata", kind, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"not flags of plotdata {kind}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -388,7 +421,7 @@ def test_cli_refuses_a_step_below_its_floor_and_a_grid_above_its_ceiling(capsys)
     for command in (["feasible"], ["solve"], ["plotdata", "returnmap"]):
         assert main([*command, "--period", "5", "--step", "9e-7"]) == 2
         assert "must lie in [1e-6, 1e-2]" in capsys.readouterr().err
-    for kind in ("scaling", "returnmap", "cobweb"):
+    for kind in ("scaling", "returnmap"):
         assert main(["plotdata", kind, "--grid", "100001"]) == 2
         assert "above the ceiling 100000" in capsys.readouterr().err
 

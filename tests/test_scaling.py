@@ -15,6 +15,7 @@ from renorm.scaling import (
     scaling_closed_form_tripling,
     scaling_from_critical,
 )
+from reference_domains import DOMAIN_HEXES
 from reference_values import (
     C3_STAR,
     C5_STAR,
@@ -135,6 +136,17 @@ def test_feasible_domain_coarse_scan_still_finds_it():
     assert any(lo < 0.44 < hi for lo, hi in fd.intervals)
     assert abs(fd.intervals[0][0] - FD3[0]) < 1e-5
     assert abs(fd.intervals[-1][1] - FD3[2]) < 1e-5
+
+
+@pytest.mark.parametrize("key", sorted(DOMAIN_HEXES))
+def test_feasible_domain_bitwise_reference(key):
+    period, eps, step = key
+    fd = feasible_domain(Period(period), scan_step=step, eps=eps)
+    assert {
+        "intervals": [(a.hex(), b.hex()) for a, b in fd.intervals],
+        "boundaries": [(c.hex(), name) for c, name in fd.boundaries],
+        "punctures": [(c.hex(), name) for c, name in fd.punctures],
+    } == DOMAIN_HEXES[key]
 
 
 def test_feasible_domain_validates_arguments():
