@@ -2,13 +2,13 @@
 renormalization analysis as JSON/CSV artifacts.
 
 Exit codes: 0 success, 1 invariant failure, 2 usage error, 3 numerical
-failure (no root, weak expansion, empty domain, ...).
+failure (no root, weak expansion, empty domain, ...): a
+renorm.scaling.NumericalFailure.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import sys
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import report as rpt
 from .scaling import (
-    DivisionGuard,
+    NumericalFailure,
     Period,
     conditions,
     feasible_domain,
@@ -31,26 +31,6 @@ from .solver import continuum_sweep, solve_fixed_point
 # and runs only the modules it uses.
 
 MAX_GRID = 100_000  # plotdata rows; at the ceiling, rows and CSV text take tens of MB
-
-# the exceptions that exit 3, by the module that defines them
-NUMERICAL_ERRORS = {
-    "solver": ("NoRoot", "MultipleRoots"),
-    "scaling": ("EmptyDomain", "DivisionGuard"),
-    "tower": ("InvalidFactor", "DepthUnderflow"),
-    "horseshoe": ("ExpansionTooWeak", "NotAHorseshoe"),
-    "extension": ("FillerOvershoot", "NonConvergent"),
-}
-
-
-def _numerical_errors() -> tuple:
-    """The classes of NUMERICAL_ERRORS.  Called only from main's except
-    clause, so the modules are imported only when an exception reaches it."""
-    return tuple(
-        getattr(importlib.import_module(f".{module}", __package__), name)
-        for module, names in NUMERICAL_ERRORS.items()
-        for name in names
-    )
-
 
 def _period(args) -> Period:
     return Period(args.period)
@@ -290,11 +270,10 @@ def cmd_plotdata(args) -> int:
         header = ["interval", "c", "R"]
         rows = []
         for k, (lo, hi) in enumerate(domain.intervals):
-            for c in np.linspace(lo + 1e-9, hi - 1e-9, args.grid // len(domain.intervals)):
-                try:
-                    rows.append((k, float(c), float(return_map(period, float(c)))))
-                except DivisionGuard:
-                    continue
+            cs = np.linspace(lo + 1e-9, hi - 1e-9, args.grid // len(domain.intervals))
+            rs = return_map(period, cs)
+            kept = ~np.isnan(rs)  # NaN where the s2 guard trips: no row
+            rows.extend((k, c, r) for c, r in zip(cs[kept].tolist(), rs[kept].tolist()))
     elif kind == "cobweb":
         from .quadratic import QuadraticUnimodal, eval_map
 
@@ -455,10 +434,10 @@ def main(argv=None) -> int:
     try:
         _merge_config(args)
         return COMMANDS[args.command](args)
-    except _numerical_errors() as exc:  # ahead of ValueError: InvalidFactor is one
+    except NumericalFailure as exc:  # ahead of ValueError: InvalidFactor is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

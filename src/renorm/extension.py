@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import Period
+from .scaling import NumericalFailure, Period
 from .tower import Affine, Tower
 
 DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}  # extension depth when none is given
@@ -42,11 +42,11 @@ TIP_FLOOR = 1e-8
 MIN_SAMPLE_ULPS = 2048
 
 
-class FillerOvershoot(RuntimeError):
+class FillerOvershoot(NumericalFailure, RuntimeError):
     """The gap interpolant lost monotonicity or left the unit square."""
 
 
-class NonConvergent(RuntimeError):
+class NonConvergent(NumericalFailure, RuntimeError):
     pass
 
 

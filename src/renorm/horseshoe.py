@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .interval import Interval, Jet
-from .scaling import DivisionGuard, return_map
+from .scaling import DivisionGuard, NumericalFailure, bisect, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
 
@@ -37,11 +37,11 @@ CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
 NODE_CAP = 4096  # memo entries per branch (about 0.4 MB); later nodes are not stored
 
 
-class NotAHorseshoe(RuntimeError):
+class NotAHorseshoe(NumericalFailure, RuntimeError):
     """A condition of the full-shift certificate failed."""
 
 
-class ExpansionTooWeak(RuntimeError):
+class ExpansionTooWeak(NumericalFailure, RuntimeError):
     def __init__(self, eps, deriv):
         super().__init__(
             f"branch derivative {deriv:.4f} at eps={eps} is not above 2"
@@ -200,13 +200,7 @@ def _domain_end(rep, target: float, step: float, span: float) -> float:
     while step * (return_map(period, c + step * w, eps=e) - target) < 0.0:
         w *= 2.0
     lo, hi = sorted((c, c + step * w))
-    while hi - lo > INVERSE_TOL:
-        mid = 0.5 * (lo + hi)
-        if return_map(period, mid, eps=e) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda x: return_map(period, x, eps=e) < target, lo, hi, INVERSE_TOL)
 
 
 def build_branch_system(*epsilons: float) -> BranchSystem:

@@ -46,7 +46,12 @@ S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 REFINE_TOL = 1e-12  # bracket width of every domain boundary and puncture
 
 
-class DivisionGuard(ArithmeticError):
+class NumericalFailure(Exception):
+    """Base of every failure the numerics, not the input, are to blame for:
+    the CLI exits 3 on it.  Each such class keeps its own second base."""
+
+
+class DivisionGuard(NumericalFailure, ArithmeticError):
     """s2 fell below the floor; the return map is not evaluable here."""
 
 
@@ -193,12 +198,6 @@ def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
     return tuple([o[i] - o[j] for i, j in period.comb.pairs])
 
 
-def _condition(period: Period, pair, c, eps: float = 1.0):
-    """The one condition o[plus] - o[minus] a puncture refinement follows."""
-    o = _orbit_points(period, c, eps)
-    return o[pair[0]] - o[pair[1]]
-
-
 def conditions(period: Period, c, eps: float = 1.0):
     """All positivity conditions (lengths then gaps), vectorized."""
     return np.array(_condition_values(period, c, eps))
@@ -279,20 +278,26 @@ def scaling_closed_form_tripling(c: float) -> ScalingFactor:
     return ScalingFactor(Period.THREE, (float(s1), float(s2), float(s3)))
 
 
-class EmptyDomain(RuntimeError):
+class EmptyDomain(NumericalFailure, RuntimeError):
     """The scan found no feasible point; the predicate must be wrong."""
+
+
+def bisect(keep, a, b, tol):
+    """Halve the bracket between a and b (either may be the larger) until
+    it is at most tol wide, moving a to each midpoint where keep holds and
+    b to every other; return the midpoint of what is left."""
+    while abs(b - a) > tol:
+        mid = 0.5 * (a + b)
+        if keep(mid):
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
     """Bisect min(all conditions) between a feasible and an infeasible point."""
-    a, b = ok_pt, bad_pt
-    while abs(b - a) > REFINE_TOL:
-        mid = 0.5 * (a + b)
-        if feasibility(period, mid, eps):
-            a = mid
-        else:
-            b = mid
-    c = 0.5 * (a + b)
+    c = bisect(lambda x: feasibility(period, x, eps), ok_pt, bad_pt, REFINE_TOL)
     name = period.comb.names[int(np.argmin(conditions(period, c, eps)))]
     return c, name
 
@@ -330,11 +335,17 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     # below 1e-6 (about 130 MB for period five) before allocating
     if not 1e-6 <= scan_step <= 1e-2:
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps!r}")
     cs = np.arange(scan_step, 0.5, scan_step)
     # one row per condition, never stacked into one matrix: that stack
     # (195 KiB for period three, 351 KiB for five) can be large enough for
-    # the allocator to map it afresh, page fault by page fault, every call
-    cond = _condition_values(period, cs, eps)
+    # the allocator to map it afresh, page fault by page fault, every call.
+    # A huge eps overflows the orbit after the pull, quietly: an orbit point
+    # past it that overflows is -inf, and so is the length S2 it ends, so
+    # the point fails worst > 0 whatever its other conditions read.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = _condition_values(period, cs, eps)
     worst = cond[0]
     for row in cond[1:]:
         worst = np.minimum(worst, row)
@@ -374,8 +385,7 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         # once and name it after every condition that vanishes there
         cut = []
         for k in sorted(touch):
-            pair = comb.pairs[touch[k]]
-            fn = lambda x: _condition(period, pair, x, eps)
+            fn = lambda x: _condition_values(period, x, eps)[touch[k]]
             x = _refine_touch(fn, float(cs[k]), float(cs[k + 2]))
             vals = _condition_values(period, x, eps)
             names = sorted(nm for nm, v in zip(comb.names, vals) if v < 1e-10)

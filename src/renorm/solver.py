@@ -19,6 +19,7 @@ from .scaling import (
     DivisionGuard,
     EmptyDomain,
     FeasibleDomain,
+    NumericalFailure,
     Period,
     feasible_domain,
     return_map,
@@ -30,11 +31,11 @@ BISECT_TOL = 1e-8
 POLISH_TOL = 1e-13
 
 
-class NoRoot(RuntimeError):
+class NoRoot(NumericalFailure, RuntimeError):
     pass
 
 
-class MultipleRoots(RuntimeError):
+class MultipleRoots(NumericalFailure, RuntimeError):
     pass
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadratic import QuadraticUnimodal, orbit
-from .scaling import Period, ScalingFactor, scaling_from_critical
+from .scaling import NumericalFailure, Period, ScalingFactor, bisect, scaling_from_critical
 
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
@@ -26,14 +26,14 @@ RATIO_TOL = 1e-12  # ratio_report's constancy bound
 DIM_TOL = 1e-12    # bisection width of cantor_dimension
 
 
-class InvalidFactor(ValueError):
+class InvalidFactor(NumericalFailure, ValueError):
     def __init__(self, depth, factor):
         self.depth = depth
         self.factor = factor
         super().__init__(f"scaling factor leaves the simplex at depth {depth}: {factor.s}")
 
 
-class DepthUnderflow(ArithmeticError):
+class DepthUnderflow(NumericalFailure, ArithmeticError):
     """The chain slope left the normal float range; deeper sizes lose their
     relative precision (subnormal) and then vanish (0.0)."""
 
@@ -292,13 +292,6 @@ def cantor_dimension(f: ScalingFactor) -> float:
     def g(d):
         return float(np.sum(s**d)) - 1.0
 
-    lo, hi = 1e-9, 1.0
-    if g(hi) >= 0.0:
+    if g(1.0) >= 0.0:
         return 1.0  # boundary case: the components tile the interval
-    while hi - lo > DIM_TOL:
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda d: g(d) > 0.0, 1e-9, 1.0, DIM_TOL)

@@ -12,7 +12,7 @@ import numpy as np
 from . import extension as ext
 from .pwa import build_pwa, fixed_residual, shift_residual, tip_ratios, slope_profile, verify_combinatorics
 from .quadratic import eval_raw
-from .scaling import Period, scaling_from_critical
+from .scaling import Period
 from .solver import FixedPointReport, continuum_sweep, solve_fixed_point
 from .tower import ScalingSequence, build_tower, cantor_dimension, hor_bound, ratio_report, verify_proper
 
@@ -63,7 +63,7 @@ def tower_suite(rep: FixedPointReport):
 
     hb = hor_bound(t)
     rows.append(check("hor-bound-rho", hb.rho, 4.0, ok=hb.satisfied and hb.rho <= 4.0))
-    d = cantor_dimension(scaling_from_critical(period, c))
+    d = cantor_dimension(t.factors[0])
     rows.append(check("cantor-dimension-interior", d, 1.0, ok=0.0 < d < 1.0))
     return rows
 

@@ -25,6 +25,7 @@ from renorm.horseshoe import (
     symbol_scaling_sequence,
 )
 from cylinders import _invert_fixed_64, resolved_levels, widths_within_bounds
+from reference_bisections import BRANCH_DOMAIN_HEXES
 from reference_values import C3_STAR, C_EPS_098, C_EPS_102
 
 
@@ -53,6 +54,13 @@ def test_branch_domains_cover_base(bsys):
         assert lo - 1e-10 <= a < b <= hi + 1e-10
         assert bsys.map(i, a) == pytest.approx(lo, abs=1e-9)
         assert bsys.map(i, b) == pytest.approx(hi, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys5", "bsys_wide"])
+def test_branch_domains_bitwise_reference(request, name):
+    b = request.getfixturevalue(name)
+    got = [(lo.hex(), hi.hex()) for lo, hi in b.domains]
+    assert got == BRANCH_DOMAIN_HEXES[b.epsilons]
 
 
 def test_constant_words_code_fixed_points(bsys):

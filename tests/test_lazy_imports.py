@@ -100,3 +100,25 @@ def test_stage_modules_are_attributes_and_unknown_names_are_not():
     with pytest.raises(AttributeError):
         renorm.no_such_name
     assert not hasattr(renorm, "no_such_name")
+
+
+def _main_exit(argv, code: int) -> str:
+    """Probe code that runs main(argv) quietly and checks its exit code."""
+    return (
+        "from renorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert main({argv!r}) == {code}\n"
+    )
+
+
+def test_usage_error_loads_no_further_module():
+    # --step 1 is refused before any scan: exit 2 with the solve command's modules
+    code = _main_exit(["solve", "--period", "3", "--step", "1"], 2)
+    assert loaded_modules(code) == sorted(CORE + ["renorm.cli", "renorm.report"])
+
+
+def test_numerical_failure_loads_no_further_module():
+    # DepthUnderflow at depth 315: exit 3 with the tower command's modules
+    code = _main_exit(["tower", "--period", "3", "--depth", "400"], 3)
+    expected = CORE + ["renorm.cli", "renorm.quadratic", "renorm.report", "renorm.tower"]
+    assert loaded_modules(code) == sorted(expected)

@@ -11,6 +11,7 @@ import renorm
 import renorm.cli as cli_mod
 from renorm import report as rpt
 from renorm.cli import main
+from renorm.scaling import DivisionGuard, NumericalFailure, Period, feasible_domain, return_map
 from renorm.solver import NoRoot
 from reference_values import C3_6DP, C5_6DP, FD3_6DP
 
@@ -440,6 +441,45 @@ def test_cli_refuses_a_resolution_above_its_ceiling(monkeypatch, capsys, command
     assert allocated == []
 
 
+def test_cli_huge_eps_fails_cleanly_and_infinite_eps_is_a_usage_error(capsys):
+    assert main(["horseshoe", "--eps", "1e200,1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # one line: no numpy overflow warning ahead of it
+    assert captured.err == (
+        "numerical failure: no feasible domain at eps=1e+200: "
+        "no feasible point for Period.THREE at step 0.0001\n"
+    )
+    assert main(["horseshoe", "--eps", "inf,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: eps must be finite, got inf\n"
+
+
+def _scalar_returnmap_rows(period, grid):
+    """The reference for plotdata returnmap's rows: one scalar return_map
+    call per point, a point where the s2 guard trips left out."""
+    domain = feasible_domain(period)
+    rows = []
+    for k, (lo, hi) in enumerate(domain.intervals):
+        for c in np.linspace(lo + 1e-9, hi - 1e-9, grid // len(domain.intervals)):
+            try:
+                rows.append((k, float(c), float(return_map(period, float(c)))))
+            except DivisionGuard:
+                continue
+    return rows
+
+
+@pytest.mark.parametrize("grid", [2000, 7])
+@pytest.mark.parametrize("period", [3, 5])
+def test_cli_plotdata_returnmap_matches_the_scalar_loop(capsys, period, grid):
+    code, out = run_cli(capsys, "plotdata", "returnmap", "--period", str(period), "--grid", str(grid))
+    assert code == 0
+    rows = _scalar_returnmap_rows(Period(period), grid)
+    assert rows
+    assert out == rpt.to_csv(["interval", "c", "R"], rows)
+
+
 def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     import renorm.cli as cli_mod
 
@@ -450,8 +490,16 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
     assert main(["solve", "--period", "3"]) == 3
 
 
-# for each module of cli.NUMERICAL_ERRORS, a function that module defines
-# and a command that reaches it
+# the documented exit-3 failures, by the module that defines them
+NUMERICAL_ERRORS = {
+    "solver": ("NoRoot", "MultipleRoots"),
+    "scaling": ("EmptyDomain", "DivisionGuard"),
+    "tower": ("InvalidFactor", "DepthUnderflow"),
+    "horseshoe": ("ExpansionTooWeak", "NotAHorseshoe"),
+    "extension": ("FillerOvershoot", "NonConvergent"),
+}
+# for each module of NUMERICAL_ERRORS, a function that module defines and a
+# command that reaches it
 RAISE_THROUGH = {
     "solver": ("_solve", ["solve", "--period", "3"]),
     "scaling": ("conditions", ["feasible", "--period", "5"]),
@@ -463,12 +511,13 @@ RAISE_THROUGH = {
 
 @pytest.mark.parametrize(
     "module, name",
-    [(module, name) for module, names in cli_mod.NUMERICAL_ERRORS.items() for name in names],
+    [(module, name) for module, names in NUMERICAL_ERRORS.items() for name in names],
 )
 def test_every_numerical_error_exits_3(monkeypatch, capsys, module, name):
     # InvalidFactor is a ValueError: it exits 3 only while the numerical
     # clause comes first
     error = getattr(importlib.import_module(f"renorm.{module}"), name)
+    assert issubclass(error, NumericalFailure)
     function, argv = RAISE_THROUGH[module]
 
     class Forced(error):  # InvalidFactor and ExpansionTooWeak take their own arguments

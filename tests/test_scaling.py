@@ -6,7 +6,9 @@ import pytest
 from renorm.quadratic import QuadraticUnimodal, eval_map, orbit
 from renorm.scaling import (
     DivisionGuard,
+    EmptyDomain,
     Period,
+    bisect,
     conditions,
     feasibility,
     feasible_domain,
@@ -156,6 +158,31 @@ def test_feasible_domain_validates_arguments():
         feasible_domain(Period.THREE, scan_step=float("nan"))
     with pytest.raises(ValueError, match=r"must lie in \[1e-6, 1e-2\]"):
         feasible_domain(Period.FIVE, scan_step=1e-9)  # 5e8 grid points if allowed
+
+
+@pytest.mark.parametrize("eps", [float("inf"), float("-inf"), float("nan")])
+def test_feasible_domain_refuses_a_non_finite_eps(eps):
+    with pytest.raises(ValueError, match="eps must be finite"):
+        feasible_domain(Period.THREE, eps=eps)
+
+
+@pytest.mark.parametrize("eps", [1e152, 1e154, 1e155, 1e200, 1.7976931348623157e308])
+def test_huge_eps_overflows_to_an_empty_domain_quietly(eps):
+    # the orbit past the pull overflows; that reads as infeasible, and the
+    # overflow raises no RuntimeWarning (an error under the test policy)
+    with pytest.raises(EmptyDomain):
+        feasible_domain(Period.THREE, eps=eps)
+
+
+def test_bisect_takes_its_ends_in_either_order():
+    third = 1.0 / 3.0
+    up = bisect(lambda x: x < third, 0.0, 1.0, 1e-12)
+    down = bisect(lambda x: x > third, 1.0, 0.0, 1e-12)
+    assert abs(up - third) <= 1e-12 and abs(down - third) <= 1e-12
+    # a keeps every midpoint keep holds at, however the bracket is ordered
+    seen = []
+    bisect(lambda x: seen.append(x) or True, 2.0, 1.0, 0.25)
+    assert seen == [1.5, 1.25]
 
 
 def test_return_map_fixed_points():

@@ -154,3 +154,12 @@ def test_tolerance_validation():
     for tol in (1e-16, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             solve_fixed_point(Period.THREE, tol=tol)
+
+
+def test_eps_solve_refuses_a_non_finite_eps_and_fails_a_huge_one():
+    for eps in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            solve_fixed_point_eps(eps)
+    # the orbit overflows: NoRoot, not numpy's overflow RuntimeWarning
+    with pytest.raises(NoRoot, match="no feasible domain"):
+        solve_fixed_point_eps(1e200)

@@ -14,6 +14,7 @@ from renorm.tower import (
     ratio_report,
     verify_proper,
 )
+from reference_bisections import CANTOR_DIMENSION_HEXES
 from reference_values import MORAN3, MORAN5, ORBIT3, S3_STAR
 
 
@@ -157,6 +158,15 @@ def test_cantor_dimension_fixed_points(rep3, rep5):
     assert 0.0 < d3 < 1.0 and 0.0 < d5 < 1.0
     assert d3 == pytest.approx(MORAN3, abs=1e-9)
     assert d5 == pytest.approx(MORAN5, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_cantor_dimension_bitwise_reference(request, p):
+    rep = request.getfixturevalue(f"rep{p}")
+    f = scaling_from_critical(rep.period, rep.c_star)
+    assert cantor_dimension(f).hex() == CANTOR_DIMENSION_HEXES[p]
+    # the factor verify's tower suite reads off its stationary tower
+    assert build_tower(ScalingSequence.stationary(rep.period, rep.c_star), 1).factors[0] == f
 
 
 def test_cantor_dimension_rejects_bad_factor():
