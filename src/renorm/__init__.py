@@ -40,7 +40,6 @@ from .solver import (
 
 # the stage modules loaded on first use, with the names each exports here
 _LAZY = {
-    "quadratic": ("QuadraticUnimodal", "eval_map", "orbit"),
     "tower": (
         "LevelData",
         "ScalingSequence",

@@ -18,6 +18,7 @@ from . import report as rpt
 from .scaling import (
     NumericalFailure,
     Period,
+    _orbit_points,
     conditions,
     feasible_domain,
     gaps,
@@ -254,7 +255,10 @@ def _extension(args, period):
 def cmd_plotdata(args) -> int:
     period = _period(args)
     kind = args.kind
-    if args.grid > MAX_GRID:  # refused before any grid is allocated
+    # both refused before any grid is allocated
+    if args.grid < 1:
+        raise ValueError(f"--grid {args.grid} must be at least 1")
+    if args.grid > MAX_GRID:
         raise ValueError(f"--grid {args.grid} is above the ceiling {MAX_GRID}")
     if kind == "scaling":
         cs = np.linspace(1e-3, 0.499, args.grid)
@@ -275,18 +279,13 @@ def cmd_plotdata(args) -> int:
             kept = ~np.isnan(rs)  # NaN where the s2 guard trips: no row
             rows.extend((k, c, r) for c, r in zip(cs[kept].tolist(), rs[kept].tolist()))
     elif kind == "cobweb":
-        from .quadratic import QuadraticUnimodal, eval_map
-
         rep = solve_fixed_point(period, tol=args.tol)
-        u = QuadraticUnimodal(rep.c_star)
+        o = _orbit_points(period, rep.c_star)
         header = ["x", "y"]
         rows = [(0.0, 0.0)]
-        x = 0.0
-        for _ in range(period.p + 1):
-            y = eval_map(u, x)
+        for x, y in zip(o, o[1 : period.p + 2]):  # the steps to u^{p+1}(0)
             rows.append((x, y))
             rows.append((y, y))
-            x = y
     elif kind == "tower":
         from .tower import DEFAULT_DEPTH, build_tower
 

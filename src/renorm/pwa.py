@@ -19,8 +19,7 @@ from __future__ import annotations
 import bisect as _bisect
 from dataclasses import dataclass
 
-from .quadratic import eval_raw
-from .scaling import Period, _orbit_points
+from .scaling import Period, _orbit_points, eval_raw
 from .tower import Affine, ScalingSequence, Tower, build_tower
 
 DISPATCH_TOL = 1e-14

@@ -1,4 +1,10 @@
-"""Scaling factors, gaps, feasibility and the critical-point return map.
+"""The quadratic family's critical orbit and what it determines: scaling
+factors, gaps, feasibility and the critical-point return map.
+
+u_c(x) = 1 - ((x - c)/(1 - c))**2 on [0, 1] (eval_raw) has its critical
+point at c and critical exponent 2.  Everything the package builds (scaling
+factors, towers, piecewise-affine maps, extensions) is read off the orbit
+of 0 under u_c, and _orbit_points is the one loop that computes it.
 
 One table, COMBINATORICS, holds all that differs between the periods;
 each Period member carries its row as .comb, so hot calls read it as a
@@ -160,13 +166,20 @@ class FeasibleDomain:
         return None
 
 
+def eval_raw(c, x):
+    """u_c(x) = 1 - ((x - c)/(1 - c))**2, without domain checks.  Works on
+    floats and numpy arrays."""
+    t = (x - c) / (1.0 - c)
+    return 1.0 - t * t
+
+
 def _orbit_points(period: Period, c, eps: float = 1.0):
     """[0, u(0), ..., u^{2p-2}(0), 1.0] for c a float, a numpy array, an
     Interval or an interval.Jet: the critical orbit with u^p(0) replaced
     by eps*u^p(0) and continued from the pulled point, then the point 1.0
     at index ONE.
 
-    Each step is quadratic.eval_raw's t = (x - c)/(1 - c), x = 1 - t*t
+    Each step is eval_raw's t = (x - c)/(1 - c), x = 1 - t*t
     with 1 - c computed once: the same operations in the same order, so
     every point is bitwise eval_raw's.  Multiplying by eps = 1.0 is exact,
     so the unperturbed orbit comes out bitwise; the perturbation is defined
@@ -385,7 +398,13 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         # once and name it after every condition that vanishes there
         cut = []
         for k in sorted(touch):
-            fn = lambda x: _condition_values(period, x, eps)[touch[k]]
+            # the one condition that dips here, read off the orbit alone
+            i, j = comb.pairs[touch[k]]
+
+            def fn(x):
+                o = _orbit_points(period, x, eps)
+                return o[i] - o[j]
+
             x = _refine_touch(fn, float(cs[k]), float(cs[k + 2]))
             vals = _condition_values(period, x, eps)
             names = sorted(nm for nm, v in zip(comb.names, vals) if v < 1e-10)

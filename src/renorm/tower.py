@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadratic import QuadraticUnimodal, orbit
-from .scaling import NumericalFailure, Period, ScalingFactor, bisect, scaling_from_critical
+from .scaling import NumericalFailure, Period, ScalingFactor, _orbit_points, bisect, scaling_from_critical
 
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
@@ -70,55 +69,58 @@ class LevelData:
     c: float
     eps: float = 1.0
 
+    def __post_init__(self):
+        # one negated chain comparison, so that a NaN critical point fails too
+        if not 0.0 < self.c < 1.0:
+            raise ValueError(f"critical point must lie in (0, 1), got {self.c}")
+
 
 @dataclass(frozen=True)
 class ScalingSequence:
-    """A rule assigning level data (critical point, eps) to each depth.
+    """Level data (critical point, eps) for depths 1, 2, ..., held as data.
 
-    length is None for rules defined at every depth; symbol-driven data
-    built from a finite word has finite length.
+    A stationary sequence holds one level and repeats it at every depth
+    (length None); symbol-driven data built from a finite word holds its
+    levels in order and has their number as its length.
     """
 
     period: Period
-    _fn: object
-    length: int | None = None
+    data: tuple
+    repeats: bool = False
+
+    @property
+    def length(self) -> int | None:
+        return None if self.repeats else len(self.data)
 
     def level(self, m: int) -> LevelData:
         if m < 1:
             raise ValueError("levels are 1-indexed")
-        if self.length is not None and m > self.length:
-            raise ValueError(f"sequence of length {self.length} has no level {m}")
-        return self._fn(m)
+        if self.repeats:
+            return self.data[0]
+        if m > len(self.data):
+            raise ValueError(f"sequence of length {len(self.data)} has no level {m}")
+        return self.data[m - 1]
 
     def levels(self, n: int) -> list:
         return [self.level(m) for m in range(1, n + 1)]
 
     def shift(self) -> "ScalingSequence":
-        fn = self._fn
-        return ScalingSequence(
-            self.period,
-            lambda m, _fn=fn: _fn(m + 1),
-            None if self.length is None else self.length - 1,
-        )
-
-    def factor(self, m: int) -> ScalingFactor:
-        lv = self.level(m)
-        return scaling_from_critical(self.period, lv.c, lv.eps)
+        return self if self.repeats else ScalingSequence(self.period, self.data[1:])
 
     @staticmethod
     def stationary(period: Period, c: float, eps: float = 1.0) -> "ScalingSequence":
-        return ScalingSequence(period, lambda m: LevelData(c, eps))
+        return ScalingSequence(period, (LevelData(c, eps),), repeats=True)
 
     @staticmethod
     def from_levels(period: Period, levels) -> "ScalingSequence":
-        levels = tuple(levels)
-        return ScalingSequence(period, lambda m, _lv=levels: _lv[m - 1], len(levels))
+        return ScalingSequence(period, tuple(levels))
 
 
 def local_intervals(period: Period, lv: LevelData, factor: ScalingFactor):
     """Unit-square positions of the next-generation intervals: each s_j laid
-    off from the end of I_j with the lower orbit index (u^k(0), k < p, or 1.0)."""
-    o = orbit(QuadraticUnimodal(lv.c), period.p - 1) + [1.0]  # 1.0 at ONE
+    off from the end of I_j with the lower orbit index (u^k(0), k < p, or 1.0
+    at ONE); eps pulls u^p(0) only, so no lower end depends on it."""
+    o = _orbit_points(period, lv.c)
     out = {}
     for j, ((left, right), s) in enumerate(zip(period.comb.intervals, factor.s), 1):
         out[j] = (o[left], o[left] + s) if left < right else (o[right] - s, o[right])
@@ -166,7 +168,7 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
     levels = seq.levels(depth)
     factors = []
     for m, lv in enumerate(levels, start=1):
-        f = seq.factor(m)
+        f = scaling_from_critical(period, lv.c, lv.eps)
         if not f.is_valid:
             raise InvalidFactor(m, f)
         factors.append(f)
@@ -289,9 +291,9 @@ def cantor_dimension(f: ScalingFactor) -> float:
     if float(np.sum(s)) > 1.0 + 1e-12:
         raise ValueError("component sum exceeds 1; no dimension in (0, 1]")
 
-    def g(d):
-        return float(np.sum(s**d)) - 1.0
+    def below(d):  # sum_i s_i^d falls as d rises and passes 1 at the dimension
+        return float(np.sum(s**d)) > 1.0
 
-    if g(1.0) >= 0.0:
+    if float(np.sum(s)) >= 1.0:
         return 1.0  # boundary case: the components tile the interval
-    return bisect(lambda d: g(d) > 0.0, 1e-9, 1.0, DIM_TOL)
+    return bisect(below, 1e-9, 1.0, DIM_TOL)

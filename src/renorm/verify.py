@@ -11,8 +11,7 @@ import numpy as np
 
 from . import extension as ext
 from .pwa import build_pwa, fixed_residual, shift_residual, tip_ratios, slope_profile, verify_combinatorics
-from .quadratic import eval_raw
-from .scaling import Period
+from .scaling import Period, eval_raw
 from .solver import FixedPointReport, continuum_sweep, solve_fixed_point
 from .tower import ScalingSequence, build_tower, cantor_dimension, hor_bound, ratio_report, verify_proper
 

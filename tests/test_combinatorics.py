@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from renorm import scaling
 from renorm.interval import Interval, Jet
-from renorm.quadratic import QuadraticUnimodal, eval_raw, orbit
 from renorm.scaling import (
     ONE,
     S2_FLOOR,
@@ -22,6 +21,7 @@ from renorm.scaling import (
     _condition_values,
     _orbit_points,
     conditions,
+    eval_raw,
     feasibility,
     gaps,
     return_map,
@@ -64,13 +64,13 @@ def _ref_gap_components(period, o):
 
 
 def _ref_level_anchor(period, lv):
-    o = orbit(QuadraticUnimodal(lv.c), 3)
+    o = _ref_orbit(period, lv.c)
     return o[1] if period is Period.THREE else o[3]
 
 
 def _ref_local_intervals(period, lv, factor):
     s = factor.s
-    o = orbit(QuadraticUnimodal(lv.c), 2)
+    o = _ref_orbit(period, lv.c)
     if period is Period.THREE:
         a = o[1]
         return {1: (0.0, s[0]), 2: (a, a + s[1]), 3: (1.0 - s[2], 1.0)}

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from renorm.quadratic import eval_raw
 from renorm.extension import (
     MAX_RESOLUTION,
     CurvePiece,
@@ -18,7 +17,7 @@ from renorm.extension import (
     unimodal_check,
 )
 from renorm.pwa import build_pwa
-from renorm.scaling import Period
+from renorm.scaling import Period, eval_raw
 from renorm.tower import ScalingSequence
 from reference_values import ORBIT3, TIP3, TIP5
 

@@ -18,7 +18,6 @@ CORE = ["renorm", "renorm.scaling", "renorm.solver"]
 # every name `renorm` exported while it imported every stage module eagerly,
 # with the module that defines it
 EXPORTED = {
-    "quadratic": ["QuadraticUnimodal", "eval_map", "orbit"],
     "scaling": [
         "FeasibleDomain", "GapVector", "Period", "ScalingFactor", "feasibility",
         "feasible_domain", "gaps", "return_map", "scaling_closed_form_tripling",
@@ -67,7 +66,9 @@ def test_import_renorm_loads_only_the_core():
     assert loaded_modules("import renorm") == CORE
 
 
-@pytest.mark.parametrize("argv", [["solve", "--period", "3"], ["feasible", "--period", "5"]])
+@pytest.mark.parametrize(
+    "argv", [["solve", "--period", "3"], ["feasible", "--period", "5"], ["plotdata", "cobweb", "--period", "5"]]
+)
 def test_light_commands_load_only_the_core_cli_and_report(argv):
     code = (
         "from renorm.cli import main\n"
@@ -120,5 +121,5 @@ def test_usage_error_loads_no_further_module():
 def test_numerical_failure_loads_no_further_module():
     # DepthUnderflow at depth 315: exit 3 with the tower command's modules
     code = _main_exit(["tower", "--period", "3", "--depth", "400"], 3)
-    expected = CORE + ["renorm.cli", "renorm.quadratic", "renorm.report", "renorm.tower"]
+    expected = CORE + ["renorm.cli", "renorm.report", "renorm.tower"]
     assert loaded_modules(code) == sorted(expected)

@@ -1,7 +1,6 @@
 import pytest
 
-from renorm.quadratic import eval_raw
-from renorm.scaling import Period, return_map
+from renorm.scaling import Period, eval_raw, return_map
 from renorm.tower import LevelData, ScalingSequence
 from renorm.pwa import (
     DepthExhausted,

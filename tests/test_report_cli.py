@@ -130,8 +130,30 @@ def test_cli_plotdata_returnmap_crossings(capsys):
 
 @pytest.mark.parametrize("kind, grid", [("scaling", "0"), ("returnmap", "1")])
 def test_cli_plotdata_grid_without_rows_is_usage_error(capsys, kind, grid):
-    # a header-only CSV is no plot
-    assert run_cli(capsys, "plotdata", kind, "--period", "3", "--grid", grid) == (2, "")
+    # a header-only CSV is no plot; a grid of 0 is refused by the --grid
+    # floor, and a positive one that leaves no row per feasible interval
+    # once the rows come out empty
+    assert main(["plotdata", kind, "--period", "3", "--grid", grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "must be at least 1" if grid == "0" else "leaves no data row"
+    assert f"--grid {grid} {reason}" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["scaling", "returnmap"])
+@pytest.mark.parametrize("grid", [0, -5])
+def test_cli_refuses_a_grid_below_one_by_its_flag_name(tmp_path, monkeypatch, capsys, kind, grid):
+    # refused before the domain scan or any grid is allocated, from the flag
+    # and from a config file alike, and named as --grid, not numpy's count
+    monkeypatch.setattr(cli_mod, "feasible_domain", lambda *a, **k: pytest.fail("scanned"))
+    monkeypatch.setattr(cli_mod.np, "linspace", lambda *a, **k: pytest.fail("allocated"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    for source in (["--grid", str(grid)], ["--config", str(cfg)]):
+        assert main(["plotdata", kind, "--period", "3", *source]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--grid {grid} must be at least 1" in captured.err
 
 
 def test_cli_plotdata_cobweb(capsys):
@@ -172,23 +194,15 @@ def test_cli_extend_report(capsys):
     assert abs(res["quadratic_tip"] - res["quadratic_tip_algebraic"]) < 1e-5
 
 
-BENCH_REFERENCES = Path(__file__).resolve().parents[1] / "bench" / "reference_outputs.json"
+# the benchmark's recorded stdout digest of every cli-mix command, read only
+with open(Path(__file__).resolve().parents[1] / "bench" / "reference_outputs.json") as _fh:
+    RECORDED_DIGESTS = json.load(_fh)
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        "extend --period 3",
-        "extend --period 5",
-        "plotdata extension --period 3",
-        "plotdata extension --period 5",
-        "verify all --period 5",
-    ],
-)
+@pytest.mark.parametrize("command", sorted(RECORDED_DIGESTS))
 def test_cli_output_matches_recorded_digest(capsys, command):
-    # the benchmark's recorded stdout digests, checked in-process
-    with open(BENCH_REFERENCES) as fh:
-        reference = json.load(fh)[command]
+    # checked in-process, on every Python the tests run on
+    reference = RECORDED_DIGESTS[command]
     code, out = run_cli(capsys, *command.split())
     data = out.encode()
     assert code == 0

@@ -7,6 +7,7 @@ from renorm.scaling import Period, ScalingFactor, gaps, scaling_from_critical
 from renorm.tower import (
     DepthUnderflow,
     InvalidFactor,
+    LevelData,
     ScalingSequence,
     build_tower,
     cantor_dimension,
@@ -189,6 +190,21 @@ def test_sequence_shift(seq3, bsys):
     assert shifted.length == 3
     assert shifted.level(1) == seq.level(2)
     assert seq3.shift().level(5) == seq3.level(6)
+    # the shift drops the first level and nothing else; past its length it has none
+    assert shifted == ScalingSequence.from_levels(seq.period, seq.levels(4)[1:])
+    for s in (seq, shifted):
+        with pytest.raises(ValueError, match="has no level"):
+            s.level(s.length + 1)
+
+
+def test_stationary_sequences_are_plain_data():
+    # equal data compare equal, and a stationary shift is the sequence itself
+    seq = ScalingSequence.stationary(Period.THREE, 0.44)
+    assert seq == ScalingSequence.stationary(Period.THREE, 0.44)
+    assert seq != ScalingSequence.stationary(Period.THREE, 0.44, 0.98)
+    assert seq.shift() == seq
+    assert seq.length is None
+    assert seq.level(1) == seq.level(1000) == LevelData(0.44)
 
 
 def test_depth_underflow_raises(seq3):
