@@ -5,7 +5,8 @@ outward with math.nextafter.  A correctly rounded +, -, * or / is within
 half an ulp of the exact value, so each result contains the exact image
 of its operands.  Floats mix in as point intervals.  A Jet carries an
 enclosure of a function of c and one of its c-derivative through the same
-operations.
+operations; an Interval operand mixes into a Jet as a constant, whichever
+side it stands on.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
+        if isinstance(other, Jet):  # a constant plus a Jet: Jet.__radd__
+            return NotImplemented
         o = _iv(other)
         return _out(self.lo + o.lo, self.hi + o.hi)
 
@@ -45,6 +48,8 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
+        if isinstance(other, Jet):
+            return NotImplemented
         o = _iv(other)
         return _out(self.lo - o.hi, self.hi - o.lo)
 
@@ -54,6 +59,8 @@ class Interval:
     def __mul__(self, other):
         if other is self:  # one variable: x*x is its square, not [lo*hi, ...]
             return self.square()
+        if isinstance(other, Jet):
+            return NotImplemented
         o = _iv(other)
         p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return _out(min(p), max(p))
@@ -61,6 +68,8 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return NotImplemented
         o = _iv(other)
         if o.lo <= 0.0 <= o.hi:
             raise ZeroDivisionError(f"denominator {o} contains 0")
@@ -92,12 +101,14 @@ class Jet:
             return Jet(self.val + o.val, self.der + o.der)
         return Jet(self.val + o, self.der)
 
+    __radd__ = __add__
+
     def __sub__(self, o):
         if isinstance(o, Jet):
             return Jet(self.val - o.val, self.der - o.der)
         return Jet(self.val - o, self.der)
 
-    def __rsub__(self, o):  # o is a float
+    def __rsub__(self, o):  # o is a float or an Interval
         return Jet(o - self.val, -self.der)
 
     def __mul__(self, o):
@@ -114,3 +125,7 @@ class Jet:
             q = self.val / o.val
             return Jet(q, (self.der - q * o.der) / o.val)
         return Jet(self.val / o, self.der / o)
+
+    def __rtruediv__(self, o):  # o is a float or an Interval
+        q = o / self.val
+        return Jet(q, -(q * self.der) / self.val)

@@ -4,7 +4,7 @@ factors, gaps, feasibility and the critical-point return map.
 u_c(x) = 1 - ((x - c)/(1 - c))**2 on [0, 1] (eval_raw) has its critical
 point at c and critical exponent 2.  Everything the package builds (scaling
 factors, towers, piecewise-affine maps, extensions) is read off the orbit
-of 0 under u_c, and _orbit_points is the one loop that computes it.
+of 0 under u_c, and _orbit_points is the one function that computes it.
 
 One table, COMBINATORICS, holds all that differs between the periods;
 each Period member carries its row as .comb, so hot calls read it as a
@@ -25,12 +25,14 @@ rows also carry the condition names and the renormalization cycle.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
-are read off one orbit (_orbit_points): one loop of u-steps, with 1 - c
-computed once and the pull applied inside the loop at step p, the only
-place eps enters the orbit.  The same loop runs on floats, numpy arrays,
-Intervals and interval.Jets.  pwa.build_pwa applies the same pull to the
-branch value at u^2(0), the inner end of I_3, the one other site that
-knows the rule.
+are read off one orbit (_orbit_points).  It is straight-line code built
+at import from one template, a u-step with 1 - c computed once and the
+pull: a block per Period of 2p - 2 u-steps with the pull after step p,
+the only place eps enters the orbit, and no loop left to run per call.
+The same code runs on floats, numpy arrays, Intervals and interval.Jets,
+and eps may be an Interval or a Jet too.  pwa.build_pwa applies the same
+pull to the branch value at u^2(0), the inner end of I_3, the one other
+site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
@@ -49,7 +51,10 @@ from functools import cached_property
 import numpy as np
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
-REFINE_TOL = 1e-12  # bracket width of every domain boundary and puncture
+# bracket width of every domain boundary, and the golden section's final
+# bracket at a puncture; a puncture is a quadratic touch, placed only to
+# about sqrt(ulp): across scan steps punctures move up to 5e-10
+REFINE_TOL = 1e-12
 
 
 class NumericalFailure(Exception):
@@ -73,11 +78,21 @@ class Combinatorics:
     cycle: tuple      # the intervals in the order u visits them, from I_2
 
     @cached_property
-    def pairs(self) -> tuple:
-        """(plus, minus) orbit indices of each condition o[plus] - o[minus]."""
+    def lengths(self) -> tuple:
+        """(plus, minus) orbit indices of each length o[right] - o[left]."""
+        return tuple((right, left) for left, right in self.intervals)
+
+    @cached_property
+    def gaps(self) -> tuple:
+        """(plus, minus) orbit indices of each gap, left to right."""
         ivs = self.intervals
-        lengths = tuple((right, left) for left, right in ivs)
-        return lengths + tuple((b[0], a[1]) for a, b in zip(ivs, ivs[1:]))
+        return tuple((b[0], a[1]) for a, b in zip(ivs, ivs[1:]))
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(plus, minus) orbit indices of each condition o[plus] - o[minus]:
+        the lengths, then the gaps."""
+        return self.lengths + self.gaps
 
     @cached_property
     def central(self) -> tuple:
@@ -173,35 +188,66 @@ def eval_raw(c, x):
     return 1.0 - t * t
 
 
-def _orbit_points(period: Period, c, eps: float = 1.0):
+def _check_pull(period: Period, eps) -> None:
+    """Refuse an eps the pull is not defined for: any period but three, or
+    an eps not above 0; for an Interval eps, or a Jet's, its lower bound."""
+    if period.p != 3:  # not Period.THREE: an Enum class lookup, every call
+        raise ValueError("eps-perturbation is defined for period three only")
+    try:
+        above = eps > 0.0
+    except TypeError:  # an Interval or a Jet: no order, only bounds
+        above = getattr(eps, "val", eps).lo > 0.0
+    if not above:
+        raise ValueError("eps must be positive")
+
+
+# The one template of the critical orbit: a u-step, eval_raw's
+# t = (x - c)/(1 - c), x = 1 - t*t with d = 1 - c computed once, and the
+# pull.  _orbit_points is generated from it as straight-line code, a block
+# per Period, so that no call runs a loop.
+_U_STEP = "        t = (x{j} - c) / d\n        x{k} = 1.0 - t * t\n"
+_PULL = "        x{k} = eps * x{k}\n"
+_ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
     """[0, u(0), ..., u^{2p-2}(0), 1.0] for c a float, a numpy array, an
     Interval or an interval.Jet: the critical orbit with u^p(0) replaced
     by eps*u^p(0) and continued from the pulled point, then the point 1.0
     at index ONE.
 
-    Each step is eval_raw's t = (x - c)/(1 - c), x = 1 - t*t
-    with 1 - c computed once: the same operations in the same order, so
-    every point is bitwise eval_raw's.  Multiplying by eps = 1.0 is exact,
-    so the unperturbed orbit comes out bitwise; the perturbation is defined
-    for period three only.
+    Straight-line code from the module's one template: the 2p - 2 u-steps
+    of the period's block run eval_raw's operations in its order, so every
+    point is bitwise eval_raw's.  Multiplying by eps = 1.0 is exact, so
+    the unperturbed orbit comes out bitwise; the perturbation is defined
+    for period three only, and for an Interval or a Jet eps whose lower
+    bound is above 0.
     """
     if eps != 1.0:
-        if period is not Period.THREE:
-            raise ValueError("eps-perturbation is defined for period three only")
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
-    p = period.p
+        _check_pull(period, eps)
     d = 1.0 - c
-    x = 0.0
-    out = [x]
-    for k in range(1, 2 * p - 1):
-        t = (x - c) / d
-        x = 1.0 - t * t
-        if k == p:
-            x = eps * x
-        out.append(x)
-    out.append(1.0)
-    return out
+    x0 = 0.0
+'''
+
+
+def _compile_orbit():
+    """_orbit_points from the template: the head, then for each Period its
+    u-steps with the pull after step p, and its points followed by 1.0.
+    Compiled under this file's name, so profiles count it in scaling; a
+    traceback through it gives the generated source's line numbers."""
+    src = _ORBIT_HEAD
+    for period in Period:
+        p = period.p
+        src += f"    if period.p == {p}:\n"
+        for k in range(1, 2 * p - 1):
+            src += _U_STEP.format(j=k - 1, k=k)
+            if k == p:
+                src += _PULL.format(k=k)
+        points = ", ".join(f"x{k}" for k in range(2 * p - 1))
+        src += f"        return [{points}, 1.0]\n"
+    namespace = {}
+    exec(compile(src, __file__, "exec"), globals(), namespace)
+    return namespace["_orbit_points"]
+
+
+_orbit_points = _compile_orbit()
 
 
 def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
@@ -232,11 +278,20 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     anyway and a violation flags a broken implementation."""
     if not 0.0 < c < 0.5:
         return False
-    vals = _condition_values(period, c, eps)
-    for v in vals:
-        if not v > 0.0:  # not min(): a NaN condition must count as infeasible
+    # one orbit, read condition by condition in table order until one is
+    # not above 0; not min(): a NaN condition must count as infeasible
+    o = _orbit_points(period, c, eps)
+    comb = period.comb
+    total = 0
+    for i, j in comb.lengths:
+        s = o[i] - o[j]
+        if not s > 0.0:
             return False
-    if sum(vals[: period.p]) >= 1.0:
+        total += s
+    for i, j in comb.gaps:
+        if not o[i] - o[j] > 0.0:
+            return False
+    if total >= 1.0:
         raise RuntimeError(
             "positivity held but the simplex sum exceeded 1; "
             "the gap conditions should forbid this"

@@ -1,9 +1,10 @@
 """Fixed points of the return maps R(c) and R(c, eps).
 
 Roots of R(c) - c are isolated by a sign scan over the feasible domain,
-one array call of R per feasible interval (R is NaN where its s2 guard
-trips, so the scan never pairs values across a pole), then refined by
-scalar bisection and polished with a secant step loop.  Each period
+one array call of R over the grids of all feasible intervals (R is NaN
+where its s2 guard trips, so the scan never pairs values across a pole,
+nor across the gap between two intervals), then refined on Python floats
+by scalar bisection and polished with a secant step loop.  Each period
 has exactly one expanding fixed point; finding none or several is
 surfaced as an error rather than silently resolved.
 """
@@ -88,16 +89,26 @@ def _refine_root(f, lo, hi, tol):
     return x1
 
 
-def _scan_roots(g, lo, hi, grid):
-    """Sign changes of g on [lo, hi] sampled at spacing grid.
+def _scan_roots(g, intervals, grid):
+    """Sign changes of g on each (lo, hi) of intervals, sampled at spacing
+    grid, as brackets of Python floats.
 
-    g takes the whole grid as one array; NaN values never pair into a hit.
+    g takes every interval's grid as one concatenated array; NaN values
+    never pair into a hit, and neither do the two points where one
+    interval's grid ends and the next begins.
     """
-    n = max(int(np.ceil((hi - lo) / grid)), 2)
-    xs = np.linspace(lo, hi, n + 1)
-    vals = g(xs)
-    hits = np.flatnonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-    return [(xs[i], xs[i + 1]) for i in hits]
+    if not intervals:
+        return []
+    grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
+    xs = np.concatenate(grids)
+    signs = np.sign(g(xs))
+    pairs = signs[:-1] * signs[1:]
+    end = 0
+    for xi in grids[:-1]:
+        end += len(xi)
+        pairs[end - 1] = 0.0  # the last point of one grid and the first of the next
+    hits = np.flatnonzero(pairs < 0)
+    return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
 
 
 def _report(period, g, R, bracket, tol, eps):
@@ -139,10 +150,8 @@ def _solve(period, eps, domain, tol):
         except DivisionGuard:
             return np.nan
 
-    brackets = []
-    for lo, hi in domain.intervals:
-        pad = 2.0 * REFINE_TOL
-        brackets.extend(_scan_roots(g, lo + pad, hi - pad, SCAN_GRID))
+    pad = 2.0 * REFINE_TOL
+    brackets = _scan_roots(g, [(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID)
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:

@@ -1,7 +1,7 @@
 """The per-period combinatorics table against the hand-written code it
 replaced, the table's rows against the dynamics they encode, and the one
-orbit loop (floats, arrays, Intervals and jets) against the eval_raw
-chain it replaced."""
+straight-line orbit (floats, arrays, Intervals and jets) against the
+eval_raw chain it replaced."""
 
 import math
 import random
@@ -162,12 +162,34 @@ def test_feasibility_is_the_reference(case):
     assert feasibility(period, c, eps) is want
 
 
+def _orbit_reading(period, j, bad):
+    """A stand-in orbit whose condition j reads bad, bitwise.
+
+    The points sit left to right in the table's order at k * 2**-1000,
+    the point 1.0 at 0.5, so every length and gap is positive and their
+    sum below 1.  Then condition j's plus end moves to its minus end plus
+    bad: on that dyadic scale the sum and the difference are exact.  A NaN
+    end also makes NaN the condition right of it.
+    """
+    o = [0.0] * 2 * period.p
+    order = [k for iv in period.comb.intervals for k in iv]
+    for pos, k in enumerate(order[:-1]):
+        o[k] = pos * 2.0**-1000
+    o[ONE] = 0.5
+    plus, minus = period.comb.pairs[j]
+    o[plus] = o[minus] + bad
+    return o
+
+
 @BITWISE
 @given(st.integers(0, 4), st.sampled_from([math.nan, 0.0, -1e-300]))
 def test_feasibility_refuses_any_condition_not_above_zero(j, bad):
-    vals = [0.1] * 5
-    vals[j] = bad
-    with mock.patch.object(scaling, "_condition_values", lambda *args: tuple(vals)):
+    # the seam is the orbit feasibility reads once, condition by condition
+    o = _orbit_reading(Period.THREE, j, bad)
+    vals = [o[i] - o[k] for i, k in Period.THREE.comb.pairs]
+    assert _bits(vals[j]) == _bits(bad)
+    assert all(v > 0.0 for n, v in enumerate(vals) if n != j and not math.isnan(v))
+    with mock.patch.object(scaling, "_orbit_points", lambda *args: o):
         assert feasibility(Period.THREE, 0.44) is False
 
 
@@ -209,6 +231,39 @@ def test_interval_and_jet_orbits_are_bitwise_the_reference(period, lo, width, ep
     else:
         assert _bounds([return_map(period, jet, eps)]) == _bounds([want.val, want.der])
         assert _bounds([return_map(period, c, eps)]) == _bounds([want.val])
+
+
+def test_an_interval_eps_passes_through_the_orbit():
+    # the pull with an eps box: every point after it encloses the float
+    # orbits at both ends and the midpoint of the box; the points before it
+    # are the float orbit's, bitwise
+    box = Interval(0.99, 1.01)
+    for c in (0.44, 0.4402, 0.4301):
+        o = _orbit_points(Period.THREE, c, box)
+        for eps in (box.lo, 1.0, box.hi):
+            want = _orbit_points(Period.THREE, c, eps)
+            assert o[:3] == want[:3] and o[-1] == want[-1] == 1.0
+            for x, w in zip(o[3:-1], want[3:-1]):
+                assert isinstance(x, Interval) and x.lo <= w <= x.hi
+    # a Jet c with an Interval eps: eps * x defers to the Jet
+    jet = Jet(Interval(0.44, 0.44), Interval(1.0, 1.0))
+    o = _orbit_points(Period.THREE, jet, box)
+    assert o[0] == 0.0 and o[-1] == 1.0
+    assert all(isinstance(x, Jet) for x in o[1:-1])
+    val = return_map(Period.THREE, jet, box).val
+    for eps in (box.lo, 1.0, box.hi):
+        assert val.lo <= return_map(Period.THREE, 0.44, eps) <= val.hi
+    # a Jet in eps carries dR/deps: the mean-value slope across the box
+    # is R' at some eps inside it
+    der = return_map(Period.THREE, 0.44, Jet(box, Interval(1.0, 1.0))).der
+    slope = (return_map(Period.THREE, 0.44, box.hi) - return_map(Period.THREE, 0.44, box.lo)) / (box.hi - box.lo)
+    assert der.lo <= slope <= der.hi
+    # an eps box reaching 0 or below is refused, as a float eps is
+    for bad in (Interval(-0.1, 1.0), Interval(0.0, 1.0)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            _orbit_points(Period.THREE, 0.44, bad)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            _orbit_points(Period.THREE, jet, Jet(bad, Interval(0.0, 0.0)))
 
 
 def test_conditions_bitwise_reference_arrays():

@@ -54,6 +54,20 @@ def test_operations_contain_the_exact_results(op):
     assert checked > 1000
 
 
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_an_interval_operand_mixes_into_a_jet_as_a_constant(op):
+    # Interval op Jet defers to the Jet's reflected operation: a Jet whose
+    # value and derivative hold those of a op f, with f(c) = 2, f'(c) = 3
+    f = OPS[op]
+    x = Interval(0.5, 0.75)
+    z = f(x, Jet(Interval(2.0, 2.0), Interval(3.0, 3.0)))
+    assert isinstance(z, Jet)
+    der = {"+": lambda a: 3, "-": lambda a: -3, "*": lambda a: 3 * a, "/": lambda a: -3 * a / 4}[op]
+    for a in (Fraction(x.lo), Fraction(x.hi), Fraction(5, 8)):
+        assert _contains(z.val, f(a, Fraction(2)))
+        assert _contains(z.der, der(a))
+
+
 def test_square_contains_the_exact_squares():
     rng = np.random.default_rng(9100)
     for _ in range(300):

@@ -2,11 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from renorm.scaling import (
+    REFINE_TOL,
     DivisionGuard,
     EmptyDomain,
     Period,
+    _condition_values,
     bisect,
     conditions,
     eval_raw,
@@ -34,8 +37,8 @@ from reference_values import (
 
 
 def _orbit(c, k):
-    """[0, u(0), ..., u^k(0)] by plain iteration: the reference the orbit
-    loop in renorm.scaling is checked against."""
+    """[0, u(0), ..., u^k(0)] by plain iteration: the reference the
+    straight-line orbit in renorm.scaling is checked against."""
     out = [0.0]
     for _ in range(k):
         out.append(eval_raw(c, out[-1]))
@@ -158,6 +161,33 @@ def test_feasible_domain_bitwise_reference(key):
         "boundaries": [(c.hex(), name) for c, name in fd.boundaries],
         "punctures": [(c.hex(), name) for c, name in fd.punctures],
     } == DOMAIN_HEXES[key]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.tuples(st.just(Period.THREE), st.floats(0.9, 1.1)))
+@example((Period.FIVE, 1.0))
+def test_feasible_domain_is_stable_across_scan_steps(case):
+    # the scan step decides where refinement starts, not what it finds: the
+    # same intervals, boundaries within the bisection's REFINE_TOL, and
+    # punctures within 1e-9, since the touching condition is quadratic
+    # there and the golden section places it only to about sqrt(ulp).
+    # Names are not compared across steps: at the period-three upper
+    # boundary Gl and Gr vanish together, and which of them the boundary
+    # is named after flips with the step.  Each name must vanish there.
+    period, eps = case
+    ref = feasible_domain(period, 1e-4, eps)
+    for step in (2e-4, 5e-4, 1e-3):
+        fd = feasible_domain(period, step, eps)
+        assert len(fd.intervals) == len(ref.intervals)
+        assert len(fd.boundaries) == len(ref.boundaries)
+        assert len(fd.punctures) == len(ref.punctures)
+        for (a, _), (b, _) in zip(fd.boundaries, ref.boundaries):
+            assert abs(a - b) <= REFINE_TOL
+        for (a, _), (b, _) in zip(fd.punctures, ref.punctures):
+            assert abs(a - b) <= 1e-9
+        for c, name in fd.boundaries + fd.punctures:
+            vals = dict(zip(period.comb.names, _condition_values(period, c, eps)))
+            assert all(abs(vals[n]) < 1e-10 for n in name.split("+")), (c, name)
 
 
 def test_feasible_domain_validates_arguments():
@@ -343,10 +373,12 @@ def test_boundary_bisection_treats_nan_condition_as_infeasible(monkeypatch):
     # np.min(...) > 0 made it; min() over a tuple would skip the NaN
     import renorm.scaling as sc
 
-    def values(period, c, eps=1.0):
-        return (0.1, float("nan") if c > 0.3 else 0.1, 0.1, 0.1, 0.1)
+    # o = [0, u, u^2, u^3, u^4, 1] ordered 0 < o3 < o1 < o4 < o2 < 1; past
+    # c = 0.3 the point o4 is NaN, and with it S2 = o4 - o1 and Gr = o2 - o4
+    def orbit(period, c, eps=1.0):
+        return [0.0, 0.2, 0.4, 0.1, float("nan") if c > 0.3 else 0.3, 1.0]
 
-    monkeypatch.setattr(sc, "_condition_values", values)
+    monkeypatch.setattr(sc, "_orbit_points", orbit)
     c, name = sc._bisect_boundary(Period.THREE, 0.1, 0.4)
     assert c == pytest.approx(0.3, abs=1e-11)
     assert name == "S2"

@@ -111,8 +111,20 @@ def test_continuum_sweep_validates():
 
 
 def test_scan_finds_multiple_brackets():
-    hits = _scan_roots(np.sin, 1.0, 7.0, 0.01)  # g takes the whole grid
+    hits = _scan_roots(np.sin, [(1.0, 7.0)], 0.01)  # g takes the whole grid
     assert len(hits) == 2  # pi and 2*pi
+
+
+def test_scan_brackets_are_python_floats_within_one_interval():
+    # one g call over both grids; sin changes sign between 3.0 and 4.0, the
+    # end of one grid and the start of the next, which must not pair
+    calls = []
+    hits = _scan_roots(lambda xs: calls.append(xs) or np.sin(xs), [(1.0, 3.0), (4.0, 7.0)], 0.01)
+    assert len(calls) == 1 and len(hits) == 1  # 2*pi only
+    (lo, hi), = hits
+    assert type(lo) is float and type(hi) is float
+    assert lo < 2 * np.pi < hi
+    assert _scan_roots(np.sin, [], 0.01) == []
 
 
 def _scalar_reference_solve(period, eps):
