@@ -38,7 +38,8 @@ for period in (Period.THREE, Period.FIVE):
     f = scaling_from_critical(period, rep.c_star)
     print(f"  scaling factor s* = {tuple(round(x, 9) for x in f.s)}")
     print(f"  sum(s*) = {sum(f.s):.6f} < 1")
-    print(f"  s2^2 - s_last = {f.s[1]**2 - f.s[-1]:.2e}  (the contraction identity)")
+    s2 = f.s[period.comb.central_family - 1]  # the central interval's factor
+    print(f"  s2^2 - s_last = {s2**2 - f.s[-1]:.2e}  (the contraction identity)")
     print()
 
 # the printed closed forms and the orbit computation are two independent

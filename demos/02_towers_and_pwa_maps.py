@@ -56,7 +56,13 @@ print("  five ratios per scale pack more than three: the quintupling Cantor set 
 print()
 f = build_pwa(seq, 8)
 print(f"piecewise-affine map: {len(f.branches)} affine branches over 8 generations")
-print("interval cycle I_2 -> I_3 -> I_1 -> I_2 verified per generation:",
+def arrows(period):
+    """The visiting cycle of the period's combinatorics, closed, as text."""
+    cycle = period.comb.cycle
+    return " -> ".join(f"I_{j}" for j in cycle + cycle[:1])
+
+
+print(f"interval cycle {arrows(Period.THREE)} verified per generation:",
       [verify_combinatorics(f, n) for n in (1, 2, 3, 4)])
 
 res = fixed_residual(seq, 8)
@@ -70,5 +76,5 @@ print(f"renormalize() drops one generation: depth {f.depth} -> {rf.depth}")
 seq5 = ScalingSequence.stationary(Period.FIVE, rep5.c_star)
 res5 = fixed_residual(seq5, 6)
 print(f"quintupling |R g - g|            = {res5.sup_norm:.2e}")
-print("quintupling cycle I_2 -> I_5 -> I_1 -> I_3 -> I_4 -> I_2:",
+print(f"quintupling cycle {arrows(Period.FIVE)}:",
       [verify_combinatorics(build_pwa(seq5, 6), n) for n in (1, 2, 3)])

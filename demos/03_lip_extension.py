@@ -39,7 +39,7 @@ for period, depth in ((Period.THREE, 8), (Period.FIVE, 6)):
           f"{curve.junction_mismatch():.2e}")
     lo, hi = curve.window
     print(f"unresolved window around c*: width {hi - lo:.2e} "
-          f"(bound s2^{depth} = {f.tower.factors[0].s[1]**depth:.2e})")
+          f"(bound s2^{depth} = {f.tower.factors[0].s[f.tower.central - 1]**depth:.2e})")
     tip = quadratic_tip(curve)
     print(f"quadratic tip: measured {tip:.9f} vs algebraic "
           f"{1.0 / (1.0 - rep.c_star)**2:.9f}")
@@ -56,5 +56,6 @@ for eps in (0.98, 1.02):
     s = f.tower.factors[0].s
     curve = extend(f, 6)
     lam = lipschitz_profile(curve)
-    print(f"eps = {eps}: c*_eps = {rep.c_star:.9f}, s2^2 - s3 = {s[1]**2 - s[2]:.1e}, "
+    s2 = s[f.tower.central - 1]
+    print(f"eps = {eps}: c*_eps = {rep.c_star:.9f}, s2^2 - s3 = {s2**2 - s[-1]:.1e}, "
           f"lambda flat: {max(lam) - min(lam):.1e}")

@@ -333,7 +333,7 @@ def cmd_tower(args) -> int:
             ],
             "labels_y": t.labels["y"],
             "labels_z": t.labels["z"],
-            "central_sizes": [t.size(n, 2) for n in range(1, depth + 1)],
+            "central_sizes": [t.size(n, t.central) for n in range(1, depth + 1)],
             "proper_margin": margin,
             "geometric_decay": decay,
             "ratio_deviation": rr.max_deviation,

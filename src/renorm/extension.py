@@ -351,7 +351,7 @@ def boxes(t: Tower, depth: int):
     vprod = 1.0
     for n in range(1, depth + 1):
         vprod *= t.factors[n - 1].s[-1]
-        out.append((t.generations[n - 1][2], (1.0 - vprod, 1.0)))
+        out.append((t.generations[n - 1][t.central], (1.0 - vprod, 1.0)))
     return out
 
 

@@ -2,10 +2,10 @@
 
 A map is a finite list of affine branches over the non-central tower
 intervals.  Branch values interpolate the quadratic family at the interval
-endpoints; under an eps-perturbation the inner endpoint of each I_3 branch
-is pulled off the graph by eps, scaled down the tower by the product of
-the vertical contraction factors (the same factors that drive the graph
-transform of the extension machinery).
+endpoints; under an eps-perturbation the inner endpoint of each branch of
+the pulled family (I_3 for tripling) is pulled off the graph by eps, scaled
+down the tower by the product of the vertical contraction factors (the
+same factors that drive the graph transform of the extension machinery).
 
 R acts symbolically: h^{-1} o f^p o h is assembled by composing the
 first-generation branch maps along the renormalization cycle with each
@@ -107,8 +107,7 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
         raise ValueError("depth must be >= 2")
     t = build_tower(seq, depth)
     period = seq.period
-    # the family whose left end u^{p-1}(0) u maps to the pulled u^p(0)
-    pulled = [left for left, _ in period.comb.intervals].index(period.p - 1) + 1
+    central, pulled = period.comb.central_family, period.comb.pulled_family
     c0 = t.levels[0].c
     branches = []
     vprod = 1.0  # product of vertical factors s_last over levels < m
@@ -117,13 +116,13 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
         f = t.factors[m - 1]
         H = t.chains[m - 1]
         for i in t.families:
-            if i == 2:
+            if i == central:
                 continue
             a_loc, b_loc = t.local[m - 1][i]
             xa, xb = H(a_loc), H(b_loc)
             va, vb = eval_raw(c0, xa), eval_raw(c0, xb)
             if i == pulled:
-                # the pulled endpoint is the inner (w_n) one, local 1 - s3;
+                # the pulled endpoint is the inner (w_n) one, u^{p-1}(0);
                 # the one place besides _orbit_points that applies the pull
                 up = _orbit_points(period, lv.c)[period.p]
                 va += vprod * up * (lv.eps - 1.0)
@@ -181,11 +180,10 @@ def verify_combinatorics(f: PiecewiseAffineMap, n: int) -> bool:
     steps = f.period.p ** (n - 1)
     gen = f.tower.generations[n - 1]
     pts = list(gen[cycle[0]])
-    order = list(cycle[1:]) + [cycle[0]]
     # iterates of endpoints drift off branch closures by rounding, so
     # dispatch forgives up to a tenth of the containment tolerance
     snap = 0.1 * COMBI_TOL
-    for fam in order:
+    for fam in cycle[1:] + cycle[:1]:
         try:
             pts = [f.iterate(x, steps, tol=snap) for x in pts]
         except OutsideDomain:

@@ -6,22 +6,25 @@ point at c and critical exponent 2.  Everything the package builds (scaling
 factors, towers, piecewise-affine maps, extensions) is read off the orbit
 of 0 under u_c, and _orbit_points is the one function that computes it.
 
-One table, COMBINATORICS, holds all that differs between the periods;
-each Period member carries its row as .comb, so hot calls read it as a
-plain attribute.  The rows list the first-generation intervals I_1 .. I_p
-left to right as (left, right) indices into the critical orbit
-o_k = u^k(0), ONE standing for the point 1.0:
+COMBINATORICS holds what differs between the periods, the cycle: the order
+in which u visits the first-generation intervals I_1 .. I_p, numbered left
+to right, from the central I_j, which holds c; Period.comb derives the
+rest once.  Each interval is a pair (left, right) of indices into the orbit
+o_k = u^k(0), ONE standing for 1.0.  Step 1 of the cycle is the rightmost,
+(o_{p-1}, 1), step 2 the leftmost, and step k >= 2 holds o_{k-2}, o_{k-2+p}
+in step k - 1's order, flipped where that lies right of I_j (step p):
 
-    p = 3:  I1 = (0, 3)  I2 = (1, 4)  I3 = (2, ONE)
-    p = 5:  I1 = (0, 5)  I2 = (3, 8)  I3 = (1, 6)  I4 = (7, 2)  I5 = (4, ONE)
+    p = 3, (2, 3, 1):        I1 = (0, 3)  I2 = (1, 4)  I3 = (2, ONE)
+    p = 5, (2, 5, 1, 3, 4):  I1 = (0, 5)  I2 = (3, 8)  I3 = (1, 6)  I4 = (7, 2)  I5 = (4, ONE)
 
-The scaling factor is the lengths s_j = o[right] - o[left] (for tripling
-s1 = u^3(0), s2 = u^4(0) - u(0), s3 = 1 - u^2(0)), the gaps are
-o[next left] - o[this right], and a critical point is feasible when all
-of them are positive.  The return map R(c) = (o[right of I_2] - c)/s2
+The scaling factor is the lengths o[right] - o[left] (for tripling
+s1 = u^3(0), s2 = u^4(0) - u(0), s3 = 1 - u^2(0)), the gaps (Gl, Gr left
+and right of I_j) are o[next left] - o[this right], and a critical point
+is feasible when all of them are positive.  R(c) = (o[right of I_j] - c)/s_j
 sends the critical point of a renormalizable map to that of its
 renormalization; its fixed point is the self-similar configuration.  The
-rows also carry the condition names and the renormalization cycle.
+central rescale sends 0 to o_{2p-2}, in both rows the right end of I_j:
+it reverses orientation.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
@@ -31,8 +34,8 @@ pull: a block per Period of 2p - 2 u-steps with the pull after step p,
 the only place eps enters the orbit, and no loop left to run per call.
 The same code runs on floats, numpy arrays, Intervals and interval.Jets,
 and eps may be an Interval or a Jet too.  pwa.build_pwa applies the same
-pull to the branch value at u^2(0), the inner end of I_3, the one other
-site that knows the rule.
+pull to the branch value at u^{p-1}(0), the inner end of step 1's
+interval (the pulled family), the one other site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
@@ -71,11 +74,39 @@ ONE = -1  # the orbit index of the point 1.0, counted below every other index
 
 @dataclass(frozen=True)
 class Combinatorics:
-    """One period's row of the table (see the module docstring)."""
+    """One period's combinatorics, derived from its cycle (module docstring)."""
 
-    intervals: tuple  # I_1 .. I_p, left to right, as (left, right) orbit indices
-    names: tuple      # the conditions: each I_j's length, then each gap
-    cycle: tuple      # the intervals in the order u visits them, from I_2
+    cycle: tuple  # the intervals I_j, numbered left to right, in the order u visits them
+
+    def __post_init__(self):  # step 1 rightmost, step 2 leftmost, u unimodal
+        cyc, p = self.cycle, len(self.cycle)
+        nxt = dict(zip(cyc, cyc[1:] + cyc[:1]))
+        if not (sorted(cyc) == list(range(1, p + 1)) and cyc[1:3] == (p, 1)
+                and all(nxt[j] < nxt[j + 1] for j in range(1, cyc[0] - 1))
+                and all(nxt[j] > nxt[j + 1] for j in range(cyc[0] + 1, p))):
+            raise ValueError(f"{cyc} is not the visiting cycle of a unimodal map")
+
+    @cached_property
+    def intervals(self) -> tuple:  # I_1 .. I_p, left to right, as (left, right) orbit indices
+        cyc, p = self.cycle, len(self.cycle)
+        rows, low_left = {cyc[1]: (p - 1, ONE)}, False  # o_{k-2} is step k's left end
+        for k in range(2, p + 1):
+            low_left ^= cyc[k - 1] > cyc[0]  # flipped right of the central interval
+            rows[cyc[k % p]] = (k - 2, k - 2 + p) if low_left else (k - 2 + p, k - 2)
+        return tuple(rows[j] for j in range(1, p + 1))
+
+    @cached_property
+    def names(self) -> tuple:  # the conditions: each I_j's length, then each gap
+        p, c = len(self.cycle), self.cycle[0]
+        sides = (("Gl", c - 1), ("Gr", p - c))  # numbered where a side has several
+        return tuple(f"S{j}" for j in range(1, p + 1)) + tuple(
+            f"{tag}{k}" if n > 1 else tag for tag, n in sides for k in range(1, n + 1))
+
+    central_family = cached_property(lambda self: self.cycle[0])  # the j of the I_j holding c
+    central = cached_property(lambda self: self.intervals[self.cycle[0] - 1])  # its (left, right)
+    pulled_family = cached_property(lambda self: self.cycle[1])  # the j of (o_{p-1}, 1): o_p is pulled
+    # whether the central rescale, sending 0 to o_{2p-2}, reverses orientation
+    reverses = cached_property(lambda self: self.central[1] == 2 * len(self.cycle) - 2)
 
     @cached_property
     def lengths(self) -> tuple:
@@ -94,25 +125,9 @@ class Combinatorics:
         the lengths, then the gaps."""
         return self.lengths + self.gaps
 
-    @cached_property
-    def central(self) -> tuple:
-        """(left, right) orbit indices of the central interval I_2."""
-        return self.intervals[1]
 
-
-# keyed by the period p; each Period member carries its row as .comb
-COMBINATORICS = {
-    3: Combinatorics(
-        intervals=((0, 3), (1, 4), (2, ONE)),
-        names=("S1", "S2", "S3", "Gl", "Gr"),
-        cycle=(2, 3, 1),
-    ),
-    5: Combinatorics(
-        intervals=((0, 5), (3, 8), (1, 6), (7, 2), (4, ONE)),
-        names=("S1", "S2", "S3", "S4", "S5", "Gl", "Gr1", "Gr2", "Gr3"),
-        cycle=(2, 5, 1, 3, 4),
-    ),
-}
+# the one hand-written datum per period p: the visiting cycle
+COMBINATORICS = {3: (2, 3, 1), 5: (2, 5, 1, 3, 4)}
 
 
 class Period(enum.Enum):
@@ -123,7 +138,7 @@ class Period(enum.Enum):
         # plain attributes: every orbit evaluation reads them, and a dict
         # keyed by the member would run Enum.__hash__ in Python each time
         self.p = p
-        self.comb = COMBINATORICS[p]
+        self.comb = Combinatorics(COMBINATORICS[p])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Each level m of a scaling sequence carries a critical point (and an eps
 for the perturbed tripling variant); the induced affine maps place the
 next generation of intervals inside the current central interval.  The
-central rescalings are orientation reversing, so the central endpoints
-follow parity automatically: with H_n the n-fold composition, y_n = H_n(1)
-and z_n = H_n(0) alternate between the min and max of I_2^n.
+combinatorics names the central family and says its rescale reverses
+orientation, so with H_n the n-fold composition, y_n = H_n(1) and
+z_n = H_n(0) alternate between the min and max of the central I^n.
 """
 
 from __future__ import annotations
@@ -139,10 +139,11 @@ class Tower:
     generations: list   # n = 1..depth (index n-1): {family: (lo, hi)}
     local: list         # n = 1..depth (index n-1): local_intervals of level n
     labels: dict
+    central: int        # the central family, period.comb.central_family
 
     @property
     def critical_enclosure(self):
-        return self.generations[-1][2]
+        return self.generations[-1][self.central]
 
     def size(self, n: int, i: int) -> float:
         # slope-product form: exact relative precision at any depth, unlike
@@ -174,10 +175,11 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
         factors.append(f)
 
     local = [local_intervals(period, lv, f) for lv, f in zip(levels, factors)]
+    j, reverses = period.comb.central_family, period.comb.reverses
     rescale = []
     chains = [Affine.identity()]
     for m, (loc, f) in enumerate(zip(local, factors), start=1):
-        h = Affine(-f.s[1], loc[2][1])  # t -> a + s2*(1-t) onto I_2, orientation reversing
+        h = Affine(-f.s[j - 1], loc[j][1]) if reverses else Affine(f.s[j - 1], loc[j][0])  # onto I_j
         rescale.append(h)
         chains.append(chains[-1] @ h)
         if abs(chains[-1].a) < sys.float_info.min:
@@ -197,7 +199,7 @@ def build_tower(seq: ScalingSequence, depth: int) -> Tower:
 
     return Tower(
         period, depth, seq, levels, factors, rescale, chains,
-        generations, local, labels,
+        generations, local, labels, j,
     )
 
 
@@ -229,13 +231,13 @@ def ratio_report(t: Tower) -> RatioReport:
     listed ratio equals the generating factor component."""
     if t.depth < 2:
         raise ValueError("need depth >= 2 for ratios")
-    s = t.factors[0].s
+    s, j = t.factors[0].s, t.central
     over_center = {}
     over_parent = {}
     dev = 0.0
     for i in t.families:
         oc = np.array(
-            [t.size(n + 1, i) / t.size(n, 2) for n in range(1, t.depth)]
+            [t.size(n + 1, i) / t.size(n, j) for n in range(1, t.depth)]
         )
         op = np.array(
             [t.size(n + 1, i) / t.size(n, i) for n in range(1, t.depth)]
@@ -243,7 +245,7 @@ def ratio_report(t: Tower) -> RatioReport:
         over_center[i] = oc
         over_parent[i] = op
         dev = max(dev, float(np.max(np.abs(oc - s[i - 1]))))
-        dev = max(dev, float(np.max(np.abs(op - s[1]))))
+        dev = max(dev, float(np.max(np.abs(op - s[j - 1]))))
     return RatioReport(t.period, over_center, over_parent, s, dev, dev <= RATIO_TOL)
 
 
@@ -273,7 +275,7 @@ def hor_bound(t: Tower) -> HorBoundReport:
         # 1 - u(y_n) written without the cancellation of 1 - (1 - t^2)
         rel = (yn - c) / (1.0 - c)
         num = rel * rel
-        den = t.size(n, 2) ** 2
+        den = t.size(n, t.central) ** 2
         ratios.append(num / den)
     ratios = tuple(ratios)
     if not ratios or min(ratios) <= 0.0:

@@ -31,10 +31,10 @@ def tower_suite(rep: FixedPointReport):
     seq = ScalingSequence.stationary(period, c)
     depth = 10
     t = build_tower(seq, depth)
-    s = t.factors[0].s
+    s, j = t.factors[0].s, t.central
     rows = [
         check("fixed-point-residual", rep.residual, 1e-12),
-        check("scaling-identity |s2^2 - s_last|", abs(s[1] ** 2 - s[-1]), 1e-10),
+        check("scaling-identity |s2^2 - s_last|", abs(s[j - 1] ** 2 - s[-1]), 1e-10),
         check("simplex-margin", t.factors[0].simplex_margin, 0.0, kind=">="),
     ]
     margin, decay = verify_proper(t)
@@ -44,7 +44,7 @@ def tower_suite(rep: FixedPointReport):
 
     nest = 0.0
     for n in range(2, depth + 1):
-        plo, phi = t.generations[n - 2][2]
+        plo, phi = t.generations[n - 2][j]
         for i in t.families:
             lo, hi = t.generations[n - 1][i]
             nest = max(nest, plo - lo, hi - phi)
@@ -57,7 +57,7 @@ def tower_suite(rep: FixedPointReport):
             min_gap = min(min_gap, c2 - b_)
     rows.append(check("generation-gaps-positive", min_gap, 0.0, kind=">="))
 
-    enclose = min(min(c - lo, hi - c) for lo, hi in (t.generations[n - 1][2] for n in range(1, depth + 1)))
+    enclose = min(min(c - lo, hi - c) for lo, hi in (t.generations[n - 1][j] for n in range(1, depth + 1)))
     rows.append(check("critical-enclosure", enclose, 0.0, kind=">="))
 
     hb = hor_bound(t)
@@ -125,9 +125,9 @@ def extension_suite(rep: FixedPointReport):
     rows.append(check("quadratic-tip", abs(tip * (1.0 - c) ** 2 - 1.0), 1e-6))
     rows.append(check("unimodal", 1.0 if ext.unimodal_check(curve) else 0.0, 1.0, kind=">="))
 
-    s = f.tower.factors[0].s
+    s, j = f.tower.factors[0].s, f.tower.central
     w = curve.window
-    rows.append(check("tip-window-width", w[1] - w[0], s[1] ** depth))
+    rows.append(check("tip-window-width", w[1] - w[0], s[j - 1] ** depth))
 
     bx = ext.boxes(f.tower, depth)
     viol = 0.0
@@ -139,7 +139,7 @@ def extension_suite(rep: FixedPointReport):
                    ylo - float(np.min(p.ys)), float(np.max(p.ys)) - yhi)
     rows.append(check("boxes-containment", viol, 1e-10))
 
-    identity = abs(s[-1] / s[1] ** 2 - 1.0)
+    identity = abs(s[-1] / s[j - 1] ** 2 - 1.0)
     rows.append(check("lip-factor-is-one", identity, 1e-7))
     return rows
 

@@ -1,8 +1,10 @@
-"""The per-period combinatorics table against the hand-written code it
-replaced, the table's rows against the dynamics they encode, and the one
-straight-line orbit (floats, arrays, Intervals and jets) against the
+"""The per-period combinatorics, derived from each visiting cycle, against
+the hand-written rows and code it replaced, the rows against the dynamics
+they encode, negative controls that break the cycle or the rows, and the
+one straight-line orbit (floats, arrays, Intervals and jets) against the
 eval_raw chain it replaced."""
 
+import itertools
 import math
 import random
 from unittest import mock
@@ -14,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from renorm import scaling
 from renorm.interval import Interval, Jet
 from renorm.scaling import (
+    COMBINATORICS,
     ONE,
     S2_FLOOR,
+    Combinatorics,
     DivisionGuard,
     Period,
     _condition_values,
@@ -27,8 +31,10 @@ from renorm.scaling import (
     return_map,
     scaling_from_critical,
 )
-from renorm.tower import Affine, LevelData, ScalingSequence, build_tower, local_intervals
+from renorm.tower import Affine, InvalidFactor, LevelData, ScalingSequence, build_tower, local_intervals
 from renorm.horseshoe import symbol_scaling_sequence, Word
+from renorm.pwa import build_pwa, verify_combinatorics
+from renorm.verify import COMBI_MAX, PWA_DEPTH
 
 # the same examples on every run: a bitwise failure must reproduce
 settings.register_profile("bitwise", derandomize=True, database=None, deadline=None, max_examples=300)
@@ -359,3 +365,117 @@ def test_domain_boundary_names(fd3, fd5):
     assert [n for _, n in fd3.punctures] == ["S1+S2+S3"]
     assert [n for _, n in fd5.punctures] == ["S1+S2+S3+S4+S5"]
 
+
+
+# The rows and names the table held by hand before both were derived from
+# the cycle, kept verbatim as the reference the derivation must reproduce.
+LITERAL_ROWS = {
+    Period.THREE: (((0, 3), (1, 4), (2, ONE)), ("S1", "S2", "S3", "Gl", "Gr")),
+    Period.FIVE: (
+        ((0, 5), (3, 8), (1, 6), (7, 2), (4, ONE)),
+        ("S1", "S2", "S3", "S4", "S5", "Gl", "Gr1", "Gr2", "Gr3"),
+    ),
+}
+
+
+@pytest.mark.parametrize("period", list(Period))
+def test_rows_derived_from_the_cycle_are_the_literal_rows(period):
+    comb = period.comb
+    intervals, names = LITERAL_ROWS[period]
+    assert COMBINATORICS[period.p] == comb.cycle
+    assert comb.intervals == intervals and comb.names == names
+    assert all(type(k) is int for iv in comb.intervals for k in iv)
+    # family 2 is central, the rightmost family is pulled, and the central
+    # rescale reverses orientation, in both of the paper's combinatorics
+    assert (comb.central_family, comb.pulled_family, comb.reverses) == (2, period.p, True)
+    assert comb.central == intervals[1]
+
+
+# the number of period-p windows of the real quadratic family (Metropolis,
+# Stein and Stein 1973): one unimodal cycle of the intervals for each
+MSS_COUNTS = {3: 1, 4: 2, 5: 3, 6: 5, 7: 9}
+
+
+@pytest.mark.parametrize("p", sorted(MSS_COUNTS))
+def test_every_cycle_either_is_refused_or_derives_consistent_rows(p):
+    accepted = []
+    for cycle in itertools.permutations(range(1, p + 1)):
+        try:
+            comb = Combinatorics(cycle)
+        except ValueError:
+            continue
+        accepted.append(cycle)
+        ivs = comb.intervals
+        assert sorted(k for iv in ivs for k in iv) == [ONE] + list(range(2 * p - 1))
+        for j, k in zip(cycle, cycle[1:] + cycle[:1]):
+            image = {_step(x, p, central=(j == comb.central_family)) for x in ivs[j - 1]}
+            assert image == set(ivs[k - 1]), (cycle, j, k)
+        assert len(comb.names) == len(comb.pairs) == 2 * p - 1
+    assert len(accepted) == MSS_COUNTS[p]
+    if p == 5:  # the paper's, and the two the central rescale reverses or keeps
+        assert accepted == [(2, 5, 1, 3, 4), (3, 5, 1, 2, 4), (4, 5, 1, 2, 3)]
+        assert [Combinatorics(c).reverses for c in accepted] == [True, False, True]
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        (2, 1, 3),           # step 1 is not the rightmost interval
+        (3, 2, 1),           # nor here, and step 2 is not the leftmost
+        (1, 3, 2),           # the central interval is the leftmost
+        (2, 3, 3),           # not a permutation
+        (2, 3, 4),           # nor this
+        (1, 2),              # too short: the central interval is step 2
+        (),
+        (2, 5, 1, 4, 3),     # u would keep the order right of the centre
+        (4, 5, 1, 3, 2),     # u would reverse the order left of it
+        (2, 5, 1, 3, 4, 6),  # step 1 is not the rightmost of six
+    ],
+)
+def test_a_cycle_no_unimodal_map_has_is_refused(cycle):
+    with pytest.raises(ValueError, match="unimodal"):
+        Combinatorics(cycle)
+
+
+def _with_rows(period, rows):
+    """Patch period's combinatorics to hold rows: the fields derived from
+    them (lengths, gaps, the central ends) follow, the families read off
+    the cycle do not."""
+    comb = Combinatorics(period.comb.cycle)
+    comb.__dict__["intervals"] = rows  # the cached field, before any read
+    return mock.patch.object(period, "comb", comb)
+
+
+def _swapped_rows(period):
+    """The period's rows with two interval ends swapped, across rows."""
+    ends = [(r, e) for r in range(period.p) for e in range(2)]
+    for (r1, e1), (r2, e2) in itertools.combinations(ends, 2):
+        if r1 != r2:
+            rows = [list(iv) for iv in period.comb.intervals]
+            rows[r1][e1], rows[r2][e2] = rows[r2][e2], rows[r1][e1]
+            yield tuple(tuple(iv) for iv in rows)
+
+
+def _chase(period, c, rows):
+    """verify_combinatorics at every n up to COMBI_MAX on the stationary
+    map built with rows, or None where build_pwa refuses its factor."""
+    with _with_rows(period, rows):
+        try:
+            f = build_pwa(ScalingSequence.stationary(period, c), PWA_DEPTH[period])
+        except InvalidFactor:
+            return None
+        return [verify_combinatorics(f, n) for n in range(1, COMBI_MAX[period] + 1)]
+
+
+@pytest.mark.parametrize("period, refused", [(Period.THREE, 11), (Period.FIVE, 35)])
+def test_every_swap_of_two_ends_across_rows_is_caught(period, refused, rep3, rep5):
+    c = (rep3 if period is Period.THREE else rep5).c_star
+    assert _chase(period, c, period.comb.intervals) == [True] * COMBI_MAX[period]
+    chases = {rows: _chase(period, c, rows) for rows in _swapped_rows(period)}
+    assert len(chases) == period.p * (period.p - 1) * 2
+    assert sum(chase is None for chase in chases.values()) == refused
+    for rows, chase in chases.items():
+        assert chase is None or not all(chase), rows
+    if period is Period.FIVE:
+        # a swap the first generation cannot see: only n = 2 and 3 catch it
+        assert chases[((0, 5), (3, 8), (1, 6), (7, 4), (2, ONE))] == [True, False, False]

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renorm.interval import Interval, Jet
 from renorm.pwa import shift_residual
@@ -236,6 +237,19 @@ def test_symbol_sequence_proper(bsys):
 def test_symbol_sequence_shift_identity(bsys):
     seq = symbol_scaling_sequence(bsys, Word((0, 1, 2, 0, 1, 2)))
     assert shift_residual(seq, 5).sup_norm <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["bsys", "bsys5"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_shift_identity_on_random_words(request, name, data):
+    # R f_s = f_{sigma(s)} on drawn words over the 3- and the 5-letter
+    # system: the pulled family's branch values at eps != 1, level by level
+    b = request.getfixturevalue(name)
+    m = len(b.epsilons)
+    symbols = data.draw(st.lists(st.integers(0, m - 1), min_size=6, max_size=10))
+    seq = symbol_scaling_sequence(b, Word(tuple(symbols), m))
+    assert shift_residual(seq, 6).sup_norm <= 1e-9
 
 
 def test_coded_orbit_consistency(bsys):

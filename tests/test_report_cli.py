@@ -209,6 +209,30 @@ def test_cli_output_matches_recorded_digest(capsys, command):
     assert {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)} == reference
 
 
+# stdout digests past the default depths and alphabet, recorded before the
+# combinatorics were derived from the visiting cycles: the acceptance-scale
+# suites of both periods and the 5-letter horseshoe
+DEEP_DIGESTS = {
+    "verify all --period 3 --full": {
+        "sha256": "5e4e29d6c4366e5743d583b1183b93339ffe552f44f31f3bab41a4910061f3f1", "bytes": 1979,
+    },
+    "verify all --period 5 --full": {
+        "sha256": "cde6129b93cc83166b3cb20c12860511daa4d69d0856237c300a27863af4a26d", "bytes": 1449,
+    },
+    "horseshoe --eps 1.02,1.01,1.0,0.99,0.98": {
+        "sha256": "2c883016060ffd5520465c1e049c4e37cb4e36afe12a4cf5717875c678aec97a", "bytes": 1475,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_DIGESTS))
+def test_cli_output_matches_deep_digest(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    data = out.encode()
+    assert code == 0
+    assert {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)} == DEEP_DIGESTS[command]
+
+
 def test_cli_horseshoe_report(capsys):
     code, out = run_cli(capsys, "horseshoe", "--depth", "4")
     doc = json.loads(out)
