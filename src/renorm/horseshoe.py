@@ -159,17 +159,19 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
 
     The nodes are the same for every y until the path splits, so R at each
     node is read from the branch's memo (b._nodes[i]) and evaluated only on
-    a miss.  R is a pure function of the node, so a memo hit is bitwise the
-    evaluation.  A full memo (NODE_CAP entries) still evaluates new nodes
-    but stores none: the first inversions store the top levels, which
-    every later word passes through.  Where s2 is below the floor the
+    a miss, by the period's float kernel (Period.r_kernel, bitwise
+    return_map).  R is a pure function of the node, so a memo hit is
+    bitwise the evaluation.  A full memo (NODE_CAP entries) still
+    evaluates new nodes but stores none: the first inversions store the
+    top levels, which every later word passes through.  Where s2 is below the floor the
     guard is stored as NaN, which compares as "not below", as return_map's
     NaN on an array does.
     """
     lo, hi = b.domains[i]
     e = b.epsilons[i]
-    period = b.reports[i].period
+    r_kernel = b.reports[i].period.r_kernel
     memo = b._nodes[i]
+    room = NODE_CAP - len(memo)  # entries the memo may still take
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -177,11 +179,12 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
         r = memo.get(mid)
         if r is None:
             try:
-                r = return_map(period, mid, eps=e)
+                r = r_kernel(mid, e)
             except DivisionGuard:
                 r = math.nan
-            if len(memo) < NODE_CAP:
+            if room > 0:
                 memo[mid] = r
+                room -= 1
         if r < y:
             lo = mid
         else:
@@ -193,14 +196,14 @@ def _domain_end(rep, target: float, step: float, span: float) -> float:
     """The x beside the fixed point c of the report rep, on the side step
     (-1 or 1), with R(x, eps) = target: double a bracket from c until R
     crosses target, then bisect it.  R increases, so R(x) < target puts x
-    below the answer."""
-    period, e, c = rep.period, rep.eps, rep.c_star
+    below the answer.  R is the period's float kernel, Period.r_kernel."""
+    r_kernel, e, c = rep.period.r_kernel, rep.eps, rep.c_star
     w = span / 4.0
     # step * (R - target) < 0: R has not yet reached target on that side
-    while step * (return_map(period, c + step * w, eps=e) - target) < 0.0:
+    while step * (r_kernel(c + step * w, e) - target) < 0.0:
         w *= 2.0
     lo, hi = sorted((c, c + step * w))
-    return bisect(lambda x: return_map(period, x, eps=e) < target, lo, hi, INVERSE_TOL)
+    return bisect(lambda x: r_kernel(x, e) < target, lo, hi, INVERSE_TOL)
 
 
 def build_branch_system(*epsilons: float) -> BranchSystem:

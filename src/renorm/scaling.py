@@ -28,20 +28,36 @@ it reverses orientation.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
-are read off one orbit (_orbit_points).  It is straight-line code built
-at import from one template, a u-step with 1 - c computed once and the
-pull: a block per Period of 2p - 2 u-steps with the pull after step p,
-the only place eps enters the orbit, and no loop left to run per call.
-The same code runs on floats, numpy arrays, Intervals and interval.Jets,
-and eps may be an Interval or a Jet too.  pwa.build_pwa applies the same
-pull to the branch value at u^{p-1}(0), the inner end of step 1's
-interval (the pulled family), the one other site that knows the rule.
+are read off one orbit.  The orbit is straight-line code built at import
+from one template, a u-step with 1 - c computed once and the pull: a
+block per Period of 2p - 2 u-steps with the pull after step p, the only
+place eps enters the orbit, and no loop left to run per call.  One
+compile() of the template yields two kinds of code:
+
+- _orbit_points, the generic orbit, which runs on floats, numpy arrays,
+  Intervals and interval.Jets, with eps an Interval or a Jet too.  The
+  condition evaluators (conditions, scaling_from_critical, gaps), the
+  domain scan, puncture refinement, pwa, tower, the cobweb plot data and
+  the interval proofs read it, and so does return_map for an array, an
+  Interval or a Jet;
+- per Period, two float kernels stored on the member beside comb:
+  r_kernel, R with its s2 guard, and feasible_kernel, the conditions in
+  table order.  return_map and feasibility run them for a real scalar c
+  and eps, and the scalar hot loops call them directly: the boundary
+  bisection of feasible_domain, and horseshoe's inversions and branch
+  domain ends.  Each is bitwise the generic path on floats.
+
+pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
+the inner end of step 1's interval (the pulled family), the one other
+site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
 points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
 scans each feasible interval in one call.  return_map also takes an
 Interval or a Jet of c and then encloses R (and dR/dc for a Jet); its one
-s2 guard has a rule for each of the three kinds of number.
+s2 guard has a rule for each of the four kinds of number: a float c
+raises, an array gets NaN, an Interval or a Jet raises unless its s2
+enclosure lies above the floor.
 """
 
 from __future__ import annotations
@@ -136,7 +152,8 @@ class Period(enum.Enum):
 
     def __init__(self, p: int):
         # plain attributes: every orbit evaluation reads them, and a dict
-        # keyed by the member would run Enum.__hash__ in Python each time
+        # keyed by the member would run Enum.__hash__ in Python each time;
+        # _compile_orbit adds the float kernels, r_kernel and feasible_kernel
         self.p = p
         self.comb = Combinatorics(COMBINATORICS[p])
 
@@ -218,8 +235,9 @@ def _check_pull(period: Period, eps) -> None:
 
 # The one template of the critical orbit: a u-step, eval_raw's
 # t = (x - c)/(1 - c), x = 1 - t*t with d = 1 - c computed once, and the
-# pull.  _orbit_points is generated from it as straight-line code, a block
-# per Period, so that no call runs a loop.
+# pull.  One compile() turns it into straight-line code, so that no call
+# runs a loop: _orbit_points, a block per Period, and each Period's two
+# float kernels (_KERNELS).
 _U_STEP = "        t = (x{j} - c) / d\n        x{k} = 1.0 - t * t\n"
 _PULL = "        x{k} = eps * x{k}\n"
 _ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
@@ -240,25 +258,91 @@ _ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
     d = 1.0 - c
     x0 = 0.0
 '''
+# A Period's float kernels, for a float c and a float eps: return_map's R
+# and feasibility past its 0 < c < 1/2 test, each bitwise what the generic
+# path computes from _orbit_points.  {orbit} is the block of orbit lines,
+# which may set the point 1.0, one, too; {top} and {bottom} are the ends
+# of the central interval, {conditions} the condition tests in table
+# order and {lengths} the lengths' sum.
+_KERNELS = '''
+def _kernels{p}(period):
+    def r_kernel(c, eps):
+        if eps != 1.0:
+            _check_pull(period, eps)
+        d = 1.0 - c
+        x0, one = 0.0, 1.0
+{orbit}        s2 = {top} - {bottom}
+        if s2 <= S2_FLOOR:
+            raise DivisionGuard(f"s2={{s2}} at c={{c}} is below the floor {{S2_FLOOR}}")
+        return ({top} - c) / s2
+
+    def feasible_kernel(c, eps):
+        if eps != 1.0:
+            _check_pull(period, eps)
+        d = 1.0 - c
+        x0, one = 0.0, 1.0
+{orbit}{conditions}        if {lengths} >= 1.0:
+            raise RuntimeError(
+                "positivity held but the simplex sum exceeded 1; "
+                "the gap conditions should forbid this"
+            )
+        return True
+
+    return r_kernel, feasible_kernel
+'''
+_CONDITION = "        s{n} = {plus} - {minus}\n        if not s{n} > 0.0:\n            return False\n"
+
+
+def _point(i) -> str:
+    """The name of orbit point i in the kernels."""
+    return "one" if i == ONE else f"x{i}"
+
+
+def _orbit_block(p: int) -> str:
+    """The 2p - 2 u-steps from x0 = 0, with the pull after step p."""
+    src = ""
+    for k in range(1, 2 * p - 1):
+        src += _U_STEP.format(j=k - 1, k=k)
+        if k == p:
+            src += _PULL.format(k=k)
+    return src
+
+
+def _kernel_source(period: Period, orbit: str) -> str:
+    """The source of _kernels{p}(period), which returns period's R and
+    feasibility kernels over orbit: lines that set x1 .. x{2p-2} from c,
+    d = 1 - c, eps and x0 = 0.0, and may set the point one = 1.0.  Every
+    condition that is not above 0, NaN too, ends the feasibility test
+    with False; the lengths are summed from 0, in table order."""
+    comb = period.comb
+    left, right = comb.central
+    conditions = "".join(
+        _CONDITION.format(n=n, plus=_point(i), minus=_point(j))
+        for n, (i, j) in enumerate(comb.pairs, 1))
+    lengths = " + ".join(["0.0"] + [f"s{n}" for n in range(1, period.p + 1)])
+    return _KERNELS.format(p=period.p, orbit=orbit, top=_point(right), bottom=_point(left),
+                           conditions=conditions, lengths=lengths)
 
 
 def _compile_orbit():
-    """_orbit_points from the template: the head, then for each Period its
-    u-steps with the pull after step p, and its points followed by 1.0.
-    Compiled under this file's name, so profiles count it in scaling; a
-    traceback through it gives the generated source's line numbers."""
-    src = _ORBIT_HEAD
+    """_orbit_points and the kernels from the template, in one compile():
+    for each Period its block of u-steps with the pull after step p, read
+    by _orbit_points' branch for the period, which returns the points and
+    1.0, and by the period's kernels, stored on the member as r_kernel and
+    feasible_kernel.  Compiled under this file's name, so profiles count
+    it in scaling; a traceback through it gives the generated source's
+    line numbers."""
+    src, kernels = _ORBIT_HEAD, ""
     for period in Period:
         p = period.p
-        src += f"    if period.p == {p}:\n"
-        for k in range(1, 2 * p - 1):
-            src += _U_STEP.format(j=k - 1, k=k)
-            if k == p:
-                src += _PULL.format(k=k)
+        orbit = _orbit_block(p)
         points = ", ".join(f"x{k}" for k in range(2 * p - 1))
-        src += f"        return [{points}, 1.0]\n"
+        src += f"    if period.p == {p}:\n{orbit}        return [{points}, 1.0]\n"
+        kernels += _kernel_source(period, orbit)
     namespace = {}
-    exec(compile(src, __file__, "exec"), globals(), namespace)
+    exec(compile(src + kernels, __file__, "exec"), globals(), namespace)
+    for period in Period:
+        period.r_kernel, period.feasible_kernel = namespace[f"_kernels{period.p}"](period)
     return namespace["_orbit_points"]
 
 
@@ -289,29 +373,16 @@ def gaps(period: Period, c: float) -> GapVector:
 
 def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     """True iff all scaling components and all gaps are positive (and
-    0 < c < 1/2).  The simplex sum condition is implied; it is checked
+    0 < c < 1/2), for a float c.  The conditions are read in table order
+    until one is not above 0: not min(), a NaN condition must count as
+    infeasible.  The simplex sum condition is implied; it is checked
     anyway and a violation flags a broken implementation."""
     if not 0.0 < c < 0.5:
         return False
-    # one orbit, read condition by condition in table order until one is
-    # not above 0; not min(): a NaN condition must count as infeasible
-    o = _orbit_points(period, c, eps)
-    comb = period.comb
-    total = 0
-    for i, j in comb.lengths:
-        s = o[i] - o[j]
-        if not s > 0.0:
-            return False
-        total += s
-    for i, j in comb.gaps:
-        if not o[i] - o[j] > 0.0:
-            return False
-    if total >= 1.0:
-        raise RuntimeError(
-            "positivity held but the simplex sum exceeded 1; "
-            "the gap conditions should forbid this"
-        )
-    return True
+    return period.feasible_kernel(c, eps)
+
+
+_SCALARS = (float, int)  # a real scalar: return_map sends it to the period's kernel
 
 
 def return_map(period: Period, c, eps: float = 1.0):
@@ -322,13 +393,18 @@ def return_map(period: Period, c, eps: float = 1.0):
     equals the float calls elementwise, bitwise, with NaN standing for the
     raise.  An Interval c, or an interval.Jet that carries dR/dc along,
     gives an enclosure and raises DivisionGuard unless the lower bound of
-    the s2 enclosure lies above the floor.
+    the s2 enclosure lies above the floor.  A float (or int) c with a float
+    (or int) eps runs the period's straight-line kernel, period.r_kernel;
+    any other argument (an array, an Interval, a Jet, a numpy integer)
+    reads _orbit_points.
     """
+    if isinstance(c, _SCALARS) and isinstance(eps, _SCALARS):
+        return period.r_kernel(c, eps)
     o = _orbit_points(period, c, eps)
     left, right = period.comb.central
     top = o[right]
     s2 = top - o[left]
-    if isinstance(s2, float):
+    if isinstance(s2, float):  # a numpy float, from a 0-d array or a numpy integer eps
         if s2 <= S2_FLOOR:
             raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
     elif isinstance(s2, np.ndarray):
@@ -379,8 +455,13 @@ def bisect(keep, a, b, tol):
 
 
 def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
-    """Bisect min(all conditions) between a feasible and an infeasible point."""
-    c = bisect(lambda x: feasibility(period, x, eps), ok_pt, bad_pt, REFINE_TOL)
+    """Bisect min(all conditions) between a feasible and an infeasible point.
+
+    Both lie in [0, 1/2], the feasible one inside, so every midpoint the
+    bisection tests lies strictly inside (0, 1/2), where feasibility is
+    the period's kernel alone."""
+    feasible = period.feasible_kernel
+    c = bisect(lambda x: feasible(x, eps), ok_pt, bad_pt, REFINE_TOL)
     name = period.comb.names[int(np.argmin(conditions(period, c, eps)))]
     return c, name
 

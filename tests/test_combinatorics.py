@@ -4,6 +4,7 @@ they encode, negative controls that break the cycle or the rows, and the
 one straight-line orbit (floats, arrays, Intervals and jets) against the
 eval_raw chain it replaced."""
 
+import functools
 import itertools
 import math
 import random
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from renorm import scaling
 from renorm.interval import Interval, Jet
 from renorm.scaling import (
     COMBINATORICS,
@@ -35,6 +35,8 @@ from renorm.tower import Affine, InvalidFactor, LevelData, ScalingSequence, buil
 from renorm.horseshoe import symbol_scaling_sequence, Word
 from renorm.pwa import build_pwa, verify_combinatorics
 from renorm.verify import COMBI_MAX, PWA_DEPTH
+from reference_domains import DOMAIN_HEXES
+from stand_in import stand_in_orbit
 
 # the same examples on every run: a bitwise failure must reproduce
 settings.register_profile("bitwise", derandomize=True, database=None, deadline=None, max_examples=300)
@@ -168,6 +170,89 @@ def test_feasibility_is_the_reference(case):
     assert feasibility(period, c, eps) is want
 
 
+def _s2(period, c, eps):
+    """The central length off the reference orbit."""
+    o = _ref_orbit(period, c, eps)
+    return o[-1] - (o[1] if period is Period.THREE else o[3])
+
+
+@functools.lru_cache(maxsize=8)  # period five has some 70 flips, all at eps 1
+def _pole_edges(period, eps):
+    """Adjacent floats on either side of each place in (0, 1/2) where
+    s2 <= S2_FLOOR, or s2 <= 0, flips: a grid finds each flip and a
+    bisection on floats takes it to the ulp."""
+    cs = np.linspace(1e-3, 0.5 - 1e-3, 2001)
+    s2 = _s2(period, cs, eps)
+    edges = []
+    for bound in (S2_FLOOR, 0.0):
+        flag = s2 <= bound
+        for k in np.flatnonzero(flag[1:] != flag[:-1]):
+            a, b = float(cs[k]), float(cs[k + 1])
+            mid = 0.5 * (a + b)
+            while a < mid < b:
+                if (_s2(period, mid, eps) <= bound) == flag[k]:
+                    a = mid
+                else:
+                    b = mid
+                mid = 0.5 * (a + b)
+            edges += [a, b]
+    return edges
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(period, c, eps): period three at eps in [0.25, 4], period five at
+    eps 1, c anywhere in (0, 1/2), or a few ulps from a recorded domain
+    boundary or puncture (at the record's eps) or from a flip of the s2
+    guard."""
+    period = draw(st.sampled_from(list(Period)))
+    eps = draw(st.floats(0.25, 4.0)) if period is Period.THREE else 1.0
+    where = draw(st.sampled_from(["anywhere", "recorded", "pole"]))
+    if where == "anywhere":
+        return period, draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)), eps
+    if where == "recorded":
+        (p, eps, _), rec = draw(st.sampled_from(sorted(DOMAIN_HEXES.items())))
+        period = Period(p)
+        x = float.fromhex(draw(st.sampled_from([h for h, _ in rec["boundaries"] + rec["punctures"]])))
+    else:
+        x = draw(st.sampled_from(_pole_edges(period, eps)))
+    for _ in range(abs(steps := draw(st.integers(-4, 4)))):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return period, x, eps
+
+
+@BITWISE
+@given(_kernel_cases())
+def test_float_kernels_are_bitwise_the_generic_path(case):
+    # a float c and eps run the period's kernels, an array c reads
+    # _orbit_points: R bitwise, with a NaN from the array exactly where the
+    # kernel raises, and feasibility as the minimum condition above 0 (a
+    # NaN condition infeasible)
+    period, c, eps = case
+    arr = return_map(period, np.array([c]), eps)
+    try:
+        r = return_map(period, c, eps)
+    except DivisionGuard:
+        assert np.isnan(arr[0])
+    else:
+        assert _bits([r]) == arr.tobytes()
+    want = bool(np.min(conditions(period, np.array([c]), eps)) > 0)
+    assert feasibility(period, c, eps) is want
+
+
+def test_pole_edges_straddle_the_guard():
+    # the pole draws reach both sides of the s2 guard at every period
+    for period, eps in ((Period.THREE, 1.0), (Period.THREE, 0.25), (Period.THREE, 4.0), (Period.FIVE, 1.0)):
+        raised = set()
+        for c in _pole_edges(period, eps):
+            try:
+                return_map(period, c, eps)
+                raised.add(False)
+            except DivisionGuard:
+                raised.add(True)
+        assert raised == {False, True}
+
+
 def _orbit_reading(period, j, bad):
     """A stand-in orbit whose condition j reads bad, bitwise.
 
@@ -190,12 +275,13 @@ def _orbit_reading(period, j, bad):
 @BITWISE
 @given(st.integers(0, 4), st.sampled_from([math.nan, 0.0, -1e-300]))
 def test_feasibility_refuses_any_condition_not_above_zero(j, bad):
-    # the seam is the orbit feasibility reads once, condition by condition
+    # the seam is the orbit the feasibility kernel reads once, condition by
+    # condition: a kernel from the same generator over the stand-in orbit
     o = _orbit_reading(Period.THREE, j, bad)
     vals = [o[i] - o[k] for i, k in Period.THREE.comb.pairs]
     assert _bits(vals[j]) == _bits(bad)
     assert all(v > 0.0 for n, v in enumerate(vals) if n != j and not math.isnan(v))
-    with mock.patch.object(scaling, "_orbit_points", lambda *args: o):
+    with stand_in_orbit(Period.THREE, lambda *args: o):
         assert feasibility(Period.THREE, 0.44) is False
 
 
@@ -270,6 +356,35 @@ def test_an_interval_eps_passes_through_the_orbit():
             _orbit_points(Period.THREE, 0.44, bad)
         with pytest.raises(ValueError, match="eps must be positive"):
             _orbit_points(Period.THREE, jet, Jet(bad, Interval(0.0, 0.0)))
+
+
+def test_return_map_sends_only_real_scalars_to_the_kernel(monkeypatch):
+    # an Interval or a Jet eps with a float c keeps the generic path and
+    # encloses the float results across the box
+    box = Interval(0.99, 1.01)
+    want = {e: return_map(Period.THREE, 0.44, e) for e in (box.lo, 1.0, box.hi)}
+    kernel, calls = Period.THREE.r_kernel, []
+    monkeypatch.setattr(Period.THREE, "r_kernel", lambda c, eps: calls.append(eps) or kernel(c, eps))
+    for eps in (box, Jet(box, Interval(1.0, 1.0))):
+        r = return_map(Period.THREE, 0.44, eps)
+        val = getattr(r, "val", r)
+        assert isinstance(val, Interval)
+        assert all(val.lo <= w <= val.hi for w in want.values())
+    return_map(Period.THREE, np.array([0.44]), 1.0)
+    assert calls == []
+    # an np.float64 c and an int eps run the kernel, bitwise the floats'
+    for c, eps in ((np.float64(0.44), 1), (0.44, 1), (np.float64(0.44), 1.0), (0.44, 2)):
+        assert return_map(Period.THREE, c, eps).hex() == kernel(0.44, float(eps)).hex()
+        assert feasibility(Period.THREE, c, eps) is feasibility(Period.THREE, 0.44, float(eps))
+    assert calls == [1, 1, 1.0, 2]
+    assert want[1.0].hex() == kernel(0.44, 1.0).hex()
+    # a 0-d array or a numpy integer eps keeps the generic path and its
+    # float guard: the float result, and DivisionGuard at the s2 pole
+    for c, eps in ((np.array(0.44), 1.0), (0.44, np.int64(1)), (0.44, np.array(1.0))):
+        assert return_map(Period.THREE, c, eps).hex() == want[1.0].hex()
+    with pytest.raises(DivisionGuard):
+        return_map(Period.THREE, np.array(0.3522), np.int64(1))
+    assert calls == [1, 1, 1.0, 2]
 
 
 def test_conditions_bitwise_reference_arrays():

@@ -349,15 +349,16 @@ def test_codings_bitwise_fixed_64(request, name):
 
 
 def _count_evaluations(monkeypatch):
-    """The list of eps values of every R evaluation _invert_point makes."""
+    """The list of eps values of every R evaluation _invert_point makes on
+    a period-three system: each is a call of the period's float kernel."""
     steps = []
-    real_map = horseshoe.return_map
+    real_kernel = Period.THREE.r_kernel
 
-    def counting_map(period, c, eps):
+    def counting_kernel(c, eps):
         steps.append(eps)
-        return real_map(period, c, eps=eps)
+        return real_kernel(c, eps)
 
-    monkeypatch.setattr(horseshoe, "return_map", counting_map)
+    monkeypatch.setattr(Period.THREE, "r_kernel", counting_kernel)
     return steps
 
 

@@ -21,6 +21,7 @@ from renorm.scaling import (
     scaling_from_critical,
 )
 from reference_domains import DOMAIN_HEXES
+from stand_in import stand_in_orbit
 from reference_values import (
     C3_STAR,
     C5_STAR,
@@ -368,7 +369,7 @@ def test_conditions_vectorized_matches_scalar():
         assert np.allclose(vec[:, j], scal, atol=0, rtol=0)
 
 
-def test_boundary_bisection_treats_nan_condition_as_infeasible(monkeypatch):
+def test_boundary_bisection_treats_nan_condition_as_infeasible():
     # a NaN condition past c = 0.3 must end the feasible side there, as
     # np.min(...) > 0 made it; min() over a tuple would skip the NaN
     import renorm.scaling as sc
@@ -378,7 +379,7 @@ def test_boundary_bisection_treats_nan_condition_as_infeasible(monkeypatch):
     def orbit(period, c, eps=1.0):
         return [0.0, 0.2, 0.4, 0.1, float("nan") if c > 0.3 else 0.3, 1.0]
 
-    monkeypatch.setattr(sc, "_orbit_points", orbit)
-    c, name = sc._bisect_boundary(Period.THREE, 0.1, 0.4)
+    with stand_in_orbit(Period.THREE, orbit):
+        c, name = sc._bisect_boundary(Period.THREE, 0.1, 0.4)
     assert c == pytest.approx(0.3, abs=1e-11)
     assert name == "S2"
