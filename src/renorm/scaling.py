@@ -37,35 +37,43 @@ compile() of the template yields two kinds of code:
 - _orbit_points, the generic orbit, which runs on floats, numpy arrays,
   Intervals and interval.Jets, with eps an Interval or a Jet too.  The
   condition evaluators (conditions, scaling_from_critical, gaps), the
-  domain scan, puncture refinement, pwa, tower, the cobweb plot data and
-  the interval proofs read it, and so does return_map for an array, an
-  Interval or a Jet;
-- per Period, two float kernels stored on the member beside comb:
-  r_kernel, R with its s2 guard, and feasible_kernel, the conditions in
-  table order.  return_map and feasibility run them for a real scalar c
-  and eps, and the scalar hot loops call them directly: the boundary
-  bisection of feasible_domain, and horseshoe's inversions and branch
-  domain ends.  Each is bitwise the generic path on floats.
+  boundary naming of feasible_domain and its scan's memoized head, pwa,
+  tower, the cobweb plot data and the interval proofs read it, and so
+  does return_map for an array, an Interval or a Jet;
+- per Period, three float kernels stored on the member beside comb, each
+  with the period's pull check written in: r_kernel, R with its s2 guard,
+  feasible_kernel, the conditions in table order, and values_kernel, the
+  condition tuple.  return_map and feasibility run the first two for a
+  real scalar c and eps, and the scalar hot loops call them directly:
+  the solver's root refinement, feasible_domain's boundary bisection,
+  and horseshoe's inversions and branch domain ends; feasible_domain's
+  puncture refinement reads values_kernel.  Each is bitwise the generic
+  path on floats.  Beside them sits scan_tail, the block's tail (the pull
+  and the u-steps after it) on arrays.
+
+The domain scan's grid is fixed by its step, and so is every orbit point
+before the pull: _scan_head keeps them, read-only, in a memo of the last
+four (period, step) keys, so that each scan runs only scan_tail.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
 site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
-points, so the domain scanner sweeps (0, 1/2) and the fixed-point solver
-scans each feasible interval in one call.  return_map also takes an
-Interval or a Jet of c and then encloses R (and dR/dc for a Jet); its one
-s2 guard has a rule for each of the four kinds of number: a float c
-raises, an array gets NaN, an Interval or a Jet raises unless its s2
-enclosure lies above the floor.
+points, so the fixed-point solver scans every feasible interval in one
+call.  return_map also takes an Interval or a Jet of c and then encloses
+R (and dR/dc for a Jet); its one s2 guard has a rule for each of the four
+kinds of number: a float c raises, an array gets NaN, an Interval or a
+Jet raises unless its s2 enclosure lies above the floor.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import mmap
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -153,7 +161,8 @@ class Period(enum.Enum):
     def __init__(self, p: int):
         # plain attributes: every orbit evaluation reads them, and a dict
         # keyed by the member would run Enum.__hash__ in Python each time;
-        # _compile_orbit adds the float kernels, r_kernel and feasible_kernel
+        # _compile_orbit adds the float kernels, r_kernel, feasible_kernel
+        # and values_kernel, and the domain scan's scan_tail
         self.p = p
         self.comb = Combinatorics(COMBINATORICS[p])
 
@@ -220,24 +229,30 @@ def eval_raw(c, x):
     return 1.0 - t * t
 
 
+# the pull's two refusals; _check_pull raises them for _orbit_points, and
+# each generated float kernel has its period's rule written in
+_ONLY_THREE = "eps-perturbation is defined for period three only"
+_NOT_POSITIVE = "eps must be positive"
+
+
 def _check_pull(period: Period, eps) -> None:
     """Refuse an eps the pull is not defined for: any period but three, or
     an eps not above 0; for an Interval eps, or a Jet's, its lower bound."""
     if period.p != 3:  # not Period.THREE: an Enum class lookup, every call
-        raise ValueError("eps-perturbation is defined for period three only")
+        raise ValueError(_ONLY_THREE)
     try:
         above = eps > 0.0
     except TypeError:  # an Interval or a Jet: no order, only bounds
         above = getattr(eps, "val", eps).lo > 0.0
     if not above:
-        raise ValueError("eps must be positive")
+        raise ValueError(_NOT_POSITIVE)
 
 
 # The one template of the critical orbit: a u-step, eval_raw's
 # t = (x - c)/(1 - c), x = 1 - t*t with d = 1 - c computed once, and the
 # pull.  One compile() turns it into straight-line code, so that no call
-# runs a loop: _orbit_points, a block per Period, and each Period's two
-# float kernels (_KERNELS).
+# runs a loop: _orbit_points, a block per Period, and each Period's float
+# kernels (_KERNELS).
 _U_STEP = "        t = (x{j} - c) / d\n        x{k} = 1.0 - t * t\n"
 _PULL = "        x{k} = eps * x{k}\n"
 _ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
@@ -258,18 +273,19 @@ _ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
     d = 1.0 - c
     x0 = 0.0
 '''
-# A Period's float kernels, for a float c and a float eps: return_map's R
-# and feasibility past its 0 < c < 1/2 test, each bitwise what the generic
-# path computes from _orbit_points.  {orbit} is the block of orbit lines,
-# which may set the point 1.0, one, too; {top} and {bottom} are the ends
-# of the central interval, {conditions} the condition tests in table
-# order and {lengths} the lengths' sum.
+# A Period's float kernels, for a float c and a float eps: return_map's R,
+# feasibility past its 0 < c < 1/2 test and the condition values, each
+# bitwise what the generic path computes from _orbit_points, and the scan's
+# tail, the pull and the u-steps after it on the arrays of a grid.  {check}
+# is the period's pull check, {orbit} the block of orbit lines, which may
+# set the point 1.0, one, too; {top} and {bottom} are the ends of the
+# central interval, {conditions} the condition tests in table order,
+# {lengths} the lengths' sum, {values} the conditions, and {tail} the
+# block's lines from the pull on, which set {pulled} .. its last point.
 _KERNELS = '''
 def _kernels{p}(period):
     def r_kernel(c, eps):
-        if eps != 1.0:
-            _check_pull(period, eps)
-        d = 1.0 - c
+{check}        d = 1.0 - c
         x0, one = 0.0, 1.0
 {orbit}        s2 = {top} - {bottom}
         if s2 <= S2_FLOOR:
@@ -277,9 +293,7 @@ def _kernels{p}(period):
         return ({top} - c) / s2
 
     def feasible_kernel(c, eps):
-        if eps != 1.0:
-            _check_pull(period, eps)
-        d = 1.0 - c
+{check}        d = 1.0 - c
         x0, one = 0.0, 1.0
 {orbit}{conditions}        if {lengths} >= 1.0:
             raise RuntimeError(
@@ -288,9 +302,23 @@ def _kernels{p}(period):
             )
         return True
 
-    return r_kernel, feasible_kernel
+    def values_kernel(c, eps):
+{check}        d = 1.0 - c
+        x0, one = 0.0, 1.0
+{orbit}        return {values}
+
+    def scan_tail(c, d, x{p}, eps):
+{check}{tail}        return {pulled}
+
+    return r_kernel, feasible_kernel, values_kernel, scan_tail
 '''
 _CONDITION = "        s{n} = {plus} - {minus}\n        if not s{n} > 0.0:\n            return False\n"
+# _check_pull's rule on a real eps, one comparison: the pull is defined for
+# period three and an eps above 0 (NaN is not), any other period has eps 1
+_PULL_CHECK = {
+    True: f"        if not eps > 0.0:\n            raise ValueError({_NOT_POSITIVE!r})\n",
+    False: f"        if eps != 1.0:\n            raise ValueError({_ONLY_THREE!r})\n",
+}
 
 
 def _point(i) -> str:
@@ -298,40 +326,47 @@ def _point(i) -> str:
     return "one" if i == ONE else f"x{i}"
 
 
-def _orbit_block(p: int) -> str:
-    """The 2p - 2 u-steps from x0 = 0, with the pull after step p."""
+def _orbit_block(p: int, first: int = 1) -> str:
+    """The u-steps from step first to step 2p - 2, with the pull after step
+    p: from first = 1 the whole block from x0 = 0, from first = p + 1 its
+    tail, the pull and the u-steps after it."""
     src = ""
-    for k in range(1, 2 * p - 1):
+    for k in range(first, 2 * p - 1):
+        if k == p + 1:
+            src += _PULL.format(k=p)
         src += _U_STEP.format(j=k - 1, k=k)
-        if k == p:
-            src += _PULL.format(k=k)
     return src
 
 
 def _kernel_source(period: Period, orbit: str) -> str:
-    """The source of _kernels{p}(period), which returns period's R and
-    feasibility kernels over orbit: lines that set x1 .. x{2p-2} from c,
-    d = 1 - c, eps and x0 = 0.0, and may set the point one = 1.0.  Every
-    condition that is not above 0, NaN too, ends the feasibility test
-    with False; the lengths are summed from 0, in table order."""
-    comb = period.comb
+    """The source of _kernels{p}(period), which returns period's R,
+    feasibility and condition-value kernels over orbit: lines that set
+    x1 .. x{2p-2} from c, d = 1 - c, eps and x0 = 0.0, and may set the
+    point one = 1.0.  Every condition that is not above 0, NaN too, ends
+    the feasibility test with False; the lengths are summed from 0, in
+    table order.  The fourth function, the scan's tail, runs the template's
+    own tail whatever orbit is."""
+    comb, p = period.comb, period.p
     left, right = comb.central
+    pairs = [(_point(i), _point(j)) for i, j in comb.pairs]
     conditions = "".join(
-        _CONDITION.format(n=n, plus=_point(i), minus=_point(j))
-        for n, (i, j) in enumerate(comb.pairs, 1))
-    lengths = " + ".join(["0.0"] + [f"s{n}" for n in range(1, period.p + 1)])
-    return _KERNELS.format(p=period.p, orbit=orbit, top=_point(right), bottom=_point(left),
-                           conditions=conditions, lengths=lengths)
+        _CONDITION.format(n=n, plus=plus, minus=minus) for n, (plus, minus) in enumerate(pairs, 1))
+    lengths = " + ".join(["0.0"] + [f"s{n}" for n in range(1, p + 1)])
+    values = ", ".join(f"{plus} - {minus}" for plus, minus in pairs)
+    pulled = ", ".join(f"x{k}" for k in range(p, 2 * p - 1))
+    return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, top=_point(right),
+                           bottom=_point(left), conditions=conditions, lengths=lengths,
+                           values=values, tail=_orbit_block(p, p + 1), pulled=pulled)
 
 
 def _compile_orbit():
     """_orbit_points and the kernels from the template, in one compile():
     for each Period its block of u-steps with the pull after step p, read
     by _orbit_points' branch for the period, which returns the points and
-    1.0, and by the period's kernels, stored on the member as r_kernel and
-    feasible_kernel.  Compiled under this file's name, so profiles count
-    it in scaling; a traceback through it gives the generated source's
-    line numbers."""
+    1.0, and by the period's kernels, stored on the member as r_kernel,
+    feasible_kernel, values_kernel and scan_tail.  Compiled under this
+    file's name, so profiles count it in scaling; a traceback through it
+    gives the generated source's line numbers."""
     src, kernels = _ORBIT_HEAD, ""
     for period in Period:
         p = period.p
@@ -342,7 +377,8 @@ def _compile_orbit():
     namespace = {}
     exec(compile(src + kernels, __file__, "exec"), globals(), namespace)
     for period in Period:
-        period.r_kernel, period.feasible_kernel = namespace[f"_kernels{period.p}"](period)
+        (period.r_kernel, period.feasible_kernel, period.values_kernel,
+         period.scan_tail) = namespace[f"_kernels{period.p}"](period)
     return namespace["_orbit_points"]
 
 
@@ -460,8 +496,7 @@ def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
     Both lie in [0, 1/2], the feasible one inside, so every midpoint the
     bisection tests lies strictly inside (0, 1/2), where feasibility is
     the period's kernel alone."""
-    feasible = period.feasible_kernel
-    c = bisect(lambda x: feasible(x, eps), ok_pt, bad_pt, REFINE_TOL)
+    c = bisect(partial(period.feasible_kernel, eps=eps), ok_pt, bad_pt, REFINE_TOL)
     name = period.comb.names[int(np.argmin(conditions(period, c, eps)))]
     return c, name
 
@@ -485,6 +520,80 @@ def _refine_touch(fn, lo, hi):
     return 0.5 * (a + b)
 
 
+@lru_cache(maxsize=4)
+def _scan_head(period: Period, scan_step: float) -> tuple:
+    """The scan grid cs = arange(scan_step, 0.5, scan_step), d = 1 - cs and
+    the orbit points u(0) .. u^p(0) before the pull: all of the scan's
+    orbit that eps does not enter, computed once per grid, read-only.
+
+    They are rows of one anonymous memory map, off the malloc heap: arrays
+    that outlive the call there pin the heap, so that every later scan's
+    temporaries grow its top and the allocator trims it again, page fault
+    by page fault (with glibc, 47 minor faults per eps solve in a loop of
+    solves with the rows kept as separate arrays, none with the map)."""
+    cs = np.arange(scan_step, 0.5, scan_step)
+    rows = (cs, 1.0 - cs, *_orbit_points(period, cs)[1 : period.p + 1])
+    head = np.frombuffer(mmap.mmap(-1, len(rows) * cs.nbytes)).reshape(len(rows), -1)
+    for row, values in zip(head, rows):
+        row[:] = values
+    head.flags.writeable = False
+    return tuple(head)
+
+
+def _scan_orbit(period: Period, scan_step: float, eps: float):
+    """The scan grid cs and _orbit_points(period, cs, eps), bitwise: the
+    memoized head and the period's scan_tail, the pull and the u-steps
+    after it, the only part of the orbit that depends on eps."""
+    cs, d, *head = _scan_head(period, scan_step)
+    return cs, [0.0, *head[:-1], *period.scan_tail(cs, d, head[-1], eps), 1.0]
+
+
+def _scan_conditions(period: Period, scan_step: float, eps: float):
+    """The scan grid cs and _condition_values(period, cs, eps), bitwise,
+    one row per condition in the table's order, read at call time.
+
+    A huge eps overflows the orbit after the pull, quietly: an orbit point
+    past it that overflows is -inf, and so is the length S2 it ends, so
+    the point fails worst > 0 whatever its other conditions read."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cs, o = _scan_orbit(period, scan_step, eps)
+        return cs, [o[i] - o[j] for i, j in period.comb.pairs]
+
+
+def _runs(ok) -> list:
+    """The maximal runs of True in the mask ok, as (first, last) indices:
+    the transitions of ok padded with False at both ends."""
+    padded = np.zeros(len(ok) + 2, dtype=bool)
+    padded[1:-1] = ok
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [(i0, i1 - 1) for i0, i1 in zip(edges[::2], edges[1::2])]
+
+
+def _touches(cond, worst, i0, i1) -> list:
+    """The interior touch points of the run i0 .. i1: grid minima that dip
+    to near zero (above 1e-4 is an ordinary smooth minimum), each as the
+    grid index before the minimum and the first condition dipping there.
+
+    A condition at or below 1e-4 holds worst at or below it, and a run
+    holds no NaN, so only the run's interior points where worst is at or
+    below 1e-4 are read, one by one, condition by condition, as Python
+    floats."""
+    ms = (i0 + 1 + np.flatnonzero(worst[i0 + 1 : i1] <= 1e-4)).tolist()
+    if not ms:
+        return []
+    lo = ms[0] - 1
+    rows = [row[lo : ms[-1] + 2].tolist() for row in cond]
+    out = []
+    for m in ms:
+        k = m - lo
+        for j, row in enumerate(rows):
+            v = row[k]
+            if v <= 1e-4 and v < row[k - 1] and v < row[k + 1]:
+                out.append((m - 1, j))
+                break
+    return out
+
+
 def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -> FeasibleDomain:
     """Sign-scan feasibility over (0, 1/2) and refine every boundary.
 
@@ -496,20 +605,16 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     two, matching the punctured unions printed in the source domains.
     """
     # the scan holds every condition at every grid point: refuse a step
-    # below 1e-6 (about 130 MB for period five) before allocating
+    # below 1e-6 (a peak of about 80 MB for period five, 28 MB of it kept
+    # in _scan_head's memo) before allocating
     if not 1e-6 <= scan_step <= 1e-2:
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    cs = np.arange(scan_step, 0.5, scan_step)
     # one row per condition, never stacked into one matrix: that stack
     # (195 KiB for period three, 351 KiB for five) can be large enough for
-    # the allocator to map it afresh, page fault by page fault, every call.
-    # A huge eps overflows the orbit after the pull, quietly: an orbit point
-    # past it that overflows is -inf, and so is the length S2 it ends, so
-    # the point fails worst > 0 whatever its other conditions read.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond = _condition_values(period, cs, eps)
+    # the allocator to map it afresh, page fault by page fault, every call
+    cs, cond = _scan_conditions(period, scan_step, eps)
     worst = cond[0]
     for row in cond[1:]:
         worst = np.minimum(worst, row)
@@ -517,17 +622,11 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     if not ok.any():
         raise EmptyDomain(f"no feasible point for {period} at step {scan_step}")
 
-    # maximal runs of feasible grid points
-    idx = np.flatnonzero(ok)
-    splits = np.flatnonzero(np.diff(idx) > 1)
-    runs = np.split(idx, splits + 1)
-
-    comb = period.comb
+    comb, values = period.comb, period.values_kernel
     intervals = []
     boundaries = []
     punctures = []
-    for run in runs:
-        i0, i1 = run[0], run[-1]
+    for i0, i1 in _runs(ok):
         lo_out = float(cs[i0]) - scan_step if i0 > 0 else 0.0
         hi_out = float(cs[i1]) + scan_step if i1 + 1 < len(cs) else 0.5
         lo, lo_name = _bisect_boundary(period, float(cs[i0]), lo_out, eps)
@@ -535,30 +634,13 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         boundaries.append((lo, lo_name))
         boundaries.append((hi, hi_name))
 
-        # interior touch points: grid minima that dip to near zero (above
-        # 1e-4 is an ordinary smooth minimum), keyed by the grid index
-        # before the minimum, each with the first condition dipping there
-        # (np.nonzero reads row-major, conditions in order)
-        vals = np.array([row[i0 : i1 + 1] for row in cond])
-        mid = vals[:, 1:-1]
-        dips = (mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid <= 1e-4)
-        touch = {}
-        for j, t in zip(*np.nonzero(dips)):
-            touch.setdefault(i0 + t, j)
         # several conditions can vanish at one point: refine each location
-        # once and name it after every condition that vanishes there
+        # once, on the one condition that dips there, and name it after
+        # every condition that vanishes there
         cut = []
-        for k in sorted(touch):
-            # the one condition that dips here, read off the orbit alone
-            i, j = comb.pairs[touch[k]]
-
-            def fn(x):
-                o = _orbit_points(period, x, eps)
-                return o[i] - o[j]
-
-            x = _refine_touch(fn, float(cs[k]), float(cs[k + 2]))
-            vals = _condition_values(period, x, eps)
-            names = sorted(nm for nm, v in zip(comb.names, vals) if v < 1e-10)
+        for k, j in _touches(cond, worst, i0, i1):
+            x = _refine_touch(lambda x: values(x, eps)[j], float(cs[k]), float(cs[k + 2]))
+            names = sorted(nm for nm, v in zip(comb.names, values(x, eps)) if v < 1e-10)
             if names:
                 cut.append((x, "+".join(names)))
         punctures.extend(cut)

@@ -12,6 +12,7 @@ surfaced as an error rather than silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -101,13 +102,14 @@ def _scan_roots(g, intervals, grid):
         return []
     grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
     xs = np.concatenate(grids)
-    signs = np.sign(g(xs))
-    pairs = signs[:-1] * signs[1:]
+    v = g(xs)
+    pos, neg = v > 0.0, v < 0.0  # zeros and NaN are neither, and never pair
+    cross = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
     end = 0
     for xi in grids[:-1]:
         end += len(xi)
-        pairs[end - 1] = 0.0  # the last point of one grid and the first of the next
-    hits = np.flatnonzero(pairs < 0)
+        cross[end - 1] = False  # the last point of one grid and the first of the next
+    hits = np.flatnonzero(cross)
     return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
 
 
@@ -140,18 +142,20 @@ def _solve(period, eps, domain, tol):
         except EmptyDomain as exc:
             raise NoRoot(f"no feasible domain at eps={eps}: {exc}") from exc
 
-    def R(c):
-        return return_map(period, c, eps)
+    # Python floats only from here on: the scan's hits, bisection midpoints
+    # and secant steps, so R and g run the period's kernel directly
+    R = partial(period.r_kernel, eps=eps)
 
     def g(c):
-        # arrays come back NaN-masked from R; only a scalar c can raise
         try:
             return R(c) - c
         except DivisionGuard:
             return np.nan
 
     pad = 2.0 * REFINE_TOL
-    brackets = _scan_roots(g, [(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID)
+    intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
+    # one array call over every grid; R is NaN where its s2 guard trips
+    brackets = _scan_roots(lambda xs: return_map(period, xs, eps) - xs, intervals, SCAN_GRID)
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:

@@ -238,6 +238,23 @@ def test_float_kernels_are_bitwise_the_generic_path(case):
         assert _bits([r]) == arr.tobytes()
     want = bool(np.min(conditions(period, np.array([c]), eps)) > 0)
     assert feasibility(period, c, eps) is want
+    assert _bits(period.values_kernel(c, eps)) == _bits(_condition_values(period, c, eps))
+
+
+@pytest.mark.parametrize("period, bad", [(Period.THREE, bad) for bad in (0.0, -1.0, math.nan)]
+                         + [(Period.FIVE, bad) for bad in (0.0, -1.0, math.nan, 1.01)])
+def test_every_kernel_refuses_an_eps_as_the_orbit_does(period, bad):
+    # the pull check written into each kernel raises _orbit_points' error
+    with pytest.raises(ValueError) as want:
+        _orbit_points(period, 0.44, bad)
+    cs = np.array([0.44])
+    calls = [functools.partial(kernel, 0.44, bad)
+             for kernel in (period.r_kernel, period.feasible_kernel, period.values_kernel)]
+    calls.append(functools.partial(period.scan_tail, cs, 1.0 - cs, cs, bad))
+    for call in calls:
+        with pytest.raises(ValueError) as got:
+            call()
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def test_pole_edges_straddle_the_guard():

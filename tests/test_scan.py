@@ -1,0 +1,230 @@
+"""The domain scan and the root scan against what they replaced: the scan
+orbit, whose eps-free head is memoized per grid, against the whole orbit;
+and the run, dip and sign-change finders against the np.split,
+matrix-dip and np.sign formulas they replaced, kept here verbatim as the
+references."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from renorm.scaling import (
+    Combinatorics,
+    Period,
+    _condition_values,
+    _orbit_points,
+    _runs,
+    _scan_conditions,
+    _scan_head,
+    _scan_orbit,
+    _touches,
+    feasible_domain,
+)
+from renorm.solver import _scan_roots
+
+BITWISE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+STEPS = (1e-4, 2e-4, 5e-4, 1e-3)
+
+
+# The formulas the scan replaced, verbatim.
+def _split_runs(ok):
+    """The maximal runs of ok as np.split of its feasible indices."""
+    idx = np.flatnonzero(ok)
+    splits = np.flatnonzero(np.diff(idx) > 1)
+    return [(int(run[0]), int(run[-1])) for run in np.split(idx, splits + 1)]
+
+
+def _matrix_touches(cond, i0, i1):
+    """The run's dips from the stacked matrix of its condition rows."""
+    vals = np.array([row[i0 : i1 + 1] for row in cond])
+    mid = vals[:, 1:-1]
+    dips = (mid < vals[:, :-2]) & (mid < vals[:, 2:]) & (mid <= 1e-4)
+    touch = {}
+    for j, t in zip(*np.nonzero(dips)):
+        touch.setdefault(i0 + t, j)
+    return [(int(k), int(touch[k])) for k in sorted(touch)]
+
+
+def _sign_scan(g, intervals, grid):
+    """_scan_roots with the hits read off products of np.sign."""
+    if not intervals:
+        return []
+    grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
+    xs = np.concatenate(grids)
+    signs = np.sign(g(xs))
+    pairs = signs[:-1] * signs[1:]
+    end = 0
+    for xi in grids[:-1]:
+        end += len(xi)
+        pairs[end - 1] = 0.0
+    hits = np.flatnonzero(pairs < 0)
+    return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
+
+
+@st.composite
+def _scans(draw):
+    """(period, step, eps): period three at eps in [0.25, 4] or at 1e300,
+    where the orbit overflows after the pull, period five at eps 1."""
+    period = draw(st.sampled_from(list(Period)))
+    if period is Period.THREE:
+        eps = draw(st.one_of(st.floats(0.25, 4.0), st.just(1e300)))
+    else:
+        eps = 1.0
+    return period, draw(st.sampled_from(STEPS)), eps
+
+
+@BITWISE
+@given(_scans())
+@example((Period.THREE, 1e-4, 1e300))
+def test_the_memoized_scan_is_bitwise_the_whole_orbit(case):
+    # the scan orbit and its condition rows, -inf and inf where a huge eps
+    # overflows, are _orbit_points' and _condition_values' on the grid
+    period, step, eps = case
+    cs = np.arange(step, 0.5, step)
+    _, rows = _scan_conditions(period, step, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got_cs, orbit = _scan_orbit(period, step, eps)
+        want_orbit = _orbit_points(period, cs, eps)
+        want = _condition_values(period, cs, eps)
+    assert got_cs.tobytes() == cs.tobytes()
+    assert [np.asarray(x).tobytes() for x in orbit] == [np.asarray(x).tobytes() for x in want_orbit]
+    assert np.array(rows).tobytes() == np.array(want).tobytes()
+    if eps == 1e300:
+        assert np.isneginf(rows).any() and np.isposinf(rows).any()
+
+
+def test_the_scan_reads_the_condition_table_at_call_time():
+    # the memo holds orbit points only: rows patched after it is filled
+    # still decide the scan's conditions
+    period = Period.THREE
+    _scan_conditions(period, 1e-4, 1.0)
+    comb = Combinatorics(period.comb.cycle)
+    comb.__dict__["intervals"] = ((1, 4), (0, 3), (2, -1))
+    with mock.patch.object(period, "comb", comb):
+        cs, rows = _scan_conditions(period, 1e-4, 1.0)
+        assert np.array(rows).tobytes() == np.array(_condition_values(period, cs)).tobytes()
+    assert np.array(rows).tobytes() != np.array(_condition_values(period, cs)).tobytes()
+
+
+def test_the_scan_memo_is_bounded_and_read_only():
+    _scan_head.cache_clear()
+    for period in Period:
+        for step in STEPS:
+            feasible_domain(period, step)
+    info = _scan_head.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (4, 4, 2 * len(STEPS))
+    for period in Period:
+        head = _scan_head(period, 1e-4)
+        assert len(head) == period.p + 2  # the grid, 1 - c and u(0) .. u^p(0)
+        assert sum(a.nbytes for a in head) <= 0.3e6
+        for a in head:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+    # the pull makes a new array: a scan leaves its head as it was
+    before = [a.tobytes() for a in _scan_head(Period.THREE, 1e-4)]
+    _scan_orbit(Period.THREE, 1e-4, 1.03)
+    assert [a.tobytes() for a in _scan_head(Period.THREE, 1e-4)] == before
+
+
+def _scan_case(rows):
+    """The condition rows, their worst and the mask of feasible points."""
+    cond = [np.array(row, dtype=float) for row in rows]
+    worst = cond[0]
+    for row in cond[1:]:
+        worst = np.minimum(worst, row)
+    return cond, worst, worst > 0.0
+
+
+def _assert_scan_matches(rows):
+    cond, worst, ok = _scan_case(rows)
+    if not ok.any():
+        assert _runs(ok) == []
+        return
+    assert _runs(ok) == _split_runs(ok)
+    for i0, i1 in _runs(ok):
+        assert _touches(cond, worst, i0, i1) == _matrix_touches(cond, i0, i1)
+
+
+D = 5e-5  # a dip: at or below the 1e-4 touch threshold
+CRAFTED = {
+    # conditions 0 and 1 both dip at index 2: the first one names it
+    "two conditions dip at one index": [[1.0, 0.5, D, 0.5, 1.0], [1.0, 0.5, D / 2, 0.5, 1.0]],
+    # condition 0 is below 1e-4 there but not a strict minimum, 1 dips
+    "the second condition dips": [[1.0, D, D, D, 1.0], [1.0, 0.5, D, 0.5, 1.0]],
+    "flat minimum with an equal neighbour": [[1.0, 0.5, D, D, 0.5, 1.0]],
+    "a minimum above the threshold": [[1.0, 0.5, 2e-4, 0.5, 1.0]],
+    "the threshold itself": [[1.0, 0.5, 1e-4, 0.5, 1.0], [1.0, 0.5, 1.0000000000000002e-4, 0.5, 1.0]],
+    "dip at the run's first interior point": [[-1.0, 0.5, D, 0.5, 0.7, 1.0, -1.0]],
+    "dip at the run's last interior point": [[-1.0, 1.0, 0.7, 0.5, D, 0.5, -1.0]],
+    "dips at both ends of a three-point run": [[-1.0, 0.5, D, 0.5, -1.0, 0.5, D, 0.5, -1.0]],
+    "runs touching both ends of the grid": [[0.5, D, 0.5, -1.0, 0.5, D, 0.5]],
+    "one-point and two-point runs": [[0.5, -1.0, D, 0.5, 0.0, -0.0, 1.0, math.nan, 0.5]],
+    "NaN in another condition ends a run": [[0.5, 0.4, D, 0.4, 0.5, 0.4, D, 0.4], [1.0, 1.0, 1.0, math.nan, 1.0, 1.0, 1.0, 1.0]],
+    "no feasible point": [[0.0, -1.0, math.nan, -0.0]],
+    "every point feasible": [[1.0, D, 1.0, D / 2, 1.0]],
+    "a single grid point": [[D]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRAFTED))
+def test_runs_and_dips_match_the_formulas_they_replaced(name):
+    _assert_scan_matches(CRAFTED[name])
+
+
+def test_crafted_rows_find_touches():
+    # the crafted rows are not vacuous: each named dip is found
+    cond, worst, ok = _scan_case(CRAFTED["two conditions dip at one index"])
+    assert _touches(cond, worst, 0, 4) == [(1, 0)]
+    cond, worst, ok = _scan_case(CRAFTED["the second condition dips"])
+    assert _touches(cond, worst, 0, 4) == [(1, 1)]
+    cond, worst, ok = _scan_case(CRAFTED["dips at both ends of a three-point run"])
+    assert _runs(ok) == [(1, 3), (5, 7)]
+    assert [_touches(cond, worst, i0, i1) for i0, i1 in _runs(ok)] == [[(1, 0)], [(5, 0)]]
+    cond, worst, ok = _scan_case(CRAFTED["runs touching both ends of the grid"])
+    assert _runs(ok) == [(0, 2), (4, 6)]
+
+
+# values that collide: equal neighbours, the threshold, zeros, NaN
+_VALUES = st.sampled_from([-1.0, 0.0, -0.0, 1e-5, 5e-5, 1e-4, 1.0000000000000002e-4, 3e-4, 0.5, math.nan])
+
+
+@BITWISE
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 24).flatmap(
+        lambda m: st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))))
+def test_runs_and_dips_match_on_any_rows(rows):
+    _assert_scan_matches(rows)
+
+
+def _constant_scan(values, intervals, grid):
+    """Both scans of a g that returns values whatever the grid."""
+    g = lambda xs: np.array(values[: len(xs)], dtype=float)  # noqa: E731
+    return _scan_roots(g, intervals, grid), _sign_scan(g, intervals, grid)
+
+
+# three grids of 5 points each: junctions after the 5th and the 10th value
+GRIDS = ([(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)], 0.25)
+_G_VALUES = st.sampled_from([1.0, -1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -1e-300])
+
+
+@pytest.mark.parametrize("values, hits", [
+    # a sign change across each junction never pairs
+    ([1.0] * 5 + [-1.0] * 5 + [1.0] * 5, 0),
+    # zeros of either sign and NaN never pair, infinities do
+    ([1.0, 0.0, -1.0, -0.0, 1.0, math.nan, -1.0, math.inf, -math.inf, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0], 7),
+    ([-1e-300, 1e-300, -0.0, 0.0, math.nan] * 3, 3),
+])
+def test_root_scan_matches_the_sign_products(values, hits):
+    new, ref = _constant_scan(values, *GRIDS)
+    assert new == ref
+    assert len(new) == hits
+
+
+@BITWISE
+@given(st.lists(_G_VALUES, min_size=15, max_size=15))
+def test_root_scan_matches_the_sign_products_on_any_values(values):
+    new, ref = _constant_scan(values, *GRIDS)
+    assert new == ref
