@@ -47,9 +47,12 @@ compile() of the template yields two kinds of code:
   real scalar c and eps, and the scalar hot loops call them directly:
   the solver's root refinement, feasible_domain's boundary bisection,
   and horseshoe's inversions and branch domain ends; feasible_domain's
-  puncture refinement reads values_kernel.  Each is bitwise the generic
-  path on floats.  Beside them sits scan_tail, the block's tail (the pull
-  and the u-steps after it) on arrays.
+  puncture refinement and boundary naming read values_kernel.  Each is
+  bitwise the generic path on floats.  Beside them sit two array
+  kernels: scan_tail, the block's tail (the pull and the u-steps after
+  it), and root_kernel, the whole block with out= ufuncs and R(c) - c
+  from it, NaN where the s2 guard trips, bitwise
+  return_map(period, c, eps) - c: the solver's root scan.
 
 The domain scan's grid is fixed by its step, and so is every orbit point
 before the pull: _scan_head keeps them, read-only, in a memo of the last
@@ -60,11 +63,11 @@ the inner end of step 1's interval (the pulled family), the one other
 site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
-points, so the fixed-point solver scans every feasible interval in one
-call.  return_map also takes an Interval or a Jet of c and then encloses
-R (and dR/dc for a Jet); its one s2 guard has a rule for each of the four
-kinds of number: a float c raises, an array gets NaN, an Interval or a
-Jet raises unless its s2 enclosure lies above the floor.
+points; the plot data reads them, and the tests hold root_kernel to the
+array R.  return_map also takes an Interval or a Jet of c and then
+encloses R (and dR/dc for a Jet); its one s2 guard has a rule for each
+of the four kinds of number: a float c raises, an array gets NaN, an
+Interval or a Jet raises unless its s2 enclosure lies above the floor.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ import enum
 import math
 import mmap
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -252,9 +255,16 @@ def _check_pull(period: Period, eps) -> None:
 # t = (x - c)/(1 - c), x = 1 - t*t with d = 1 - c computed once, and the
 # pull.  One compile() turns it into straight-line code, so that no call
 # runs a loop: _orbit_points, a block per Period, and each Period's float
-# kernels (_KERNELS).
+# kernels (_KERNELS).  _IN_PLACE is the same u-step and pull on arrays with
+# out= ufuncs, the same operations in the same order, each step written
+# into one array: the point before it, taken over ({out}), or a new one.
 _U_STEP = "        t = (x{j} - c) / d\n        x{k} = 1.0 - t * t\n"
 _PULL = "        x{k} = eps * x{k}\n"
+_IN_PLACE = (
+    "        x{k} = np.subtract(x{j}, c{out})\n        np.divide(x{k}, d, out=x{k})\n"
+    "        np.multiply(x{k}, x{k}, out=x{k})\n        np.subtract(1.0, x{k}, out=x{k})\n",
+    "        np.multiply(eps, x{k}, out=x{k})\n",
+)
 _ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
     """[0, u(0), ..., u^{2p-2}(0), 1.0] for c a float, a numpy array, an
     Interval or an interval.Jet: the critical orbit with u^p(0) replaced
@@ -275,13 +285,15 @@ _ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
 '''
 # A Period's float kernels, for a float c and a float eps: return_map's R,
 # feasibility past its 0 < c < 1/2 test and the condition values, each
-# bitwise what the generic path computes from _orbit_points, and the scan's
-# tail, the pull and the u-steps after it on the arrays of a grid.  {check}
-# is the period's pull check, {orbit} the block of orbit lines, which may
-# set the point 1.0, one, too; {top} and {bottom} are the ends of the
-# central interval, {conditions} the condition tests in table order,
-# {lengths} the lengths' sum, {values} the conditions, and {tail} the
-# block's lines from the pull on, which set {pulled} .. its last point.
+# bitwise what the generic path computes from _orbit_points; the scan's
+# tail, the pull and the u-steps after it on the arrays of a grid; and the
+# root scan's R(c) - c on an array c, bitwise return_map(period, c, eps) - c.
+# {check} is the period's pull check, {orbit} the block of orbit lines and
+# {array_orbit} its lines on arrays, either of which may set the point 1.0,
+# one, too; {top} and {bottom} are the ends of the central interval,
+# {conditions} the condition tests in table order, {lengths} the lengths'
+# sum, {values} the conditions, and {tail} the block's lines from the pull
+# on, which set {pulled} .. its last point.
 _KERNELS = '''
 def _kernels{p}(period):
     def r_kernel(c, eps):
@@ -310,7 +322,16 @@ def _kernels{p}(period):
     def scan_tail(c, d, x{p}, eps):
 {check}{tail}        return {pulled}
 
-    return r_kernel, feasible_kernel, values_kernel, scan_tail
+    def root_kernel(c, eps):
+{check}        d = 1.0 - c
+        x0, one = 0.0, 1.0
+{array_orbit}        s2 = np.subtract({top}, {bottom}, out=d)
+        s2[s2 <= S2_FLOOR] = np.nan
+        r = np.subtract({top}, c)
+        np.divide(r, s2, out=r)
+        return np.subtract(r, c, out=r)
+
+    return r_kernel, feasible_kernel, values_kernel, scan_tail, root_kernel
 '''
 _CONDITION = "        s{n} = {plus} - {minus}\n        if not s{n} > 0.0:\n            return False\n"
 # _check_pull's rule on a real eps, one comparison: the pull is defined for
@@ -326,26 +347,33 @@ def _point(i) -> str:
     return "one" if i == ONE else f"x{i}"
 
 
-def _orbit_block(p: int, first: int = 1) -> str:
+def _orbit_block(p: int, first: int = 1, steps: tuple = (_U_STEP, _PULL), keep: tuple = ()) -> str:
     """The u-steps from step first to step 2p - 2, with the pull after step
     p: from first = 1 the whole block from x0 = 0, from first = p + 1 its
-    tail, the pull and the u-steps after it."""
+    tail, the pull and the u-steps after it.  steps is the template's
+    (u-step, pull), or _IN_PLACE's, whose step k takes over the array of
+    point k - 1 unless that is x0 or a point in keep."""
+    u_step, pull = steps
     src = ""
     for k in range(first, 2 * p - 1):
         if k == p + 1:
-            src += _PULL.format(k=p)
-        src += _U_STEP.format(j=k - 1, k=k)
+            src += pull.format(k=p)
+        out = "" if k == 1 or k - 1 in keep else f", out=x{k - 1}"
+        src += u_step.format(j=k - 1, k=k, out=out)
     return src
 
 
-def _kernel_source(period: Period, orbit: str) -> str:
+def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     """The source of _kernels{p}(period), which returns period's R,
-    feasibility and condition-value kernels over orbit: lines that set
-    x1 .. x{2p-2} from c, d = 1 - c, eps and x0 = 0.0, and may set the
-    point one = 1.0.  Every condition that is not above 0, NaN too, ends
-    the feasibility test with False; the lengths are summed from 0, in
-    table order.  The fourth function, the scan's tail, runs the template's
-    own tail whatever orbit is."""
+    feasibility and condition-value kernels over orbit, and its root scan
+    kernel over array_orbit: lines that set x1 .. x{2p-2} from c,
+    d = 1 - c, eps and x0 = 0.0, and may set the point one = 1.0; the
+    array lines must leave the central interval's ends as they set them.
+    Every
+    condition that is not above 0, NaN too, ends the feasibility test with
+    False; the lengths are summed from 0, in table order.  The fourth
+    function, the scan's tail, runs the template's own tail whatever orbit
+    is."""
     comb, p = period.comb, period.p
     left, right = comb.central
     pairs = [(_point(i), _point(j)) for i, j in comb.pairs]
@@ -354,31 +382,35 @@ def _kernel_source(period: Period, orbit: str) -> str:
     lengths = " + ".join(["0.0"] + [f"s{n}" for n in range(1, p + 1)])
     values = ", ".join(f"{plus} - {minus}" for plus, minus in pairs)
     pulled = ", ".join(f"x{k}" for k in range(p, 2 * p - 1))
-    return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, top=_point(right),
-                           bottom=_point(left), conditions=conditions, lengths=lengths,
-                           values=values, tail=_orbit_block(p, p + 1), pulled=pulled)
+    return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, array_orbit=array_orbit,
+                           top=_point(right), bottom=_point(left), conditions=conditions,
+                           lengths=lengths, values=values, tail=_orbit_block(p, p + 1),
+                           pulled=pulled)
 
 
 def _compile_orbit():
-    """_orbit_points and the kernels from the template, in one compile():
-    for each Period its block of u-steps with the pull after step p, read
-    by _orbit_points' branch for the period, which returns the points and
-    1.0, and by the period's kernels, stored on the member as r_kernel,
-    feasible_kernel, values_kernel and scan_tail.  Compiled under this
-    file's name, so profiles count it in scaling; a traceback through it
-    gives the generated source's line numbers."""
-    src, kernels = _ORBIT_HEAD, ""
+    """_orbit_points and the kernels from the template: for each Period its
+    block of u-steps with the pull after step p, read by _orbit_points'
+    branch for the period, which returns the points and 1.0, and by the
+    period's kernels, stored on the member as r_kernel, feasible_kernel,
+    values_kernel, scan_tail and root_kernel, the last over the block's
+    in-place form.  Compiled under this file's name, so profiles count it
+    in scaling; a traceback through it gives the generated source's line
+    numbers.  One compile() per piece, _orbit_points and each period's
+    kernels: the compiler's peak memory grows with the source it holds."""
+    src, kernels = _ORBIT_HEAD, []
     for period in Period:
         p = period.p
         orbit = _orbit_block(p)
         points = ", ".join(f"x{k}" for k in range(2 * p - 1))
         src += f"    if period.p == {p}:\n{orbit}        return [{points}, 1.0]\n"
-        kernels += _kernel_source(period, orbit)
+        kernels.append(_kernel_source(period, orbit, _orbit_block(p, steps=_IN_PLACE, keep=period.comb.central)))
     namespace = {}
-    exec(compile(src + kernels, __file__, "exec"), globals(), namespace)
+    for piece in (src, *kernels):
+        exec(compile(piece, __file__, "exec"), globals(), namespace)
     for period in Period:
         (period.r_kernel, period.feasible_kernel, period.values_kernel,
-         period.scan_tail) = namespace[f"_kernels{period.p}"](period)
+         period.scan_tail, period.root_kernel) = namespace[f"_kernels{period.p}"](period)
     return namespace["_orbit_points"]
 
 
@@ -432,7 +464,8 @@ def return_map(period: Period, c, eps: float = 1.0):
     the s2 enclosure lies above the floor.  A float (or int) c with a float
     (or int) eps runs the period's straight-line kernel, period.r_kernel;
     any other argument (an array, an Interval, a Jet, a numpy integer)
-    reads _orbit_points.
+    reads _orbit_points.  The solver's root scan does not come here:
+    period.root_kernel computes an array call minus c, bitwise, in place.
     """
     if isinstance(c, _SCALARS) and isinstance(eps, _SCALARS):
         return period.r_kernel(c, eps)
@@ -490,15 +523,28 @@ def bisect(keep, a, b, tol):
     return 0.5 * (a + b)
 
 
+def _argmin(values) -> int:
+    """np.argmin of a tuple of floats without building an array: the index
+    of the first NaN, or else of the first minimum."""
+    k = 0
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+        if v < values[k]:
+            k = i
+    return k
+
+
 def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
     """Bisect min(all conditions) between a feasible and an infeasible point.
 
     Both lie in [0, 1/2], the feasible one inside, so every midpoint the
     bisection tests lies strictly inside (0, 1/2), where feasibility is
-    the period's kernel alone."""
-    c = bisect(partial(period.feasible_kernel, eps=eps), ok_pt, bad_pt, REFINE_TOL)
-    name = period.comb.names[int(np.argmin(conditions(period, c, eps)))]
-    return c, name
+    the period's kernel alone.  The boundary is named after the condition
+    np.argmin picks, a NaN first."""
+    kernel = period.feasible_kernel
+    c = bisect(lambda x: kernel(x, eps), ok_pt, bad_pt, REFINE_TOL)
+    return c, period.comb.names[_argmin(period.values_kernel(c, eps))]
 
 
 def _refine_touch(fn, lo, hi):

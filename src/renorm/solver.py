@@ -1,18 +1,22 @@
 """Fixed points of the return maps R(c) and R(c, eps).
 
-Roots of R(c) - c are isolated by a sign scan over the feasible domain,
-one array call of R over the grids of all feasible intervals (R is NaN
-where its s2 guard trips, so the scan never pairs values across a pole,
-nor across the gap between two intervals), then refined on Python floats
-by scalar bisection and polished with a secant step loop.  Each period
-has exactly one expanding fixed point; finding none or several is
-surfaced as an error rather than silently resolved.
+Roots of R(c) - c are isolated by a sign scan over the feasible domain:
+the grids of all feasible intervals are written into one array, and the
+period's root_kernel, R(c) - c on an array with out= ufuncs, runs once
+over it (NaN where R's s2 guard trips, so the scan never pairs values
+across a pole, nor across the gap between two intervals).  Each bracket
+is then refined on Python floats by scalar bisection and polished with a
+secant step loop, both calling the period's r_kernel directly.  Each
+period has exactly one expanding fixed point; finding none or several is
+surfaced as an error rather than silently resolved, and so is a polish
+that does not converge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -24,13 +28,13 @@ from .scaling import (
     NumericalFailure,
     Period,
     feasible_domain,
-    return_map,
 )
 
 SCAN_GRID = 1e-5
 DERIV_STEP = 1e-6
 BISECT_TOL = 1e-8
 POLISH_TOL = 1e-13
+SECANT_STEPS = 60
 
 
 class NoRoot(NumericalFailure, RuntimeError):
@@ -39,6 +43,10 @@ class NoRoot(NumericalFailure, RuntimeError):
 
 class MultipleRoots(NumericalFailure, RuntimeError):
     pass
+
+
+class NoConvergence(NumericalFailure, RuntimeError):
+    """The secant polish ran out of steps before its step met tol."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,11 @@ class ContinuumTable:
 
 
 def _refine_root(f, lo, hi, tol):
-    """Bracketed bisection to BISECT_TOL, then secant polish to tol."""
+    """Bracketed bisection to BISECT_TOL, then secant polish to tol.
+
+    Raises NoConvergence if SECANT_STEPS secant steps pass without one at
+    most tol long; the polish also ends, converged, where f takes the same
+    value at the last two points."""
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -77,7 +89,7 @@ def _refine_root(f, lo, hi, tol):
             hi, fhi = mid, fm
     x0, x1 = lo, hi
     f0, f1 = flo, fhi
-    for _ in range(60):
+    for _ in range(SECANT_STEPS):
         if f1 == f0:
             break
         x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
@@ -87,27 +99,50 @@ def _refine_root(f, lo, hi, tol):
         x1, f1 = x2, f(x2)
         if abs(x1 - x0) <= tol:
             break
+    else:
+        raise NoConvergence(
+            f"secant polish took {SECANT_STEPS} steps without one within tol={tol!r}: "
+            f"the last went from {x0!r} to {x1!r}")
     return x1
+
+
+def _grids(intervals, grid):
+    """Every interval's np.linspace(lo, hi, n + 1), n = max(ceil((hi - lo)
+    / grid), 2), bitwise, written into one array, and the index where each
+    grid ends.  Each is linspace's own formula, arange(n + 1) * ((hi - lo)
+    / n) + lo with the last point hi, except where that step is 0, which
+    linspace computes another way."""
+    nums = [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
+    ends = list(accumulate(nums))
+    xs = np.empty(ends[-1])
+    ramp = np.arange(float(max(nums)))
+    for (lo, hi), num, end in zip(intervals, nums, ends):
+        out = xs[end - num : end]
+        step = (hi - lo) / (num - 1)
+        if step == 0.0:
+            out[:] = np.linspace(lo, hi, num)
+        else:
+            np.multiply(ramp[:num], step, out=out)
+            out += lo
+            out[-1] = hi
+    return xs, ends
 
 
 def _scan_roots(g, intervals, grid):
     """Sign changes of g on each (lo, hi) of intervals, sampled at spacing
     grid, as brackets of Python floats.
 
-    g takes every interval's grid as one concatenated array; NaN values
-    never pair into a hit, and neither do the two points where one
-    interval's grid ends and the next begins.
+    g takes every interval's grid as one array (_grids); NaN values never
+    pair into a hit, and neither do the two points where one interval's
+    grid ends and the next begins.
     """
     if not intervals:
         return []
-    grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
-    xs = np.concatenate(grids)
+    xs, ends = _grids(intervals, grid)
     v = g(xs)
     pos, neg = v > 0.0, v < 0.0  # zeros and NaN are neither, and never pair
     cross = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
-    end = 0
-    for xi in grids[:-1]:
-        end += len(xi)
+    for end in ends[:-1]:
         cross[end - 1] = False  # the last point of one grid and the first of the next
     hits = np.flatnonzero(cross)
     return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
@@ -141,21 +176,26 @@ def _solve(period, eps, domain, tol):
             domain = feasible_domain(period, eps=eps)
         except EmptyDomain as exc:
             raise NoRoot(f"no feasible domain at eps={eps}: {exc}") from exc
+    elif domain.period is not period:
+        raise ValueError(f"a feasible domain of {domain.period} cannot be scanned for {period}")
 
     # Python floats only from here on: the scan's hits, bisection midpoints
     # and secant steps, so R and g run the period's kernel directly
-    R = partial(period.r_kernel, eps=eps)
+    r_kernel = period.r_kernel
+
+    def R(c):
+        return r_kernel(c, eps)
 
     def g(c):
         try:
-            return R(c) - c
+            return r_kernel(c, eps) - c
         except DivisionGuard:
             return np.nan
 
     pad = 2.0 * REFINE_TOL
     intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
-    # one array call over every grid; R is NaN where its s2 guard trips
-    brackets = _scan_roots(lambda xs: return_map(period, xs, eps) - xs, intervals, SCAN_GRID)
+    # one array call over every grid; R(c) - c is NaN where R's s2 guard trips
+    brackets = _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:

@@ -241,6 +241,41 @@ def test_float_kernels_are_bitwise_the_generic_path(case):
     assert _bits(period.values_kernel(c, eps)) == _bits(_condition_values(period, c, eps))
 
 
+@st.composite
+def _root_scan_grids(draw):
+    """(period, cs, eps): period three at eps in [0.25, 4], period five at
+    eps 1, cs a grid of 1 to 400 points across (0, 1/2) or straddling a
+    flip of the s2 guard a few ulps to 1e-3 away."""
+    period = draw(st.sampled_from(list(Period)))
+    eps = draw(st.floats(0.25, 4.0)) if period is Period.THREE else 1.0
+    n = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        return period, np.linspace(1e-6, 0.5 - 1e-6, n), eps
+    x = draw(st.sampled_from(_pole_edges(period, eps)))
+    half = draw(st.one_of(st.floats(1e-15, 1e-12), st.floats(1e-12, 1e-3)))
+    return period, np.linspace(x - half, x + half, n), eps
+
+
+@BITWISE
+@given(_root_scan_grids())
+def test_the_root_kernel_is_bitwise_the_generic_path(case):
+    # R(c) - c written in place: bitwise return_map(period, cs, eps) - cs,
+    # NaN at the same indices, and cs left as it was
+    period, cs, eps = case
+    before = cs.tobytes()
+    got = period.root_kernel(cs, eps)
+    assert cs.tobytes() == before
+    assert got.tobytes() == (return_map(period, cs, eps) - cs).tobytes()
+
+
+def test_the_root_kernel_grids_reach_the_guard():
+    # a grid across each pole holds NaN where the guard trips, and numbers
+    for period, eps in ((Period.THREE, 0.25), (Period.THREE, 4.0), (Period.FIVE, 1.0)):
+        x = _pole_edges(period, eps)[0]
+        got = period.root_kernel(np.linspace(x - 1e-9, x + 1e-9, 101), eps)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
+
 @pytest.mark.parametrize("period, bad", [(Period.THREE, bad) for bad in (0.0, -1.0, math.nan)]
                          + [(Period.FIVE, bad) for bad in (0.0, -1.0, math.nan, 1.01)])
 def test_every_kernel_refuses_an_eps_as_the_orbit_does(period, bad):
@@ -251,6 +286,7 @@ def test_every_kernel_refuses_an_eps_as_the_orbit_does(period, bad):
     calls = [functools.partial(kernel, 0.44, bad)
              for kernel in (period.r_kernel, period.feasible_kernel, period.values_kernel)]
     calls.append(functools.partial(period.scan_tail, cs, 1.0 - cs, cs, bad))
+    calls.append(functools.partial(period.root_kernel, cs, bad))
     for call in calls:
         with pytest.raises(ValueError) as got:
             call()

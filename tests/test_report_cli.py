@@ -530,7 +530,7 @@ def test_cli_numerical_failure_exit_code(monkeypatch, capsys):
 
 # the documented exit-3 failures, by the module that defines them
 NUMERICAL_ERRORS = {
-    "solver": ("NoRoot", "MultipleRoots"),
+    "solver": ("NoRoot", "MultipleRoots", "NoConvergence"),
     "scaling": ("EmptyDomain", "DivisionGuard"),
     "tower": ("InvalidFactor", "DepthUnderflow"),
     "horseshoe": ("ExpansionTooWeak", "NotAHorseshoe"),
@@ -540,7 +540,7 @@ NUMERICAL_ERRORS = {
 # command that reaches it
 RAISE_THROUGH = {
     "solver": ("_solve", ["solve", "--period", "3"]),
-    "scaling": ("conditions", ["feasible", "--period", "5"]),
+    "scaling": ("_bisect_boundary", ["feasible", "--period", "5"]),
     "tower": ("build_tower", ["tower", "--period", "3"]),
     "horseshoe": ("build_branch_system", ["horseshoe"]),
     "extension": ("extend", ["extend", "--period", "5"]),

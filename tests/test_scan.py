@@ -1,7 +1,8 @@
 """The domain scan and the root scan against what they replaced: the scan
 orbit, whose eps-free head is memoized per grid, against the whole orbit;
-and the run, dip and sign-change finders against the np.split,
-matrix-dip and np.sign formulas they replaced, kept here verbatim as the
+the run, dip and sign-change finders against the np.split, matrix-dip and
+np.sign formulas they replaced, and the root scan's one-buffer grid
+against np.concatenate of np.linspace, kept here verbatim as the
 references."""
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from renorm.scaling import (
     Combinatorics,
     Period,
+    _argmin,
     _condition_values,
     _orbit_points,
     _runs,
@@ -23,7 +25,7 @@ from renorm.scaling import (
     _touches,
     feasible_domain,
 )
-from renorm.solver import _scan_roots
+from renorm.solver import SCAN_GRID, _grids, _scan_roots
 
 BITWISE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 STEPS = (1e-4, 2e-4, 5e-4, 1e-3)
@@ -48,11 +50,17 @@ def _matrix_touches(cond, i0, i1):
     return [(int(k), int(touch[k])) for k in sorted(touch)]
 
 
+def _linspace_grids(intervals, grid):
+    """The grids the root scan wrote into one buffer, as it built them."""
+    return [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
+
+
 def _sign_scan(g, intervals, grid):
-    """_scan_roots with the hits read off products of np.sign."""
+    """_scan_roots with the hits read off products of np.sign, over the
+    concatenated linspace grids."""
     if not intervals:
         return []
-    grids = [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
+    grids = _linspace_grids(intervals, grid)
     xs = np.concatenate(grids)
     signs = np.sign(g(xs))
     pairs = signs[:-1] * signs[1:]
@@ -228,3 +236,44 @@ def test_root_scan_matches_the_sign_products(values, hits):
 def test_root_scan_matches_the_sign_products_on_any_values(values):
     new, ref = _constant_scan(values, *GRIDS)
     assert new == ref
+
+
+# an interval: an end in (0, 1/2), then a width that may be 0, below the
+# two-point minimum 2 * grid, below the denormal floor, or negative, as
+# padding makes it when an interval is narrower than the pad
+_ENDS = st.floats(1e-6, 0.5)
+_WIDTHS = st.one_of(
+    st.just(0.0), st.just(5e-324), st.floats(-4e-12, 4e-12), st.floats(0.0, 2e-5), st.floats(0.0, 0.05))
+_INTERVALS = st.lists(st.tuples(_ENDS, _WIDTHS).map(lambda t: (t[0], t[0] + t[1])), min_size=1, max_size=4)
+
+
+@BITWISE
+@given(_INTERVALS, st.sampled_from([SCAN_GRID, 1e-3, 0.25]))
+@example([(0.3, 0.3)], SCAN_GRID)
+@example([(0.3, 0.3 + 5e-324), (0.4, 0.4 - 1e-12)], SCAN_GRID)
+@example([(0.38, 0.4301597082504439), (0.4301597082504439, 0.472972319464758)], SCAN_GRID)
+@example([(0.012723905050869407, 0.039794528690544236)], SCAN_GRID)  # the ramp's last point is not hi
+def test_the_one_buffer_grid_is_bitwise_the_concatenated_linspaces(intervals, grid):
+    grids = _linspace_grids(intervals, grid)
+    xs, ends = _grids(intervals, grid)
+    assert xs.tobytes() == np.concatenate(grids).tobytes()
+    assert ends == np.cumsum([len(x) for x in grids]).tolist()
+
+
+def test_the_denormal_branch_is_reached():
+    # a width of one denormal over two steps rounds the step to 0, where
+    # linspace divides the ramp before multiplying
+    assert (5e-324 / 2) == 0.0
+    xs, _ = _grids([(0.0, 5e-324)], SCAN_GRID)
+    assert xs.tolist() == [0.0, 0.0, 5e-324]
+
+
+# floats that collide under min: ties, zeros of either sign, NaN, infinities
+_ARGS = st.lists(st.sampled_from([-1.0, 0.0, -0.0, 1e-12, 0.5, math.nan, math.inf, -math.inf]), min_size=1, max_size=7)
+
+
+@BITWISE
+@given(_ARGS)
+@example([0.1, math.nan, 0.6, 0.1, math.nan])
+def test_argmin_is_numpys(values):
+    assert _argmin(tuple(values)) == int(np.argmin(values))

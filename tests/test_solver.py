@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ from renorm.scaling import (
     REFINE_TOL,
     DivisionGuard,
     FeasibleDomain,
+    NumericalFailure,
     Period,
     feasible_domain,
     return_map,
@@ -14,6 +16,8 @@ from renorm.scaling import (
 from renorm.solver import (
     POLISH_TOL,
     SCAN_GRID,
+    SECANT_STEPS,
+    NoConvergence,
     NoRoot,
     _refine_root,
     _scan_roots,
@@ -32,6 +36,7 @@ from reference_values import (
     R3_DERIV,
     R5_DERIV,
 )
+from reference_solves import SOLVE_HEXES
 
 
 def test_tripling_fixed_point(rep3):
@@ -175,3 +180,56 @@ def test_eps_solve_refuses_a_non_finite_eps_and_fails_a_huge_one():
     # the orbit overflows: NoRoot, not numpy's overflow RuntimeWarning
     with pytest.raises(NoRoot, match="no feasible domain"):
         solve_fixed_point_eps(1e200)
+
+
+@pytest.mark.parametrize("p, eps", sorted(SOLVE_HEXES))
+def test_solves_are_bitwise_the_reference(p, eps):
+    # c*, the bracket, the derivative estimate and the residual, or the
+    # failure and its message, as recorded by tests/record_solves.py
+    want = SOLVE_HEXES[(p, eps)]
+    try:
+        rep = _solve(Period(p), eps, None, POLISH_TOL)
+    except NumericalFailure as exc:
+        assert (type(exc).__name__, str(exc)) == want
+        return
+    assert {
+        "c_star": rep.c_star.hex(),
+        "bracketing_interval": tuple(x.hex() for x in rep.bracketing_interval),
+        "derivative_estimate": rep.derivative_estimate.hex(),
+        "residual": rep.residual.hex(),
+    } == want
+
+
+def test_the_pinned_solves_cover_both_outcomes():
+    failures = [key for key, rec in SOLVE_HEXES.items() if isinstance(rec, tuple)]
+    assert (3, 1e300) in failures and (3, 0.25) in failures
+    assert {(3, 1.0), (5, 1.0)} <= SOLVE_HEXES.keys()
+    assert len(SOLVE_HEXES) - len(failures) >= 45
+
+
+def test_a_secant_polish_that_never_converges_raises():
+    # f jumps across zero at 0.3 without vanishing: the bisection brackets
+    # the jump, and the secant steps then cycle through four points about
+    # 1e-9 apart, never one step within tol
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.copysign(1.0 + 1e9 * abs(x - 0.3), x - 0.3)
+
+    with pytest.raises(NoConvergence, match=f"took {SECANT_STEPS} steps") as info:
+        _refine_root(f, 0.0, 1.0, POLISH_TOL)
+    assert isinstance(info.value, NumericalFailure)
+    assert len(set(calls[-8:])) == 4
+    assert min(abs(a - b) for a, b in zip(calls[-8:], calls[-7:])) > 1e3 * POLISH_TOL
+    # the same bracket with a zero at 0.3 converges
+    assert abs(_refine_root(lambda x: x - 0.3, 0.0, 1.0, POLISH_TOL) - 0.3) <= 1e-15
+
+
+def test_a_domain_of_another_period_is_refused(fd3, fd5):
+    # before the scan: a p3 domain scanned for p5 would report 8 roots, a
+    # p5 domain scanned for p3 none, and both as numerical failures
+    with pytest.raises(ValueError, match="feasible domain of Period.THREE cannot be scanned for Period.FIVE"):
+        solve_fixed_point(Period.FIVE, fd3)
+    with pytest.raises(ValueError, match="feasible domain of Period.FIVE cannot be scanned for Period.THREE"):
+        solve_fixed_point(Period.THREE, fd5)
