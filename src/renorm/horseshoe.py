@@ -158,26 +158,33 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
     point and change the result.
 
     The nodes are the same for every y until the path splits, so R at each
-    node is read from the branch's memo (b._nodes[i]) and evaluated only on
-    a miss, by the period's float kernel (Period.r_kernel, bitwise
-    return_map).  R is a pure function of the node, so a memo hit is
-    bitwise the evaluation.  A full memo (NODE_CAP entries) still
-    evaluates new nodes but stores none: the first inversions store the
-    top levels, which every later word passes through.  Where s2 is below the floor the
-    guard is stored as NaN, which compares as "not below", as return_map's
-    NaN on an array does.
+    node is kept in the branch's memo (b._nodes[i]).  It is read down to
+    the first node the memo does not hold; from that node down, R is
+    evaluated by the period's float kernel (Period.r_kernel, bitwise
+    return_map) and stored while the memo has room (NODE_CAP entries),
+    with no more lookups.  None are needed because of the memo's
+    invariant: no stored node lies below a missing one.  Nodes are stored
+    top-down along a path (each node's ancestors were read or stored
+    before it, and the room only shrinks) and the memo only grows, so a
+    node missing from it has no stored descendant.  The first inversions
+    store the top levels, which every later word passes through.  R is a
+    pure function of the node, so a memo read is bitwise the evaluation.
+    Where s2 is below the floor the guard is stored as NaN, which compares
+    as "not below", as return_map's NaN on an array does.
     """
     lo, hi = b.domains[i]
     e = b.epsilons[i]
     r_kernel = b.reports[i].period.r_kernel
     memo = b._nodes[i]
+    get = memo.get  # None from the first miss on
     room = NODE_CAP - len(memo)  # entries the memo may still take
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        r = memo.get(mid)
+        r = get(mid) if get else None
         if r is None:
+            get = None
             try:
                 r = r_kernel(mid, e)
             except DivisionGuard:
@@ -252,8 +259,14 @@ def _backward_codings(b: BranchSystem, letters, count: int):
     return xs[:count]
 
 
+def _check_alphabet(b: BranchSystem, alpha: Word) -> None:
+    if b.alphabet != alpha.alphabet:
+        raise ValueError("word alphabet does not match the branch system")
+
+
 def code_to_point(b: BranchSystem, alpha: Word, depth: int) -> Coding:
     """c(alpha) from the first `depth` letters by backward composition."""
+    _check_alphabet(b, alpha)
     if depth < 1 or depth > len(alpha):
         raise ValueError("need 1 <= depth <= len(alpha)")
     letters = alpha.symbols[:depth]
@@ -267,6 +280,7 @@ def code_to_point(b: BranchSystem, alpha: Word, depth: int) -> Coding:
 
 def coded_orbit(b: BranchSystem, alpha: Word, count: int):
     """c(sigma^n alpha) for n = 0..count-1, from the cyclic extension."""
+    _check_alphabet(b, alpha)
     letters = alpha.cyclic(count + CODING_PAD)
     return _backward_codings(b, letters, count)
 
@@ -280,15 +294,15 @@ def cylinder_counts(b: BranchSystem, n: int) -> list:
     m = b.alphabet
     if n < 1:
         raise ValueError("need n >= 1")
-    if m > 1:
+    # m >= 2 gives m^64 > MAX_COUNT: a larger n is refused without its power
+    if m > 1 and (n >= 64 or m**n > MAX_COUNT):
         limit = 1
         while m ** (limit + 1) <= MAX_COUNT:
             limit += 1
-        if n > limit:
-            raise ValueError(
-                f"{m}^{n} cylinders exceed the count limit 2^63 - 1: "
-                f"need n <= {limit} for {m} letters"
-            )
+        raise ValueError(
+            f"{m}^{n} cylinders exceed the count limit 2^63 - 1: "
+            f"need n <= {limit} for {m} letters"
+        )
     b.slopes  # the proof, once per system; raises NotAHorseshoe if it fails
     return [m**k for k in range(1, n + 1)]
 
@@ -303,9 +317,9 @@ def entropy_estimate(b: BranchSystem, n: int) -> float:
 
 
 def symbol_scaling_sequence(b: BranchSystem, alpha: Word) -> ScalingSequence:
-    """Scaling data of f_alpha: level n uses c(sigma^n alpha) and eps_{alpha_n}."""
-    if b.alphabet != alpha.alphabet:
-        raise ValueError("word alphabet does not match the branch system")
+    """Scaling data of f_alpha: level n uses c(sigma^n alpha) and eps_{alpha_n}.
+
+    coded_orbit refuses a word over another alphabet."""
     n = len(alpha)
     cs = coded_orbit(b, alpha, n)
     letters = alpha.cyclic(n)

@@ -152,6 +152,11 @@ def renormalize(f: PiecewiseAffineMap) -> PiecewiseAffineMap:
     """
     if f.depth < 2:
         raise DepthExhausted(f"cannot renormalize a depth-{f.depth} map")
+    return _renormalize_onto(f, build_tower(f.seq.shift(), f.depth - 1))
+
+
+def _renormalize_onto(f: PiecewiseAffineMap, t: Tower) -> PiecewiseAffineMap:
+    """renormalize(f) given its tower t = build_tower(f.seq.shift(), f.depth - 1)."""
     h1 = f.tower.rescale[0]
     h1inv = h1.inverse()
     comp = _cycle_composition(f)
@@ -163,9 +168,7 @@ def renormalize(f: PiecewiseAffineMap) -> PiecewiseAffineMap:
         p, q = h1inv(b.lo), h1inv(b.hi)
         lo, hi = (p, q) if p <= q else (q, p)
         new_branches.append(PWABranch(b.level - 1, b.family, lo, hi, amap))
-    shifted = f.seq.shift()
-    t = build_tower(shifted, f.depth - 1)
-    return PiecewiseAffineMap(f.period, t, shifted, new_branches, t.levels[0].c)
+    return PiecewiseAffineMap(f.period, t, t.seq, new_branches, t.levels[0].c)
 
 
 def verify_combinatorics(f: PiecewiseAffineMap, n: int) -> bool:
@@ -210,10 +213,13 @@ def fixed_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
 
 
 def shift_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
-    """sup |R f_s - f_{sigma(s)}| over the shifted map's branch endpoints."""
+    """sup |R f_s - f_{sigma(s)}| over the shifted map's branch endpoints.
+
+    R f_s lives on the tower of sigma(s) to depth - 1, the one g is built
+    on, so both share one build_tower."""
     f = build_pwa(seq, depth)
     g = build_pwa(seq.shift(), depth - 1)
-    rf = renormalize(f)
+    rf = _renormalize_onto(f, g.tower)
     sup, npts = _residual_at_endpoints(rf, g)
     return RenormResidual(sup, npts, depth)
 

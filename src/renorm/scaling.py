@@ -56,7 +56,9 @@ compile() of the template yields two kinds of code:
 
 The domain scan's grid is fixed by its step, and so is every orbit point
 before the pull: _scan_head keeps them, read-only, in a memo of the last
-four (period, step) keys, so that each scan runs only scan_tail.
+four (period, step) keys, so that each scan runs only scan_tail.  A head
+above SCAN_MEMO_CAP bytes, from a step far below the default, is computed
+afresh for its scan and not kept.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
@@ -85,6 +87,10 @@ S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 # bracket at a puncture; a puncture is a quadratic touch, placed only to
 # about sqrt(ulp): across scan steps punctures move up to 5e-10
 REFINE_TOL = 1e-12
+# the largest scan head _scan_head's memo keeps, in bytes: the default
+# step's heads take about 200 KB (period three) and 280 KB (five); one at
+# the 1e-6 step floor takes up to 28 MB and is computed fresh every scan
+SCAN_MEMO_CAP = 1 << 20
 
 
 class NumericalFailure(Exception):
@@ -589,8 +595,12 @@ def _scan_head(period: Period, scan_step: float) -> tuple:
 def _scan_orbit(period: Period, scan_step: float, eps: float):
     """The scan grid cs and _orbit_points(period, cs, eps), bitwise: the
     memoized head and the period's scan_tail, the pull and the u-steps
-    after it, the only part of the orbit that depends on eps."""
-    cs, d, *head = _scan_head(period, scan_step)
+    after it, the only part of the orbit that depends on eps.  A head of
+    more than SCAN_MEMO_CAP bytes (p + 2 rows of np.arange's length) is
+    computed by _scan_head's own function, uncached."""
+    points = math.ceil((0.5 - scan_step) / scan_step)
+    memo = (period.p + 2) * 8 * points <= SCAN_MEMO_CAP
+    cs, d, *head = (_scan_head if memo else _scan_head.__wrapped__)(period, scan_step)
     return cs, [0.0, *head[:-1], *period.scan_tail(cs, d, head[-1], eps), 1.0]
 
 
@@ -651,8 +661,8 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     two, matching the punctured unions printed in the source domains.
     """
     # the scan holds every condition at every grid point: refuse a step
-    # below 1e-6 (a peak of about 80 MB for period five, 28 MB of it kept
-    # in _scan_head's memo) before allocating
+    # below 1e-6 (a peak of about 80 MB for period five, none of it kept:
+    # that head is above SCAN_MEMO_CAP) before allocating
     if not 1e-6 <= scan_step <= 1e-2:
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     if not math.isfinite(eps):

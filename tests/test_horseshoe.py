@@ -8,7 +8,7 @@ from renorm.interval import Interval, Jet
 from renorm.pwa import shift_residual
 from renorm.scaling import DivisionGuard, Period, return_map
 from renorm.tower import build_tower, verify_proper
-from renorm import horseshoe
+from renorm import horseshoe, pwa
 from renorm.horseshoe import (
     CODING_PAD,
     MARGIN,
@@ -207,14 +207,21 @@ def test_alphabet_five(bsys5):
     assert abs(entropy_estimate(bsys5, 6) - np.log(5.0)) < 0.01
 
 
-def test_count_limit(bsys, bsys5):
+def test_count_limit(bsys2, bsys, bsys4, bsys5):
     # counts stay int64, so np.log takes them; past that, a ValueError
-    # naming the limit, before any proof
-    assert cylinder_count(bsys, 39) == 3**39
-    assert cylinder_count(bsys5, 27) == 5**27
-    for b, n, limit in ((bsys, 40, 39), (bsys5, 28, 27)):
-        with pytest.raises(ValueError, match=f"need n <= {limit} for {b.alphabet} letters"):
-            cylinder_count(b, n)
+    # naming the limit, before any proof; an n far past it is refused as
+    # quickly, without raising m to it
+    for b, limit in ((bsys2, 62), (bsys, 39), (bsys4, 31), (bsys5, 27)):
+        m = b.alphabet
+        assert cylinder_count(b, limit) == m**limit
+        assert m ** (limit + 1) > horseshoe.MAX_COUNT
+        for n in (limit + 1, 64, 10**12):
+            with pytest.raises(ValueError) as err:
+                cylinder_count(b, n)
+            assert str(err.value) == (
+                f"{m}^{n} cylinders exceed the count limit 2^63 - 1: "
+                f"need n <= {limit} for {m} letters"
+            )
     with pytest.raises(ValueError, match="2\\^63 - 1"):
         entropy_estimate(bsys, 41)
     with pytest.raises(ValueError, match="n >= 1"):
@@ -475,3 +482,141 @@ def test_branch_system_reads_its_period_from_its_reports(rep5):
             else:
                 hi = mid
         assert _invert_point(b, 0, y).hex() == (0.5 * (lo + hi)).hex()
+
+
+def test_words_over_another_alphabet_are_refused(bsys):
+    # every entry point refuses the word before a letter indexes a branch:
+    # letters past the system's alphabet, or a smaller alphabet's word
+    msg = "word alphabet does not match the branch system"
+    with pytest.raises(ValueError, match=msg):
+        code_to_point(bsys, Word((4, 1), 5), 2)
+    with pytest.raises(ValueError, match=msg):
+        coded_orbit(bsys, Word((4,), 5), 3)
+    with pytest.raises(ValueError, match=msg):
+        code_to_point(bsys, Word((1, 1), 2), 2)
+    with pytest.raises(ValueError, match=msg):
+        coded_orbit(bsys, Word((1, 1), 2), 2)
+    with pytest.raises(ValueError, match=msg):
+        symbol_scaling_sequence(bsys, Word((1, 1), 2))
+
+
+class _CountingMemo(dict):
+    """A node memo that logs every key _invert_point looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = []
+
+    def get(self, key, default=None):
+        self.gets.append(key)
+        return super().get(key, default)
+
+
+def _counting_copy(b):
+    copy = dataclasses.replace(b)
+    copy.__dict__["_nodes"] = tuple(_CountingMemo() for _ in b.epsilons)
+    return copy
+
+
+def _nodes_to(domain, key):
+    """The bisection nodes from A_i's midpoint down to the node key."""
+    lo, hi = domain
+    path = []
+    while True:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if mid == key:
+            return path
+        assert mid != lo and mid != hi and len(path) < 64, f"{key!r} is not a node"
+        if key < mid:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _node_path(b, i, y):
+    """Every node the 64-step bisection for y evaluates, in order."""
+    lo, hi = b.domains[i]
+    path = []
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        path.append(mid)
+        try:
+            r = b.map(i, mid)
+        except DivisionGuard:
+            r = np.nan
+        if r < y:
+            lo = mid
+        else:
+            hi = mid
+    return path
+
+
+@pytest.mark.parametrize("cap", [horseshoe.NODE_CAP, 40])
+def test_no_stored_node_lies_below_a_missing_one(bsys, monkeypatch, cap):
+    # nodes are stored top-down and the memo only grows: every stored
+    # node's ancestors are stored, also once a small cap stops the stores
+    monkeypatch.setattr(horseshoe, "NODE_CAP", cap)
+    b = _counting_copy(bsys)
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        coded_orbit(b, Word(tuple(int(x) for x in rng.integers(0, 3, size=10)), 3), 6)
+    for i, memo in enumerate(b._nodes):
+        assert 0 < len(memo) <= cap
+        for key in memo:
+            assert all(node in memo for node in _nodes_to(b.domains[i], key))
+
+
+def test_lookups_stop_at_the_first_miss(bsys, monkeypatch):
+    # the looked-up keys are the path's nodes down to its first miss and
+    # no further; every node below it is evaluated, none looked up
+    b = _counting_copy(bsys)
+    steps = _count_evaluations(monkeypatch)
+    rng = np.random.default_rng(32)
+    lo, hi = b.base
+    misses = 0
+    for y in [*rng.uniform(lo, hi, 24), lo, hi, lo - 1.0, hi + 1.0]:
+        for i, memo in enumerate(b._nodes):
+            before = set(memo)
+            path = _node_path(bsys, i, y)
+            memo.gets.clear()
+            del steps[:]
+            x = _invert_point(b, i, y)
+            assert np.float64(x).tobytes() == _invert_fixed_64(bsys, i, [y])[0].tobytes()
+            first_miss = next((k for k, node in enumerate(path) if node not in before), None)
+            if first_miss is None:
+                assert memo.gets == path and steps == []
+            else:
+                misses += 1
+                assert memo.gets == path[: first_miss + 1]
+                assert len(steps) == len(path) - first_miss
+    assert misses > 0
+
+
+def test_shift_residual_builds_one_tower_for_the_shifted_sequence(bsys, monkeypatch):
+    seq = symbol_scaling_sequence(bsys, Word((0, 2, 1, 1, 0, 2)))
+    want = shift_residual(seq, 6)
+    seen = []
+    real_residual = pwa._residual_at_endpoints
+    monkeypatch.setattr(pwa, "_residual_at_endpoints", lambda rf, g: seen.append((rf, g)) or real_residual(rf, g))
+    built = []
+    real_tower = pwa.build_tower
+    monkeypatch.setattr(pwa, "build_tower", lambda s, d: built.append(d) or real_tower(s, d))
+    got = shift_residual(seq, 6)
+    assert built == [6, 5]  # f's tower and the shifted one, which R f shares
+    assert got.sup_norm.hex() == want.sup_norm.hex()
+    assert (got.evaluation_points, got.depth_used) == (want.evaluation_points, want.depth_used)
+    rf, g = seen[0]
+    assert rf.tower is g.tower
+    ref = build_tower(seq.shift(), 5)
+    for field in dataclasses.fields(ref):
+        assert repr(getattr(g.tower, field.name)) == repr(getattr(ref, field.name)), field.name
+    # R f is renormalize's map, branch by branch
+    alone = pwa.renormalize(pwa.build_pwa(seq, 6))
+    assert repr(rf.branches) == repr(alone.branches)
+    assert (rf.seq, rf.c0.hex(), rf.period) == (alone.seq, alone.c0.hex(), alone.period)
+    for depth in (2, 1, 0):
+        with pytest.raises(ValueError, match="depth must be >= 2"):
+            shift_residual(seq, depth)

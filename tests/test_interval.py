@@ -1,6 +1,7 @@
-"""The outward-rounded Interval against exact rationals, and the
-enclosures return_map gives of the horseshoe's branches against 50-digit
-mpmath values."""
+"""The outward-rounded Interval against exact rationals and against a
+frozen copy of the module before its fast paths, the enclosures
+return_map gives of the horseshoe's branches against 50-digit mpmath
+values, and the full-shift slope enclosures against their pins."""
 
 import math
 import operator
@@ -8,8 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import iv, mp
 
+import frozen_interval
+from reference_slopes import SLOPE_HEXES
+from renorm import interval as renorm_interval
+from renorm.horseshoe import build_branch_system
 from renorm.interval import Interval, Jet
 from renorm.scaling import Period, return_map
 
@@ -126,3 +132,100 @@ def test_branch_enclosures_contain_50_digit_values(request, name):
                 assert point.hi - point.lo < 1e-12
     finally:
         mp.dps = iv.dps = 15
+
+
+# The frozen copy of the module before its fast paths is the oracle:
+# every operation on any mix of Interval, Jet, float, int and numpy-float
+# operands, on either side, gives bitwise its result or its exception.
+_MODULES = {"new": renorm_interval, "frozen": frozen_interval}
+_BOUNDS = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324])
+_SCALARS = (
+    st.floats().map(lambda x: ("float", x))
+    | st.integers(-(2**1100), 2**1100).map(lambda x: ("int", x))
+    | st.integers(-4, 4).map(lambda x: ("int", x))
+    | st.floats().map(lambda x: ("float64", x))
+    | st.floats(width=32).map(lambda x: ("float32", x))
+)
+_PAIRS = st.tuples(_BOUNDS, _BOUNDS).map(lambda t: tuple(sorted(t)))
+_OPERANDS = (
+    _PAIRS.map(lambda t: ("interval", t))
+    | st.tuples(_PAIRS, _PAIRS).map(lambda t: ("jet", t))
+    | _SCALARS
+)
+
+
+def _build(mod, spec):
+    kind, x = spec
+    if kind == "interval":
+        return mod.Interval(*x)
+    if kind == "jet":
+        return mod.Jet(mod.Interval(*x[0]), mod.Interval(*x[1]))
+    return {"float": float, "int": int, "float64": np.float64, "float32": np.float32}[kind](x)
+
+
+def _canon(r):
+    """A result as data: bounds as float.hex, so -0.0 and every NaN count."""
+    name = type(r).__name__
+    if name == "Interval":
+        return ("Interval", r.lo.hex(), r.hi.hex())
+    if name == "Jet":
+        return ("Jet", _canon(r.val), _canon(r.der))
+    return (name, repr(r))
+
+
+def _outcome(mod, f, specs):
+    try:
+        with np.errstate(all="raise"):
+            return _canon(f(*(_build(mod, s) for s in specs)))
+    except Exception as exc:  # the exception is the outcome to compare
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _same_outcome(f, *specs):
+    new, old = (_outcome(mod, f, specs) for mod in _MODULES.values())
+    assert new == old, (specs, new, old)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(a=_OPERANDS, b=_OPERANDS)
+def test_operations_are_bitwise_the_frozen_module(op, a, b):
+    _same_outcome(OPS[op], a, b)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(a=_OPERANDS)
+def test_one_operand_operations_are_bitwise_the_frozen_module(a):
+    _same_outcome(lambda x: x * x, a)  # one variable: Interval.square, Jet's square
+    _same_outcome(operator.neg, a)
+    _same_outcome(lambda x: x.square(), a)
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_edge_operands_are_bitwise_the_frozen_module(op):
+    # NaN, signed zeros, infinities and products inf * 0 on either side,
+    # exhaustively over a small set
+    bounds = [(0.0, 1.0), (-1.0, 0.0), (-0.0, 0.0), (0.0, math.inf), (-math.inf, math.inf),
+              (-math.inf, -1.0), (2.0, 3.0), (math.inf, math.inf)]
+    scalars = [("float", x) for x in (0.0, -0.0, 1.5, -2.0, math.inf, -math.inf, math.nan)]
+    scalars += [("int", 0), ("int", 3), ("int", 2**1100), ("float64", math.nan),
+                ("float64", -0.0), ("float64", math.inf), ("float32", 0.5)]
+    operands = [("interval", t) for t in bounds] + [("jet", ((1.0, 2.0), t)) for t in bounds[:4]]
+    operands += scalars
+    for a in operands:
+        for b in operands:
+            _same_outcome(OPS[op], a, b)
+
+
+def test_a_point_times_an_infinity_still_raises():
+    with pytest.raises(ValueError, match="empty interval"):
+        Interval(0, 1) * math.inf
+    with pytest.raises(ValueError, match="empty interval"):
+        math.inf * Interval(0, 1)
+
+
+@pytest.mark.parametrize("epsilons", sorted(SLOPE_HEXES))
+def test_slopes_are_bitwise_the_reference(epsilons):
+    ref = SLOPE_HEXES[epsilons]
+    slopes = build_branch_system(*epsilons).slopes
+    assert [(s.lo.hex(), s.hi.hex()) for s in slopes] == ref

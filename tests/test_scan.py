@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from renorm import scaling
 from renorm.scaling import (
     Combinatorics,
     Period,
@@ -135,6 +136,29 @@ def test_the_scan_memo_is_bounded_and_read_only():
     before = [a.tobytes() for a in _scan_head(Period.THREE, 1e-4)]
     _scan_orbit(Period.THREE, 1e-4, 1.03)
     assert [a.tobytes() for a in _scan_head(Period.THREE, 1e-4)] == before
+
+
+def test_the_scan_memo_keeps_no_head_above_its_cap(monkeypatch):
+    # the default steps' heads fit under the cap, the 1e-6 floor's do not;
+    # a scan above the cap equals the memoized scan bitwise and keeps nothing
+    for period in Period:
+        assert sum(a.nbytes for a in _scan_head(period, 1e-4)) <= scaling.SCAN_MEMO_CAP
+        assert (period.p + 2) * 8 * round(0.5 / 1e-6) > scaling.SCAN_MEMO_CAP
+    want = {}
+    for period in Period:
+        for step in STEPS:
+            cs, orbit = _scan_orbit(period, step, 1.0)
+            want[period, step] = [cs.tobytes()] + [np.asarray(x).tobytes() for x in orbit]
+        want[period] = feasible_domain(period, 2e-4)
+    _scan_head.cache_clear()
+    monkeypatch.setattr(scaling, "SCAN_MEMO_CAP", 0)
+    for period in Period:
+        for step in STEPS:
+            cs, orbit = _scan_orbit(period, step, 1.0)
+            got = [cs.tobytes()] + [np.asarray(x).tobytes() for x in orbit]
+            assert got == want[period, step]
+        assert repr(feasible_domain(period, 2e-4)) == repr(want[period])
+    assert _scan_head.cache_info().currsize == 0
 
 
 def _scan_case(rows):
