@@ -18,7 +18,6 @@ from . import report as rpt
 from .scaling import (
     NumericalFailure,
     Period,
-    _orbit_points,
     conditions,
     feasible_domain,
     gaps,
@@ -280,7 +279,7 @@ def cmd_plotdata(args) -> int:
             rows.extend((k, c, r) for c, r in zip(cs[kept].tolist(), rs[kept].tolist()))
     elif kind == "cobweb":
         rep = solve_fixed_point(period, tol=args.tol)
-        o = _orbit_points(period, rep.c_star)
+        o = period.orbit(rep.c_star)
         header = ["x", "y"]
         rows = [(0.0, 0.0)]
         for x, y in zip(o, o[1 : period.p + 2]):  # the steps to u^{p+1}(0)
@@ -372,7 +371,7 @@ def cmd_extend(args) -> int:
 def cmd_horseshoe(args) -> int:
     from . import horseshoe as hs
 
-    eps = tuple(float(x) for x in (args.eps or "1.02,1.0,0.98").split(","))
+    eps = tuple(float(x) for x in ("1.02,1.0,0.98" if args.eps is None else args.eps).split(","))
     b = hs.build_branch_system(*eps)
     counts = hs.cylinder_counts(b, _depth(args, 6))
     sweep = continuum_sweep(min(eps), max(eps), 5)

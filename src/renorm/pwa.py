@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect as _bisect
 from dataclasses import dataclass
 
-from .scaling import Period, _orbit_points, eval_raw
+from .scaling import Period, eval_raw
 from .tower import Affine, ScalingSequence, Tower, build_tower
 
 DISPATCH_TOL = 1e-14
@@ -123,8 +123,8 @@ def build_pwa(seq: ScalingSequence, depth: int) -> PiecewiseAffineMap:
             va, vb = eval_raw(c0, xa), eval_raw(c0, xb)
             if i == pulled:
                 # the pulled endpoint is the inner (w_n) one, u^{p-1}(0);
-                # the one place besides _orbit_points that applies the pull
-                up = _orbit_points(period, lv.c)[period.p]
+                # the one place besides Period.orbit that applies the pull
+                up = period.orbit(lv.c)[period.p]
                 va += vprod * up * (lv.eps - 1.0)
             amap = Affine.through(xa, va, xb, vb)
             lo, hi = (xa, xb) if xa <= xb else (xb, xa)

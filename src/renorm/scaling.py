@@ -4,7 +4,8 @@ factors, gaps, feasibility and the critical-point return map.
 u_c(x) = 1 - ((x - c)/(1 - c))**2 on [0, 1] (eval_raw) has its critical
 point at c and critical exponent 2.  Everything the package builds (scaling
 factors, towers, piecewise-affine maps, extensions) is read off the orbit
-of 0 under u_c, and _orbit_points is the one function that computes it.
+of 0 under u_c, and each Period's orbit is the one function that
+computes it.
 
 COMBINATORICS holds what differs between the periods, the cycle: the order
 in which u visits the first-generation intervals I_1 .. I_p, numbered left
@@ -28,31 +29,33 @@ it reverses orientation.
 
 The eps-perturbed tripling system pulls u^3(0) to eps*u^3(0) and continues
 the orbit from the pulled point; eps = 1 is the unperturbed map, so both
-are read off one orbit.  The orbit is straight-line code built at import
-from one template, a u-step with 1 - c computed once and the pull: a
-block per Period of 2p - 2 u-steps with the pull after step p, the only
-place eps enters the orbit, and no loop left to run per call.  One
-compile() of the template yields two kinds of code:
+are read off one orbit.  The orbit is straight-line code built from one
+template, a u-step with 1 - c computed once and the pull: a block per
+Period of 2p - 2 u-steps with the pull after step p, the only place eps
+enters the orbit, and no loop left to run per call.  Each Period's code
+is one piece, compiled the first time any of its generated names is read
+(Period.__getattr__), so importing the package compiles none and a
+process compiles only the periods it uses.  The piece holds six
+functions, stored on the member beside comb, of two kinds:
 
-- _orbit_points, the generic orbit, which runs on floats, numpy arrays,
-  Intervals and interval.Jets, with eps an Interval or a Jet too.  The
-  condition evaluators (conditions, scaling_from_critical, gaps), the
+- orbit(c, eps=1.0), the generic orbit, which runs on floats, numpy
+  arrays, Intervals and interval.Jets, with eps an Interval or a Jet too.
+  The condition evaluators (conditions, scaling_from_critical, gaps), the
   boundary naming of feasible_domain and its scan's memoized head, pwa,
   tower, the cobweb plot data and the interval proofs read it, and so
   does return_map for an array, an Interval or a Jet;
-- per Period, three float kernels stored on the member beside comb, each
-  with the period's pull check written in: r_kernel, R with its s2 guard,
-  feasible_kernel, the conditions in table order, and values_kernel, the
-  condition tuple.  return_map and feasibility run the first two for a
-  real scalar c and eps, and the scalar hot loops call them directly:
-  the solver's root refinement, feasible_domain's boundary bisection,
-  and horseshoe's inversions and branch domain ends; feasible_domain's
-  puncture refinement and boundary naming read values_kernel.  Each is
-  bitwise the generic path on floats.  Beside them sit two array
-  kernels: scan_tail, the block's tail (the pull and the u-steps after
-  it), and root_kernel, the whole block with out= ufuncs and R(c) - c
-  from it, NaN where the s2 guard trips, bitwise
-  return_map(period, c, eps) - c: the solver's root scan.
+- five kernels, each with the period's pull check written in.  Three
+  run on floats: r_kernel, R with its s2 guard, feasible_kernel, the
+  conditions in table order, and values_kernel, the condition tuple.
+  return_map and feasibility run the first two for a real scalar c and
+  eps, and the scalar hot loops call them directly: the solver's root
+  refinement, feasible_domain's boundary bisection, and horseshoe's
+  inversions and branch domain ends; feasible_domain's puncture
+  refinement and boundary naming read values_kernel.  Each is bitwise
+  the generic path on floats.  Two run on arrays: scan_tail, the block's
+  tail (the pull and the u-steps after it), and root_kernel, the whole
+  block with out= ufuncs and R(c) - c from it, NaN where the s2 guard
+  trips, bitwise return_map(period, c, eps) - c: the solver's root scan.
 
 The domain scan's grid is fixed by its step, and so is every orbit point
 before the pull: _scan_head keeps them, read-only, in a memo of the last
@@ -163,6 +166,10 @@ class Combinatorics:
 COMBINATORICS = {3: (2, 3, 1), 5: (2, 5, 1, 3, 4)}
 
 
+# the names of each Period's generated functions (_KERNELS), in the order its piece returns them
+_GENERATED = ("orbit", "r_kernel", "feasible_kernel", "values_kernel", "scan_tail", "root_kernel")
+
+
 class Period(enum.Enum):
     THREE = 3
     FIVE = 5
@@ -170,10 +177,20 @@ class Period(enum.Enum):
     def __init__(self, p: int):
         # plain attributes: every orbit evaluation reads them, and a dict
         # keyed by the member would run Enum.__hash__ in Python each time;
-        # _compile_orbit adds the float kernels, r_kernel, feasible_kernel
-        # and values_kernel, and the domain scan's scan_tail
+        # __getattr__ adds the generated functions
         self.p = p
         self.comb = Combinatorics(COMBINATORICS[p])
+
+    def __getattr__(self, name):
+        # only for a name missing from the member's __dict__: the first read
+        # of a generated name compiles the period's piece and stores all of
+        # them there.  Any other name gets a bare AttributeError: Enum
+        # probes the members while it builds the class.
+        if name not in _GENERATED:
+            raise AttributeError(name)
+        for key, fn in zip(_GENERATED, _generated(self)):
+            vars(self).setdefault(key, fn)
+        return vars(self)[name]
 
 
 @dataclass(frozen=True)
@@ -238,8 +255,8 @@ def eval_raw(c, x):
     return 1.0 - t * t
 
 
-# the pull's two refusals; _check_pull raises them for _orbit_points, and
-# each generated float kernel has its period's rule written in
+# the pull's two refusals; _check_pull raises them for the generic orbit,
+# and each generated float kernel has its period's rule written in
 _ONLY_THREE = "eps-perturbation is defined for period three only"
 _NOT_POSITIVE = "eps must be positive"
 
@@ -259,9 +276,9 @@ def _check_pull(period: Period, eps) -> None:
 
 # The one template of the critical orbit: a u-step, eval_raw's
 # t = (x - c)/(1 - c), x = 1 - t*t with d = 1 - c computed once, and the
-# pull.  One compile() turns it into straight-line code, so that no call
-# runs a loop: _orbit_points, a block per Period, and each Period's float
-# kernels (_KERNELS).  _IN_PLACE is the same u-step and pull on arrays with
+# pull.  One compile() per Period turns it into straight-line code, so that
+# no call runs a loop: the period's block, read by all its generated
+# functions (_KERNELS).  _IN_PLACE is the same u-step and pull on arrays with
 # out= ufuncs, the same operations in the same order, each step written
 # into one array: the point before it, taken over ({out}), or a new one.
 _U_STEP = "        t = (x{j} - c) / d\n        x{k} = 1.0 - t * t\n"
@@ -271,37 +288,33 @@ _IN_PLACE = (
     "        np.multiply(x{k}, x{k}, out=x{k})\n        np.subtract(1.0, x{k}, out=x{k})\n",
     "        np.multiply(eps, x{k}, out=x{k})\n",
 )
-_ORBIT_HEAD = '''def _orbit_points(period, c, eps=1.0):
-    """[0, u(0), ..., u^{2p-2}(0), 1.0] for c a float, a numpy array, an
-    Interval or an interval.Jet: the critical orbit with u^p(0) replaced
-    by eps*u^p(0) and continued from the pulled point, then the point 1.0
-    at index ONE.
-
-    Straight-line code from the module's one template: the 2p - 2 u-steps
-    of the period's block run eval_raw's operations in its order, so every
-    point is bitwise eval_raw's.  Multiplying by eps = 1.0 is exact, so
-    the unperturbed orbit comes out bitwise; the perturbation is defined
-    for period three only, and for an Interval or a Jet eps whose lower
-    bound is above 0.
-    """
-    if eps != 1.0:
-        _check_pull(period, eps)
-    d = 1.0 - c
-    x0 = 0.0
-'''
-# A Period's float kernels, for a float c and a float eps: return_map's R,
+# A Period's generated functions (_GENERATED): the generic orbit, for any
+# kind of c and eps; for a float c and a float eps, return_map's R,
 # feasibility past its 0 < c < 1/2 test and the condition values, each
-# bitwise what the generic path computes from _orbit_points; the scan's
-# tail, the pull and the u-steps after it on the arrays of a grid; and the
-# root scan's R(c) - c on an array c, bitwise return_map(period, c, eps) - c.
+# bitwise what the generic path computes from the orbit; the scan's tail,
+# the pull and the u-steps after it on the arrays of a grid; and the root
+# scan's R(c) - c on an array c, bitwise return_map(period, c, eps) - c.
 # {check} is the period's pull check, {orbit} the block of orbit lines and
 # {array_orbit} its lines on arrays, either of which may set the point 1.0,
-# one, too; {top} and {bottom} are the ends of the central interval,
-# {conditions} the condition tests in table order, {lengths} the lengths'
-# sum, {values} the conditions, and {tail} the block's lines from the pull
-# on, which set {pulled} .. its last point.
+# one, too; {points} are the orbit's points, {top} and {bottom} the ends
+# of the central interval, {conditions} the condition tests in table order,
+# {lengths} the lengths' sum, {values} the conditions, {tail} the block's
+# lines from the pull on, which set {pulled} .. its last point, and
+# {generated} the functions' names.
 _KERNELS = '''
 def _kernels{p}(period):
+    def orbit(c, eps=1.0):
+        """The critical orbit, with u^p(0) replaced by eps*u^p(0) and
+        continued from the pulled point, then the point 1.0 at index ONE,
+        for c a float, a numpy array, an Interval or an interval.Jet, and
+        eps a real, an Interval or a Jet.  Every point is bitwise
+        eval_raw's, and eps = 1.0 multiplies exactly."""
+        if eps != 1.0:
+            _check_pull(period, eps)
+        d = 1.0 - c
+        x0 = 0.0
+{orbit}        return [{points}, 1.0]
+
     def r_kernel(c, eps):
 {check}        d = 1.0 - c
         x0, one = 0.0, 1.0
@@ -337,7 +350,7 @@ def _kernels{p}(period):
         np.divide(r, s2, out=r)
         return np.subtract(r, c, out=r)
 
-    return r_kernel, feasible_kernel, values_kernel, scan_tail, root_kernel
+    return {generated}
 '''
 _CONDITION = "        s{n} = {plus} - {minus}\n        if not s{n} > 0.0:\n            return False\n"
 # _check_pull's rule on a real eps, one comparison: the pull is defined for
@@ -370,16 +383,15 @@ def _orbit_block(p: int, first: int = 1, steps: tuple = (_U_STEP, _PULL), keep: 
 
 
 def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
-    """The source of _kernels{p}(period), which returns period's R,
-    feasibility and condition-value kernels over orbit, and its root scan
-    kernel over array_orbit: lines that set x1 .. x{2p-2} from c,
-    d = 1 - c, eps and x0 = 0.0, and may set the point one = 1.0; the
-    array lines must leave the central interval's ends as they set them.
-    Every
-    condition that is not above 0, NaN too, ends the feasibility test with
-    False; the lengths are summed from 0, in table order.  The fourth
-    function, the scan's tail, runs the template's own tail whatever orbit
-    is."""
+    """The source of _kernels{p}(period), which returns period's
+    _GENERATED functions: the generic orbit and the R, feasibility and
+    condition-value kernels over orbit, and the root scan kernel over
+    array_orbit: lines that set x1 .. x{2p-2} from c, d = 1 - c, eps and
+    x0 = 0.0, and may set the point one = 1.0; the array lines must leave
+    the central interval's ends as they set them.  Every condition that is
+    not above 0, NaN too, ends the feasibility test with False; the lengths
+    are summed from 0, in table order.  The scan's tail runs the
+    template's own tail whatever orbit is."""
     comb, p = period.comb, period.p
     left, right = comb.central
     pairs = [(_point(i), _point(j)) for i, j in comb.pairs]
@@ -388,45 +400,32 @@ def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     lengths = " + ".join(["0.0"] + [f"s{n}" for n in range(1, p + 1)])
     values = ", ".join(f"{plus} - {minus}" for plus, minus in pairs)
     pulled = ", ".join(f"x{k}" for k in range(p, 2 * p - 1))
+    points = ", ".join(f"x{k}" for k in range(2 * p - 1))
     return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, array_orbit=array_orbit,
-                           top=_point(right), bottom=_point(left), conditions=conditions,
+                           points=points, top=_point(right), bottom=_point(left), conditions=conditions,
                            lengths=lengths, values=values, tail=_orbit_block(p, p + 1),
-                           pulled=pulled)
+                           pulled=pulled, generated=", ".join(_GENERATED))
 
 
-def _compile_orbit():
-    """_orbit_points and the kernels from the template: for each Period its
-    block of u-steps with the pull after step p, read by _orbit_points'
-    branch for the period, which returns the points and 1.0, and by the
-    period's kernels, stored on the member as r_kernel, feasible_kernel,
-    values_kernel, scan_tail and root_kernel, the last over the block's
-    in-place form.  Compiled under this file's name, so profiles count it
-    in scaling; a traceback through it gives the generated source's line
-    numbers.  One compile() per piece, _orbit_points and each period's
-    kernels: the compiler's peak memory grows with the source it holds."""
-    src, kernels = _ORBIT_HEAD, []
-    for period in Period:
-        p = period.p
-        orbit = _orbit_block(p)
-        points = ", ".join(f"x{k}" for k in range(2 * p - 1))
-        src += f"    if period.p == {p}:\n{orbit}        return [{points}, 1.0]\n"
-        kernels.append(_kernel_source(period, orbit, _orbit_block(p, steps=_IN_PLACE, keep=period.comb.central)))
+@lru_cache(maxsize=None)
+def _generated(period: Period) -> tuple:
+    """period's one piece of generated code, compiled once, on the first
+    read of a _GENERATED name (Period.__getattr__): its block of u-steps
+    with the pull after step p, read by the generic orbit and the float
+    kernels, and the block's in-place form, read by root_kernel.  Compiled
+    under this file's name, so profiles count it in scaling; a traceback
+    through it gives the generated source's line numbers."""
+    p = period.p
+    src = _kernel_source(period, _orbit_block(p), _orbit_block(p, steps=_IN_PLACE, keep=period.comb.central))
     namespace = {}
-    for piece in (src, *kernels):
-        exec(compile(piece, __file__, "exec"), globals(), namespace)
-    for period in Period:
-        (period.r_kernel, period.feasible_kernel, period.values_kernel,
-         period.scan_tail, period.root_kernel) = namespace[f"_kernels{period.p}"](period)
-    return namespace["_orbit_points"]
-
-
-_orbit_points = _compile_orbit()
+    exec(compile(src, __file__, "exec"), globals(), namespace)
+    return namespace[f"_kernels{p}"](period)
 
 
 def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
     """All positivity conditions (lengths then gaps) as a tuple; the
     scalar refinements read it without building an array."""
-    o = _orbit_points(period, c, eps)
+    o = period.orbit(c, eps)
     return tuple([o[i] - o[j] for i, j in period.comb.pairs])
 
 
@@ -470,12 +469,12 @@ def return_map(period: Period, c, eps: float = 1.0):
     the s2 enclosure lies above the floor.  A float (or int) c with a float
     (or int) eps runs the period's straight-line kernel, period.r_kernel;
     any other argument (an array, an Interval, a Jet, a numpy integer)
-    reads _orbit_points.  The solver's root scan does not come here:
+    reads period.orbit.  The solver's root scan does not come here:
     period.root_kernel computes an array call minus c, bitwise, in place.
     """
     if isinstance(c, _SCALARS) and isinstance(eps, _SCALARS):
         return period.r_kernel(c, eps)
-    o = _orbit_points(period, c, eps)
+    o = period.orbit(c, eps)
     left, right = period.comb.central
     top = o[right]
     s2 = top - o[left]
@@ -584,7 +583,7 @@ def _scan_head(period: Period, scan_step: float) -> tuple:
     by page fault (with glibc, 47 minor faults per eps solve in a loop of
     solves with the rows kept as separate arrays, none with the map)."""
     cs = np.arange(scan_step, 0.5, scan_step)
-    rows = (cs, 1.0 - cs, *_orbit_points(period, cs)[1 : period.p + 1])
+    rows = (cs, 1.0 - cs, *period.orbit(cs)[1 : period.p + 1])
     head = np.frombuffer(mmap.mmap(-1, len(rows) * cs.nbytes)).reshape(len(rows), -1)
     for row, values in zip(head, rows):
         row[:] = values
@@ -593,7 +592,7 @@ def _scan_head(period: Period, scan_step: float) -> tuple:
 
 
 def _scan_orbit(period: Period, scan_step: float, eps: float):
-    """The scan grid cs and _orbit_points(period, cs, eps), bitwise: the
+    """The scan grid cs and period.orbit(cs, eps), bitwise: the
     memoized head and the period's scan_tail, the pull and the u-steps
     after it, the only part of the orbit that depends on eps.  A head of
     more than SCAN_MEMO_CAP bytes (p + 2 rows of np.arange's length) is

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scaling import NumericalFailure, Period, ScalingFactor, _orbit_points, bisect, scaling_from_critical
+from .scaling import NumericalFailure, Period, ScalingFactor, bisect, scaling_from_critical
 
 
 # |I_2^12| ~ 1e-12 at the tripling fixed point, the floor of useful binary64
@@ -120,7 +120,7 @@ def local_intervals(period: Period, lv: LevelData, factor: ScalingFactor):
     """Unit-square positions of the next-generation intervals: each s_j laid
     off from the end of I_j with the lower orbit index (u^k(0), k < p, or 1.0
     at ONE); eps pulls u^p(0) only, so no lower end depends on it."""
-    o = _orbit_points(period, lv.c)
+    o = period.orbit(lv.c)
     out = {}
     for j, ((left, right), s) in enumerate(zip(period.comb.intervals, factor.s), 1):
         out[j] = (o[left], o[left] + s) if left < right else (o[right] - s, o[right])

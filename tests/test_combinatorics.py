@@ -23,7 +23,6 @@ from renorm.scaling import (
     DivisionGuard,
     Period,
     _condition_values,
-    _orbit_points,
     conditions,
     eval_raw,
     feasibility,
@@ -225,7 +224,7 @@ def _kernel_cases(draw):
 @given(_kernel_cases())
 def test_float_kernels_are_bitwise_the_generic_path(case):
     # a float c and eps run the period's kernels, an array c reads
-    # _orbit_points: R bitwise, with a NaN from the array exactly where the
+    # period.orbit: R bitwise, with a NaN from the array exactly where the
     # kernel raises, and feasibility as the minimum condition above 0 (a
     # NaN condition infeasible)
     period, c, eps = case
@@ -279,9 +278,9 @@ def test_the_root_kernel_grids_reach_the_guard():
 @pytest.mark.parametrize("period, bad", [(Period.THREE, bad) for bad in (0.0, -1.0, math.nan)]
                          + [(Period.FIVE, bad) for bad in (0.0, -1.0, math.nan, 1.01)])
 def test_every_kernel_refuses_an_eps_as_the_orbit_does(period, bad):
-    # the pull check written into each kernel raises _orbit_points' error
+    # the pull check written into each kernel raises period.orbit's error
     with pytest.raises(ValueError) as want:
-        _orbit_points(period, 0.44, bad)
+        period.orbit(0.44, bad)
     cs = np.array([0.44])
     calls = [functools.partial(kernel, 0.44, bad)
              for kernel in (period.r_kernel, period.feasible_kernel, period.values_kernel)]
@@ -366,7 +365,7 @@ def test_interval_and_jet_orbits_are_bitwise_the_reference(period, lo, width, ep
     c = Interval(lo, lo + width)
     jet = Jet(c, Interval(1.0, 1.0))
     for x in (c, jet):
-        assert _bounds(_orbit_points(period, x, eps)) == _bounds(_ref_orbit(period, x, eps) + [1.0])
+        assert _bounds(period.orbit(x, eps)) == _bounds(_ref_orbit(period, x, eps) + [1.0])
     want = _ref_return_map(period, jet, eps)
     if want is None:
         with pytest.raises(DivisionGuard):
@@ -384,15 +383,15 @@ def test_an_interval_eps_passes_through_the_orbit():
     # are the float orbit's, bitwise
     box = Interval(0.99, 1.01)
     for c in (0.44, 0.4402, 0.4301):
-        o = _orbit_points(Period.THREE, c, box)
+        o = Period.THREE.orbit(c, box)
         for eps in (box.lo, 1.0, box.hi):
-            want = _orbit_points(Period.THREE, c, eps)
+            want = Period.THREE.orbit(c, eps)
             assert o[:3] == want[:3] and o[-1] == want[-1] == 1.0
             for x, w in zip(o[3:-1], want[3:-1]):
                 assert isinstance(x, Interval) and x.lo <= w <= x.hi
     # a Jet c with an Interval eps: eps * x defers to the Jet
     jet = Jet(Interval(0.44, 0.44), Interval(1.0, 1.0))
-    o = _orbit_points(Period.THREE, jet, box)
+    o = Period.THREE.orbit(jet, box)
     assert o[0] == 0.0 and o[-1] == 1.0
     assert all(isinstance(x, Jet) for x in o[1:-1])
     val = return_map(Period.THREE, jet, box).val
@@ -406,9 +405,9 @@ def test_an_interval_eps_passes_through_the_orbit():
     # an eps box reaching 0 or below is refused, as a float eps is
     for bad in (Interval(-0.1, 1.0), Interval(0.0, 1.0)):
         with pytest.raises(ValueError, match="eps must be positive"):
-            _orbit_points(Period.THREE, 0.44, bad)
+            Period.THREE.orbit(0.44, bad)
         with pytest.raises(ValueError, match="eps must be positive"):
-            _orbit_points(Period.THREE, jet, Jet(bad, Interval(0.0, 0.0)))
+            Period.THREE.orbit(jet, Jet(bad, Interval(0.0, 0.0)))
 
 
 def test_return_map_sends_only_real_scalars_to_the_kernel(monkeypatch):

@@ -1,9 +1,11 @@
 """What `import renorm` and each light command load, and the namespace
 that loading on first use must keep."""
 
+import copy
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import renorm
+from renorm import scaling
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = ["renorm", "renorm.scaling", "renorm.solver"]
@@ -48,18 +51,24 @@ EXPORTED = {
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
 
-def loaded_modules(code: str) -> list:
-    """The renorm modules a fresh interpreter holds after running code."""
-    probe = (
-        "import contextlib, io, json, sys\n"
-        f"{code}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'renorm')))\n"
-    )
+def probe(code: str, result: str):
+    """The JSON value of the expression result in a fresh interpreter, after
+    running code."""
+    src = f"import contextlib, io, json, sys\n{code}\nprint(json.dumps({result}))\n"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", src], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_modules(code: str) -> list:
+    """The renorm modules a fresh interpreter holds after running code."""
+    return probe(code, "sorted(m for m in sys.modules if m.split('.')[0] == 'renorm')")
+
+
+# the generated names each period holds in its __dict__, after the probe's code
+COMPILED = "{p.name: sorted(set(vars(p)) & set(scaling._GENERATED)) for p in scaling.Period}"
 
 
 def test_import_renorm_loads_only_the_core():
@@ -123,3 +132,69 @@ def test_numerical_failure_loads_no_further_module():
     code = _main_exit(["tower", "--period", "3", "--depth", "400"], 3)
     expected = CORE + ["renorm.cli", "renorm.report", "renorm.tower"]
     assert loaded_modules(code) == sorted(expected)
+
+
+def test_import_renorm_compiles_no_generated_code():
+    code = "import renorm\nfrom renorm import scaling"
+    assert probe(code, COMPILED) == {"THREE": [], "FIVE": []}
+
+
+def test_a_period_three_command_compiles_period_three_only():
+    code = (
+        "from renorm import scaling\n"
+        "from renorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['solve', '--period', '3']) == 0\n"
+    )
+    assert probe(code, COMPILED) == {"THREE": sorted(scaling._GENERATED), "FIVE": []}
+
+
+def test_a_period_is_compiled_once_and_keeps_its_functions():
+    # every compile() scaling runs is counted; a name deleted from the
+    # member, as mock.patch.object does on exit, comes back as the same
+    # function, without a second compile
+    code = (
+        "from renorm import scaling\n"
+        "sources = []\n"
+        "scaling.compile = lambda src, *args: sources.append(src) or compile(src, *args)\n"
+        "five = scaling.Period.FIVE\n"
+        "first = [getattr(five, name) for name in reversed(scaling._GENERATED)]\n"
+        "del five.r_kernel\n"
+        "same = [getattr(five, name) is fn for name, fn in zip(reversed(scaling._GENERATED), first)]\n"
+        "assert five.orbit(0.41)[-1] == 1.0\n"
+    )
+    assert probe(code, f"[len(sources), same, {COMPILED}]") == [
+        1, [True] * 6, {"THREE": [], "FIVE": sorted(scaling._GENERATED)}]
+
+
+def test_a_period_reads_only_its_generated_names():
+    with pytest.raises(AttributeError, match="^nope$"):
+        scaling.Period.THREE.nope
+    assert not hasattr(scaling.Period.THREE, "nope")
+    for period in scaling.Period:
+        assert copy.copy(period) is period
+        assert copy.deepcopy(period) is period
+        assert pickle.loads(pickle.dumps(period)) is period
+
+
+def test_patching_a_period_not_yet_compiled_restores_its_kernels():
+    code = (
+        "import pytest\n"
+        "from unittest import mock\n"
+        "from renorm import scaling\n"
+        "three, five = scaling.Period\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    mp.setattr(three, 'r_kernel', None)\n"
+        "    assert three.r_kernel is None\n"
+        "with pytest.MonkeyPatch.context() as mp:\n"
+        "    with mock.patch.object(five, 'feasible_kernel', None):\n"
+        "        assert five.feasible_kernel is None\n"
+        "        mp.setattr(five, 'orbit', None)\n"
+        "    assert five.orbit is None\n"  # restoring one name leaves another's patch in force
+    )
+    result = (f"[three.r_kernel(0.44, 1.01), five.feasible_kernel(0.44, 1.0), {COMPILED}, "
+              "three.r_kernel.__code__.co_filename == five.feasible_kernel.__code__.co_filename"
+              " == scaling.__file__]")
+    want = [scaling.Period.THREE.r_kernel(0.44, 1.01), scaling.Period.FIVE.feasible_kernel(0.44, 1.0),
+            {"THREE": sorted(scaling._GENERATED), "FIVE": sorted(scaling._GENERATED)}, True]
+    assert probe(code, result) == want

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from renorm.scaling import Period, _orbit_points, eval_raw
+from renorm.scaling import Period, eval_raw
 from renorm.tower import LevelData, ScalingSequence, build_tower
 from reference_values import ORBIT_0440262_K3, ORBIT_0440262_K4, U_044_AT_0
 
@@ -23,13 +23,13 @@ def test_eval_at_zero():
 def test_iterate_zero_times():
     # the orbit starts at 0 and ends with the point 1.0 at index ONE
     for period in Period:
-        o = _orbit_points(period, 0.44)
+        o = period.orbit(0.44)
         assert o[0] == 0.0
         assert o[-1] == 1.0
 
 
 def test_iterate_printed_parameter():
-    o = _orbit_points(Period.THREE, 0.440262)
+    o = Period.THREE.orbit(0.440262)
     assert abs(o[3] - ORBIT_0440262_K3) < 1e-12
     assert abs(o[4] - ORBIT_0440262_K4) < 1e-12
 
@@ -37,7 +37,7 @@ def test_iterate_printed_parameter():
 def test_orbit_matches_iterate():
     # o[k] is the k-fold composition u^k(0), bitwise, for k up to 2p - 2
     for period in Period:
-        o = _orbit_points(period, 0.44)
+        o = period.orbit(0.44)
         x = 0.0
         for k in range(2 * period.p - 1):
             assert o[k] == x

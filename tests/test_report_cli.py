@@ -494,6 +494,18 @@ def test_cli_huge_eps_fails_cleanly_and_infinite_eps_is_a_usage_error(capsys):
     assert captured.err == "usage error: eps must be finite, got inf\n"
 
 
+def test_cli_empty_eps_is_a_usage_error_not_the_default_system(tmp_path, capsys):
+    # an empty list is an entry that is not a number, as "," is; only an
+    # eps left unset takes the default system
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": ""}))
+    for argv in (["--eps", ""], ["--eps", ","], ["--config", str(cfg)]):
+        assert main(["horseshoe", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: could not convert string to float: ''\n"
+
+
 def _scalar_returnmap_rows(period, grid):
     """The reference for plotdata returnmap's rows: one scalar return_map
     call per point, a point where the s2 guard trips left out."""

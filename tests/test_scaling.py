@@ -376,7 +376,7 @@ def test_boundary_bisection_treats_nan_condition_as_infeasible():
 
     # o = [0, u, u^2, u^3, u^4, 1] ordered 0 < o3 < o1 < o4 < o2 < 1; past
     # c = 0.3 the point o4 is NaN, and with it S2 = o4 - o1 and Gr = o2 - o4
-    def orbit(period, c, eps=1.0):
+    def orbit(c, eps=1.0):
         return [0.0, 0.2, 0.4, 0.1, float("nan") if c > 0.3 else 0.3, 1.0]
 
     with stand_in_orbit(Period.THREE, orbit):

@@ -18,7 +18,6 @@ from renorm.scaling import (
     Period,
     _argmin,
     _condition_values,
-    _orbit_points,
     _runs,
     _scan_conditions,
     _scan_head,
@@ -90,13 +89,13 @@ def _scans(draw):
 @example((Period.THREE, 1e-4, 1e300))
 def test_the_memoized_scan_is_bitwise_the_whole_orbit(case):
     # the scan orbit and its condition rows, -inf and inf where a huge eps
-    # overflows, are _orbit_points' and _condition_values' on the grid
+    # overflows, are period.orbit's and _condition_values' on the grid
     period, step, eps = case
     cs = np.arange(step, 0.5, step)
     _, rows = _scan_conditions(period, step, eps)
     with np.errstate(over="ignore", invalid="ignore"):
         got_cs, orbit = _scan_orbit(period, step, eps)
-        want_orbit = _orbit_points(period, cs, eps)
+        want_orbit = period.orbit(cs, eps)
         want = _condition_values(period, cs, eps)
     assert got_cs.tobytes() == cs.tobytes()
     assert [np.asarray(x).tobytes() for x in orbit] == [np.asarray(x).tobytes() for x in want_orbit]
