@@ -34,9 +34,9 @@ template, a u-step with 1 - c computed once and the pull: a block per
 Period of 2p - 2 u-steps with the pull after step p, the only place eps
 enters the orbit, and no loop left to run per call.  Each Period's code
 is one piece, compiled the first time any of its generated names is read
-(Period.__getattr__), so importing the package compiles none and a
-process compiles only the periods it uses.  The piece holds six
-functions, stored on the member beside comb, of two kinds:
+(a _FirstUse descriptor on the class), so importing the package compiles
+none and a process compiles only the periods it uses.  The piece holds
+six functions, stored on the member beside comb, of two kinds:
 
 - orbit(c, eps=1.0), the generic orbit, which runs on floats, numpy
   arrays, Intervals and interval.Jets, with eps an Interval or a Jet too.
@@ -53,15 +53,20 @@ functions, stored on the member beside comb, of two kinds:
   inversions and branch domain ends; feasible_domain's puncture
   refinement and boundary naming read values_kernel.  Each is bitwise
   the generic path on floats.  Two run on arrays: scan_tail, the block's
-  tail (the pull and the u-steps after it), and root_kernel, the whole
-  block with out= ufuncs and R(c) - c from it, NaN where the s2 guard
-  trips, bitwise return_map(period, c, eps) - c: the solver's root scan.
+  tail (the pull and the u-steps after it, each step in place in a new
+  array), and root_kernel, the whole block with out= ufuncs and R(c) - c
+  from it, NaN where the s2 guard trips, bitwise return_map(period, c,
+  eps) - c: the solver's root scan.
 
 The domain scan's grid is fixed by its step, and so is every orbit point
-before the pull: _scan_head keeps them, read-only, in a memo of the last
-four (period, step) keys, so that each scan runs only scan_tail.  A head
-above SCAN_MEMO_CAP bytes, from a step far below the default, is computed
-afresh for its scan and not kept.
+before the pull, and every condition no pulled point enters: period
+three's S3 = 1 - u^2(0), period five's S5 = 1 - u^4(0) and Gr3 = u^4(0) -
+u^2(0) (Combinatorics.eps_free).  _scan_head keeps the grid, 1 - c, the
+points u(0) .. u^p(0) and those rows, read-only, in a memo of the last
+four (period, step) keys, so that each scan runs only scan_tail and the
+subtractions of the other conditions, but S1 = u^p(0) - 0, which is the
+pulled row as is.  A memo above SCAN_MEMO_CAP bytes, from a step far
+below the default, is computed afresh for its scan and not kept.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
@@ -90,9 +95,10 @@ S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 # bracket at a puncture; a puncture is a quadratic touch, placed only to
 # about sqrt(ulp): across scan steps punctures move up to 5e-10
 REFINE_TOL = 1e-12
-# the largest scan head _scan_head's memo keeps, in bytes: the default
-# step's heads take about 200 KB (period three) and 280 KB (five); one at
-# the 1e-6 step floor takes up to 28 MB and is computed fresh every scan
+# the largest scan head _scan_head's memo keeps, in bytes, with its
+# eps-free condition rows: the default step's take about 240 KB (period
+# three) and 360 KB (five); one at the 1e-6 step floor takes up to 36 MB
+# and is computed fresh every scan
 SCAN_MEMO_CAP = 1 << 20
 
 
@@ -161,6 +167,14 @@ class Combinatorics:
         the lengths, then the gaps."""
         return self.lengths + self.gaps
 
+    @cached_property
+    def eps_free(self) -> tuple:
+        """The pairs of the conditions no pulled point enters: both points
+        come before o_p, the pulled one (or are 1.0), and the minus point
+        is not o_0 = 0.0, whose condition is its plus point as is."""
+        p = len(self.cycle)
+        return tuple((i, j) for i, j in self.pairs if i < p and 0 != j < p)
+
 
 # the one hand-written datum per period p: the visiting cycle
 COMBINATORICS = {3: (2, 3, 1), 5: (2, 5, 1, 3, 4)}
@@ -177,20 +191,35 @@ class Period(enum.Enum):
     def __init__(self, p: int):
         # plain attributes: every orbit evaluation reads them, and a dict
         # keyed by the member would run Enum.__hash__ in Python each time;
-        # __getattr__ adds the generated functions
+        # the class's _FirstUse descriptors add the generated functions
         self.p = p
         self.comb = Combinatorics(COMBINATORICS[p])
 
-    def __getattr__(self, name):
-        # only for a name missing from the member's __dict__: the first read
-        # of a generated name compiles the period's piece and stores all of
-        # them there.  Any other name gets a bare AttributeError: Enum
-        # probes the members while it builds the class.
-        if name not in _GENERATED:
-            raise AttributeError(name)
-        for key, fn in zip(_GENERATED, _generated(self)):
-            vars(self).setdefault(key, fn)
-        return vars(self)[name]
+
+class _FirstUse:
+    """A generated name on Period, read only while the member lacks it: the
+    first read of any compiles the member's piece, which stores all of its
+    functions on the member (_generated); a later read, after the name was
+    deleted from the member, as a patch's undo does, stores that one name
+    again.  Each is stored with setattr, never through the member's
+    __dict__, which would make every later attribute read of the member
+    miss CPython's attribute specialization."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.index = _GENERATED.index(name)
+
+    def __get__(self, member, owner=None):
+        if member is None:
+            return self
+        fn = _generated(member)[self.index]
+        setattr(member, self.name, fn)
+        return fn
+
+
+for _name in _GENERATED:
+    setattr(Period, _name, _FirstUse(_name))
+del _name
 
 
 @dataclass(frozen=True)
@@ -281,6 +310,9 @@ def _check_pull(period: Period, eps) -> None:
 # functions (_KERNELS).  _IN_PLACE is the same u-step and pull on arrays with
 # out= ufuncs, the same operations in the same order, each step written
 # into one array: the point before it, taken over ({out}), or a new one.
+# The scan's tail runs _IN_PLACE's u-step, each into a new array, since it
+# returns every point, after the template's pull, which leaves the
+# memoized read-only point it pulls as it was.
 _U_STEP = "        t = (x{j} - c) / d\n        x{k} = 1.0 - t * t\n"
 _PULL = "        x{k} = eps * x{k}\n"
 _IN_PLACE = (
@@ -292,8 +324,9 @@ _IN_PLACE = (
 # kind of c and eps; for a float c and a float eps, return_map's R,
 # feasibility past its 0 < c < 1/2 test and the condition values, each
 # bitwise what the generic path computes from the orbit; the scan's tail,
-# the pull and the u-steps after it on the arrays of a grid; and the root
-# scan's R(c) - c on an array c, bitwise return_map(period, c, eps) - c.
+# the pull and the in-place u-steps after it on the arrays of a grid; and
+# the root scan's R(c) - c on an array c, bitwise return_map(period, c,
+# eps) - c.
 # {check} is the period's pull check, {orbit} the block of orbit lines and
 # {array_orbit} its lines on arrays, either of which may set the point 1.0,
 # one, too; {points} are the orbit's points, {top} and {bottom} the ends
@@ -391,7 +424,7 @@ def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     the central interval's ends as they set them.  Every condition that is
     not above 0, NaN too, ends the feasibility test with False; the lengths
     are summed from 0, in table order.  The scan's tail runs the
-    template's own tail whatever orbit is."""
+    template's own pull and in-place u-steps whatever orbit is."""
     comb, p = period.comb, period.p
     left, right = comb.central
     pairs = [(_point(i), _point(j)) for i, j in comb.pairs]
@@ -403,14 +436,15 @@ def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     points = ", ".join(f"x{k}" for k in range(2 * p - 1))
     return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, array_orbit=array_orbit,
                            points=points, top=_point(right), bottom=_point(left), conditions=conditions,
-                           lengths=lengths, values=values, tail=_orbit_block(p, p + 1),
+                           lengths=lengths, values=values,
+                           tail=_orbit_block(p, p + 1, (_IN_PLACE[0], _PULL), range(p, 2 * p - 2)),
                            pulled=pulled, generated=", ".join(_GENERATED))
 
 
 @lru_cache(maxsize=None)
 def _generated(period: Period) -> tuple:
     """period's one piece of generated code, compiled once, on the first
-    read of a _GENERATED name (Period.__getattr__): its block of u-steps
+    read of a _GENERATED name on the member (_FirstUse): its block of u-steps
     with the pull after step p, read by the generic orbit and the float
     kernels, and the block's in-place form, read by root_kernel.  Compiled
     under this file's name, so profiles count it in scaling; a traceback
@@ -419,7 +453,10 @@ def _generated(period: Period) -> tuple:
     src = _kernel_source(period, _orbit_block(p), _orbit_block(p, steps=_IN_PLACE, keep=period.comb.central))
     namespace = {}
     exec(compile(src, __file__, "exec"), globals(), namespace)
-    return namespace[f"_kernels{p}"](period)
+    generated = namespace[f"_kernels{p}"](period)
+    for name, fn in zip(_GENERATED, generated):
+        setattr(period, name, fn)
+    return generated
 
 
 def _condition_values(period: Period, c, eps: float = 1.0) -> tuple:
@@ -546,36 +583,42 @@ def _bisect_boundary(period, ok_pt, bad_pt, eps=1.0):
     Both lie in [0, 1/2], the feasible one inside, so every midpoint the
     bisection tests lies strictly inside (0, 1/2), where feasibility is
     the period's kernel alone.  The boundary is named after the condition
-    np.argmin picks, a NaN first."""
+    np.argmin picks, a NaN first.  The kernel is called through a lambda:
+    handing eps to bisect as a trailing argument, called as keep(mid,
+    *args), measured slower per step."""
     kernel = period.feasible_kernel
     c = bisect(lambda x: kernel(x, eps), ok_pt, bad_pt, REFINE_TOL)
     return c, period.comb.names[_argmin(period.values_kernel(c, eps))]
 
 
-def _refine_touch(fn, lo, hi):
-    """Golden-section minimum of a single condition; used for punctures."""
+def _refine_touch(kernel, eps, j, lo, hi):
+    """Golden-section minimum of condition j, kernel(x, eps)[j], over
+    [lo, hi], with kernel a period's values_kernel, called directly: the
+    puncture refinement."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    f1, f2 = kernel(x1, eps)[j], kernel(x2, eps)[j]
     while b - a > REFINE_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - inv * (b - a)
-            f1 = fn(x1)
+            f1 = kernel(x1, eps)[j]
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + inv * (b - a)
-            f2 = fn(x2)
+            f2 = kernel(x2, eps)[j]
     return 0.5 * (a + b)
 
 
 @lru_cache(maxsize=4)
-def _scan_head(period: Period, scan_step: float) -> tuple:
-    """The scan grid cs = arange(scan_step, 0.5, scan_step), d = 1 - cs and
-    the orbit points u(0) .. u^p(0) before the pull: all of the scan's
-    orbit that eps does not enter, computed once per grid, read-only.
+def _scan_head(period: Period, scan_step: float, free: tuple) -> tuple:
+    """The scan grid cs = arange(scan_step, 0.5, scan_step), d = 1 - cs,
+    the orbit points u(0) .. u^p(0) before the pull and the rows
+    o[i] - o[j] of the pairs free, conditions no pulled point enters
+    (Combinatorics.eps_free): all of the scan that eps does not enter,
+    computed once per grid, read-only.
 
     They are rows of one anonymous memory map, off the malloc heap: arrays
     that outlive the call there pin the heap, so that every later scan's
@@ -583,7 +626,8 @@ def _scan_head(period: Period, scan_step: float) -> tuple:
     by page fault (with glibc, 47 minor faults per eps solve in a loop of
     solves with the rows kept as separate arrays, none with the map)."""
     cs = np.arange(scan_step, 0.5, scan_step)
-    rows = (cs, 1.0 - cs, *period.orbit(cs)[1 : period.p + 1])
+    o = period.orbit(cs)
+    rows = (cs, 1.0 - cs, *o[1 : period.p + 1], *(o[i] - o[j] for i, j in free))
     head = np.frombuffer(mmap.mmap(-1, len(rows) * cs.nbytes)).reshape(len(rows), -1)
     for row, values in zip(head, rows):
         row[:] = values
@@ -591,37 +635,53 @@ def _scan_head(period: Period, scan_step: float) -> tuple:
     return tuple(head)
 
 
-def _scan_orbit(period: Period, scan_step: float, eps: float):
-    """The scan grid cs and period.orbit(cs, eps), bitwise: the
-    memoized head and the period's scan_tail, the pull and the u-steps
-    after it, the only part of the orbit that depends on eps.  A head of
-    more than SCAN_MEMO_CAP bytes (p + 2 rows of np.arange's length) is
-    computed by _scan_head's own function, uncached."""
-    points = math.ceil((0.5 - scan_step) / scan_step)
-    memo = (period.p + 2) * 8 * points <= SCAN_MEMO_CAP
-    cs, d, *head = (_scan_head if memo else _scan_head.__wrapped__)(period, scan_step)
-    return cs, [0.0, *head[:-1], *period.scan_tail(cs, d, head[-1], eps), 1.0]
-
-
 def _scan_conditions(period: Period, scan_step: float, eps: float):
     """The scan grid cs and _condition_values(period, cs, eps), bitwise,
-    one row per condition in the table's order, read at call time.
+    one row per condition in the table's order, read at call time.  A
+    condition no pulled point enters is the memo's read-only row, one
+    whose minus point is o_0 = 0.0 its plus point's row as is (x - 0.0 is
+    x, -0.0 and NaN too), and every other a new row: the memoized head
+    and the period's scan_tail, the pull and the u-steps after it, give
+    the orbit.  A memo of more than SCAN_MEMO_CAP bytes (a row of
+    np.arange's length for each of cs, d, the p head points and the
+    eps-free rows) is computed by _scan_head's own function, uncached.
 
     A huge eps overflows the orbit after the pull, quietly: an orbit point
     past it that overflows is -inf, and so is the length S2 it ends, so
     the point fails worst > 0 whatever its other conditions read."""
+    comb, p = period.comb, period.p
+    free = comb.eps_free
+    points = math.ceil((0.5 - scan_step) / scan_step)
+    memo = (p + 2 + len(free)) * 8 * points <= SCAN_MEMO_CAP
+    cs, d, *head = (_scan_head if memo else _scan_head.__wrapped__)(period, scan_step, free)
+    fixed = iter(head[p:])  # the eps-free rows, in table order
     with np.errstate(over="ignore", invalid="ignore"):
-        cs, o = _scan_orbit(period, scan_step, eps)
-        return cs, [o[i] - o[j] for i, j in period.comb.pairs]
+        o = [0.0, *head[: p - 1], *period.scan_tail(cs, d, head[p - 1], eps), 1.0]
+        return cs, [next(fixed) if (i, j) in free else o[i] if j == 0 else o[i] - o[j]
+                    for i, j in comb.pairs]
+
+
+def _worst(cond):
+    """The minimum of the condition rows cond, two or more, elementwise in
+    their order, a NaN first: folded into one new array."""
+    worst = np.minimum(cond[0], cond[1])
+    for row in cond[2:]:
+        np.minimum(worst, row, out=worst)
+    return worst
 
 
 def _runs(ok) -> list:
-    """The maximal runs of True in the mask ok, as (first, last) indices:
-    the transitions of ok padded with False at both ends."""
-    padded = np.zeros(len(ok) + 2, dtype=bool)
-    padded[1:-1] = ok
-    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-    return [(i0, i1 - 1) for i0, i1 in zip(edges[::2], edges[1::2])]
+    """The maximal runs of True in the mask ok, as (first, last) indices,
+    read off ok's transitions: a run starts after each index where ok
+    turns True, or at 0, and ends at each index where it turns False, or
+    at the last."""
+    # nonzero()[0] of a 1-d mask is np.flatnonzero without its ravel call
+    edges = (ok[1:] != ok[:-1]).nonzero()[0].tolist()
+    if ok[-1]:
+        edges.append(len(ok) - 1)
+    if ok[0]:
+        edges.insert(0, -1)
+    return [(i0 + 1, i1) for i0, i1 in zip(edges[::2], edges[1::2])]
 
 
 def _touches(cond, worst, i0, i1) -> list:
@@ -633,7 +693,7 @@ def _touches(cond, worst, i0, i1) -> list:
     holds no NaN, so only the run's interior points where worst is at or
     below 1e-4 are read, one by one, condition by condition, as Python
     floats."""
-    ms = (i0 + 1 + np.flatnonzero(worst[i0 + 1 : i1] <= 1e-4)).tolist()
+    ms = [i0 + 1 + m for m in (worst[i0 + 1 : i1] <= 1e-4).nonzero()[0].tolist()]
     if not ms:
         return []
     lo = ms[0] - 1
@@ -670,22 +730,21 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     # (195 KiB for period three, 351 KiB for five) can be large enough for
     # the allocator to map it afresh, page fault by page fault, every call
     cs, cond = _scan_conditions(period, scan_step, eps)
-    worst = cond[0]
-    for row in cond[1:]:
-        worst = np.minimum(worst, row)
-    ok = worst > 0.0
-    if not ok.any():
+    worst = _worst(cond)
+    runs = _runs(worst > 0.0)
+    if not runs:
         raise EmptyDomain(f"no feasible point for {period} at step {scan_step}")
 
     comb, values = period.comb, period.values_kernel
     intervals = []
     boundaries = []
     punctures = []
-    for i0, i1 in _runs(ok):
-        lo_out = float(cs[i0]) - scan_step if i0 > 0 else 0.0
-        hi_out = float(cs[i1]) + scan_step if i1 + 1 < len(cs) else 0.5
-        lo, lo_name = _bisect_boundary(period, float(cs[i0]), lo_out, eps)
-        hi, hi_name = _bisect_boundary(period, float(cs[i1]), hi_out, eps)
+    for i0, i1 in runs:
+        lo_in, hi_in = float(cs[i0]), float(cs[i1])
+        lo_out = lo_in - scan_step if i0 > 0 else 0.0
+        hi_out = hi_in + scan_step if i1 + 1 < len(cs) else 0.5
+        lo, lo_name = _bisect_boundary(period, lo_in, lo_out, eps)
+        hi, hi_name = _bisect_boundary(period, hi_in, hi_out, eps)
         boundaries.append((lo, lo_name))
         boundaries.append((hi, hi_name))
 
@@ -694,7 +753,7 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         # every condition that vanishes there
         cut = []
         for k, j in _touches(cond, worst, i0, i1):
-            x = _refine_touch(lambda x: values(x, eps)[j], float(cs[k]), float(cs[k + 2]))
+            x = _refine_touch(values, eps, j, float(cs[k]), float(cs[k + 2]))
             names = sorted(nm for nm, v in zip(comb.names, values(x, eps)) if v < 1e-10)
             if names:
                 cut.append((x, "+".join(names)))

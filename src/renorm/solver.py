@@ -140,12 +140,16 @@ def _scan_roots(g, intervals, grid):
         return []
     xs, ends = _grids(intervals, grid)
     v = g(xs)
-    pos, neg = v > 0.0, v < 0.0  # zeros and NaN are neither, and never pair
-    cross = (pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:])
-    for end in ends[:-1]:
-        cross[end - 1] = False  # the last point of one grid and the first of the next
-    hits = np.flatnonzero(cross)
-    return list(zip(xs[hits].tolist(), xs[hits + 1].tolist()))
+    # a hit is a step where v > 0 flips and the end not above 0 is below
+    # 0: zeros and NaN never pair.  One mask, and the few flips read one
+    # by one: np.sign and products of signs measured slower than the
+    # comparisons.  No step joins the last point of one grid and the
+    # first of the next.
+    pos = v > 0.0
+    junctions = {end - 1 for end in ends[:-1]}
+    hits = [i for i in (pos[:-1] != pos[1:]).nonzero()[0].tolist()
+            if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
+    return [(float(xs[i]), float(xs[i + 1])) for i in hits]
 
 
 def _report(period, g, R, bracket, tol, eps):

@@ -161,6 +161,17 @@ class Tower:
     def z(self, n: int) -> float:
         return self.labels["z"][n]
 
+    def prefix(self, depth: int) -> "Tower":
+        """build_tower(self.seq, depth) for 1 <= depth <= self.depth, field
+        by field, read off this tower: its first depth levels."""
+        if not 1 <= depth <= self.depth:
+            raise ValueError(f"need 1 <= depth <= {self.depth}, got {depth}")
+        return Tower(
+            self.period, depth, self.seq, self.levels[:depth], self.factors[:depth],
+            self.rescale[:depth], self.chains[: depth + 1], self.generations[:depth],
+            self.local[:depth], {k: v[: depth + 1] for k, v in self.labels.items()}, self.central,
+        )
+
 
 def build_tower(seq: ScalingSequence, depth: int) -> Tower:
     if depth < 1:

@@ -15,9 +15,9 @@ def stand_in_orbit(period, orbit):
     so is every path that reads the orbit without it: period's r_kernel,
     feasible_kernel, values_kernel and the root scan's root_kernel are
     scaling._kernel_source's kernels over an orbit block that reads it,
-    for floats and arrays alike, and the domain scan's scaling._scan_orbit
-    is the grid and orbit over it, past the memo of the scan's eps-free
-    head.  The generated orbit of that source is not installed: its block
+    for floats and arrays alike, and the domain scan's
+    scaling._scan_conditions is the grid and the condition rows over it,
+    past the memo of the scan's eps-free head and rows.  The generated orbit of that source is not installed: its block
     reads period.orbit, so it would call itself."""
     points = ", ".join(f"x{k}" for k in range(2 * period.p - 1))
     block = f"        {points}, one = period.orbit(c, eps)\n"
@@ -25,12 +25,13 @@ def stand_in_orbit(period, orbit):
     exec(compile(scaling._kernel_source(period, block, block), "<stand-in>", "exec"), vars(scaling), namespace)
     generated = dict(zip(scaling._GENERATED, namespace[f"_kernels{period.p}"](period)))
 
-    def scan_orbit(period, scan_step, eps):
+    def scan_conditions(period, scan_step, eps):
         cs = np.arange(scan_step, 0.5, scan_step)
-        return cs, orbit(cs, eps)
+        o = orbit(cs, eps)
+        return cs, [o[i] - o[j] for i, j in period.comb.pairs]
 
     with mock.patch.object(period, "orbit", orbit), \
-            mock.patch.object(scaling, "_scan_orbit", scan_orbit), \
+            mock.patch.object(scaling, "_scan_conditions", scan_conditions), \
             mock.patch.object(period, "r_kernel", generated["r_kernel"]), \
             mock.patch.object(period, "feasible_kernel", generated["feasible_kernel"]), \
             mock.patch.object(period, "values_kernel", generated["values_kernel"]), \

@@ -1,9 +1,12 @@
-"""The domain scan and the root scan against what they replaced: the scan
-orbit, whose eps-free head is memoized per grid, against the whole orbit;
+"""The domain scan and the root scan against what they replaced: the scan's
+condition rows, whose eps-free head and rows are memoized per grid,
+against the whole orbit;
 the run, dip and sign-change finders against the np.split, matrix-dip and
 np.sign formulas they replaced, and the root scan's one-buffer grid
 against np.concatenate of np.linspace, kept here verbatim as the
-references."""
+references; and feasible_domain, its runs and dips and the root scan
+against tests/frozen_scan.py, their frozen form before the eps-free rows,
+the in-place fold and the sign products."""
 
 import math
 from unittest import mock
@@ -12,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import frozen_scan
 from renorm import scaling
 from renorm.scaling import (
+    REFINE_TOL,
     Combinatorics,
     Period,
     _argmin,
@@ -21,8 +26,8 @@ from renorm.scaling import (
     _runs,
     _scan_conditions,
     _scan_head,
-    _scan_orbit,
     _touches,
+    _worst,
     feasible_domain,
 )
 from renorm.solver import SCAN_GRID, _grids, _scan_roots
@@ -88,18 +93,16 @@ def _scans(draw):
 @given(_scans())
 @example((Period.THREE, 1e-4, 1e300))
 def test_the_memoized_scan_is_bitwise_the_whole_orbit(case):
-    # the scan orbit and its condition rows, -inf and inf where a huge eps
-    # overflows, are period.orbit's and _condition_values' on the grid
+    # the scan's condition rows, -inf and inf where a huge eps overflows,
+    # each memoized, read as is or computed afresh, are _condition_values'
+    # over the whole orbit on the grid
     period, step, eps = case
     cs = np.arange(step, 0.5, step)
-    _, rows = _scan_conditions(period, step, eps)
+    got_cs, rows = _scan_conditions(period, step, eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        got_cs, orbit = _scan_orbit(period, step, eps)
-        want_orbit = period.orbit(cs, eps)
         want = _condition_values(period, cs, eps)
     assert got_cs.tobytes() == cs.tobytes()
-    assert [np.asarray(x).tobytes() for x in orbit] == [np.asarray(x).tobytes() for x in want_orbit]
-    assert np.array(rows).tobytes() == np.array(want).tobytes()
+    assert [row.tobytes() for row in rows] == [row.tobytes() for row in want]
     if eps == 1e300:
         assert np.isneginf(rows).any() and np.isposinf(rows).any()
 
@@ -125,36 +128,39 @@ def test_the_scan_memo_is_bounded_and_read_only():
     info = _scan_head.cache_info()
     assert (info.maxsize, info.currsize, info.misses) == (4, 4, 2 * len(STEPS))
     for period in Period:
-        head = _scan_head(period, 1e-4)
-        assert len(head) == period.p + 2  # the grid, 1 - c and u(0) .. u^p(0)
-        assert sum(a.nbytes for a in head) <= 0.3e6
+        free = period.comb.eps_free
+        head = _scan_head(period, 1e-4, free)
+        # the grid, 1 - c, u(0) .. u^p(0) and the eps-free condition rows
+        assert len(head) == period.p + 2 + len(free)
+        assert sum(a.nbytes for a in head) <= 0.4e6
         for a in head:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
     # the pull makes a new array: a scan leaves its head as it was
-    before = [a.tobytes() for a in _scan_head(Period.THREE, 1e-4)]
-    _scan_orbit(Period.THREE, 1e-4, 1.03)
-    assert [a.tobytes() for a in _scan_head(Period.THREE, 1e-4)] == before
+    free = Period.THREE.comb.eps_free
+    before = [a.tobytes() for a in _scan_head(Period.THREE, 1e-4, free)]
+    _scan_conditions(Period.THREE, 1e-4, 1.03)
+    assert [a.tobytes() for a in _scan_head(Period.THREE, 1e-4, free)] == before
 
 
 def test_the_scan_memo_keeps_no_head_above_its_cap(monkeypatch):
     # the default steps' heads fit under the cap, the 1e-6 floor's do not;
     # a scan above the cap equals the memoized scan bitwise and keeps nothing
     for period in Period:
-        assert sum(a.nbytes for a in _scan_head(period, 1e-4)) <= scaling.SCAN_MEMO_CAP
+        assert sum(a.nbytes for a in _scan_head(period, 1e-4, period.comb.eps_free)) <= scaling.SCAN_MEMO_CAP
         assert (period.p + 2) * 8 * round(0.5 / 1e-6) > scaling.SCAN_MEMO_CAP
     want = {}
     for period in Period:
         for step in STEPS:
-            cs, orbit = _scan_orbit(period, step, 1.0)
-            want[period, step] = [cs.tobytes()] + [np.asarray(x).tobytes() for x in orbit]
+            cs, rows = _scan_conditions(period, step, 1.0)
+            want[period, step] = [cs.tobytes()] + [row.tobytes() for row in rows]
         want[period] = feasible_domain(period, 2e-4)
     _scan_head.cache_clear()
     monkeypatch.setattr(scaling, "SCAN_MEMO_CAP", 0)
     for period in Period:
         for step in STEPS:
-            cs, orbit = _scan_orbit(period, step, 1.0)
-            got = [cs.tobytes()] + [np.asarray(x).tobytes() for x in orbit]
+            cs, rows = _scan_conditions(period, step, 1.0)
+            got = [cs.tobytes()] + [row.tobytes() for row in rows]
             assert got == want[period, step]
         assert repr(feasible_domain(period, 2e-4)) == repr(want[period])
     assert _scan_head.cache_info().currsize == 0
@@ -300,3 +306,135 @@ _ARGS = st.lists(st.sampled_from([-1.0, 0.0, -0.0, 1e-12, 0.5, math.nan, math.in
 @example([0.1, math.nan, 0.6, 0.1, math.nan])
 def test_argmin_is_numpys(values):
     assert _argmin(tuple(values)) == int(np.argmin(values))
+
+
+# The lean scan against its frozen form (tests/frozen_scan.py).
+MEMO_ABOVE_CAP = 2e-5  # a step whose memo exceeds SCAN_MEMO_CAP for both periods
+EPS_FREE = {Period.THREE: ((-1, 2),), Period.FIVE: ((-1, 4), (4, 2))}  # S3; S5 and Gr3
+
+
+def _memo_bytes(period, step):
+    points = math.ceil((0.5 - step) / step)
+    return (period.p + 2 + len(period.comb.eps_free)) * 8 * points
+
+
+def _domain_or_error(feasible_domain, period, step, eps):
+    """The domain's every float as float.hex, with its names, or the type
+    and message of what it raised."""
+    try:
+        fd = feasible_domain(period, step, eps)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+    return (fd.period, [(a.hex(), b.hex()) for a, b in fd.intervals],
+            [(c.hex(), name) for c, name in fd.boundaries], [(c.hex(), name) for c, name in fd.punctures])
+
+
+@st.composite
+def _frozen_scans(draw):
+    """(period, step, eps) as _scans draws them, at the steps 1e-4, 2e-4
+    and 1e-3 or at one whose memo is above the cap."""
+    period, _, eps = draw(_scans())
+    return period, draw(st.sampled_from([1e-4, 2e-4, 1e-3, MEMO_ABOVE_CAP])), eps
+
+
+@BITWISE
+@given(_frozen_scans())
+@example((Period.THREE, 1e-4, 1e300))
+@example((Period.THREE, MEMO_ABOVE_CAP, 0.25))
+@example((Period.FIVE, MEMO_ABOVE_CAP, 1.0))
+def test_feasible_domain_is_the_frozen_scan(case):
+    period, step, eps = case
+    got = _domain_or_error(feasible_domain, period, step, eps)
+    assert got == _domain_or_error(frozen_scan.feasible_domain, period, step, eps)
+    if eps == 1e300:
+        assert got[0] is scaling.EmptyDomain
+
+
+def test_the_frozen_scan_is_compared_above_the_memo_cap():
+    for period in Period:
+        assert _memo_bytes(period, MEMO_ABOVE_CAP) > scaling.SCAN_MEMO_CAP
+        assert all(_memo_bytes(period, step) <= scaling.SCAN_MEMO_CAP for step in STEPS)
+
+
+@pytest.mark.parametrize("period", list(Period))
+def test_the_eps_free_rows_are_read_only_memoized_subtractions(period):
+    # the conditions no pulled point enters are memoized beside the head,
+    # read-only, bitwise the subtraction at any eps; every other row is new,
+    # and a memo above the cap is computed for its scan and not kept
+    free = period.comb.eps_free
+    assert free == EPS_FREE[period]
+    eps = 1.03 if period is Period.THREE else 1.0
+    _scan_head.cache_clear()
+    for step in (*STEPS, MEMO_ABOVE_CAP):
+        cs, rows = _scan_conditions(period, step, eps)
+        o = period.orbit(cs, eps)
+        for (i, j), row in zip(period.comb.pairs, rows):
+            assert row.flags.writeable is ((i, j) not in free)
+            assert row.tobytes() == (o[i] - o[j]).tobytes()
+    info = _scan_head.cache_info()
+    assert (info.misses, info.currsize) == (len(STEPS), len(STEPS))
+    _scan_head.cache_clear()
+    _scan_conditions(period, MEMO_ABOVE_CAP, eps)
+    assert _scan_head.cache_info().currsize == 0
+
+
+MASKS = {
+    "runs at both grid ends": [1, 1, 0, 0, 1],
+    "single points": [1, 0, 1, 0, 1],
+    "a single interior point": [0, 0, 1, 0],
+    "all True": [1] * 6,
+    "all False": [0] * 6,
+    "a one-point grid, True": [1],
+    "a one-point grid, False": [0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MASKS))
+def test_runs_are_the_frozen_padded_form(name):
+    ok = np.array(MASKS[name], dtype=bool)
+    assert _runs(ok) == frozen_scan._runs(ok)
+
+
+@BITWISE
+@given(st.lists(st.booleans(), min_size=1, max_size=40))
+def test_runs_are_the_frozen_padded_form_on_any_mask(mask):
+    ok = np.array(mask, dtype=bool)
+    assert _runs(ok) == frozen_scan._runs(ok)
+
+
+@BITWISE
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 24).flatmap(
+        lambda m: st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))))
+def test_worst_runs_and_dips_are_the_frozen_ones_on_any_rows(rows):
+    cond = [np.array(row, dtype=float) for row in rows]
+    worst = frozen_scan._fold(cond)
+    if len(cond) > 1:  # the scan has two conditions or more
+        assert _worst(cond).tobytes() == worst.tobytes()
+    ok = worst > 0.0
+    assert _runs(ok) == frozen_scan._runs(ok)
+    for i0, i1 in _runs(ok):
+        assert _touches(cond, worst, i0, i1) == frozen_scan._touches(cond, worst, i0, i1)
+
+
+@BITWISE
+@given(st.lists(_G_VALUES, min_size=15, max_size=15))
+def test_root_scan_is_the_frozen_scan_on_any_values(values):
+    g = lambda xs: np.array(values[: len(xs)], dtype=float)  # noqa: E731
+    assert _scan_roots(g, *GRIDS) == frozen_scan._scan_roots(g, *GRIDS)
+
+
+@BITWISE
+@given(st.one_of(st.tuples(st.just(Period.THREE), st.floats(0.25, 4.0)), st.just((Period.FIVE, 1.0))))
+@example((Period.THREE, 1.0))
+def test_root_scan_is_the_frozen_scan_on_the_solver_grids(case):
+    # the solver's padded domain intervals and root kernel, NaN at the pole
+    period, eps = case
+    try:
+        domain = feasible_domain(period, eps=eps)
+    except scaling.EmptyDomain:
+        return
+    pad = 2.0 * REFINE_TOL
+    intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
+    g = lambda xs: period.root_kernel(xs, eps)  # noqa: E731
+    assert _scan_roots(g, intervals, SCAN_GRID) == frozen_scan._scan_roots(g, intervals, SCAN_GRID)
