@@ -8,10 +8,11 @@ extensions, the eps-continuum of fixed points, and the three-branch
 renormalization horseshoe with entropy ln 3.
 
 `import renorm` loads the core, `scaling` and `solver`, because every
-command and every caller runs them.  Every other stage module is loaded
-on first use: reading one of its names here (`renorm.build_tower`), or
-the module itself (`renorm.tower`), imports it then.  A process pays the
-compile and run time only of the stages it calls.
+command and every caller runs them, and `value`, the base of every value
+class.  Every other stage module is loaded on first use: reading one of
+its names here (`renorm.build_tower`), or the module itself
+(`renorm.tower`), imports it then.  A process pays the compile and run
+time only of the stages it calls.
 """
 
 __version__ = "0.1.0"  # the one version string; reports embed it

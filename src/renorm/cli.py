@@ -94,18 +94,34 @@ def _add_flags(p, flags):
     p.add_argument("--config", type=str, default=None, help="JSON file of defaults; flags win")
 
 
-def build_parser():
+def _add_command(sub, name):
+    p = sub.add_parser(name)
+    if name == "plotdata":
+        kinds = p.add_subparsers(dest="kind", required=True)
+        for kind, flags in PLOTDATA_FLAGS.items():
+            _add_flags(kinds.add_parser(kind), flags)
+        return
+    if name == "verify":
+        p.add_argument("suite", choices=("all", "tower", "pwa", "extension", "horseshoe"))
+    _add_flags(p, COMMAND_FLAGS[name])
+    if name == "verify":
+        p.add_argument("--full", action="store_true", help="acceptance-scale depths")
+
+
+def build_parser(command=None):
+    """The parser of every command, or, where command names one, a parser
+    holding that command's parser alone, which parses an argv starting with
+    it and prints every message alike: its usage line lists every command
+    all the same.  A command's process so builds 2 parsers (plotdata 7),
+    not all 13."""
     ap = argparse.ArgumentParser(prog="renorm", description=__doc__)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("solve", "feasible", "tower", "extend", "horseshoe"):
-        _add_flags(sub.add_parser(name), COMMAND_FLAGS[name])
-    kinds = sub.add_parser("plotdata").add_subparsers(dest="kind", required=True)
-    for kind, flags in PLOTDATA_FLAGS.items():
-        _add_flags(kinds.add_parser(kind), flags)
-    p = sub.add_parser("verify")
-    p.add_argument("suite", choices=("all", "tower", "pwa", "extension", "horseshoe"))
-    _add_flags(p, COMMAND_FLAGS["verify"])
-    p.add_argument("--full", action="store_true", help="acceptance-scale depths")
+    if command in COMMANDS:
+        names, metavar = (command,), "{%s}" % ",".join(COMMANDS)
+    else:  # no metavar: a missing or unknown command's error names it "command"
+        names, metavar = tuple(COMMANDS), None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _add_command(sub, name)
     return ap
 
 
@@ -417,19 +433,20 @@ def cmd_verify(args) -> int:
     return 0
 
 
-COMMANDS = {
+COMMANDS = {  # in the order the usage line lists them
     "solve": cmd_solve,
     "feasible": cmd_feasible,
-    "plotdata": cmd_plotdata,
     "tower": cmd_tower,
     "extend": cmd_extend,
     "horseshoe": cmd_horseshoe,
+    "plotdata": cmd_plotdata,
     "verify": cmd_verify,
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _merge_config(args)
         return COMMANDS[args.command](args)

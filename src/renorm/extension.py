@@ -16,12 +16,11 @@ is why the Lipschitz profile does not grow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .scaling import NumericalFailure, Period
 from .tower import Affine, Tower
+from .value import Value
 
 DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}  # extension depth when none is given
 MIN_RESOLUTION = 64  # samples per piece
@@ -50,8 +49,7 @@ class NonConvergent(NumericalFailure, RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GraphTransform:
+class GraphTransform(Value, frozen=True):
     horizontal: Affine   # x -> anchor + s2*(1 - x)
     vertical: Affine     # y -> 1 - s_last*(1 - y)
 
@@ -68,8 +66,7 @@ def graph_transform(t: Tower) -> GraphTransform:
     return GraphTransform(t.rescale[0], Affine(v, 1.0 - v))
 
 
-@dataclass(frozen=True)
-class CurvePiece:
+class CurvePiece(Value, frozen=True):
     xs: np.ndarray
     ys: np.ndarray
     ds: np.ndarray
@@ -147,8 +144,7 @@ def fill_gap(x0, x1, v0, v1, m0, m1, resolution) -> CurvePiece:
     )
 
 
-@dataclass
-class SampledCurve:
+class SampledCurve(Value):
     pieces: list
     c_star: float
     window: tuple  # the central window the quadratic tip closes

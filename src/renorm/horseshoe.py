@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,6 +24,7 @@ from .interval import Interval, Jet
 from .scaling import DivisionGuard, NumericalFailure, bisect, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
+from .value import Value
 
 INVERSE_TOL = 1e-13
 # delta: the A_i ends are bisected to INVERSE_TOL, so R_i(A_i ends) miss the
@@ -50,8 +50,7 @@ class ExpansionTooWeak(NumericalFailure, RuntimeError):
         self.deriv = deriv
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value, frozen=True):
     symbols: tuple
     alphabet: int = 3
 
@@ -72,15 +71,13 @@ class Word:
         return (self.symbols * reps)[:n]
 
 
-@dataclass(frozen=True)
-class Coding:
+class Coding(Value, frozen=True):
     prefix: tuple
     c_alpha: float
     residual: float
 
 
-@dataclass(frozen=True)
-class BranchSystem:
+class BranchSystem(Value, frozen=True):
     epsilons: tuple          # strictly decreasing, near 1
     reports: tuple           # FixedPointReport per epsilon
     domains: tuple           # A_i = [R_i^{-1}(c_first), R_i^{-1}(c_last)]

@@ -17,10 +17,10 @@ verify_combinatorics reports whether it does.
 from __future__ import annotations
 
 import bisect as _bisect
-from dataclasses import dataclass
 
 from .scaling import Period, eval_raw
 from .tower import Affine, ScalingSequence, Tower, build_tower
+from .value import Value
 
 DISPATCH_TOL = 1e-14
 COMBI_TOL = 1e-10   # containment slack of the endpoint chase
@@ -35,27 +35,31 @@ class DepthExhausted(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PWABranch:
+class PWABranch(Value, frozen=True):
     level: int
     family: int
     lo: float
     hi: float
     map: Affine
 
+    def __init__(self, level, family, lo, hi, map):  # by hand, as Affine's
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "map", map)
+
     def __call__(self, x):
         return self.map(x)
 
 
-@dataclass(frozen=True)
-class RenormResidual:
+class RenormResidual(Value, frozen=True):
     sup_norm: float
     evaluation_points: int
     depth_used: int
 
 
-@dataclass
-class PiecewiseAffineMap:
+class PiecewiseAffineMap(Value):
     period: Period
     tower: Tower
     seq: ScalingSequence

@@ -53,7 +53,8 @@ def _fmt(value) -> str:
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    # dataclasses and numpy scalars fall back to float/str coercion
+    # a numpy scalar is written as a float; anything else, a value object
+    # (renorm.value) among them, as the JSON string of its str()
     try:
         return _fmt(float(value))
     except (TypeError, ValueError):

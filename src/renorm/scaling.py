@@ -85,10 +85,11 @@ from __future__ import annotations
 import enum
 import math
 import mmap
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .value import Value, fresh
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 # bracket width of every domain boundary, and the golden section's final
@@ -114,8 +115,7 @@ class DivisionGuard(NumericalFailure, ArithmeticError):
 ONE = -1  # the orbit index of the point 1.0, counted below every other index
 
 
-@dataclass(frozen=True)
-class Combinatorics:
+class Combinatorics(Value, frozen=True):
     """One period's combinatorics, derived from its cycle (module docstring)."""
 
     cycle: tuple  # the intervals I_j, numbered left to right, in the order u visits them
@@ -222,8 +222,7 @@ for _name in _GENERATED:
 del _name
 
 
-@dataclass(frozen=True)
-class ScalingFactor:
+class ScalingFactor(Value, frozen=True):
     """A point of T_k.
 
     Out-of-simplex vectors are data, not errors: the feasibility scanner
@@ -232,6 +231,10 @@ class ScalingFactor:
 
     period: Period
     s: tuple
+
+    def __init__(self, period, s):  # by hand, as tower.Affine's
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "s", s)
 
     @property
     def is_valid(self) -> bool:
@@ -244,8 +247,7 @@ class ScalingFactor:
         return min(min(self.s), plane)
 
 
-@dataclass(frozen=True)
-class GapVector:
+class GapVector(Value, frozen=True):
     period: Period
     gaps: tuple
 
@@ -254,13 +256,12 @@ class GapVector:
         return all(g > 0.0 for g in self.gaps)
 
 
-@dataclass(frozen=True)
-class FeasibleDomain:
+class FeasibleDomain(Value, frozen=True):
     period: Period
     intervals: list
     # (c, condition-name) for each outer boundary and each interior puncture
-    boundaries: list = field(default_factory=list)
-    punctures: list = field(default_factory=list)
+    boundaries: list = fresh(list)
+    punctures: list = fresh(list)
 
     @property
     def lo(self) -> float:

@@ -15,7 +15,6 @@ that does not converge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -29,6 +28,7 @@ from .scaling import (
     Period,
     feasible_domain,
 )
+from .value import Value
 
 SCAN_GRID = 1e-5
 DERIV_STEP = 1e-6
@@ -49,8 +49,7 @@ class NoConvergence(NumericalFailure, RuntimeError):
     """The secant polish ran out of steps before its step met tol."""
 
 
-@dataclass(frozen=True)
-class FixedPointReport:
+class FixedPointReport(Value, frozen=True):
     period: Period
     c_star: float
     residual: float
@@ -59,9 +58,19 @@ class FixedPointReport:
     bracketing_interval: tuple
     eps: float = 1.0
 
+    # by hand, as tower.Affine's: one per solve, built by keyword
+    def __init__(self, period, c_star, residual, derivative_estimate, expanding,
+                 bracketing_interval, eps=1.0):
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "c_star", c_star)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "derivative_estimate", derivative_estimate)
+        object.__setattr__(self, "expanding", expanding)
+        object.__setattr__(self, "bracketing_interval", bracketing_interval)
+        object.__setattr__(self, "eps", eps)
 
-@dataclass(frozen=True)
-class ContinuumTable:
+
+class ContinuumTable(Value, frozen=True):
     rows: list  # (eps, c_eps_star, derivative_estimate)
 
 

@@ -1,11 +1,10 @@
 """Measured cylinder levels: the reference enumeration the horseshoe
 certificate is checked against where binary64 resolves the cylinders."""
 
-import dataclasses
-
 import numpy as np
 
 from renorm.horseshoe import MARGIN
+from values import replace
 
 RESOLVED_ULPS = 1024  # a level is measured while |base|/Lambda^k spans this many ulps
 
@@ -37,7 +36,7 @@ def resolved_levels(b):
     """
     lam = min(s.lo for s in b.slopes)
     lam_hi = max(s.hi for s in b.slopes)
-    wide = dataclasses.replace(
+    wide = replace(
         b, domains=tuple((a - 0.5 * MARGIN, z + 0.5 * MARGIN) for a, z in b.domains)
     )
     base = b.base[1] - b.base[0]

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +26,7 @@ from renorm.horseshoe import (
 from cylinders import _invert_fixed_64, resolved_levels, widths_within_bounds
 from reference_bisections import BRANCH_DOMAIN_HEXES
 from reference_values import C3_STAR, C_EPS_098, C_EPS_102
+from values import field_names, replace
 
 
 def test_fixed_points_ordered(bsys):
@@ -115,7 +114,7 @@ def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
         return return_map(period, c, eps)
 
     monkeypatch.setattr(horseshoe, "return_map", counted)
-    b = dataclasses.replace(bsys)  # a copy without the cached proof
+    b = replace(bsys)  # a copy without the cached proof
     with pytest.raises(ValueError):
         cylinder_counts(b, 40)
     assert calls == []
@@ -143,7 +142,7 @@ def test_cylinder_count_refuses_non_disjoint_domains(bsys, kind):
 def test_certificate_refuses_domains_outside_the_base(bsys):
     # A_0 moved below the widened base, still disjoint from A_1
     (a, z), d1, d2 = bsys.domains
-    b = dataclasses.replace(bsys, domains=((a - 4 * MARGIN, z - 4 * MARGIN), d1, d2))
+    b = replace(bsys, domains=((a - 4 * MARGIN, z - 4 * MARGIN), d1, d2))
     with pytest.raises(NotAHorseshoe, match="leave the base"):
         cylinder_count(b, 3)
 
@@ -152,7 +151,7 @@ def test_certificate_refuses_a_branch_that_misses_the_base(bsys):
     # A_1 shrunk by 1e-8 at its low end: R_1 ~ 57 puts its image end about
     # 6e-7 above the base end, far more than MARGIN
     d0, (a, z), d2 = bsys.domains
-    b = dataclasses.replace(bsys, domains=(d0, (a + 1e-8, z), d2))
+    b = replace(bsys, domains=(d0, (a + 1e-8, z), d2))
     assert b.map(1, a + 1e-8) - b.base[0] > 100 * MARGIN
     with pytest.raises(NotAHorseshoe, match="does not cover the base"):
         cylinder_count(b, 3)
@@ -165,7 +164,7 @@ def test_certificate_refuses_a_slope_below_one(bsys, monkeypatch):
 
     monkeypatch.setattr(horseshoe, "return_map", flat)
     with pytest.raises(NotAHorseshoe, match="is not above 1"):
-        cylinder_count(dataclasses.replace(bsys), 3)
+        cylinder_count(replace(bsys), 3)
 
 
 def test_certificate_refuses_a_branch_across_the_s2_pole(bsys):
@@ -178,7 +177,7 @@ def test_certificate_refuses_a_branch_across_the_s2_pole(bsys):
         cylinder_count(b, 1)
     # with a base around it, (a) holds and the s2 floor is what fails
     rep = bsys.reports[1]
-    reports = (dataclasses.replace(rep, c_star=0.29), dataclasses.replace(rep, c_star=0.46))
+    reports = (replace(rep, c_star=0.29), replace(rep, c_star=0.46))
     b = BranchSystem((1.0, 0.99), reports, ((0.3, 0.45), (0.455, 0.458)))
     with pytest.raises(NotAHorseshoe, match="branch 0 is not smooth"):
         cylinder_count(b, 1)
@@ -372,14 +371,14 @@ def _count_evaluations(monkeypatch):
 def test_inversion_stops_before_the_cap(bsys, monkeypatch):
     # the A_i are ~1e-5 wide, so the bisection stops moving well before 64
     # steps; a copy starts with an empty memo, whatever ran on bsys before
-    b = dataclasses.replace(bsys)
+    b = replace(bsys)
     steps = _count_evaluations(monkeypatch)
     _invert_point(b, 1, 0.5 * (b.base[0] + b.base[1]))
     assert 0 < len(steps) < 64
 
 
 def test_repeated_inversion_evaluates_nothing(bsys, monkeypatch):
-    b = dataclasses.replace(bsys)
+    b = replace(bsys)
     y = 0.5 * (b.base[0] + b.base[1])
     x = _invert_point(b, 1, y)
     steps = _count_evaluations(monkeypatch)
@@ -394,7 +393,7 @@ def test_warmed_memo_codes_bitwise(request, name):
     b = request.getfixturevalue(name)
     m = b.alphabet
     rng = np.random.default_rng(120 + m)
-    warm = dataclasses.replace(b)
+    warm = replace(b)
     for _ in range(6):
         coded_orbit(warm, Word(tuple(int(x) for x in rng.integers(0, m, size=12)), m), 6)
     assert all(warm._nodes)
@@ -402,7 +401,7 @@ def test_warmed_memo_codes_bitwise(request, name):
         word = Word(tuple(int(x) for x in rng.integers(0, m, size=10)), m)
         ref = _backward_fixed_64(b, word.symbols)[0]
         ref_orbit = [x.hex() for x in _backward_fixed_64(b, word.cyclic(8 + CODING_PAD))[:8]]
-        for system in (warm, dataclasses.replace(b)):
+        for system in (warm, replace(b)):
             assert code_to_point(system, word, 10).c_alpha.hex() == ref.hex()
             assert [x.hex() for x in coded_orbit(system, word, 8)] == ref_orbit
 
@@ -420,7 +419,7 @@ def test_memo_is_per_branch(bsys):
 def test_capped_memo_stays_bitwise(bsys, monkeypatch):
     # past the cap nodes are evaluated, not stored; results do not change
     monkeypatch.setattr(horseshoe, "NODE_CAP", 8)
-    b = dataclasses.replace(bsys)
+    b = replace(bsys)
     rng = np.random.default_rng(7)
     for _ in range(4):
         word = Word(tuple(int(x) for x in rng.integers(0, 3, size=10)), 3)
@@ -513,7 +512,7 @@ class _CountingMemo(dict):
 
 
 def _counting_copy(b):
-    copy = dataclasses.replace(b)
+    copy = replace(b)
     copy.__dict__["_nodes"] = tuple(_CountingMemo() for _ in b.epsilons)
     return copy
 
@@ -611,8 +610,8 @@ def test_shift_residual_builds_one_tower_for_the_shifted_sequence(bsys, monkeypa
     rf, g = seen[0]
     assert rf.tower is g.tower
     ref = build_tower(seq.shift(), 5)
-    for field in dataclasses.fields(ref):
-        assert repr(getattr(g.tower, field.name)) == repr(getattr(ref, field.name)), field.name
+    for name in field_names(ref):
+        assert repr(getattr(g.tower, name)) == repr(getattr(ref, name)), name
     # R f is renormalize's map, branch by branch
     alone = pwa.renormalize(pwa.build_pwa(seq, 6))
     assert repr(rf.branches) == repr(alone.branches)

@@ -16,7 +16,7 @@ import renorm
 from renorm import scaling
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-CORE = ["renorm", "renorm.scaling", "renorm.solver"]
+CORE = ["renorm", "renorm.scaling", "renorm.solver", "renorm.value"]
 
 # every name `renorm` exported while it imported every stage module eagerly,
 # with the module that defines it
@@ -137,6 +137,23 @@ def test_numerical_failure_loads_no_further_module():
 def test_import_renorm_compiles_no_generated_code():
     code = "import renorm\nfrom renorm import scaling"
     assert probe(code, COMPILED) == {"THREE": [], "FIVE": []}
+
+
+def test_importing_every_module_compiles_no_code_from_a_string():
+    # a method generated at class creation, as dataclasses makes each of
+    # its own, is compiled from a string: the compile audit event names
+    # the file "<string>"; renorm's own modules compile under their paths
+    modules = ["renorm.cli", "renorm.verify", "renorm.interval"] + [f"renorm.{m}" for m in EXPORTED]
+    code = (
+        "import importlib\n"
+        "import numpy\n"
+        "files = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and files.append(args[1]))\n"
+        f"for module in {modules!r}:\n"
+        "    importlib.import_module(module)\n"
+    )
+    result = "[files.count('<string>'), 'dataclasses' in sys.modules, len(files) > 0]"
+    assert probe(code, result) == [0, False, True]
 
 
 def test_a_period_three_command_compiles_period_three_only():
