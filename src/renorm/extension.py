@@ -111,34 +111,17 @@ def _cubic_hermite(t, h, v0, v1, m0, m1):
     return ys, ds
 
 
-def _rational_quadratic(t, h, v0, v1, m0, m1):
-    # quadratic over linear: monotone whenever both endpoint slopes share
-    # the secant's sign, undefined (NaN) otherwise
-    if (v1 - v0) == 0.0 or m0 * m1 <= 0.0:
-        return np.full_like(t, np.nan), np.full_like(t, np.nan)
-    vbar = (m0 * v1 + m1 * v0) / (m0 + m1)
-    w = m0 * h / (2.0 * (vbar - v0))
-    num = v0 * (1 - t) ** 2 + 2 * w * vbar * t * (1 - t) + v1 * t * t
-    den = (1 - t) ** 2 + 2 * w * t * (1 - t) + t * t
-    ys = num / den
-    dnum = -2 * v0 * (1 - t) + 2 * w * vbar * (1 - 2 * t) + 2 * v1 * t
-    dden = -2 * (1 - t) + 2 * w * (1 - 2 * t) + 2 * t
-    ds = (dnum * den - num * dden) / (den * den) / h
-    return ys, ds
-
-
 def fill_gap(x0, x1, v0, v1, m0, m1, resolution) -> CurvePiece:
-    """The monotone C^1 interpolant of a gap of D_s: the cubic Hermite
-    form, or the rational quadratic one where the cubic loses
-    monotonicity or leaves the unit square."""
+    """The monotone C^1 interpolant of a gap of D_s: the cubic Hermite form
+    through the end values with the end slopes.  Raises FillerOvershoot
+    where the cubic loses monotonicity or leaves the unit square."""
     xs = np.linspace(x0, x1, resolution)
     h = x1 - x0
     t = (xs - x0) / h
     secant = np.sign(v1 - v0)
-    for form in (_cubic_hermite, _rational_quadratic):
-        ys, ds = form(t, h, v0, v1, m0, m1)
-        if np.all(secant * ds >= -1e-15) and np.all(ys >= -1e-12) and np.all(ys <= 1.0 + 1e-12):
-            return CurvePiece(xs, ys, ds, 0, "filler")
+    ys, ds = _cubic_hermite(t, h, v0, v1, m0, m1)
+    if np.all(secant * ds >= -1e-15) and np.all(ys >= -1e-12) and np.all(ys <= 1.0 + 1e-12):
+        return CurvePiece(xs, ys, ds, 0, "filler")
     raise FillerOvershoot(
         f"no monotone interpolant for gap [{x0}, {x1}] with slopes ({m0}, {m1})"
     )

@@ -72,7 +72,6 @@ class Word(Value, frozen=True):
 
 
 class Coding(Value, frozen=True):
-    prefix: tuple
     c_alpha: float
     residual: float
 
@@ -272,7 +271,7 @@ def code_to_point(b: BranchSystem, alpha: Word, depth: int) -> Coding:
         residual = abs(b.map(letters[0], xs[0]) - xs[1])
     else:
         residual = abs(b.map(letters[0], xs[0]) - 0.5 * (b.base[0] + b.base[1]))
-    return Coding(tuple(letters), xs[0], residual)
+    return Coding(xs[0], residual)
 
 
 def coded_orbit(b: BranchSystem, alpha: Word, count: int):
@@ -320,7 +319,7 @@ def symbol_scaling_sequence(b: BranchSystem, alpha: Word) -> ScalingSequence:
     n = len(alpha)
     cs = coded_orbit(b, alpha, n)
     letters = alpha.cyclic(n)
-    levels = [LevelData(c=cs[m], eps=b.epsilons[letters[m]]) for m in range(n)]
+    levels = [LevelData(cs[m], b.epsilons[letters[m]]) for m in range(n)]
     return ScalingSequence.from_levels(b.reports[0].period, levels)
 
 

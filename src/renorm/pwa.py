@@ -156,10 +156,7 @@ def renormalize(f: PiecewiseAffineMap) -> PiecewiseAffineMap:
     """
     if f.depth < 2:
         raise DepthExhausted(f"cannot renormalize a depth-{f.depth} map")
-    shifted = f.seq.shift()
-    # a stationary sequence is its own shift: its tower to depth - 1 is f's prefix
-    t = f.tower.prefix(f.depth - 1) if shifted is f.seq else build_tower(shifted, f.depth - 1)
-    return _renormalize_onto(f, t)
+    return _renormalize_onto(f, build_tower(f.seq.shift(), f.depth - 1))
 
 
 def _renormalize_onto(f: PiecewiseAffineMap, t: Tower) -> PiecewiseAffineMap:

@@ -232,10 +232,6 @@ class ScalingFactor(Value, frozen=True):
     period: Period
     s: tuple
 
-    def __init__(self, period, s):  # by hand, as tower.Affine's
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "s", s)
-
     @property
     def is_valid(self) -> bool:
         return all(x > 0.0 for x in self.s) and sum(self.s) < 1.0

@@ -58,17 +58,6 @@ class FixedPointReport(Value, frozen=True):
     bracketing_interval: tuple
     eps: float = 1.0
 
-    # by hand, as tower.Affine's: one per solve, built by keyword
-    def __init__(self, period, c_star, residual, derivative_estimate, expanding,
-                 bracketing_interval, eps=1.0):
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "c_star", c_star)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "derivative_estimate", derivative_estimate)
-        object.__setattr__(self, "expanding", expanding)
-        object.__setattr__(self, "bracketing_interval", bracketing_interval)
-        object.__setattr__(self, "eps", eps)
-
 
 class ContinuumTable(Value, frozen=True):
     rows: list  # (eps, c_eps_star, derivative_estimate)
@@ -166,13 +155,8 @@ def _report(period, g, R, bracket, tol, eps):
     residual = float(abs(R(c) - c))
     deriv = float((R(c + DERIV_STEP) - R(c - DERIV_STEP)) / (2.0 * DERIV_STEP))
     return FixedPointReport(
-        period=period,
-        c_star=c,
-        residual=residual,
-        derivative_estimate=deriv,
-        expanding=bool(abs(deriv) > 1.0),
-        bracketing_interval=(float(bracket[0]), float(bracket[1])),
-        eps=eps,
+        period, c, residual, deriv, bool(abs(deriv) > 1.0),
+        (float(bracket[0]), float(bracket[1])), eps,
     )
 
 

@@ -43,10 +43,9 @@ class Affine(Value, frozen=True):
     a: float
     b: float
 
-    # by hand, as for PWABranch, ScalingFactor, LevelData and
-    # FixedPointReport: the values built most often (a horseshoe operation
-    # builds 80 Affines, 32 branches and 11 factors of its about 150), each
-    # 0.4-1 us faster than through Value's generic __init__
+    # by hand, as for PWABranch: the values built most often (a horseshoe
+    # operation builds 80 Affines and 32 branches of its about 150 values),
+    # each 0.4-1 us faster than through Value's generic __init__
     def __init__(self, a, b):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -74,11 +73,6 @@ class Affine(Value, frozen=True):
 class LevelData(Value, frozen=True):
     c: float
     eps: float = 1.0
-
-    def __init__(self, c, eps=1.0):  # by hand, as Affine's: built by keyword in the horseshoe
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "eps", eps)
-        self.__post_init__()
 
     def __post_init__(self):
         # one negated chain comparison, so that a NaN critical point fails too
@@ -170,17 +164,6 @@ class Tower(Value):
     def z(self, n: int) -> float:
         return self.labels["z"][n]
 
-    def prefix(self, depth: int) -> "Tower":
-        """build_tower(self.seq, depth) for 1 <= depth <= self.depth, field
-        by field, read off this tower: its first depth levels."""
-        if not 1 <= depth <= self.depth:
-            raise ValueError(f"need 1 <= depth <= {self.depth}, got {depth}")
-        return Tower(
-            self.period, depth, self.seq, self.levels[:depth], self.factors[:depth],
-            self.rescale[:depth], self.chains[: depth + 1], self.generations[:depth],
-            self.local[:depth], {k: v[: depth + 1] for k, v in self.labels.items()}, self.central,
-        )
-
 
 def build_tower(seq: ScalingSequence, depth: int) -> Tower:
     if depth < 1:
@@ -238,41 +221,32 @@ def verify_proper(t: Tower):
 
 class RatioReport(Value, frozen=True):
     period: Period
-    child_over_center: dict   # i -> array over n of |I_i^{n+1}| / |I_2^n|
-    child_over_parent: dict   # i -> array over n of |I_i^{n+1}| / |I_i^n|
     factor: tuple
     max_deviation: float
     constant: bool
 
 
 def ratio_report(t: Tower) -> RatioReport:
-    """Generation-ratio table; meaningful for stationary data, where every
-    listed ratio equals the generating factor component."""
+    """The generation ratios' largest deviation from the first level's
+    factor s; meaningful for stationary data, where every |I_i^{n+1}| /
+    |I_j^n| equals s_i and every |I_i^{n+1}| / |I_i^n| equals s_j, with j
+    the central family."""
     if t.depth < 2:
         raise ValueError("need depth >= 2 for ratios")
     s, j = t.factors[0].s, t.central
-    over_center = {}
-    over_parent = {}
     dev = 0.0
     for i in t.families:
-        oc = np.array(
-            [t.size(n + 1, i) / t.size(n, j) for n in range(1, t.depth)]
-        )
-        op = np.array(
-            [t.size(n + 1, i) / t.size(n, i) for n in range(1, t.depth)]
-        )
-        over_center[i] = oc
-        over_parent[i] = op
-        dev = max(dev, float(np.max(np.abs(oc - s[i - 1]))))
-        dev = max(dev, float(np.max(np.abs(op - s[j - 1]))))
-    return RatioReport(t.period, over_center, over_parent, s, dev, dev <= RATIO_TOL)
+        for n in range(1, t.depth):
+            child = t.size(n + 1, i)
+            dev = max(dev, abs(child / t.size(n, j) - s[i - 1]),
+                      abs(child / t.size(n, i) - s[j - 1]))
+    return RatioReport(t.period, s, dev, dev <= RATIO_TOL)
 
 
 class HorBoundReport(Value, frozen=True):
     rho: float
     satisfied: bool
     ratios: tuple
-    resolved_depth: int
 
 
 def hor_bound(t: Tower) -> HorBoundReport:
@@ -297,10 +271,10 @@ def hor_bound(t: Tower) -> HorBoundReport:
         ratios.append(num / den)
     ratios = tuple(ratios)
     if not ratios or min(ratios) <= 0.0:
-        return HorBoundReport(math.inf, False, ratios, len(ratios))
+        return HorBoundReport(math.inf, False, ratios)
     need = max(max(ratios), 1.0 / min(ratios))
     k = max(0, math.ceil(math.log2(need)))
-    return HorBoundReport(float(2**k), True, ratios, len(ratios))
+    return HorBoundReport(float(2**k), True, ratios)
 
 
 def cantor_dimension(f: ScalingFactor) -> float:

@@ -3,6 +3,7 @@ import pytest
 
 from renorm.extension import (
     MAX_RESOLUTION,
+    MIN_RESOLUTION,
     CurvePiece,
     FillerOvershoot,
     NonConvergent,
@@ -15,6 +16,7 @@ from renorm.extension import (
     quadratic_tip,
     seed_pieces,
     unimodal_check,
+    _cubic_hermite,
 )
 from renorm.pwa import build_pwa
 from renorm.scaling import Period, eval_raw
@@ -223,15 +225,36 @@ def test_extension_along_eps_continuum():
 def test_filler_overshoot_raises():
     with pytest.raises(FillerOvershoot):
         fill_gap(0.0, 1.0, 0.2, 0.8, 1.0, -1.0, 65)
+    # slopes 10 and 10 across a secant of 1: the cubic's samples reach
+    # 1.09375 at t = 0.25, above the unit square
+    with pytest.raises(FillerOvershoot):
+        fill_gap(0.0, 1.0, 0.0, 1.0, 10.0, 10.0, 65)
 
 
-def test_filler_falls_back_to_rational_quadratic():
-    # slopes 3 and 3 across a secant of 1 make the cubic overshoot; the
-    # rational quadratic form matches the same data monotonically
+def test_filler_matches_end_values_and_slopes_of_a_monotone_cubic():
+    # slopes 3 and 3 across a secant of 1: the cubic's derivative is
+    # 3 (1 - 2t)^2 >= 0, monotone though it touches 0 at t = 1/2
     p = fill_gap(0.0, 1.0, 0.0, 1.0, 3.0, 3.0, 65)
     assert np.all(np.diff(p.ys) > 0.0)
     assert (p.ys[0], p.ys[-1]) == pytest.approx((0.0, 1.0), abs=1e-15)
     assert (p.ds[0], p.ds[-1]) == pytest.approx((3.0, 3.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [MIN_RESOLUTION, MAX_RESOLUTION])
+def test_every_seed_filler_is_the_cubic_at_the_resolution_ends(f3, f5, resolution):
+    # the cubic Hermite fills every gap of both fixed points at the ends of
+    # the supported range: each filler is the cubic through its own end
+    # values and slopes
+    for f in (f3, f5):
+        k1, k2 = seed_pieces(f, resolution)
+        fillers = [p for p in k1 + k2 if p.kind == "filler"]
+        assert len(fillers) == f.period.p - 1
+        for p in fillers:
+            assert len(p.xs) == resolution
+            h = p.hi - p.lo
+            ys, ds = _cubic_hermite((p.xs - p.lo) / h, h, p.ys[0], p.ys[-1], p.ds[0], p.ds[-1])
+            assert np.allclose(p.ys, ys, rtol=1e-12, atol=1e-15)
+            assert np.allclose(p.ds, ds, rtol=1e-12, atol=1e-15)
 
 
 def test_resolution_validation(f3):

@@ -97,23 +97,56 @@ def test_verify_proper_single_generation(seq3):
     assert margin > 0.0 and decay
 
 
+def _generation_ratios(t, i):
+    """|I_i^{n+1}| / |I_j^n| and |I_i^{n+1}| / |I_i^n| over n = 1..depth-1,
+    with j the central family, as arrays."""
+    ns = range(1, t.depth)
+    over_center = np.array([t.size(n + 1, i) / t.size(n, t.central) for n in ns])
+    over_parent = np.array([t.size(n + 1, i) / t.size(n, i) for n in ns])
+    return over_center, over_parent
+
+
+def _array_deviation(t):
+    """ratio_report's max_deviation as the arrays of _generation_ratios give it."""
+    s, j = t.factors[0].s, t.central
+    dev = 0.0
+    for i in t.families:
+        oc, op = _generation_ratios(t, i)
+        dev = max(dev, float(np.max(np.abs(oc - s[i - 1]))), float(np.max(np.abs(op - s[j - 1]))))
+    return dev
+
+
 def test_ratio_report_three(seq3):
     t = build_tower(seq3, 8)
     rr = ratio_report(t)
     assert rr.constant and rr.max_deviation <= 1e-12
+    assert rr.max_deviation == _array_deviation(t)
     s = t.factors[0].s
     for i in (1, 2, 3):
-        assert np.allclose(rr.child_over_center[i], s[i - 1], rtol=1e-12)
-        assert np.allclose(rr.child_over_parent[i], s[1], rtol=1e-12)
+        over_center, over_parent = _generation_ratios(t, i)
+        assert np.allclose(over_center, s[i - 1], rtol=1e-12)
+        assert np.allclose(over_parent, s[1], rtol=1e-12)
 
 
 def test_ratio_report_five(seq5):
     t = build_tower(seq5, 6)
     rr = ratio_report(t)
     assert rr.constant
+    assert rr.max_deviation == _array_deviation(t)
     s = t.factors[0].s
     for i in (1, 2, 3, 4, 5):
-        assert np.allclose(rr.child_over_center[i], s[i - 1], rtol=1e-12)
+        over_center, _ = _generation_ratios(t, i)
+        assert np.allclose(over_center, s[i - 1], rtol=1e-12)
+
+
+def test_ratio_report_negative_control():
+    # alternating critical points: the generation ratios leave the first
+    # level's factor, and the report says so
+    levels = [LevelData(c) for c in (0.44, 0.45, 0.44, 0.45, 0.44, 0.45)]
+    t = build_tower(ScalingSequence.from_levels(Period.THREE, levels), 6)
+    rr = ratio_report(t)
+    assert not rr.constant and rr.max_deviation > 1e-6
+    assert rr.max_deviation == _array_deviation(t)
 
 
 def test_hor_bound_stationary(seq3):

@@ -41,8 +41,8 @@ SAMPLES = {
     ScalingSequence: (True, (P3, (LV,), True)),
     Tower: (False, (P3, 1, SEQ, [LV], [ScalingFactor(P3, (0.1, 0.2, 0.3))], [AFF], [AFF, AFF],
                     [{1: (0.1, 0.2)}], [{1: (0.1, 0.2)}], {"y": [0.5]}, 2)),
-    RatioReport: (True, (P3, {1: 0.5}, {1: 0.25}, (0.1, 0.2, 0.3), 0.0, True)),
-    HorBoundReport: (True, (2.0, True, (1.1, 0.9), 2)),
+    RatioReport: (True, (P3, (0.1, 0.2, 0.3), 0.0, True)),
+    HorBoundReport: (True, (2.0, True, (1.1, 0.9))),
     PWABranch: (True, (1, 1, 0.1, 0.2, AFF)),
     RenormResidual: (True, (1e-12, 40, 6)),
     PiecewiseAffineMap: (False, (P3, None, SEQ, [PWABranch(1, 3, 0.6, 0.7, AFF), PWABranch(1, 1, 0.1, 0.2, AFF)], 0.4)),
@@ -50,7 +50,7 @@ SAMPLES = {
     CurvePiece: (True, ((0.0, 0.5), (0.1, 0.2), (1.0, 1.0), 2, "affine")),
     SampledCurve: (False, ([PIECE], 0.41, (0.3, 0.5))),
     Word: (True, ((0, 1, 2), 3)),
-    Coding: (True, ((0, 1), 0.41, 1e-15)),
+    Coding: (True, (0.41, 1e-15)),
     BranchSystem: (True, ((1.01, 0.99), (REP, REP), ((0.4, 0.41), (0.42, 0.43)))),
 }
 CLASSES = list(SAMPLES)
