@@ -25,7 +25,7 @@ from renorm import (
 )
 
 print("the eps-continuum of fixed points (c*_eps strictly decreasing):")
-for eps, c, deriv in continuum_sweep(0.98, 1.02, 5).rows:
+for eps, c, deriv in continuum_sweep(0.98, 1.02):
     print(f"  eps = {eps:.3f}: c*_eps = {c:.9f}, R'(c*_eps) = {deriv:.2f}")
 print()
 

@@ -21,7 +21,6 @@ from importlib import import_module as _import_module
 
 from .scaling import (
     FeasibleDomain,
-    GapVector,
     Period,
     ScalingFactor,
     feasibility,
@@ -32,7 +31,6 @@ from .scaling import (
     scaling_from_critical,
 )
 from .solver import (
-    ContinuumTable,
     FixedPointReport,
     continuum_sweep,
     solve_fixed_point,

@@ -207,7 +207,6 @@ def cmd_solve(args) -> int:
     domain = feasible_domain(period, scan_step=args.step)
     rep = solve_fixed_point(period, domain, tol=args.tol)
     factor = scaling_from_critical(period, rep.c_star)
-    gv = gaps(period, rep.c_star)
     _emit_report(
         args,
         {
@@ -219,7 +218,7 @@ def cmd_solve(args) -> int:
             "bracketing_interval": list(rep.bracketing_interval),
             "scaling_factor": list(factor.s),
             "scaling_sum": sum(factor.s),
-            "gaps": list(gv.gaps),
+            "gaps": list(gaps(period, rep.c_star)),
             "feasible_intervals": [list(iv) for iv in domain.intervals],
         },
     )
@@ -391,7 +390,7 @@ def cmd_horseshoe(args) -> int:
     eps = tuple(float(x) for x in ("1.02,1.0,0.98" if args.eps is None else args.eps).split(","))
     b = hs.build_branch_system(*eps)
     counts = hs.cylinder_counts(b, _depth(args, 6))
-    sweep = continuum_sweep(min(eps), max(eps), 5)
+    sweep = continuum_sweep(min(eps), max(eps))
     word = hs.dense_orbit_word(2, alphabet=len(eps))
     coding = hs.code_to_point(b, word, min(len(word), 12))
     _emit_report(
@@ -404,7 +403,7 @@ def cmd_horseshoe(args) -> int:
             "cylinder_counts": counts,
             "entropy_estimates": [float(np.log(c) / n) for n, c in enumerate(counts, start=1)],
             "ln_alphabet": float(np.log(len(eps))),
-            "eps_sweep": [list(r) for r in sweep.rows],
+            "eps_sweep": [list(r) for r in sweep],
             "dense_word_prefix": list(word.symbols[:12]),
             "dense_word_coding": coding.c_alpha,
             "coding_residual": coding.residual,

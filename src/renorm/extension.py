@@ -239,7 +239,8 @@ def extend(f, depth: int, resolution: int = 256) -> SampledCurve:
                for p in current):
             raise NonConvergent(
                 f"level {m} of {depth}: samples closer than {MIN_SAMPLE_ULPS} ulps, "
-                "the Lipschitz quotients collapse below float resolution"
+                "the Lipschitz quotients collapse below float resolution; "
+                f"the deepest depth this resolution resolves is {m - 1}"
             )
         pieces.extend(current)
 

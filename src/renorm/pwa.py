@@ -56,7 +56,6 @@ class PWABranch(Value, frozen=True):
 class RenormResidual(Value, frozen=True):
     sup_norm: float
     evaluation_points: int
-    depth_used: int
 
 
 class PiecewiseAffineMap(Value):
@@ -212,8 +211,7 @@ def _residual_at_endpoints(rf, ref):
 def fixed_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
     """sup |R f - f| over the renormalized map's branch endpoints."""
     f = build_pwa(seq, depth)
-    sup, npts = _residual_at_endpoints(f, renormalize(f))
-    return RenormResidual(sup, npts, depth)
+    return RenormResidual(*_residual_at_endpoints(f, renormalize(f)))
 
 
 def shift_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
@@ -224,8 +222,7 @@ def shift_residual(seq: ScalingSequence, depth: int) -> RenormResidual:
     f = build_pwa(seq, depth)
     g = build_pwa(seq.shift(), depth - 1)
     rf = _renormalize_onto(f, g.tower)
-    sup, npts = _residual_at_endpoints(rf, g)
-    return RenormResidual(sup, npts, depth)
+    return RenormResidual(*_residual_at_endpoints(rf, g))
 
 
 def tip_ratios(f: PiecewiseAffineMap):

@@ -89,7 +89,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .value import Value, fresh
+from .value import Value
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 # bracket width of every domain boundary, and the golden section's final
@@ -243,29 +243,12 @@ class ScalingFactor(Value, frozen=True):
         return min(min(self.s), plane)
 
 
-class GapVector(Value, frozen=True):
-    period: Period
-    gaps: tuple
-
-    @property
-    def all_positive(self) -> bool:
-        return all(g > 0.0 for g in self.gaps)
-
-
 class FeasibleDomain(Value, frozen=True):
     period: Period
     intervals: list
     # (c, condition-name) for each outer boundary and each interior puncture
-    boundaries: list = fresh(list)
-    punctures: list = fresh(list)
-
-    @property
-    def lo(self) -> float:
-        return self.intervals[0][0]
-
-    @property
-    def hi(self) -> float:
-        return self.intervals[-1][1]
+    boundaries: list
+    punctures: list
 
     def covering_interval(self, c: float):
         for lo, hi in self.intervals:
@@ -473,9 +456,9 @@ def scaling_from_critical(period: Period, c: float, eps: float = 1.0) -> Scaling
     return ScalingFactor(period, tuple(float(x) for x in s))
 
 
-def gaps(period: Period, c: float) -> GapVector:
-    g = _condition_values(period, c)[period.p :]
-    return GapVector(period, tuple(float(x) for x in g))
+def gaps(period: Period, c: float) -> tuple:
+    """The inter-interval gaps at c, the conditions after the lengths."""
+    return tuple(float(x) for x in _condition_values(period, c)[period.p :])
 
 
 def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:

@@ -35,6 +35,7 @@ DERIV_STEP = 1e-6
 BISECT_TOL = 1e-8
 POLISH_TOL = 1e-13
 SECANT_STEPS = 60
+SWEEP_STEPS = 5  # the eps values continuum_sweep solves at, ends included
 
 
 class NoRoot(NumericalFailure, RuntimeError):
@@ -57,10 +58,6 @@ class FixedPointReport(Value, frozen=True):
     expanding: bool
     bracketing_interval: tuple
     eps: float = 1.0
-
-
-class ContinuumTable(Value, frozen=True):
-    rows: list  # (eps, c_eps_star, derivative_estimate)
 
 
 def _refine_root(f, lo, hi, tol):
@@ -214,20 +211,14 @@ def solve_fixed_point_eps(eps: float) -> FixedPointReport:
     return _solve(Period.THREE, eps, None, POLISH_TOL)
 
 
-def continuum_sweep(eps_lo: float, eps_hi: float, steps: int) -> ContinuumTable:
-    """Solve the eps-family over a sweep; c*_eps must strictly decrease."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if steps == 1:
-        if eps_lo != eps_hi:
-            raise ValueError("a single-step sweep needs eps_lo == eps_hi")
-        eps_values = [eps_lo]
-    else:
-        if not eps_lo < eps_hi:
-            raise ValueError("eps_lo must be < eps_hi")
-        eps_values = list(np.linspace(eps_lo, eps_hi, steps))
+def continuum_sweep(eps_lo: float, eps_hi: float) -> list:
+    """The rows (eps, c*_eps, derivative estimate) of the eps-family solved
+    at SWEEP_STEPS evenly spaced eps from eps_lo to eps_hi, ends included;
+    c*_eps must strictly decrease across them."""
+    if not eps_lo < eps_hi:
+        raise ValueError("eps_lo must be < eps_hi")
     rows = []
-    for e in eps_values:
+    for e in np.linspace(eps_lo, eps_hi, SWEEP_STEPS):
         try:
             rep = solve_fixed_point_eps(float(e))
         except NoRoot as exc:
@@ -239,4 +230,4 @@ def continuum_sweep(eps_lo: float, eps_hi: float, steps: int) -> ContinuumTable:
             raise RuntimeError(
                 f"c*_eps failed to decrease strictly across the sweep: {cs}"
             )
-    return ContinuumTable(rows)
+    return rows

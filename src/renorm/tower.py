@@ -84,17 +84,13 @@ class ScalingSequence(Value, frozen=True):
     """Level data (critical point, eps) for depths 1, 2, ..., held as data.
 
     A stationary sequence holds one level and repeats it at every depth
-    (length None); symbol-driven data built from a finite word holds its
-    levels in order and has their number as its length.
+    (repeats); symbol-driven data built from a finite word holds its
+    levels in order and has no level past them.
     """
 
     period: Period
     data: tuple
     repeats: bool = False
-
-    @property
-    def length(self) -> int | None:
-        return None if self.repeats else len(self.data)
 
     def level(self, m: int) -> LevelData:
         if m < 1:
@@ -143,10 +139,6 @@ class Tower(Value):
     local: list         # n = 1..depth (index n-1): local_intervals of level n
     labels: dict
     central: int        # the central family, period.comb.central_family
-
-    @property
-    def critical_enclosure(self):
-        return self.generations[-1][self.central]
 
     def size(self, n: int, i: int) -> float:
         # slope-product form: exact relative precision at any depth, unlike

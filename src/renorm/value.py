@@ -2,10 +2,12 @@
 generated at class creation.
 
 A subclass's fields are its own annotations, in order, and a field's
-default is the class attribute of its name; a default wrapped in fresh()
-is made anew for each instance.  Every subclass gets dataclass's __init__
-(positional or keyword arguments, then __post_init__ where the class has
-one), __repr__ and __eq__.  A frozen subclass, `class C(Value,
+default is the class attribute of its name, one object every instance
+shares, so every default is immutable.  Every subclass gets dataclass's
+__init__ (positional or keyword arguments, then __post_init__ where the
+class has one), which raises TypeError exactly where dataclass's would,
+with a message of its own naming the class, its fields and the arguments
+given; and __repr__ and __eq__.  A frozen subclass, `class C(Value,
 frozen=True)`, also gets a field-tuple __hash__ and refuses assignment and
 deletion with FrozenInstanceError; a mutable one is unhashable.  Fields
 are set with object.__setattr__, as a frozen dataclass sets them, which
@@ -27,24 +29,10 @@ class FrozenInstanceError(AttributeError):
     """An assignment to or deletion of an attribute of a frozen value."""
 
 
-class fresh:
-    """A default made for each instance by calling factory: fresh(list)."""
-
-    def __init__(self, factory):
-        self.factory = factory
-
-
-def _names(names) -> str:
-    """'a', 'a' and 'b', or 'a', 'b', and 'c', as the interpreter lists them."""
-    quoted = [repr(n) for n in names]
-    if len(quoted) < 3:
-        return " and ".join(quoted)
-    return ", ".join(quoted[:-1]) + ", and " + quoted[-1]
-
-
 def _bind(cls, args, kwargs) -> list:
     """The field values of cls(*args, **kwargs): the arguments, then each
-    later field's keyword argument or default."""
+    later field's keyword argument or default; a TypeError where an
+    argument is left over or a field unset."""
     names, defaults = cls._fields, cls._defaults
     values, used = list(args), 0
     for name in names[len(args):]:
@@ -52,35 +40,14 @@ def _bind(cls, args, kwargs) -> list:
             values.append(kwargs[name])
             used += 1
         elif name in defaults:
-            default = defaults[name]
-            values.append(default.factory() if type(default) is fresh else default)
+            values.append(defaults[name])
         else:
             break
     if used == len(kwargs) and len(values) == len(names):
         return values
-    raise TypeError(_refusal(cls, args, kwargs))
-
-
-def _refusal(cls, args, kwargs) -> str:
-    """The message of the TypeError the interpreter raises for these
-    arguments to a def __init__(self, <the fields, with their defaults>)."""
-    names, defaults = cls._fields, cls._defaults
-    where = f"{cls.__qualname__}.__init__()"
-    given = set(names[:len(args)])
-    for name in kwargs:
-        if name not in names:
-            return f"{where} got an unexpected keyword argument {name!r}"
-        if name in given:
-            return f"{where} got multiple values for argument {name!r}"
-        given.add(name)
-    if len(args) > len(names):
-        n = len(names) + 1  # self counts
-        takes = f"from {n - len(defaults)} to {n}" if defaults else str(n)
-        s = "s" if n != 1 or defaults else ""
-        return f"{where} takes {takes} positional argument{s} but {len(args) + 1} were given"
-    missing = [n for n in names if n not in given and n not in defaults]
-    s = "s" if len(missing) > 1 else ""
-    return f"{where} missing {len(missing)} required positional argument{s}: {_names(missing)}"
+    raise TypeError(
+        f"{cls.__qualname__}({', '.join(names)}) cannot bind "
+        f"{len(args)} positional argument(s) and the keywords {list(kwargs)}")
 
 
 def _refuse_set(self, name, value):

@@ -101,8 +101,7 @@ def test_criterion_08_combinatorics(f3, f5):
 
 def test_criterion_09_expansiveness_and_horseshoe(rep3, rep5, bsys):
     derivs = [r.derivative_estimate for r in bsys.reports]
-    sweep = continuum_sweep(0.98, 1.02, 5)
-    cs = [row[1] for row in sweep.rows]
+    cs = [row[1] for row in continuum_sweep(0.98, 1.02)]
     decreasing = all(b < a for a, b in zip(cs[:-1], cs[1:]))
     ok = (
         abs(rep3.derivative_estimate) > 1.0

@@ -115,7 +115,7 @@ def test_conditions_bitwise_reference_scalars():
         assert _bits(_condition_values(period, c, eps)) == _bits(comps + gs)
         assert _bits(scaling_from_critical(period, c, eps).s) == _bits(comps)
         if eps == 1.0:
-            assert _bits(gaps(period, c).gaps) == _bits(gs)
+            assert _bits(gaps(period, c)) == _bits(gs)
         anchor = o[1] if period is Period.THREE else o[3]
         s2 = o[-1] - anchor
         if s2 > 1e-14:

@@ -18,16 +18,17 @@ from renorm import scaling
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = ["renorm", "renorm.scaling", "renorm.solver", "renorm.value"]
 
-# every name `renorm` exported while it imported every stage module eagerly,
-# with the module that defines it
+# every name `renorm` exports (those it exported while it imported every
+# stage module eagerly, less the deleted value classes GapVector and
+# ContinuumTable), with the module that defines it
 EXPORTED = {
     "scaling": [
-        "FeasibleDomain", "GapVector", "Period", "ScalingFactor", "feasibility",
+        "FeasibleDomain", "Period", "ScalingFactor", "feasibility",
         "feasible_domain", "gaps", "return_map", "scaling_closed_form_tripling",
         "scaling_from_critical",
     ],
     "solver": [
-        "ContinuumTable", "FixedPointReport", "continuum_sweep", "solve_fixed_point",
+        "FixedPointReport", "continuum_sweep", "solve_fixed_point",
         "solve_fixed_point_eps",
     ],
     "tower": [
@@ -100,6 +101,8 @@ def test_star_import_binds_every_exported_name_and_stage_module():
         assert ns[name] is getattr(importlib.import_module(f"renorm.{module}"), name)
     for module in EXPORTED:
         assert ns[module] is importlib.import_module(f"renorm.{module}")
+    # and nothing else but the interval module and the core's value module
+    assert set(renorm.__all__) == {name for _, name in NAMES} | set(EXPORTED) | {"interval", "value"}
 
 
 def test_stage_modules_are_attributes_and_unknown_names_are_not():

@@ -74,7 +74,7 @@ def test_eval_in_gap_raises(f3):
 
 
 def test_eval_deeper_than_resolved_raises(f3):
-    lo, hi = f3.tower.critical_enclosure
+    lo, hi = f3.tower.generations[-1][f3.tower.central]
     with pytest.raises(OutsideDomain):
         f3(0.5 * (lo + hi))
 
@@ -120,11 +120,11 @@ def _two_tower_residual(seq, depth):
     build_tower(seq.shift(), depth - 1)."""
     f = build_pwa(seq, depth)
     rf = pwa._renormalize_onto(f, build_tower(seq.shift(), depth - 1))
-    return pwa.RenormResidual(*pwa._residual_at_endpoints(f, rf), depth)
+    return pwa.RenormResidual(*pwa._residual_at_endpoints(f, rf))
 
 
 def _hexes(res):
-    return (res.sup_norm.hex(), res.evaluation_points, res.depth_used)
+    return (res.sup_norm.hex(), res.evaluation_points)
 
 
 @pytest.mark.parametrize("period, c, eps, depth", [

@@ -441,6 +441,20 @@ def test_cli_extension_past_float_resolution_is_numerical_failure(capsys, argv):
     assert "collapse below float resolution" in captured.err
 
 
+def test_cli_extension_refusal_names_the_depth_that_resolves(capsys):
+    # at resolution 1024 the p5 default depth 6 is refused at its level 6;
+    # the depth the message names passes at that resolution
+    assert main(["extend", "--period", "5", "--resolution", "1024"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: level 6 of 6: samples closer than 2048 ulps, the Lipschitz "
+        "quotients collapse below float resolution; the deepest depth this resolution "
+        "resolves is 5\n")
+    code, out = run_cli(capsys, "extend", "--period", "5", "--resolution", "1024", "--depth", "5")
+    assert code == 0 and json.loads(out)["results"]["depth"] == 5
+
+
 def test_cli_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])

@@ -91,18 +91,18 @@ def test_closed_form_s3_limit_at_zero():
 
 def test_gaps_tripling_fixed_point():
     g = gaps(Period.THREE, C3_STAR)
-    assert g.all_positive
-    assert np.allclose(g.gaps, GAPS3_STAR, atol=1e-12, rtol=0)
+    assert type(g) is tuple and all(x > 0.0 for x in g)
+    assert np.allclose(g, GAPS3_STAR, atol=1e-12, rtol=0)
 
 
 def test_gaps_outside_domain():
-    assert not gaps(Period.THREE, 0.1).all_positive
+    assert not all(x > 0.0 for x in gaps(Period.THREE, 0.1))
 
 
 def test_gaps_quintupling_fixed_point():
     g = gaps(Period.FIVE, C5_STAR)
-    assert g.all_positive
-    assert np.allclose(g.gaps, GAPS5_STAR, atol=1e-12, rtol=0)
+    assert all(x > 0.0 for x in g)
+    assert np.allclose(g, GAPS5_STAR, atol=1e-12, rtol=0)
 
 
 def test_feasibility_predicate():

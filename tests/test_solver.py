@@ -17,6 +17,7 @@ from renorm.solver import (
     POLISH_TOL,
     SCAN_GRID,
     SECANT_STEPS,
+    SWEEP_STEPS,
     NoConvergence,
     NoRoot,
     _refine_root,
@@ -56,13 +57,13 @@ def test_quintupling_fixed_point(rep5):
 
 
 def test_no_root_in_first_component(fd3):
-    first_only = FeasibleDomain(Period.THREE, [fd3.intervals[0]])
+    first_only = FeasibleDomain(Period.THREE, [fd3.intervals[0]], [], [])
     with pytest.raises(NoRoot):
         solve_fixed_point(Period.THREE, first_only)
 
 
 def test_no_root_in_first_component_five(fd5):
-    first_only = FeasibleDomain(Period.FIVE, [fd5.intervals[0]])
+    first_only = FeasibleDomain(Period.FIVE, [fd5.intervals[0]], [], [])
     with pytest.raises(NoRoot):
         solve_fixed_point(Period.FIVE, first_only)
 
@@ -90,29 +91,27 @@ def test_eps_window_default_extent():
 
 
 def test_continuum_sweep_decreasing(rep3):
-    table = continuum_sweep(0.98, 1.02, 5)
-    assert len(table.rows) == 5
-    cs = [r[1] for r in table.rows]
+    rows = continuum_sweep(0.98, 1.02)
+    assert len(rows) == SWEEP_STEPS == 5
+    cs = [r[1] for r in rows]
     assert all(b < a for a, b in zip(cs[:-1], cs[1:]))
-    assert abs(table.rows[2][1] - rep3.c_star) < 1e-10  # middle row is eps = 1
+    assert abs(rows[2][1] - rep3.c_star) < 1e-10  # middle row is eps = 1
 
 
-def test_continuum_sweep_degenerate(rep3):
-    table = continuum_sweep(1.0, 1.0, 1)
-    assert len(table.rows) == 1
-    assert abs(table.rows[0][1] - rep3.c_star) < 1e-11
-
-
-def test_continuum_sweep_three_rows(rep3):
-    table = continuum_sweep(0.99, 1.01, 3)
-    assert abs(table.rows[1][1] - rep3.c_star) < 1e-10
+def test_continuum_sweep_solves_at_the_fixed_sample():
+    rows = continuum_sweep(0.98, 1.02)
+    assert [r[0].hex() for r in rows] == [float(e).hex() for e in np.linspace(0.98, 1.02, 5)]
+    assert all(type(x) is float for r in rows for x in r)
+    for r in rows:
+        rep = solve_fixed_point_eps(r[0])
+        assert (r[1], r[2]) == (rep.c_star, rep.derivative_estimate)
 
 
 def test_continuum_sweep_validates():
-    with pytest.raises(ValueError):
-        continuum_sweep(1.01, 0.99, 5)
-    with pytest.raises(ValueError):
-        continuum_sweep(0.99, 1.01, 0)
+    # a reversed or a one-point range: the one-step form took (1.0, 1.0)
+    for lo, hi in [(1.01, 0.99), (1.0, 1.0), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="eps_lo must be < eps_hi"):
+            continuum_sweep(lo, hi)
 
 
 def test_scan_finds_multiple_brackets():

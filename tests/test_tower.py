@@ -68,7 +68,7 @@ def test_nesting_and_disjointness(seq3, seq5):
 
 def test_generation_gaps_scale_with_parent(seq3, rep3):
     t = build_tower(seq3, 6)
-    g = gaps(Period.THREE, rep3.c_star).gaps
+    g = gaps(Period.THREE, rep3.c_star)
     for n in range(2, 7):
         scale = t.size(n - 1, 2)
         ivs = sorted(t.generations[n - 1].values())
@@ -82,7 +82,7 @@ def test_critical_enclosure(seq3, rep3):
     for n in range(1, 13):
         lo, hi = t.generations[n - 1][2]
         assert lo < c < hi
-    lo, hi = t.critical_enclosure
+    lo, hi = t.generations[-1][t.central]
     assert hi - lo == pytest.approx(t.factors[0].s[1] ** 12, rel=1e-12)
 
 
@@ -220,14 +220,14 @@ def test_sequence_shift(seq3, bsys):
 
     seq = symbol_scaling_sequence(bsys, Word((0, 1, 2, 0)))
     shifted = seq.shift()
-    assert shifted.length == 3
+    assert len(shifted.data) == 3 and not shifted.repeats
     assert shifted.level(1) == seq.level(2)
     assert seq3.shift().level(5) == seq3.level(6)
     # the shift drops the first level and nothing else; past its length it has none
     assert shifted == ScalingSequence.from_levels(seq.period, seq.levels(4)[1:])
     for s in (seq, shifted):
         with pytest.raises(ValueError, match="has no level"):
-            s.level(s.length + 1)
+            s.level(len(s.data) + 1)
 
 
 def test_stationary_sequences_are_plain_data():
@@ -236,7 +236,7 @@ def test_stationary_sequences_are_plain_data():
     assert seq == ScalingSequence.stationary(Period.THREE, 0.44)
     assert seq != ScalingSequence.stationary(Period.THREE, 0.44, 0.98)
     assert seq.shift() == seq
-    assert seq.length is None
+    assert seq.repeats and len(seq.data) == 1
     assert seq.level(1) == seq.level(1000) == LevelData(0.44)
 
 
