@@ -41,21 +41,20 @@ def _depth(args, default: int) -> int:
     return default if args.depth is None else args.depth
 
 
-# the flags' type= and choices, applied alike to config-file values
-FLAG_TYPES = {
-    "period": int,
-    "tol": float,
-    "depth": int,
-    "grid": int,
-    "step": float,
-    "resolution": int,
-    "eps": str,
-    "seed": int,
-    "out": str,
-    "format": str,
+# every flag: (type=, choices, help, default); the type and choices apply
+# alike to config-file values, and a None default is no default to echo
+FLAGS = {
+    "period": (int, (3, 5), None, 3),
+    "tol": (float, None, None, 1e-13),
+    "depth": (int, None, None, None),
+    "grid": (int, None, None, 2000),
+    "step": (float, None, None, 1e-4),
+    "resolution": (int, None, None, 256),
+    "eps": (str, None, "comma-separated eps list", None),
+    "seed": (int, None, None, 0),
+    "out": (str, None, None, None),
+    "format": (str, ("json", "csv"), None, "json"),
 }
-FLAG_CHOICES = {"period": (3, 5), "format": ("json", "csv")}
-FLAG_HELP = {"eps": "comma-separated eps list"}
 # the flags each command reads; any other flag or config key is a usage error
 COMMAND_FLAGS = {
     "solve": ("period", "tol", "step", "out"),
@@ -84,13 +83,8 @@ def _command_flags(args) -> tuple:
 
 def _add_flags(p, flags):
     for key in flags:
-        p.add_argument(
-            f"--{key}",
-            type=FLAG_TYPES[key],
-            choices=FLAG_CHOICES.get(key),
-            default=None,
-            help=FLAG_HELP.get(key),
-        )
+        conv, choices, help_, _ = FLAGS[key]
+        p.add_argument(f"--{key}", type=conv, choices=choices, default=None, help=help_)
     p.add_argument("--config", type=str, default=None, help="JSON file of defaults; flags win")
 
 
@@ -125,31 +119,19 @@ def build_parser(command=None):
     return ap
 
 
-DEFAULTS = {
-    "period": 3,
-    "tol": 1e-13,
-    "grid": 2000,
-    "step": 1e-4,
-    "resolution": 256,
-    "seed": 0,
-    "format": "json",
-}
-
-
 def _config_value(key, value):
     """A config-file value put through its flag's type= and choices.
 
     The conversion must be exact: "1e-10" for tol, 2.5 for grid, "5" for
     depth and any bool are refused with ValueError (exit 2), not coerced.
     """
-    conv = FLAG_TYPES[key]
+    conv, choices, _, _ = FLAGS[key]
     try:
         out = conv(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if isinstance(value, bool) or out is None or out != value:
         raise ValueError(f"config {key}={value!r} is not a valid {conv.__name__}")
-    choices = FLAG_CHOICES.get(key)
     if choices is not None and out not in choices:
         raise ValueError(f"config {key}={value!r} is not one of {choices}")
     return out
@@ -171,12 +153,11 @@ def _merge_config(args):
             setattr(args, key, _config_value(key, cfg[key]))
     # every default is echoed into the report, read or not, so the default
     # reports keep their bytes
-    for key, value in DEFAULTS.items():
+    for key, (_, _, _, default) in FLAGS.items():
         if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    depth = getattr(args, "depth", None)
-    if depth is not None and depth < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
+            setattr(args, key, default)
+    if args.depth is not None and args.depth < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {args.depth!r}")
     return args
 
 
@@ -195,33 +176,24 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(args, results: dict) -> None:
-    doc = rpt.make_report(args.command, _config_echo(args), results)
-    text = rpt.write_report(doc, args.out)
-    if not args.out:
-        sys.stdout.write(text)
-
-
 def cmd_solve(args) -> int:
     period = _period(args)
     domain = feasible_domain(period, scan_step=args.step)
     rep = solve_fixed_point(period, domain, tol=args.tol)
     factor = scaling_from_critical(period, rep.c_star)
-    _emit_report(
-        args,
-        {
-            "period": period.p,
-            "c_star": rep.c_star,
-            "residual": rep.residual,
-            "derivative": rep.derivative_estimate,
-            "expanding": rep.expanding,
-            "bracketing_interval": list(rep.bracketing_interval),
-            "scaling_factor": list(factor.s),
-            "scaling_sum": sum(factor.s),
-            "gaps": list(gaps(period, rep.c_star)),
-            "feasible_intervals": [list(iv) for iv in domain.intervals],
-        },
-    )
+    results = {
+        "period": period.p,
+        "c_star": rep.c_star,
+        "residual": rep.residual,
+        "derivative": rep.derivative_estimate,
+        "expanding": rep.expanding,
+        "bracketing_interval": list(rep.bracketing_interval),
+        "scaling_factor": list(factor.s),
+        "scaling_sum": sum(factor.s),
+        "gaps": list(gaps(period, rep.c_star)),
+        "feasible_intervals": [list(iv) for iv in domain.intervals],
+    }
+    _emit(args, rpt.write_report(args.command, _config_echo(args), results))
     return 0
 
 
@@ -237,15 +209,13 @@ def cmd_feasible(args) -> int:
             )
         _emit(args, rpt.to_csv(("lo", "hi", "binding_condition"), rows))
     else:
-        _emit_report(
-            args,
-            {
-                "period": period.p,
-                "intervals": [list(iv) for iv in domain.intervals],
-                "boundaries": [{"c": c, "condition": n} for c, n in domain.boundaries],
-                "punctures": [{"c": c, "condition": n} for c, n in domain.punctures],
-            },
-        )
+        results = {
+            "period": period.p,
+            "intervals": [list(iv) for iv in domain.intervals],
+            "boundaries": [{"c": c, "condition": n} for c, n in domain.boundaries],
+            "punctures": [{"c": c, "condition": n} for c, n in domain.punctures],
+        }
+        _emit(args, rpt.write_report(args.command, _config_echo(args), results))
     return 0
 
 
@@ -336,27 +306,25 @@ def cmd_tower(args) -> int:
     margin, decay = verify_proper(t)
     rr = ratio_report(t)
     hb = hor_bound(t)
-    _emit_report(
-        args,
-        {
-            "period": period.p,
-            "c_star": rep.c_star,
-            "depth": depth,
-            "generations": [
-                {str(i): list(t.generations[n - 1][i]) for i in t.families}
-                for n in range(1, depth + 1)
-            ],
-            "labels_y": t.labels["y"],
-            "labels_z": t.labels["z"],
-            "central_sizes": [t.size(n, t.central) for n in range(1, depth + 1)],
-            "proper_margin": margin,
-            "geometric_decay": decay,
-            "ratio_deviation": rr.max_deviation,
-            "hor_rho": hb.rho,
-            "hor_satisfied": hb.satisfied,
-            "cantor_dimension": cantor_dimension(t.factors[0]),
-        },
-    )
+    results = {
+        "period": period.p,
+        "c_star": rep.c_star,
+        "depth": depth,
+        "generations": [
+            {str(i): list(t.generations[n - 1][i]) for i in t.families}
+            for n in range(1, depth + 1)
+        ],
+        "labels_y": t.labels["y"],
+        "labels_z": t.labels["z"],
+        "central_sizes": [t.size(n, t.central) for n in range(1, depth + 1)],
+        "proper_margin": margin,
+        "geometric_decay": decay,
+        "ratio_deviation": rr.max_deviation,
+        "hor_rho": hb.rho,
+        "hor_satisfied": hb.satisfied,
+        "cantor_dimension": cantor_dimension(t.factors[0]),
+    }
+    _emit(args, rpt.write_report(args.command, _config_echo(args), results))
     return 0
 
 
@@ -366,21 +334,19 @@ def cmd_extend(args) -> int:
     period = _period(args)
     rep, depth, curve = _extension(args, period)
     tip = ext.quadratic_tip(curve)
-    _emit_report(
-        args,
-        {
-            "period": period.p,
-            "depth": depth,
-            "resolution": args.resolution,
-            "lipschitz_profile": ext.lipschitz_profile(curve),
-            "max_slope_profile": ext.max_slope_profile(curve),
-            "junction_mismatch": curve.junction_mismatch(),
-            "quadratic_tip": tip,
-            "quadratic_tip_algebraic": 1.0 / (1.0 - rep.c_star) ** 2,
-            "window": list(curve.window),
-            "unimodal": ext.unimodal_check(curve),
-        },
-    )
+    results = {
+        "period": period.p,
+        "depth": depth,
+        "resolution": args.resolution,
+        "lipschitz_profile": ext.lipschitz_profile(curve),
+        "max_slope_profile": ext.max_slope_profile(curve),
+        "junction_mismatch": curve.junction_mismatch(),
+        "quadratic_tip": tip,
+        "quadratic_tip_algebraic": 1.0 / (1.0 - rep.c_star) ** 2,
+        "window": list(curve.window),
+        "unimodal": ext.unimodal_check(curve),
+    }
+    _emit(args, rpt.write_report(args.command, _config_echo(args), results))
     return 0
 
 
@@ -393,22 +359,20 @@ def cmd_horseshoe(args) -> int:
     sweep = continuum_sweep(min(eps), max(eps))
     word = hs.dense_orbit_word(2, alphabet=len(eps))
     coding = hs.code_to_point(b, word, min(len(word), 12))
-    _emit_report(
-        args,
-        {
-            "epsilons": list(eps),
-            "fixed_points": list(b.fixed_points),
-            "derivatives": [r.derivative_estimate for r in b.reports],
-            "branch_domains": [list(d) for d in b.domains],
-            "cylinder_counts": counts,
-            "entropy_estimates": [float(np.log(c) / n) for n, c in enumerate(counts, start=1)],
-            "ln_alphabet": float(np.log(len(eps))),
-            "eps_sweep": [list(r) for r in sweep],
-            "dense_word_prefix": list(word.symbols[:12]),
-            "dense_word_coding": coding.c_alpha,
-            "coding_residual": coding.residual,
-        },
-    )
+    results = {
+        "epsilons": list(eps),
+        "fixed_points": list(b.fixed_points),
+        "derivatives": [r.derivative_estimate for r in b.reports],
+        "branch_domains": [list(d) for d in b.domains],
+        "cylinder_counts": counts,
+        "entropy_estimates": [float(np.log(c) / n) for n, c in enumerate(counts, start=1)],
+        "ln_alphabet": float(np.log(len(eps))),
+        "eps_sweep": [list(r) for r in sweep],
+        "dense_word_prefix": list(word.symbols[:12]),
+        "dense_word_coding": coding.c_alpha,
+        "coding_residual": coding.residual,
+    }
+    _emit(args, rpt.write_report(args.command, _config_echo(args), results))
     return 0
 
 
@@ -421,8 +385,8 @@ def cmd_verify(args) -> int:
         status = "PASS" if r["ok"] else "FAIL"
         print(f"{status} {r['name']}: value={r['value']:.6g} bound={r['bound']:.6g}")
     if args.out:
-        doc = rpt.make_report(args.command, _config_echo(args), {"checks": rows, "passed": not failed})
-        rpt.write_report(doc, args.out)
+        results = {"checks": rows, "passed": not failed}
+        rpt.atomic_write(args.out, rpt.write_report(args.command, _config_echo(args), results))
     if failed:
         print(
             f"{len(failed)} invariant(s) failed, first: {failed[0]['name']}",

@@ -22,7 +22,10 @@ from .scaling import NumericalFailure, Period
 from .tower import Affine, Tower
 from .value import Value
 
-DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}  # extension depth when none is given
+# the extension's depth when none is given, and verify.pwa_suite's: the
+# depth at which the central interval s2^depth falls to about 1e-8
+# (1.51e-8 at the period-3 fixed point, 1.50e-8 at period 5)
+DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}
 MIN_RESOLUTION = 64  # samples per piece
 # Each sample is held at every level, and `plotdata extension` writes each
 # as a CSV row.  Peak RSS at this ceiling, the deepest depth that runs:

@@ -1,14 +1,19 @@
-"""Machine-readable result documents and their serialized forms.
+"""The text of every CLI artifact, and its one atomic file writer.
 
-JSON for structured reports, CSV for plot arrays.  Floats are written
-with 17 significant digits so every document round-trips losslessly;
-keys are sorted and writes are atomic (temp file + rename).
+write_report gives a command's JSON report: its results in an envelope
+that names the command and holds the provenance (the tool, its version,
+the schema version and the config the run read).  to_csv gives a plot
+array.  Floats are written with 17 significant digits so every document
+round-trips losslessly, and keys are sorted, so a report's bytes depend
+on its values alone.  atomic_write puts a text in place through a temp
+file and a rename, with the mode a shell redirect would give the file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 
 import numpy as _np
@@ -16,19 +21,6 @@ import numpy as _np
 from . import __version__
 
 SCHEMA_VERSION = 1
-
-
-def make_report(command: str, config: dict, results: dict) -> dict:
-    return {
-        "command": command,
-        "provenance": {
-            "tool": "renorm",
-            "version": __version__,
-            "schema_version": SCHEMA_VERSION,
-            "config": config,
-        },
-        "results": results,
-    }
 
 
 def _fmt(value) -> str:
@@ -61,44 +53,38 @@ def _fmt(value) -> str:
         return json.dumps(str(value))
 
 
-def to_json(doc: dict) -> str:
-    return _fmt(doc) + "\n"
-
-
-def validate_report(doc: dict) -> None:
-    """Check the envelope make_report builds; the results are free-form."""
-    prov = doc.get("provenance")
-    if not (
-        isinstance(doc.get("command"), str)
-        and isinstance(prov, dict)
-        and prov.get("tool") == "renorm"
-        and isinstance(prov.get("version"), str)
-        and prov.get("schema_version") == SCHEMA_VERSION
-        and isinstance(prov.get("config"), dict)
-        and isinstance(doc.get("results"), dict)
-    ):
-        raise RuntimeError(f"malformed report envelope: {doc!r:.200}")
+def write_report(command: str, config: dict, results: dict) -> str:
+    """The JSON text of command's report: results in their envelope."""
+    provenance = {
+        "tool": "renorm",
+        "version": __version__,
+        "schema_version": SCHEMA_VERSION,
+        "config": config,
+    }
+    return _fmt({"command": command, "provenance": provenance, "results": results}) + "\n"
 
 
 def atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename.  mkstemp makes
+    the temp file 0o600, so it is given the mode a shell redirect would
+    leave: an existing file's permission bits, else 0o666 less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the one way to read it; restored at once
+        os.umask(umask)
+        mode = 0o666 & ~umask
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".renorm-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_report(doc: dict, path: str | None) -> str:
-    validate_report(doc)
-    text = to_json(doc)
-    if path:
-        atomic_write(path, text)
-    return text
 
 
 def to_csv(header, rows) -> str:

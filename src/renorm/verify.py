@@ -16,7 +16,6 @@ from .solver import FixedPointReport, continuum_sweep, solve_fixed_point
 from .tower import ScalingSequence, build_tower, cantor_dimension, hor_bound, ratio_report, verify_proper
 
 NEGATIVE_CONTROL = {Period.THREE: 0.41, Period.FIVE: 0.3885}
-PWA_DEPTH = {Period.THREE: 8, Period.FIVE: 6}
 COMBI_MAX = {Period.THREE: 4, Period.FIVE: 3}
 
 
@@ -69,7 +68,7 @@ def tower_suite(rep: FixedPointReport):
 
 def pwa_suite(rep: FixedPointReport):
     period, c = rep.period, rep.c_star
-    depth = PWA_DEPTH[period]
+    depth = ext.DEFAULT_DEPTH[period]
     seq = ScalingSequence.stationary(period, c)
     f = build_pwa(seq, depth)
 

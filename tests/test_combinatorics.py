@@ -33,7 +33,8 @@ from renorm.scaling import (
 from renorm.tower import Affine, InvalidFactor, LevelData, ScalingSequence, build_tower, local_intervals
 from renorm.horseshoe import symbol_scaling_sequence, Word
 from renorm.pwa import build_pwa, verify_combinatorics
-from renorm.verify import COMBI_MAX, PWA_DEPTH
+from renorm.extension import DEFAULT_DEPTH
+from renorm.verify import COMBI_MAX
 from reference_domains import DOMAIN_HEXES
 from stand_in import stand_in_orbit
 
@@ -628,7 +629,7 @@ def _chase(period, c, rows):
     map built with rows, or None where build_pwa refuses its factor."""
     with _with_rows(period, rows):
         try:
-            f = build_pwa(ScalingSequence.stationary(period, c), PWA_DEPTH[period])
+            f = build_pwa(ScalingSequence.stationary(period, c), DEFAULT_DEPTH[period])
         except InvalidFactor:
             return None
         return [verify_combinatorics(f, n) for n in range(1, COMBI_MAX[period] + 1)]

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -23,24 +24,27 @@ def run_cli(capsys, *argv):
 
 
 def test_float_serialization_roundtrip():
-    doc = rpt.make_report("solve", {}, {"x": 0.1 + 0.2, "y": [1e-300, 3.14], "flag": True})
-    text = rpt.to_json(doc)
+    text = rpt.write_report("solve", {}, {"x": 0.1 + 0.2, "y": [1e-300, 3.14], "flag": True})
     back = json.loads(text)
     assert back["results"]["x"] == 0.1 + 0.2
     assert back["results"]["y"][0] == 1e-300
     assert back["results"]["flag"] is True
 
 
-def test_report_schema_validation():
-    with pytest.raises(Exception):
-        rpt.validate_report({"command": "solve"})  # missing provenance/results
-    doc = rpt.make_report("solve", {"period": 3}, {"c_star": 0.44})
-    rpt.validate_report(doc)
-    assert doc["provenance"]["version"] == renorm.__version__ == "0.1.0"
-    for key, bad in (("tool", "other"), ("schema_version", 2), ("config", [])):
-        broken = dict(doc, provenance=dict(doc["provenance"], **{key: bad}))
-        with pytest.raises(Exception):
-            rpt.validate_report(broken)
+def test_report_envelope():
+    config = {"period": 3, "tol": 1e-13}
+    doc = json.loads(rpt.write_report("solve", config, {"c_star": 0.44}))
+    assert doc == {
+        "command": "solve",
+        "provenance": {
+            "tool": "renorm",
+            "version": renorm.__version__,
+            "schema_version": 1,
+            "config": config,
+        },
+        "results": {"c_star": 0.44},
+    }
+    assert renorm.__version__ == "0.1.0"
 
 
 def test_atomic_write(tmp_path):
@@ -48,6 +52,30 @@ def test_atomic_write(tmp_path):
     rpt.atomic_write(str(path), "hello\n")
     assert path.read_text() == "hello\n"
     assert [p for p in os.listdir(tmp_path)] == ["out.json"]
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    yield
+    os.umask(old)
+
+
+def test_atomic_write_gives_a_new_file_the_umask_mode(tmp_path, umask_022):
+    # the mode `> path` gives: 0o666 less the umask, not mkstemp's 0o600
+    path = tmp_path / "out.json"
+    rpt.atomic_write(str(path), "hello\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+    assert path.read_text() == "hello\n"
+
+
+def test_atomic_write_keeps_an_existing_files_mode(tmp_path, umask_022):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    rpt.atomic_write(str(path), "hello\n")
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "hello\n"
 
 
 def test_cli_solve_three(capsys):
@@ -343,7 +371,7 @@ PLOTDATA_READS = {
 PLOTDATA_UNREAD = [
     (kind, flag)
     for kind, flags in PLOTDATA_READS.items()
-    for flag in cli_mod.FLAG_TYPES
+    for flag in cli_mod.FLAGS
     if flag not in flags
 ]
 UNREAD_VALUE = {"period": 3, "tol": float("nan"), "depth": 3, "grid": 5, "step": 1e-3,
@@ -635,3 +663,16 @@ def test_cli_verify_extension_five(capsys):
     code, out = run_cli(capsys, "verify", "extension", "--period", "5")
     assert code == 0
     assert "lip-factor-is-one" in out
+
+
+def test_cli_verify_out_holds_every_printed_row(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    code, out = run_cli(capsys, "verify", "all", "--period", "5", "--out", str(path))
+    assert code == 0
+    printed = [line.split(": value=")[0].split(" ", 1) for line in out.splitlines()]
+    doc = json.loads(path.read_text())
+    assert doc["command"] == "verify"
+    assert doc["results"]["passed"] is True
+    checks = doc["results"]["checks"]
+    assert len(checks) == len(printed) > 0
+    assert [(c["name"], c["ok"]) for c in checks] == [(name, status == "PASS") for status, name in printed]
