@@ -13,13 +13,13 @@ import gc
 import json
 import sys
 
-import numpy as np
-
-from . import report as rpt
+from . import report as rpt, scaling
 from .scaling import (
+    DivisionGuard,
     NumericalFailure,
     Period,
-    conditions,
+    _linspace,
+    _ordered_sum,
     feasible_domain,
     gaps,
     return_map,
@@ -27,11 +27,15 @@ from .scaling import (
 )
 from .solver import continuum_sweep, solve_fixed_point
 
-# The core, scaling and solver, is imported above; every other stage module
-# is imported inside the commands that call it, so that a command compiles
-# and runs only the modules it uses.
+# The core, scaling and solver, is imported above; every other stage module,
+# and numpy, is imported inside the commands that call it, so that a command
+# compiles and runs only the modules it uses.  The commands of PER_POINT
+# need no arrays: main has their scans run per point, so they never import
+# numpy, and print the bytes the array scans give.
 
 MAX_GRID = 100_000  # plotdata rows; at the ceiling, rows and CSV text take tens of MB
+PER_POINT = {"solve", "feasible", "tower", "plotdata scaling", "plotdata returnmap", "plotdata cobweb",
+             "plotdata tower"}
 
 def _period(args) -> Period:
     return Period(args.period)
@@ -246,23 +250,22 @@ def cmd_plotdata(args) -> int:
     if args.grid > MAX_GRID:
         raise ValueError(f"--grid {args.grid} is above the ceiling {MAX_GRID}")
     if kind == "scaling":
-        cs = np.linspace(1e-3, 0.499, args.grid)
-        cond = conditions(period, cs)
         k = period.p
         header = ["c"] + [f"S{i}" for i in range(1, k + 1)] + ["sum"]
-        rows = [
-            tuple([c] + [float(cond[i][j]) for i in range(k)] + [float(cond[:k, j].sum())])
-            for j, c in enumerate(cs)
-        ]
+        rows = []
+        for c in _linspace(1e-3, 0.499, args.grid):
+            s = scaling_from_critical(period, c).s
+            rows.append((c, *s, _ordered_sum(s)))
     elif kind == "returnmap":
         domain = feasible_domain(period, scan_step=args.step)
         header = ["interval", "c", "R"]
         rows = []
         for k, (lo, hi) in enumerate(domain.intervals):
-            cs = np.linspace(lo + 1e-9, hi - 1e-9, args.grid // len(domain.intervals))
-            rs = return_map(period, cs)
-            kept = ~np.isnan(rs)  # NaN where the s2 guard trips: no row
-            rows.extend((k, c, r) for c, r in zip(cs[kept].tolist(), rs[kept].tolist()))
+            for c in _linspace(lo + 1e-9, hi - 1e-9, args.grid // len(domain.intervals)):
+                try:
+                    rows.append((k, c, return_map(period, c)))
+                except DivisionGuard:  # where the s2 guard trips: no row
+                    pass
     elif kind == "cobweb":
         rep = solve_fixed_point(period, tol=args.tol)
         o = period.orbit(rep.c_star)
@@ -351,6 +354,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_horseshoe(args) -> int:
+    import numpy as np
+
     from . import horseshoe as hs
 
     eps = tuple(float(x) for x in ("1.02,1.0,0.98" if args.eps is None else args.eps).split(","))
@@ -410,6 +415,8 @@ COMMANDS = {  # in the order the usage line lists them
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    per_point = scaling._per_point  # restored on the way out, for a caller in its own process
+    scaling._per_point = _command_flags(args)[0] in PER_POINT
     try:
         _merge_config(args)
         return COMMANDS[args.command](args)
@@ -419,13 +426,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        scaling._per_point = per_point
 
 
 def run() -> None:
     """The process entry point: `python -m renorm.cli` and the `renorm` script.
 
-    Runs main, then freezes every object the process holds (about 22k after
-    a solve, most of them made by importing numpy and renorm), so that the
+    Runs main, then freezes every object the process holds (about 12k after
+    a solve, 21k in a process that imports numpy), so that the
     interpreter's full collections at exit skip them.  Exit still goes through sys.exit: the
     streams are flushed, atexit handlers run and main's exit code is the
     process's.  main itself leaves the collector alone, for callers that run

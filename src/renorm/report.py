@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 import tempfile
-
-import numpy as _np
 
 from . import __version__
 
@@ -26,7 +25,8 @@ SCHEMA_VERSION = 1
 def _fmt(value) -> str:
     if value is None:
         return "null"
-    if isinstance(value, _np.bool_):
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
+    if np is not None and isinstance(value, np.bool_):
         value = bool(value)
     if value is True:
         return "true"
@@ -67,14 +67,17 @@ def write_report(command: str, config: dict, results: dict) -> str:
 def atomic_write(path: str, text: str) -> None:
     """Write text to path through a temp file and a rename.  mkstemp makes
     the temp file 0o600, so it is given the mode a shell redirect would
-    leave: an existing file's permission bits, else 0o666 less the umask."""
+    leave: an existing file's permission bits, else 0o666 less the umask.
+    A symlink is written through, as a redirect writes it: the temp file
+    and the rename go to the link's target, and the link stays."""
+    path = os.path.realpath(path)
     try:
         mode = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
         umask = os.umask(0)  # the one way to read it; restored at once
         os.umask(umask)
         mode = 0o666 & ~umask
-    d = os.path.dirname(os.path.abspath(path))
+    d = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".renorm-")
     try:
         with os.fdopen(fd, "w") as fh:

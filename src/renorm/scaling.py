@@ -68,13 +68,20 @@ subtractions of the other conditions, but S1 = u^p(0) - 0, which is the
 pulled row as is.  A memo above SCAN_MEMO_CAP bytes, from a step far
 below the default, is computed afresh for its scan and not kept.
 
+Where the scans run per point (_per_point, which cli.main sets for the
+commands that need no arrays), feasible_domain reads values_kernel at
+each grid point and the solver's root scan r_kernel, both bitwise the
+array scans, and such a process never imports numpy: np is bound on the
+first array call (_Numpy).  The finders of runs, touches and sign changes
+take the values in either form.
+
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
 site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
-points; the plot data reads them, and the tests hold root_kernel to the
-array R.  return_map also takes an Interval or a Jet of c and then
+points; the tests hold root_kernel, the per-point scans and the plot data
+to them.  return_map also takes an Interval or a Jet of c and then
 encloses R (and dR/dc for a Jet); its one s2 guard has a rule for each
 of the four kinds of number: a float c raises, an array gets NaN, an
 Interval or a Jet raises unless its s2 enclosure lies above the floor.
@@ -85,11 +92,27 @@ from __future__ import annotations
 import enum
 import math
 import mmap
-from functools import cached_property, lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache, reduce
+from operator import add
 
 from .value import Value
+
+
+class _Numpy:
+    """numpy, imported on first use: this module's np until an array call
+    first reads one of its names, which imports numpy and binds it as np in
+    this object's place, so that the generated array kernels, which read np
+    at call time, and every later read find numpy itself.  A float,
+    Interval or Jet call, and a per-point scan, read no name of it."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 # bracket width of every domain boundary, and the golden section's final
@@ -101,6 +124,25 @@ REFINE_TOL = 1e-12
 # three) and 360 KB (five); one at the 1e-6 step floor takes up to 36 MB
 # and is computed fresh every scan
 SCAN_MEMO_CAP = 1 << 20
+# Whether the domain and root scans evaluate their grids point by point,
+# with the float kernels and no numpy, or as numpy arrays.  cli.main sets it
+# for the commands that need no arrays, and restores it: there the scans
+# cost a few milliseconds against 70 ms or more for importing numpy.  Every
+# other caller keeps the arrays, faster once numpy is loaded.
+_per_point = False
+# The largest grid a scan runs per point.  Per grid point, a per-point
+# domain scan costs about 1.5 us for period three and 2.4 us for five, the
+# array scan 0.1-0.3 us, and the arrays first cost numpy's import, 70 ms of
+# CPU or more: per point is the cheaper below 70 ms / (2.4 - 0.3) us, about
+# 33k points, for both periods.  So the default 1e-4 grid (4999 points) and
+# the root grids at eps 1 (5830 points for period three, 1070 for five) run
+# per point, and a --step below 1.5e-5 scans arrays.
+PER_POINT_MAX = 33_000
+
+
+def _scan_per_point(points) -> bool:
+    """Whether a scan over this many grid points runs per point."""
+    return _per_point and points <= PER_POINT_MAX
 
 
 class NumericalFailure(Exception):
@@ -239,7 +281,7 @@ class ScalingFactor(Value, frozen=True):
     @property
     def simplex_margin(self) -> float:
         """Euclidean distance to the boundary of the open simplex T_k."""
-        plane = (1.0 - sum(self.s)) / np.sqrt(len(self.s))
+        plane = (1.0 - sum(self.s)) / math.sqrt(len(self.s))
         return min(min(self.s), plane)
 
 
@@ -495,17 +537,16 @@ def return_map(period: Period, c, eps: float = 1.0):
     left, right = period.comb.central
     top = o[right]
     s2 = top - o[left]
+    s2_val = getattr(s2, "val", s2)  # a Jet's value part
     if isinstance(s2, float):  # a numpy float, from a 0-d array or a numpy integer eps
         if s2 <= S2_FLOOR:
             raise DivisionGuard(f"s2={s2} at c={c} is below the floor {S2_FLOOR}")
-    elif isinstance(s2, np.ndarray):
-        # dividing by NaN is quiet: no value from across the pole, no warning
-        s2[s2 <= S2_FLOOR] = np.nan
-    else:
-        s2_val = getattr(s2, "val", s2)  # a Jet's value part
+    elif hasattr(s2_val, "lo"):  # an Interval, or a Jet's: tested first, so it never imports numpy
         if not s2_val.lo > S2_FLOOR:
             over = getattr(c, "val", c)
             raise DivisionGuard(f"s2 enclosure {s2_val} over {over} is not above the floor {S2_FLOOR}")
+    else:  # an array: dividing by NaN is quiet, no value from across the pole, no warning
+        s2[s2 <= S2_FLOOR] = np.nan
     return (top - c) / s2
 
 
@@ -543,6 +584,25 @@ def bisect(keep, a, b, tol):
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def _linspace(lo: float, hi: float, num: int) -> list:
+    """np.linspace(lo, hi, num) as Python floats, bitwise: i*step + lo with
+    step = (hi - lo)/(num - 1) and the last point hi, or, where that step
+    is 0, (i/(num - 1))*(hi - lo) + lo, as linspace computes them; one
+    point is 0*(hi - lo) + lo."""
+    delta, div = hi - lo, num - 1
+    if div < 1:
+        return [0.0 * delta + lo][:num]
+    step = delta / div
+    xs = [i * step + lo for i in range(div)] if step else [i / div * delta + lo for i in range(div)]
+    return xs + [hi]
+
+
+def _ordered_sum(xs) -> float:
+    """xs added left to right, as np.sum adds fewer than eight floats; sum()
+    compensates its rounding from Python 3.12 on."""
+    return reduce(add, xs)
 
 
 def _argmin(values) -> int:
@@ -650,18 +710,57 @@ def _worst(cond):
     return worst
 
 
-def _runs(ok) -> list:
-    """The maximal runs of True in the mask ok, as (first, last) indices,
-    read off ok's transitions: a run starts after each index where ok
-    turns True, or at 0, and ends at each index where it turns False, or
-    at the last."""
+def _point_conditions(period: Period, scan_step: float, eps: float):
+    """_scan_conditions and _worst point by point, in Python floats: the
+    grid, each point's condition tuple from values_kernel, and the list of
+    their minima, a NaN first, as np.minimum folds them.  The grid point i
+    is scan_step + i*scan_step, np.arange's bitwise: arange fills start +
+    i*((start + step) - start), and 2s - s is s exactly."""
+    values = period.values_kernel
+    cs = [scan_step + i * scan_step for i in range(math.ceil((0.5 - scan_step) / scan_step))]
+    cond = [values(c, eps) for c in cs]
+    worst = []
+    for row in cond:
+        w = row[0]
+        for v in row[1:]:
+            if v < w or v != v:
+                w = v
+        worst.append(w)
+    return cs, cond, worst
+
+
+def _flips(mask) -> list:
+    """The indices i where mask[i + 1] differs from mask[i], for a mask of
+    bools: .nonzero() on an array, one loop on a list."""
+    if isinstance(mask, list):
+        return [i for i, (a, b) in enumerate(zip(mask, mask[1:])) if a != b]
     # nonzero()[0] of a 1-d mask is np.flatnonzero without its ravel call
-    edges = (ok[1:] != ok[:-1]).nonzero()[0].tolist()
+    return (mask[1:] != mask[:-1]).nonzero()[0].tolist()
+
+
+def _runs(ok) -> list:
+    """The maximal runs of True in the mask ok, an array or a list, as
+    (first, last) indices, read off ok's transitions: a run starts after
+    each index where ok turns True, or at 0, and ends at each index where
+    it turns False, or at the last."""
+    edges = _flips(ok)
     if ok[-1]:
         edges.append(len(ok) - 1)
     if ok[0]:
         edges.insert(0, -1)
     return [(i0 + 1, i1) for i0, i1 in zip(edges[::2], edges[1::2])]
+
+
+def _dips(cond, worst, i0, i1):
+    """The interior indices m of the run i0 .. i1 where worst is at or
+    below 1e-4, and each condition's values from the first m - 1 to the
+    last m + 1 as floats: nonzero() and tolist() on the array rows of
+    _scan_conditions, loops over _point_conditions' per-point tuples."""
+    if isinstance(worst, list):
+        ms = [m for m in range(i0 + 1, i1) if worst[m] <= 1e-4]
+        return ms, ms and list(zip(*cond[ms[0] - 1 : ms[-1] + 2]))
+    ms = [i0 + 1 + m for m in (worst[i0 + 1 : i1] <= 1e-4).nonzero()[0].tolist()]
+    return ms, ms and [row[ms[0] - 1 : ms[-1] + 2].tolist() for row in cond]
 
 
 def _touches(cond, worst, i0, i1) -> list:
@@ -671,17 +770,18 @@ def _touches(cond, worst, i0, i1) -> list:
 
     A condition at or below 1e-4 holds worst at or below it, and a run
     holds no NaN, so only the run's interior points where worst is at or
-    below 1e-4 are read, one by one, condition by condition, as Python
-    floats."""
-    ms = [i0 + 1 + m for m in (worst[i0 + 1 : i1] <= 1e-4).nonzero()[0].tolist()]
+    below 1e-4 are read (_dips), one by one, as Python floats, and only
+    the conditions that fall to 1e-4 there: near a puncture Gl and Gr read
+    0.43-0.56 and never dip."""
+    ms, window = _dips(cond, worst, i0, i1)
     if not ms:
         return []
     lo = ms[0] - 1
-    rows = [row[lo : ms[-1] + 2].tolist() for row in cond]
+    rows = [(j, row) for j, row in enumerate(window) if min(row) <= 1e-4]
     out = []
     for m in ms:
         k = m - lo
-        for j, row in enumerate(rows):
+        for j, row in rows:
             v = row[k]
             if v <= 1e-4 and v < row[k - 1] and v < row[k + 1]:
                 out.append((m - 1, j))
@@ -706,12 +806,17 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    # one row per condition, never stacked into one matrix: that stack
-    # (195 KiB for period three, 351 KiB for five) can be large enough for
-    # the allocator to map it afresh, page fault by page fault, every call
-    cs, cond = _scan_conditions(period, scan_step, eps)
-    worst = _worst(cond)
-    runs = _runs(worst > 0.0)
+    if _scan_per_point(0.5 / scan_step):
+        cs, cond, worst = _point_conditions(period, scan_step, eps)
+        ok = [w > 0.0 for w in worst]
+    else:
+        # one row per condition, never stacked into one matrix: that stack
+        # (195 KiB for period three, 351 KiB for five) can be large enough for
+        # the allocator to map it afresh, page fault by page fault, every call
+        cs, cond = _scan_conditions(period, scan_step, eps)
+        worst = _worst(cond)
+        ok = worst > 0.0
+    runs = _runs(ok)
     if not runs:
         raise EmptyDomain(f"no feasible point for {period} at step {scan_step}")
 

@@ -4,7 +4,10 @@ Roots of R(c) - c are isolated by a sign scan over the feasible domain:
 the grids of all feasible intervals are written into one array, and the
 period's root_kernel, R(c) - c on an array with out= ufuncs, runs once
 over it (NaN where R's s2 guard trips, so the scan never pairs values
-across a pole, nor across the gap between two intervals).  Each bracket
+across a pole, nor across the gap between two intervals).  Where the
+scans run per point (scaling._per_point, for the CLI commands that need
+no arrays), the grids are one list and r_kernel(c) - c, NaN where the
+guard raises, is evaluated point by point, bitwise root_kernel.  Each bracket
 is then refined on Python floats by scalar bisection and polished with a
 secant step loop, both calling the period's r_kernel directly.  Each
 period has exactly one expanding fixed point; finding none or several is
@@ -17,8 +20,6 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-import numpy as np
-
 from .scaling import (
     REFINE_TOL,
     DivisionGuard,
@@ -26,6 +27,9 @@ from .scaling import (
     FeasibleDomain,
     NumericalFailure,
     Period,
+    _flips,
+    _linspace,
+    _scan_per_point,
     feasible_domain,
 )
 from .value import Value
@@ -101,14 +105,19 @@ def _refine_root(f, lo, hi, tol):
     return x1
 
 
-def _grids(intervals, grid):
+def _grids(intervals, grid, per_point=False):
     """Every interval's np.linspace(lo, hi, n + 1), n = max(ceil((hi - lo)
-    / grid), 2), bitwise, written into one array, and the index where each
-    grid ends.  Each is linspace's own formula, arange(n + 1) * ((hi - lo)
-    / n) + lo with the last point hi, except where that step is 0, which
-    linspace computes another way."""
+    / grid), 2), bitwise, written into one array, or per_point into one
+    list (_linspace), and the index where each grid ends.  Each is
+    linspace's own formula, arange(n + 1) * ((hi - lo) / n) + lo with the
+    last point hi, except where that step is 0, which linspace computes
+    another way."""
     nums = [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
     ends = list(accumulate(nums))
+    if per_point:
+        return [x for (lo, hi), num in zip(intervals, nums) for x in _linspace(lo, hi, num)], ends
+    import numpy as np
+
     xs = np.empty(ends[-1])
     ramp = np.arange(float(max(nums)))
     for (lo, hi), num, end in zip(intervals, nums, ends):
@@ -123,27 +132,27 @@ def _grids(intervals, grid):
     return xs, ends
 
 
-def _scan_roots(g, intervals, grid):
+def _scan_roots(g, intervals, grid, per_point=False):
     """Sign changes of g on each (lo, hi) of intervals, sampled at spacing
     grid, as brackets of Python floats.
 
-    g takes every interval's grid as one array (_grids); NaN values never
-    pair into a hit, and neither do the two points where one interval's
-    grid ends and the next begins.
+    g takes every interval's grid as one array (_grids), or per_point as
+    one list, and returns its values alike; NaN values never pair into a
+    hit, and neither do the two points where one interval's grid ends and
+    the next begins.
     """
     if not intervals:
         return []
-    xs, ends = _grids(intervals, grid)
+    xs, ends = _grids(intervals, grid, per_point)
     v = g(xs)
     # a hit is a step where v > 0 flips and the end not above 0 is below
     # 0: zeros and NaN never pair.  One mask, and the few flips read one
     # by one: np.sign and products of signs measured slower than the
     # comparisons.  No step joins the last point of one grid and the
     # first of the next.
-    pos = v > 0.0
+    pos = [x > 0.0 for x in v] if per_point else v > 0.0
     junctions = {end - 1 for end in ends[:-1]}
-    hits = [i for i in (pos[:-1] != pos[1:]).nonzero()[0].tolist()
-            if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
+    hits = [i for i in _flips(pos) if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
     return [(float(xs[i]), float(xs[i + 1])) for i in hits]
 
 
@@ -163,7 +172,7 @@ def _solve(period, eps, domain, tol):
     Raises NoRoot if no sub-interval brackets a root and MultipleRoots if
     more than one shows up (which would contradict the uniqueness claim).
     """
-    if not 1e-14 <= tol < np.inf:  # NaN fails the comparison and is refused
+    if not 1e-14 <= tol < math.inf:  # NaN fails the comparison and is refused
         raise ValueError(f"tol must be finite and >= 1e-14, got {tol!r}")
     if domain is None:
         try:
@@ -184,12 +193,16 @@ def _solve(period, eps, domain, tol):
         try:
             return r_kernel(c, eps) - c
         except DivisionGuard:
-            return np.nan
+            return math.nan
 
     pad = 2.0 * REFINE_TOL
     intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
-    # one array call over every grid; R(c) - c is NaN where R's s2 guard trips
-    brackets = _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
+    # R(c) - c, NaN where R's s2 guard trips: one array call over every
+    # grid, or g at each point
+    if _scan_per_point(sum(hi - lo for lo, hi in intervals) / SCAN_GRID):
+        brackets = _scan_roots(lambda xs: [g(x) for x in xs], intervals, SCAN_GRID, True)
+    else:
+        brackets = _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:
@@ -218,7 +231,7 @@ def continuum_sweep(eps_lo: float, eps_hi: float) -> list:
     if not eps_lo < eps_hi:
         raise ValueError("eps_lo must be < eps_hi")
     rows = []
-    for e in np.linspace(eps_lo, eps_hi, SWEEP_STEPS):
+    for e in _linspace(eps_lo, eps_hi, SWEEP_STEPS):
         try:
             rep = solve_fixed_point_eps(float(e))
         except NoRoot as exc:

@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 import sys
 
-import numpy as np
-
-from .scaling import NumericalFailure, Period, ScalingFactor, bisect, scaling_from_critical
+from .scaling import NumericalFailure, Period, ScalingFactor, _ordered_sum, bisect, scaling_from_critical
 from .value import Value
 
 
@@ -270,16 +268,23 @@ def hor_bound(t: Tower) -> HorBoundReport:
 
 
 def cantor_dimension(f: ScalingFactor) -> float:
-    """Moran similarity dimension: the unique d with sum_i s_i^d = 1."""
-    s = np.asarray(f.s, dtype=float)
-    if np.any(s <= 0.0) or np.any(s >= 1.0):
+    """Moran similarity dimension: the unique d with sum_i s_i^d = 1.
+
+    In Python floats: each s_i**d is the C library's pow, which differs
+    from numpy's float64 power in the last bit at some exponents, but no
+    decision of the bisection falls within an ulp of 1, so it returns the
+    bits of the numpy form at both fixed points (tests/test_tower.py keeps
+    that form as its oracle)."""
+    s = [float(x) for x in f.s]
+    if any(x <= 0.0 or x >= 1.0 for x in s):
         raise ValueError(f"need every component in (0, 1), got {f.s}")
-    if float(np.sum(s)) > 1.0 + 1e-12:
+    total = _ordered_sum(s)
+    if total > 1.0 + 1e-12:
         raise ValueError("component sum exceeds 1; no dimension in (0, 1]")
 
     def below(d):  # sum_i s_i^d falls as d rises and passes 1 at the dimension
-        return float(np.sum(s**d)) > 1.0
+        return _ordered_sum([x**d for x in s]) > 1.0
 
-    if float(np.sum(s)) >= 1.0:
+    if total >= 1.0:
         return 1.0  # boundary case: the components tile the interval
     return bisect(below, 1e-9, 1.0, DIM_TOL)

@@ -76,16 +76,25 @@ def test_import_renorm_loads_only_the_core():
     assert loaded_modules("import renorm") == CORE
 
 
-@pytest.mark.parametrize(
-    "argv", [["solve", "--period", "3"], ["feasible", "--period", "5"], ["plotdata", "cobweb", "--period", "5"]]
-)
+@pytest.mark.parametrize("argv", [
+    ["solve", "--period", "3"],
+    ["feasible", "--period", "5"],
+    ["plotdata", "cobweb", "--period", "5"],
+    ["plotdata", "scaling", "--period", "3"],
+    ["plotdata", "returnmap", "--period", "5"],
+    ["tower", "--period", "5"],
+    ["plotdata", "tower", "--period", "3"],
+])
 def test_light_commands_load_only_the_core_cli_and_report(argv):
+    # and the tower commands renorm.tower, and none of them numpy
+    stage = ["renorm.tower"] if "tower" in argv else []
     code = (
         "from renorm.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n"
     )
-    assert loaded_modules(code) == sorted(CORE + ["renorm.cli", "renorm.report"])
+    result = "[sorted(m for m in sys.modules if m.split('.')[0] == 'renorm'), 'numpy' in sys.modules]"
+    assert probe(code, result) == [sorted(CORE + ["renorm.cli", "renorm.report"] + stage), False]
 
 
 @pytest.mark.parametrize("module, name", NAMES)

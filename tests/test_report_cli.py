@@ -12,7 +12,7 @@ import renorm
 import renorm.cli as cli_mod
 from renorm import report as rpt
 from renorm.cli import main
-from renorm.scaling import DivisionGuard, NumericalFailure, Period, feasible_domain, return_map
+from renorm.scaling import DivisionGuard, NumericalFailure, Period, conditions, feasible_domain, return_map
 from renorm.solver import NoRoot
 from reference_values import C3_6DP, C5_6DP, FD3_6DP
 
@@ -78,6 +78,21 @@ def test_atomic_write_keeps_an_existing_files_mode(tmp_path, umask_022):
     assert path.read_text() == "hello\n"
 
 
+def test_atomic_write_writes_through_a_symlink(tmp_path, umask_022):
+    # as `> link.json` does: the target holds the text and keeps its mode,
+    # and the link stays a link
+    target = tmp_path / "target.json"
+    target.write_text("{}")
+    target.chmod(0o640)
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    assert main(["solve", "--period", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert json.loads(target.read_text())["results"]["period"] == 3
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
+
+
 def test_cli_solve_three(capsys):
     code, out = run_cli(capsys, "solve", "--period", "3")
     assert code == 0
@@ -139,6 +154,20 @@ def test_cli_plotdata_scaling(capsys):
     assert len(lines) == 51
 
 
+@pytest.mark.parametrize("grid", [2000, 1, 2])
+@pytest.mark.parametrize("period", [3, 5])
+def test_cli_plotdata_scaling_is_the_array_form(capsys, period, grid):
+    # the rows as the array form built them: the conditions over a
+    # np.linspace grid and numpy's sum of the lengths
+    code, out = run_cli(capsys, "plotdata", "scaling", "--period", str(period), "--grid", str(grid))
+    assert code == 0
+    cs = np.linspace(1e-3, 0.499, grid)
+    cond = conditions(Period(period), cs)
+    rows = [tuple([c] + [float(cond[i][j]) for i in range(period)] + [float(cond[:period, j].sum())])
+            for j, c in enumerate(cs)]
+    assert out == rpt.to_csv(["c"] + [f"S{i}" for i in range(1, period + 1)] + ["sum"], rows)
+
+
 def test_cli_plotdata_returnmap_crossings(capsys):
     code, out = run_cli(capsys, "plotdata", "returnmap", "--period", "3", "--grid", "400")
     assert code == 0
@@ -174,7 +203,7 @@ def test_cli_refuses_a_grid_below_one_by_its_flag_name(tmp_path, monkeypatch, ca
     # refused before the domain scan or any grid is allocated, from the flag
     # and from a config file alike, and named as --grid, not numpy's count
     monkeypatch.setattr(cli_mod, "feasible_domain", lambda *a, **k: pytest.fail("scanned"))
-    monkeypatch.setattr(cli_mod.np, "linspace", lambda *a, **k: pytest.fail("allocated"))
+    monkeypatch.setattr(cli_mod, "_linspace", lambda *a, **k: pytest.fail("allocated"))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": grid}))
     for source in (["--grid", str(grid)], ["--config", str(cfg)]):

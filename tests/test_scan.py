@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import frozen_scan
-from renorm import scaling
+from renorm import scaling, solver
 from renorm.scaling import (
     REFINE_TOL,
     Combinatorics,
@@ -438,3 +438,149 @@ def test_root_scan_is_the_frozen_scan_on_the_solver_grids(case):
     intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
     g = lambda xs: period.root_kernel(xs, eps)  # noqa: E731
     assert _scan_roots(g, intervals, SCAN_GRID) == frozen_scan._scan_roots(g, intervals, SCAN_GRID)
+
+
+# The per-point scans (scaling._per_point, which cli.main sets for the
+# commands that need no arrays) against the array scans.
+PER_POINT_STEPS = (*STEPS, MEMO_ABOVE_CAP)
+
+
+def _per_point_scan(case):
+    """The per-point domain, with _scan_conditions refused so that the
+    array scan cannot stand in for it, and the array domain."""
+    period, step, eps = case
+    with mock.patch.object(scaling, "_per_point", True), \
+            mock.patch.object(scaling, "_scan_conditions", side_effect=AssertionError("array scan")):
+        got = _domain_or_error(feasible_domain, period, step, eps)
+    return got, _domain_or_error(feasible_domain, period, step, eps)
+
+
+@settings(BITWISE, max_examples=60)
+@given(_scans().flatmap(lambda case: st.sampled_from(PER_POINT_STEPS).map(lambda s: (case[0], s, case[2]))))
+@example((Period.THREE, 1e-4, 1.0))
+@example((Period.FIVE, 1e-4, 1.0))
+@example((Period.THREE, 1e-4, 1e300))
+@example((Period.THREE, MEMO_ABOVE_CAP, 0.25))
+@example((Period.FIVE, MEMO_ABOVE_CAP, 1.0))
+def test_the_per_point_domain_is_the_array_domain(case):
+    # bitwise, exceptions included; the empty domain at eps 1e300 too
+    got, want = _per_point_scan(case)
+    assert got == want
+    if case[2] == 1e300:
+        assert got[0] is scaling.EmptyDomain
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.25, 1.03, 4.0, 1e300])
+@pytest.mark.parametrize("step", [1e-4, MEMO_ABOVE_CAP])
+def test_the_per_point_rows_and_worst_are_the_arrays(step, eps):
+    # the grid and every condition bitwise; worst equal, NaN where a
+    # condition is NaN, -inf and inf where a huge eps overflows
+    cs, rows = _scan_conditions(Period.THREE, step, eps)
+    pcs, points, worst = scaling._point_conditions(Period.THREE, step, eps)
+    assert np.array(pcs).tobytes() == cs.tobytes()
+    assert np.array(points).T.tobytes() == np.array(rows).tobytes()
+    assert np.array_equal(np.array(worst), _worst(rows), equal_nan=True)
+    if eps == 1e300:
+        assert np.isneginf(worst).all()
+
+
+@settings(BITWISE, max_examples=50)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(*[_VALUES] * n), min_size=49, max_size=49)))
+def test_the_per_point_worst_folds_as_np_minimum(points):
+    # on any condition values, NaN and ties of zeros among them: the fold of
+    # each point's tuple is the array fold's, NaN where that holds a NaN
+    step = 1e-2  # a grid of 49 points
+    table = dict(zip(np.arange(step, 0.5, step).tolist(), points))
+    with mock.patch.object(Period.FIVE, "values_kernel", lambda c, eps: table[c]):
+        _, got_points, worst = scaling._point_conditions(Period.FIVE, step, 1.0)
+    assert got_points == points
+    rows = [np.array(row) for row in zip(*points)]
+    want = frozen_scan._fold(rows)
+    assert np.array_equal(np.array(worst), want, equal_nan=True)
+    assert [w > 0.0 for w in worst] == (want > 0.0).tolist()
+
+
+@BITWISE
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 24).flatmap(
+        lambda m: st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))))
+def test_the_finders_take_per_point_lists(rows):
+    # runs and dips from lists (the mask, the worst fold and each point's
+    # condition tuple) are the ones from the array rows
+    cond = [np.array(row, dtype=float) for row in rows]
+    worst = frozen_scan._fold(cond)
+    ok = worst > 0.0
+    runs = _runs(ok.tolist())
+    assert runs == _runs(ok)
+    points = [tuple(p) for p in zip(*rows)]
+    for i0, i1 in runs:
+        assert _touches(points, worst.tolist(), i0, i1) == _touches(cond, worst, i0, i1)
+
+
+@BITWISE
+@given(_INTERVALS, st.sampled_from([SCAN_GRID, 1e-3, 0.25]))
+@example([(0.3, 0.3 + 5e-324), (0.4, 0.4 - 1e-12)], SCAN_GRID)
+@example([(0.012723905050869407, 0.039794528690544236)], SCAN_GRID)
+def test_the_per_point_grid_is_the_array_grid(intervals, grid):
+    xs, ends = _grids(intervals, grid)
+    pxs, pends = _grids(intervals, grid, True)
+    assert np.array(pxs).tobytes() == xs.tobytes()
+    assert pends == ends
+
+
+@BITWISE
+@given(st.lists(_G_VALUES, min_size=15, max_size=15))
+def test_the_per_point_root_scan_is_the_array_scan_on_any_values(values):
+    g = lambda xs: np.array(values[: len(xs)], dtype=float)  # noqa: E731
+    assert _scan_roots(lambda xs: values[: len(xs)], *GRIDS, True) == _scan_roots(g, *GRIDS)
+
+
+def _solve_or_error(period, eps):
+    try:
+        return repr(solver._solve(period, eps, None, solver.POLISH_TOL))
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+
+
+@settings(BITWISE, max_examples=60)
+@given(st.one_of(st.tuples(st.just(Period.THREE), st.floats(0.25, 4.0)), st.just((Period.FIVE, 1.0))))
+@example((Period.THREE, 1.0))
+@example((Period.THREE, 0.25))
+def test_the_per_point_root_scan_is_the_root_kernel(case):
+    # on the solver's grids: r_kernel(c) - c per point, NaN where the s2
+    # guard raises, is root_kernel bitwise, NaN for NaN, and the solve is
+    # the array solve, exceptions included
+    period, eps = case
+    try:
+        domain = feasible_domain(period, eps=eps)
+    except scaling.EmptyDomain:
+        domain = None
+    if domain is not None:
+        pad = 2.0 * REFINE_TOL
+        xs, _ = _grids([(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID, True)
+        r_kernel = period.r_kernel
+
+        def g(c):
+            try:
+                return r_kernel(c, eps) - c
+            except scaling.DivisionGuard:
+                return math.nan
+
+        assert np.array([g(x) for x in xs]).tobytes() == period.root_kernel(np.array(xs), eps).tobytes()
+    with mock.patch.object(scaling, "_per_point", True), \
+            mock.patch.object(period, "root_kernel", side_effect=AssertionError("array scan")):
+        got = _solve_or_error(period, eps)
+    assert got == _solve_or_error(period, eps)
+
+
+def test_a_grid_above_the_cap_scans_arrays():
+    # per point only up to PER_POINT_MAX points: the 1e-6 step floor's
+    # 499999 points scan arrays even where the switch asks for points
+    assert not scaling._scan_per_point(1)
+    with mock.patch.object(scaling, "_per_point", True):
+        assert scaling._scan_per_point(0.5 / 1e-4) and scaling._scan_per_point(scaling.PER_POINT_MAX)
+        assert not scaling._scan_per_point(0.5 / 1e-6)
+        with mock.patch.object(scaling, "_point_conditions", side_effect=AssertionError("per point")):
+            fd = feasible_domain(Period.FIVE, 1e-6)
+    assert repr(fd) == repr(feasible_domain(Period.FIVE, 1e-6))

@@ -3,8 +3,9 @@ import sys
 import numpy as np
 import pytest
 
-from renorm.scaling import Period, ScalingFactor, gaps, scaling_from_critical
+from renorm.scaling import Period, ScalingFactor, bisect, gaps, scaling_from_critical
 from renorm.tower import (
+    DIM_TOL,
     DepthUnderflow,
     InvalidFactor,
     LevelData,
@@ -201,6 +202,35 @@ def test_cantor_dimension_bitwise_reference(request, p):
     assert cantor_dimension(f).hex() == CANTOR_DIMENSION_HEXES[p]
     # the factor verify's tower suite reads off its stationary tower
     assert build_tower(ScalingSequence.stationary(rep.period, rep.c_star), 1).factors[0] == f
+
+
+def _numpy_cantor_dimension(f):
+    """cantor_dimension as it was computed on numpy arrays: the oracle."""
+    s = np.asarray(f.s, dtype=float)
+    if np.any(s <= 0.0) or np.any(s >= 1.0):
+        raise ValueError(f"need every component in (0, 1), got {f.s}")
+    if float(np.sum(s)) > 1.0 + 1e-12:
+        raise ValueError("component sum exceeds 1; no dimension in (0, 1]")
+    if float(np.sum(s)) >= 1.0:
+        return 1.0
+    return bisect(lambda d: float(np.sum(s**d)) > 1.0, 1e-9, 1.0, DIM_TOL)
+
+
+def _seeded_factors(n):
+    """n factors of 3 or 5 components, uniform in the open simplex."""
+    rng = np.random.default_rng(20261019)
+    for k in rng.choice([3, 5], n):
+        w = rng.exponential(size=k + 1)  # the last weight is the gap left to 1
+        yield ScalingFactor(Period(int(k)), tuple((w[:k] / w.sum()).tolist()))
+
+
+def test_cantor_dimension_is_the_numpy_form_bitwise(rep3, rep5):
+    # in Python floats, with the C library's pow, against numpy's float64
+    # power, which differs from it in the last bit at some exponents
+    factors = [scaling_from_critical(rep.period, rep.c_star) for rep in (rep3, rep5)]
+    factors += list(_seeded_factors(200))
+    for f in factors:
+        assert cantor_dimension(f).hex() == _numpy_cantor_dimension(f).hex(), f
 
 
 def test_cantor_dimension_rejects_bad_factor():
