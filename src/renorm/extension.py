@@ -9,6 +9,18 @@ central interval level by level; the union is a sampled C^{1+Lip}
 unimodal curve whose only unresolved part is a geometrically small
 window around the critical point, closed by the quadratic-tip parabola.
 
+A piece holds its samples as lists of finite Python floats, its x
+strictly increasing, computed operation for operation as numpy computed
+them on arrays, so every sample, profile and check is bitwise the array
+form's (tests/reference_extension.py holds that form's): np.linspace is
+scaling._linspace, an array's square x**2 is x*x while a numpy scalar's
+x**2 is the C library's pow, as a float's is, a mean of a few floats is
+their left-to-right sum over their count, and np.spacing(|x|) is
+math.ulp(|x|).  Where a whole-piece test (a least gap or value, sorted
+values, one repeated slope) settles a per-sample check, it is exact on
+such samples.  The module imports no numpy, so `renorm extend` and
+`plotdata extension` never load it.
+
 Slopes transform by -s_last/s2 per level and derivative Lipschitz bounds
 by s_last/s2^2, which equals 1 exactly at the fixed points: that identity
 is why the Lipschitz profile does not grow.
@@ -16,9 +28,12 @@ is why the Lipschitz profile does not grow.
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from bisect import bisect_left
+from itertools import chain, compress
+from operator import countOf, gt, lt, sub, truediv
 
-from .scaling import NumericalFailure, Period
+from .scaling import NumericalFailure, Period, _linspace, _ordered_sum
 from .tower import Affine, Tower
 from .value import Value
 
@@ -27,10 +42,11 @@ from .value import Value
 # (1.51e-8 at the period-3 fixed point, 1.50e-8 at period 5)
 DEFAULT_DEPTH = {Period.THREE: 8, Period.FIVE: 6}
 MIN_RESOLUTION = 64  # samples per piece
-# Each sample is held at every level, and `plotdata extension` writes each
-# as a CSV row.  Peak RSS at this ceiling, the deepest depth that runs:
-# `plotdata extension` 330 MB (p5, depth 4) and `extend` 80 MB, against
-# 30 MB at the floor; a sample per piece costs about 18 kB and 3 kB.
+# Each sample is held at every level as a Python float, and `plotdata
+# extension` writes each as a CSV row.  At this ceiling, the deepest depth
+# that runs (p5, depth 4), `extend` takes 0.5 s of CPU and 104 MB peak RSS
+# and `plotdata extension` 2.6 s and 304 MB, against 18 MB at the floor: a
+# sample per piece costs about 5 kB and 17 kB.
 MAX_RESOLUTION = 16_384
 JUNCTION_GAP = 1e-9  # pieces closer than this meet at a junction
 TIP_LEVELS = 4  # deepest resolved levels the tip constant is read from
@@ -70,9 +86,9 @@ def graph_transform(t: Tower) -> GraphTransform:
 
 
 class CurvePiece(Value, frozen=True):
-    xs: np.ndarray
-    ys: np.ndarray
-    ds: np.ndarray
+    xs: list  # strictly increasing
+    ys: list
+    ds: list  # one value repeated on an affine piece
     level: int
     kind: str  # "affine" | "filler" | "tip"
 
@@ -85,32 +101,48 @@ class CurvePiece(Value, frozen=True):
         return float(self.xs[-1])
 
     def lipschitz(self) -> float:
-        dd = np.abs(np.diff(self.ds))
-        dx = np.diff(self.xs)
-        return float(np.max(dd / dx)) if len(dd) else 0.0
+        xs, ds = self.xs, self.ds
+        if len(ds) < 2 or _constant(ds):  # every quotient is 0 / dx, dx > 0
+            return 0.0
+        # |dd| / dx is |dd / dx| for dx > 0
+        qs = list(map(truediv, map(sub, ds[1:], ds), map(sub, xs[1:], xs)))
+        return float(max(max(qs), -min(qs)))
 
     def max_slope(self) -> float:
-        return float(np.max(np.abs(self.ds)))
+        ds = self.ds
+        return float(abs(ds[0]) if _constant(ds) else max(max(ds), -min(ds)))
+
+
+def _constant(values) -> bool:
+    return values[0] == values[-1] and countOf(values, values[0]) == len(values)
 
 
 def transform_piece(F: GraphTransform, p: CurvePiece) -> CurvePiece:
-    xs = F.horizontal(p.xs)[::-1]
-    ys = F.vertical(p.ys)[::-1]
-    ds = (F.slope_factor * p.ds)[::-1]
+    ha, hb = F.horizontal.a, F.horizontal.b
+    va, vb = F.vertical.a, F.vertical.b
+    k = F.slope_factor
+    xs = [ha * x + hb for x in reversed(p.xs)]
+    ys = [va * y + vb for y in reversed(p.ys)]
+    ds = [k * p.ds[0]] * len(p.ds) if _constant(p.ds) else [k * d for d in reversed(p.ds)]
     return CurvePiece(xs, ys, ds, p.level + 1, p.kind)
 
 
 def _cubic_hermite(t, h, v0, v1, m0, m1):
-    h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-    h10 = t * (1.0 - t) ** 2
-    h01 = t * t * (3.0 - 2.0 * t)
-    h11 = t * t * (t - 1.0)
-    ys = v0 * h00 + h * m0 * h10 + v1 * h01 + h * m1 * h11
+    """The cubic Hermite form's value and slope at t in [0, 1] of a gap h
+    long; numbers or arrays alike, with (1 - t)**2 a square."""
+    u = 1.0 - t
+    uu, tt, t3 = u * u, t * t, 3.0 * t * t
+    hm0, hm1 = h * m0, h * m1
+    h00 = (1.0 + 2.0 * t) * uu
+    h10 = t * uu
+    h01 = tt * (3.0 - 2.0 * t)
+    h11 = tt * (t - 1.0)
+    ys = v0 * h00 + hm0 * h10 + v1 * h01 + hm1 * h11
     dh00 = 6.0 * t * t - 6.0 * t
-    dh10 = 3.0 * t * t - 4.0 * t + 1.0
+    dh10 = t3 - 4.0 * t + 1.0
     dh01 = -dh00
-    dh11 = 3.0 * t * t - 2.0 * t
-    ds = (v0 * dh00 + h * m0 * dh10 + v1 * dh01 + h * m1 * dh11) / h
+    dh11 = t3 - 2.0 * t
+    ds = (v0 * dh00 + hm0 * dh10 + v1 * dh01 + hm1 * dh11) / h
     return ys, ds
 
 
@@ -118,13 +150,14 @@ def fill_gap(x0, x1, v0, v1, m0, m1, resolution) -> CurvePiece:
     """The monotone C^1 interpolant of a gap of D_s: the cubic Hermite form
     through the end values with the end slopes.  Raises FillerOvershoot
     where the cubic loses monotonicity or leaves the unit square."""
-    xs = np.linspace(x0, x1, resolution)
+    xs = _linspace(x0, x1, resolution)
     h = x1 - x0
-    t = (xs - x0) / h
-    secant = np.sign(v1 - v0)
-    ys, ds = _cubic_hermite(t, h, v0, v1, m0, m1)
-    if np.all(secant * ds >= -1e-15) and np.all(ys >= -1e-12) and np.all(ys <= 1.0 + 1e-12):
-        return CurvePiece(xs, ys, ds, 0, "filler")
+    ys, ds = zip(*[_cubic_hermite((x - x0) / h, h, v0, v1, m0, m1) for x in xs])
+    secant = (v1 > v0) - (v1 < v0)  # np.sign(v1 - v0)
+    # every secant * d >= -1e-15: the least of them is at min(ds) or max(ds)
+    if (min(secant * min(ds), secant * max(ds)) >= -1e-15 and min(ys) >= -1e-12
+            and max(ys) <= 1.0 + 1e-12):
+        return CurvePiece(xs, list(ys), list(ds), 0, "filler")
     raise FillerOvershoot(
         f"no monotone interpolant for gap [{x0}, {x1}] with slopes ({m0}, {m1})"
     )
@@ -139,12 +172,12 @@ class SampledCurve(Value):
         self.pieces = sorted(self.pieces, key=lambda p: p.lo)
 
     @property
-    def grid(self) -> np.ndarray:
-        return np.concatenate([p.xs for p in self.pieces])
+    def grid(self) -> list:
+        return list(chain.from_iterable(p.xs for p in self.pieces))
 
     @property
-    def values(self) -> np.ndarray:
-        return np.concatenate([p.ys for p in self.pieces])
+    def values(self) -> list:
+        return list(chain.from_iterable(p.ys for p in self.pieces))
 
     @property
     def depth(self) -> int:
@@ -176,10 +209,9 @@ class SampledCurve(Value):
 
 
 def _branch_piece(branch, resolution) -> CurvePiece:
-    xs = np.linspace(branch.lo, branch.hi, resolution)
-    ys = branch.map.a * xs + branch.map.b
-    ds = np.full(resolution, branch.map.a)
-    return CurvePiece(xs, ys, ds, 0, "affine")
+    xs = _linspace(branch.lo, branch.hi, resolution)
+    a, b = branch.map.a, branch.map.b
+    return CurvePiece(xs, [a * x + b for x in xs], [a] * resolution, 0, "affine")
 
 
 def seed_pieces(f, resolution: int = 256):
@@ -235,17 +267,18 @@ def extend(f, depth: int, resolution: int = 256) -> SampledCurve:
     F = graph_transform(f.tower)
     k1, k2 = seed_pieces(f, resolution)
     pieces = k1 + k2
-    current = pieces
+    # each piece of a level with a lower bound of its least sample gap, or
+    # None where it is crowded
+    current = [(p, min(map(sub, p.xs[1:], p.xs))) for p in pieces]
     for m in range(1, depth + 1):
-        current = [transform_piece(F, p) for p in current]
-        if any(np.any(np.diff(p.xs) < MIN_SAMPLE_ULPS * np.spacing(np.abs(p.xs[1:])))
-               for p in current):
+        current = [_image(F, p, gap) for p, gap in current]
+        if any(gap is None for _, gap in current):
             raise NonConvergent(
                 f"level {m} of {depth}: samples closer than {MIN_SAMPLE_ULPS} ulps, "
                 "the Lipschitz quotients collapse below float resolution; "
                 f"the deepest depth this resolution resolves is {m - 1}"
             )
-        pieces.extend(current)
+        pieces.extend(p for p, _ in current)
 
     c = f.c0
     left = max(p.hi for p in pieces if p.hi <= c)
@@ -253,21 +286,66 @@ def extend(f, depth: int, resolution: int = 256) -> SampledCurve:
 
     # close the unresolved window with the parabola 1 - l*(x-c)^2 through
     # the innermost resolved point (resolved: 1-y still above float noise)
-    cands = []
-    for p in pieces:
-        sel = (1.0 - p.ys) >= TIP_FLOOR
-        if sel.any():
-            xs, ys = p.xs[sel], p.ys[sel]
-            i = int(np.argmin(np.abs(xs - c)))
-            cands.append((abs(xs[i] - c), (1.0 - ys[i]) / (xs[i] - c) ** 2))
+    cands = [cand for cand in (_tip_candidate(p, c) for p in pieces) if cand is not None]
     l_hat = min(cands)[1]
-    xs = np.linspace(left, right, resolution)
-    tip = CurvePiece(
-        xs, 1.0 - l_hat * (xs - c) ** 2, -2.0 * l_hat * (xs - c),
-        depth + 1, "tip",
-    )
+    xs = _linspace(left, right, resolution)
+    us = [x - c for x in xs]
+    slope = -2.0 * l_hat
+    tip = CurvePiece(xs, [1.0 - l_hat * (u * u) for u in us], [slope * u for u in us], depth + 1, "tip")
     pieces.append(tip)
     return SampledCurve(pieces, c, (left, right))
+
+
+def _image(F: GraphTransform, p: CurvePiece, gap: float) -> tuple:
+    """p's box-map image and a lower bound of its least sample gap, given
+    one of p's, or None for the bound where some image sample lies less
+    than MIN_SAMPLE_ULPS ulps of its own above the one before it.
+
+    The samples increase, so no |x| exceeds the larger end's, X for p and
+    X' for the image, and each image sample fl(fl(a x) + b) lies within
+    u (|a| X + X') of a x + b, u = 2^-53: the image's gaps are at least
+    |a| gap (1 - 2u) - 2u (|a| X + X').  The bound takes 2^-48 for 2u,
+    which also covers its own rounding.  Where it clears the floor
+    MIN_SAMPLE_ULPS ulp(X'), no sample is crowded; elsewhere the least gap
+    is read, and where even that is below the floor, every sample."""
+    q = transform_piece(F, p)
+    xs = q.xs
+    a, top = abs(F.horizontal.a), max(abs(xs[0]), abs(xs[-1]))
+    floor = MIN_SAMPLE_ULPS * math.ulp(top)
+    bound = a * gap * (1.0 - 2.0**-48) - 2.0**-48 * (a * max(abs(p.xs[0]), abs(p.xs[-1])) + top)
+    if bound >= floor:
+        return q, bound
+    gap = min(map(sub, xs[1:], xs))
+    if gap < floor and any(x1 - x0 < MIN_SAMPLE_ULPS * math.ulp(abs(x1)) for x0, x1 in zip(xs, xs[1:])):
+        return q, None
+    return q, gap
+
+
+def _tip_candidate(p: CurvePiece, c: float):
+    """(|x - c|, (1 - y)/(x - c)**2) at the first of p's samples nearest c
+    among those with 1 - y >= TIP_FLOOR (np.argmin's pick), or None where
+    there is none.  1 - y falls as y rises, so the least y decides whether
+    there is one; the samples increase, so |x - c| rises with the index
+    right of c and falls left of it, where the pick is the last resolved
+    sample or the first resolved one as near as it."""
+    xs, ys = p.xs, p.ys
+    if 1.0 - min(ys) < TIP_FLOOR:
+        return None
+    n = len(xs)
+    if xs[0] >= c:
+        order = range(n)
+    elif xs[-1] <= c:
+        order = range(n - 1, -1, -1)
+    else:  # c inside the piece: by distance, ties in index order
+        order = sorted(range(n), key=lambda i: abs(xs[i] - c))
+    i = next(i for i in order if 1.0 - ys[i] >= TIP_FLOOR)
+    gap = abs(xs[i] - c)
+    for j in range(i - 1, -1, -1):
+        if abs(xs[j] - c) != gap:
+            break
+        if 1.0 - ys[j] >= TIP_FLOOR:
+            i = j
+    return gap, (1.0 - ys[i]) / (xs[i] - c) ** 2
 
 
 def _per_level_max(curve: SampledCurve, measure) -> list:
@@ -325,7 +403,7 @@ def quadratic_tip(curve: SampledCurve) -> float:
         denom = (r2 - r1) - (r1 - r0)
         if abs(denom) > 1e-3 * abs(r2 - r1):
             return r2 - (r2 - r1) ** 2 / denom
-    return float(np.mean(tail))
+    return _ordered_sum(tail) / len(tail)
 
 
 def boxes(t: Tower, depth: int):
@@ -346,10 +424,18 @@ def unimodal_check(curve: SampledCurve) -> bool:
     1e-15 fails, an unresolvable flat step does not.
     """
     xs, ys = curve.grid, curve.values
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-    move = np.abs(np.diff(xs)) > 1e-13
-    dy = np.diff(ys)[move]
-    mid = 0.5 * (xs[1:] + xs[:-1])[move]
-    left = mid < curve.c_star
-    return bool(np.all(dy[left] > -1e-15) and np.all(dy[~left] < 1e-15))
+    if xs != sorted(xs):  # pieces overlap: sort the samples, ties in piece order
+        order = sorted(range(len(xs)), key=xs.__getitem__)
+        xs, ys = [xs[i] for i in order], [ys[i] for i in order]
+    # step i runs from xs[i] to xs[i + 1]; its midpoint grows with i, so
+    # the steps left of c* are the first k
+    k = bisect_left(range(len(xs) - 1), curve.c_star, key=lambda i: 0.5 * (xs[i + 1] + xs[i]))
+    rise, fall = ys[: k + 1], ys[k:]
+    if rise == sorted(rise) and fall == sorted(fall, reverse=True):
+        return True
+    # only a step whose value falls left of c* or rises right of it can
+    # fail, and it fails if it moves more than 1e-13
+    falls = compress(range(k), map(lt, rise[1:], rise))
+    rises = compress(range(k, len(ys) - 1), map(gt, fall[1:], fall))
+    return (all(ys[i + 1] - ys[i] > -1e-15 or not xs[i + 1] - xs[i] > 1e-13 for i in falls)
+            and all(ys[i + 1] - ys[i] < 1e-15 or not xs[i + 1] - xs[i] > 1e-13 for i in rises))

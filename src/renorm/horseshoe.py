@@ -18,8 +18,6 @@ import itertools
 import math
 from functools import cached_property
 
-import numpy as np
-
 from .interval import Interval, Jet
 from .scaling import DivisionGuard, NumericalFailure, bisect, return_map
 from .solver import solve_fixed_point_eps
@@ -32,7 +30,10 @@ INVERSE_TOL = 1e-13
 # MARGIN/2 has image ends about R' * MARGIN/2 further out, past the base
 # widened by MARGIN, which is where the certificate proves the full shift.
 MARGIN = 1e-11
-MAX_COUNT = 2**63 - 1  # the largest cylinder count: an int64, which np.log takes
+# the largest cylinder count, 2^63 - 1: an entropy is math.log(count) / n,
+# which equals numpy's float64 log(count) / n for every m^n up to it with
+# m of 2..1000 letters (tests/test_horseshoe.py)
+MAX_COUNT = 2**63 - 1
 CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
 NODE_CAP = 4096  # memo entries per branch (about 0.4 MB); later nodes are not stored
 
@@ -309,7 +310,7 @@ def cylinder_count(b: BranchSystem, n: int) -> int:
 
 
 def entropy_estimate(b: BranchSystem, n: int) -> float:
-    return float(np.log(cylinder_count(b, n)) / n)
+    return math.log(cylinder_count(b, n)) / n
 
 
 def symbol_scaling_sequence(b: BranchSystem, alpha: Word) -> ScalingSequence:

@@ -40,6 +40,13 @@ BISECT_TOL = 1e-8
 POLISH_TOL = 1e-13
 SECANT_STEPS = 60
 SWEEP_STEPS = 5  # the eps values continuum_sweep solves at, ends included
+# The reports of the solves over a whole feasible domain, keyed by (period,
+# eps, tol), or None, which keeps none.  cli.main sets a fresh dict for the
+# one command it runs and restores the value it found: a horseshoe process
+# asks for 8 solves and `verify all --period 3` for 14, of 5 distinct eps
+# each, since the sweep's eps are bitwise the branch systems' literals.
+# Library callers keep none, so each of their solves runs.
+_memo = None
 
 
 class NoRoot(NumericalFailure, RuntimeError):
@@ -167,6 +174,19 @@ def _report(period, g, R, bracket, tol, eps):
 
 
 def _solve(period, eps, domain, tol):
+    """The unique fixed point of R(., eps) over the feasible domain, read
+    from _memo where a solve over the whole domain is kept there; a solve
+    that raises is not kept."""
+    if domain is not None or _memo is None:
+        return _solve_once(period, eps, domain, tol)
+    key = (period, eps, tol)
+    rep = _memo.get(key)
+    if rep is None:
+        rep = _memo[key] = _solve_once(period, eps, None, tol)
+    return rep
+
+
+def _solve_once(period, eps, domain, tol):
     """The unique fixed point of R(., eps) over the feasible domain.
 
     Raises NoRoot if no sub-interval brackets a root and MultipleRoots if

@@ -7,6 +7,8 @@ criteria's full depths.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import extension as ext
@@ -134,8 +136,7 @@ def extension_suite(rep: FixedPointReport):
         if p.kind == "tip" or p.level == 0:
             continue
         (xlo, xhi), (ylo, yhi) = bx[p.level]
-        viol = max(viol, xlo - p.lo, p.hi - xhi,
-                   ylo - float(np.min(p.ys)), float(np.max(p.ys)) - yhi)
+        viol = max(viol, xlo - p.lo, p.hi - xhi, ylo - min(p.ys), max(p.ys) - yhi)
     rows.append(check("boxes-containment", viol, 1e-10))
 
     identity = abs(s[-1] / s[j - 1] ** 2 - 1.0)
@@ -158,8 +159,8 @@ def horseshoe_suite(rep: FixedPointReport, seed: int = 0, quick: bool = True):
     counts = hs.cylinder_counts(b, n_cyl)
     counts_ok = all(c == 3**n for n, c in enumerate(counts, start=1))
     rows.append(check("cylinder-counts-3^n", 1.0 if counts_ok else 0.0, 1.0, kind=">="))
-    entropy = float(np.log(counts[-1]) / n_cyl)  # entropy_estimate's value, no recount
-    rows.append(check("entropy-vs-ln3", abs(entropy - np.log(3.0)), 0.01))
+    entropy = math.log(counts[-1]) / n_cyl  # entropy_estimate's value, no recount
+    rows.append(check("entropy-vs-ln3", abs(entropy - math.log(3.0)), 0.01))
 
     cs = [r[1] for r in continuum_sweep(0.98, 1.02)]
     mono = all(y < x for x, y in zip(cs[:-1], cs[1:]))

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from renorm import cli, scaling
+from renorm import cli, scaling, solver
 from test_lazy_imports import SRC, probe
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -85,9 +85,11 @@ def test_a_process_entry_freezes_the_collectors_objects(entry):
     assert probe(code, "[code, gc.get_freeze_count() > 0, gc.isenabled()]") == [0, True, True]
 
 
-# the commands that need no arrays (cli.PER_POINT), for both periods:
-# 14 of the benchmark's cli-mix processes
-NO_NUMPY = [[*name.split(), "--period", p] for p in ("3", "5") for name in sorted(cli.PER_POINT)]
+# the commands that need no arrays (cli.PER_POINT), for both periods, and
+# horseshoe, which reads no period, at the default eps and at five letters:
+# 21 of the benchmark's cli-mix processes
+NO_NUMPY = [[*name.split(), "--period", p] for p in ("3", "5") for name in sorted(cli.PER_POINT - {"horseshoe"})]
+NO_NUMPY += [["horseshoe"], ["horseshoe", "--eps", "1.02,1.01,1.0,0.99,0.98"]]
 REFERENCE_OUTPUTS = Path(__file__).resolve().parents[1] / "bench" / "reference_outputs.json"
 # runs the module as `python -m renorm.cli` does, with every import of numpy refused
 BLOCKED = (
@@ -100,8 +102,8 @@ BLOCKED = (
 
 @pytest.mark.parametrize("argv", NO_NUMPY, ids=[" ".join(argv) for argv in NO_NUMPY])
 def test_a_command_without_arrays_runs_with_numpy_blocked(argv, tmp_path):
-    # the same bytes as main in-process, with numpy loaded, and as the
-    # benchmark's recorded stdout of the array scans
+    # the same bytes as main in-process, with numpy loaded, and, where the
+    # benchmark records the command, as its recorded stdout of the arrays
     proc = subprocess.run(
         [sys.executable, "-c", BLOCKED, *argv],
         cwd=tmp_path,
@@ -111,8 +113,61 @@ def test_a_command_without_arrays_runs_with_numpy_blocked(argv, tmp_path):
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == in_process(argv)[1]
-    recorded = json.loads(REFERENCE_OUTPUTS.read_text())[" ".join(argv)]
-    assert hashlib.sha256(proc.stdout).hexdigest() == recorded["sha256"]
+    recorded = json.loads(REFERENCE_OUTPUTS.read_text()).get(" ".join(argv))
+    assert recorded is not None or argv[0] == "horseshoe"
+    if recorded is not None:
+        assert hashlib.sha256(proc.stdout).hexdigest() == recorded["sha256"]
+
+
+# 20 letters from 1.02 down to 0.98, and the sweep's three other eps: 23
+# distinct solves, above cli.PER_POINT_SOLVES, so the run scans arrays
+TWENTY = ",".join(repr(e) for e in scaling._linspace(1.02, 0.98, 20))
+# runs the module as `python -m renorm.cli` does, then writes to stderr
+# whether numpy was loaded
+NUMPY_LOADED = (
+    "import runpy, sys\n"
+    "sys.argv = ['renorm', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('renorm.cli', run_name='__main__')\n"
+    "finally:\n"
+    "    print('numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+def test_a_many_letter_horseshoe_scans_arrays_and_prints_the_per_point_bytes(monkeypatch, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_LOADED, "horseshoe", "--eps", TWENTY],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"True\n")
+    # the same run with per-point scans allowed for that many solves
+    assert cli.PER_POINT_SOLVES < 23
+    monkeypatch.setattr(cli, "PER_POINT_SOLVES", 23)
+    seen = []
+    real = solver._solve_once
+    monkeypatch.setattr(solver, "_solve_once", lambda *a: seen.append(scaling._per_point) or real(*a))
+    assert in_process(["horseshoe", "--eps", TWENTY]) == (0, proc.stdout)
+    assert seen == [True] * 23
+
+
+@pytest.mark.parametrize("eps, solves", [
+    (None, 5),
+    ("1.02,1.01,1.0,0.99,0.98", 5),
+    ("1.03,1.02,1.0,0.98,0.97", 7),
+    ("1.04,1.03,1.02,1.01,0.99,0.98", 8),
+    (TWENTY, 23),
+])
+def test_horseshoe_scans_per_point_up_to_the_solve_bound(eps, solves):
+    # distinct solves: the eps list and the sweep's five from its least
+    # to its greatest eps
+    args = cli._merge_config(cli.build_parser("horseshoe").parse_args(
+        ["horseshoe"] + ([] if eps is None else ["--eps", eps])))
+    e = cli._epsilons(args)
+    assert len({*e, *scaling._linspace(min(e), max(e), solver.SWEEP_STEPS)}) == solves
+    assert cli._scans_per_point(args) is (solves <= cli.PER_POINT_SOLVES)
 
 
 def test_main_restores_the_scan_path(monkeypatch):
@@ -130,3 +185,37 @@ def test_main_restores_the_scan_path(monkeypatch):
         assert in_process(["verify", "tower", "--period", "5"])[0] == 0
         assert scaling._per_point is switch
     assert seen == [("solve", True), ("solve", True), ("verify", False)] * 2
+
+
+def test_main_solves_each_eps_once_and_keeps_no_solve_after_it(monkeypatch):
+    # horseshoe asks for 8 solves of 5 distinct eps, `verify all --period
+    # 3` for 14; main memoizes them and restores the memo it found
+    solves = []
+    real = solver._solve_once
+    monkeypatch.setattr(solver, "_solve_once", lambda *a: solves.append(a[1]) or real(*a))
+    assert in_process(["horseshoe"])[0] == 0
+    assert sorted(solves) == [0.98, 0.99, 1.0, 1.01, 1.02]
+    solves.clear()
+    assert in_process(["verify", "all", "--period", "3"])[0] == 0
+    assert sorted(solves) == [0.98, 0.99, 1.0, 1.01, 1.02]
+    assert solver._memo is None
+    # a library solve after main runs the kernels again
+    calls = []
+    kernel = scaling.Period.THREE.r_kernel
+    monkeypatch.setattr(scaling.Period.THREE, "r_kernel", lambda c, eps: calls.append(c) or kernel(c, eps))
+    rep = solver.solve_fixed_point_eps(1.02)
+    assert calls and rep.eps == 1.02
+
+
+def test_a_solve_that_raises_is_not_memoized(monkeypatch):
+    monkeypatch.setattr(solver, "_memo", {})
+    scans = []
+    real = solver.feasible_domain
+    monkeypatch.setattr(solver, "feasible_domain", lambda *a, **k: scans.append(k) or real(*a, **k))
+    for _ in range(2):
+        with pytest.raises(solver.NoRoot, match="no sign change"):
+            solver.solve_fixed_point_eps(0.25)
+    assert len(scans) == 2 and solver._memo == {}
+    solver.solve_fixed_point_eps(1.01)
+    solver.solve_fixed_point_eps(1.01)
+    assert len(scans) == 3 and list(solver._memo) == [(scaling.Period.THREE, 1.01, solver.POLISH_TOL)]

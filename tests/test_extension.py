@@ -1,10 +1,16 @@
+import math
+from operator import sub
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renorm.extension import (
     MAX_RESOLUTION,
     MIN_RESOLUTION,
+    MIN_SAMPLE_ULPS,
     CurvePiece,
+    GraphTransform,
     FillerOvershoot,
     NonConvergent,
     SampledCurve,
@@ -17,10 +23,14 @@ from renorm.extension import (
     seed_pieces,
     unimodal_check,
     _cubic_hermite,
+    _image,
 )
 from renorm.pwa import build_pwa
 from renorm.scaling import Period, eval_raw
-from renorm.tower import ScalingSequence
+from renorm.scaling import _linspace as scaling_linspace
+from renorm.tower import Affine, ScalingSequence
+from record_extension import cases, maps, record
+from reference_extension import EXTENSIONS
 from reference_values import ORBIT3, TIP3, TIP5
 
 
@@ -43,7 +53,7 @@ def test_seed_fillers_monotone(f3):
     for pieces, sgn in ((k2, 1.0), (k1, -1.0)):
         for p in pieces:
             if p.kind == "filler":
-                assert np.all(sgn * p.ds >= -1e-15)
+                assert np.all(sgn * np.asarray(p.ds) >= -1e-15)
                 assert np.all(np.diff(p.ys) * sgn > 0.0)
 
 
@@ -70,8 +80,8 @@ def test_window_shrinks_geometrically(f3, curve3):
 
 def test_curve_hits_quadratic_at_tower_endpoints(f3, curve3):
     t = f3.tower
-    xs = curve3.grid
-    ys = curve3.values
+    xs = np.asarray(curve3.grid)
+    ys = np.asarray(curve3.values)
     for n in range(1, 6):
         for point in (t.y(n), t.z(n)):
             i = int(np.argmin(np.abs(xs - point)))
@@ -252,7 +262,7 @@ def test_every_seed_filler_is_the_cubic_at_the_resolution_ends(f3, f5, resolutio
         for p in fillers:
             assert len(p.xs) == resolution
             h = p.hi - p.lo
-            ys, ds = _cubic_hermite((p.xs - p.lo) / h, h, p.ys[0], p.ys[-1], p.ds[0], p.ds[-1])
+            ys, ds = _cubic_hermite((np.asarray(p.xs) - p.lo) / h, h, p.ys[0], p.ys[-1], p.ds[0], p.ds[-1])
             assert np.allclose(p.ys, ys, rtol=1e-12, atol=1e-15)
             assert np.allclose(p.ds, ds, rtol=1e-12, atol=1e-15)
 
@@ -266,3 +276,71 @@ def test_resolution_validation(f3):
         seed_pieces(f3, resolution=MAX_RESOLUTION + 1)
     with pytest.raises(ValueError):
         extend(f3, 0)
+
+
+@pytest.fixture(scope="module")
+def fixed_point_maps():
+    return maps()
+
+
+def test_the_recorded_extensions_are_the_recorder_cases():
+    assert list(EXTENSIONS) == cases()
+
+
+@pytest.mark.parametrize("case", list(EXTENSIONS), ids=[f"p{p}-depth{d}-res{r}" for p, d, r in EXTENSIONS])
+def test_extension_is_bitwise_the_recorded_array_form(fixed_point_maps, case):
+    # every piece's samples, every reported number and every refusal, as
+    # the arrays computed them (tests/record_extension.py)
+    p, depth, resolution = case
+    assert record(fixed_point_maps[p], depth, resolution) == EXTENSIONS[case]
+
+
+def _unimodal_on_arrays(curve):
+    # unimodal_check as it ran on numpy arrays
+    xs, ys = np.asarray(curve.grid), np.asarray(curve.values)
+    order = np.argsort(xs)
+    xs, ys = xs[order], ys[order]
+    move = np.abs(np.diff(xs)) > 1e-13
+    dy = np.diff(ys)[move]
+    mid = 0.5 * (xs[1:] + xs[:-1])[move]
+    left = mid < curve.c_star
+    return bool(np.all(dy[left] > -1e-15) and np.all(dy[~left] < 1e-15))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_unimodal_check_sorts_overlapping_pieces_as_the_arrays_did(seed):
+    # pieces whose samples interleave, on the parabola (odd seeds) or, on
+    # even seeds, with one piece's right half lifted off it: the check
+    # sorts the samples, agrees with the array form and fails the lifted
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for m in range(4):
+        lo, hi = np.sort(rng.uniform(0.05, 0.95, 2))
+        xs = scaling_linspace(float(lo), float(hi), 64)
+        bump = 0.0 if seed % 2 else 1e-3 * rng.uniform(-1.0, 1.0)
+        ys = [1.0 - (x - 0.5) ** 2 + bump * (x > 0.5) for x in xs]
+        pieces.append(CurvePiece(xs, ys, [-2.0 * (x - 0.5) for x in xs], m, "filler"))
+    curve = SampledCurve(pieces, 0.5, (0.45, 0.55))
+    assert curve.grid != sorted(curve.grid)
+    assert unimodal_check(curve) is _unimodal_on_arrays(curve)
+    assert unimodal_check(curve) is (seed % 2 == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(0.0, 0.9), width=st.floats(1e-9, 0.1), n=st.integers(2, 300),
+       a=st.floats(0.02, 0.9), anchor=st.floats(0.1, 0.9))
+def test_the_image_gap_bound_never_passes_a_crowded_piece(lo, width, n, a, anchor):
+    # level after level of a reversing box map about anchor: the bound is
+    # below every image's least gap, and None exactly where a sample lies
+    # closer than MIN_SAMPLE_ULPS ulps of its own to the one before it
+    xs = scaling_linspace(lo, lo + width, n)
+    F = GraphTransform(Affine(-a, anchor * (1.0 + a)), Affine(0.5, 0.5))
+    p, gap = CurvePiece(xs, xs, xs, 0, "filler"), min(map(sub, xs[1:], xs))
+    for _ in range(60):
+        q, bound = _image(F, p, gap)
+        crowded = any(x1 - x0 < MIN_SAMPLE_ULPS * math.ulp(abs(x1)) for x0, x1 in zip(q.xs, q.xs[1:]))
+        assert (bound is None) is crowded
+        if crowded:
+            return
+        assert bound <= min(map(sub, q.xs[1:], q.xs))
+        p, gap = q, bound

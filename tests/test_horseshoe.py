@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,7 +209,7 @@ def test_alphabet_five(bsys5):
 
 
 def test_count_limit(bsys2, bsys, bsys4, bsys5):
-    # counts stay int64, so np.log takes them; past that, a ValueError
+    # counts stay within MAX_COUNT, 2^63 - 1; past that, a ValueError
     # naming the limit, before any proof; an n far past it is refused as
     # quickly, without raising m to it
     for b, limit in ((bsys2, 62), (bsys, 39), (bsys4, 31), (bsys5, 27)):
@@ -225,6 +227,23 @@ def test_count_limit(bsys2, bsys, bsys4, bsys5):
         entropy_estimate(bsys, 41)
     with pytest.raises(ValueError, match="n >= 1"):
         cylinder_counts(bsys, 0)
+
+
+def test_entropies_are_numpys_log_bitwise():
+    # horseshoe's entropy_estimates (math.log(count) / n) and ln_alphabet
+    # (math.log(m)) print what numpy's float64 log printed, for every m^n
+    # count up to the limit of 2 to 1000 letters: 7229 entropies and 999
+    # alphabet logs
+    checked = 0
+    for m in range(2, 1001):
+        assert math.log(m) == float(np.log(m))
+        checked += 1
+        n, count = 1, m
+        while count <= horseshoe.MAX_COUNT:
+            assert math.log(count) / n == float(np.log(count) / n), (m, n)
+            n, count = n + 1, count * m
+            checked += 1
+    assert checked == 8228
 
 
 def test_symbol_sequence_constant_word_is_stationary(bsys, rep3):

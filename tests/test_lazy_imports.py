@@ -84,10 +84,18 @@ def test_import_renorm_loads_only_the_core():
     ["plotdata", "returnmap", "--period", "5"],
     ["tower", "--period", "5"],
     ["plotdata", "tower", "--period", "3"],
+    ["extend", "--period", "3"],
+    ["plotdata", "extension", "--period", "5"],
+    ["horseshoe"],
 ])
 def test_light_commands_load_only_the_core_cli_and_report(argv):
-    # and the tower commands renorm.tower, and none of them numpy
-    stage = ["renorm.tower"] if "tower" in argv else []
+    # and the stage modules each command runs, and none of them numpy
+    stage = {
+        "tower": ["renorm.tower"],
+        "extend": ["renorm.extension", "renorm.pwa", "renorm.tower"],
+        "extension": ["renorm.extension", "renorm.pwa", "renorm.tower"],
+        "horseshoe": ["renorm.horseshoe", "renorm.interval", "renorm.tower"],
+    }.get(argv[1] if argv[0] == "plotdata" else argv[0], [])
     code = (
         "from renorm.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
