@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import report as rpt, scaling, solver
+from . import report as rpt, solver
 from .scaling import (
     DivisionGuard,
     NumericalFailure,
@@ -26,29 +26,15 @@ from .scaling import (
     return_map,
     scaling_from_critical,
 )
-from .solver import SWEEP_STEPS, continuum_sweep, solve_fixed_point
+from .solver import continuum_sweep, solve_fixed_point
 
 # The core, scaling and solver, is imported above; every other stage module
 # is imported inside the commands that call it, so that a command compiles
 # and runs only the modules it uses.  numpy is imported by verify and by the
-# first array scan.  The commands of PER_POINT need no arrays: main has
-# their scans run per point, so they never import numpy, and print the
-# bytes the array scans give.
+# first array scan, which scaling's rule leaves to processes that scan more
+# grid points than numpy's import is worth.
 
 MAX_GRID = 100_000  # plotdata rows; at the ceiling, rows and CSV text take tens of MB
-# every command but verify: extend and plotdata extension sample the
-# extension on Python floats, and horseshoe scans per point while its
-# distinct solves stay within PER_POINT_SOLVES
-PER_POINT = {"solve", "feasible", "tower", "extend", "horseshoe", "plotdata scaling", "plotdata returnmap",
-             "plotdata cobweb", "plotdata tower", "plotdata extension"}
-# The most distinct solves horseshoe runs per point.  A per-point eps solve
-# (its domain and root scans) costs 9-10 ms of CPU at eps near 1, an array
-# solve 0.3-0.4 ms once numpy is imported, and the import 70 ms or more
-# (Python 3.11.7, numpy 2.4.6, one CPU of a shared 2-vCPU VM): per point
-# is the cheaper up to the import's cost over a per-point solve's, 70 ms /
-# 10 ms = 7 solves.  The default eps list, or any within the sweep's five
-# (1.02, 1.01, 1.0, 0.99, 0.98), makes 5; a 20-letter list scans arrays.
-PER_POINT_SOLVES = 7
 
 
 def _period(args) -> Period:
@@ -371,17 +357,6 @@ def _epsilons(args) -> tuple:
     return tuple(float(x) for x in ("1.02,1.0,0.98" if args.eps is None else args.eps).split(","))
 
 
-def _scans_per_point(args) -> bool:
-    """Whether the invoked command's scans run per point: a command of
-    PER_POINT, and horseshoe only for at most PER_POINT_SOLVES distinct
-    eps, its own and its sweep's."""
-    name = _command_flags(args)[0]
-    if name != "horseshoe":
-        return name in PER_POINT
-    eps = _epsilons(args)
-    return len({*eps, *_linspace(min(eps), max(eps), SWEEP_STEPS)}) <= PER_POINT_SOLVES
-
-
 def cmd_horseshoe(args) -> int:
     from . import horseshoe as hs
 
@@ -442,12 +417,10 @@ COMMANDS = {  # in the order the usage line lists them
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
-    # both restored on the way out, for a caller in its own process
-    per_point, memo = scaling._per_point, solver._memo
-    solver._memo = {}
+    # restored on the way out, for a caller in its own process
+    memo, solver._memo = solver._memo, {}
     try:
         _merge_config(args)
-        scaling._per_point = _scans_per_point(args)
         return COMMANDS[args.command](args)
     except NumericalFailure as exc:  # ahead of ValueError: InvalidFactor is one
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -456,7 +429,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     finally:
-        scaling._per_point, solver._memo = per_point, memo
+        solver._memo = memo
 
 
 def run() -> None:

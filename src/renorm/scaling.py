@@ -68,12 +68,14 @@ subtractions of the other conditions, but S1 = u^p(0) - 0, which is the
 pulled row as is.  A memo above SCAN_MEMO_CAP bytes, from a step far
 below the default, is computed afresh for its scan and not kept.
 
-Where the scans run per point (_per_point, which cli.main sets for the
-commands that need no arrays), feasible_domain reads values_kernel at
-each grid point and the solver's root scan r_kernel, both bitwise the
-array scans, and such a process never imports numpy: np is bound on the
-first array call (_Numpy).  The finders of runs, touches and sign changes
-take the values in either form.
+Both scans, the domain scan and the solver's root scan, run per point or
+as arrays by one rule, _scan_per_point: arrays once numpy is loaded,
+else per point while the process's per-point grid points stay within
+SCAN_BUDGET.  Per point, feasible_domain reads values_kernel at each grid
+point and the root scan r_kernel, both bitwise the array scans, and a
+process that scans only per point never imports numpy: np is bound on
+the first array call (_Numpy).  The finders of runs, touches and sign
+changes take the values in either form.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
@@ -92,6 +94,7 @@ from __future__ import annotations
 import enum
 import math
 import mmap
+import sys
 from functools import cached_property, lru_cache, reduce
 from operator import add
 
@@ -124,25 +127,30 @@ REFINE_TOL = 1e-12
 # three) and 360 KB (five); one at the 1e-6 step floor takes up to 36 MB
 # and is computed fresh every scan
 SCAN_MEMO_CAP = 1 << 20
-# Whether the domain and root scans evaluate their grids point by point,
-# with the float kernels and no numpy, or as numpy arrays.  cli.main sets it
-# for the commands that need no arrays, and restores it: there the scans
-# cost a few milliseconds against 70 ms or more for importing numpy.  Every
-# other caller keeps the arrays, faster once numpy is loaded.
-_per_point = False
-# The largest grid a scan runs per point.  Per grid point, a per-point
-# domain scan costs about 1.5 us for period three and 2.4 us for five, the
-# array scan 0.1-0.3 us, and the arrays first cost numpy's import, 70 ms of
-# CPU or more: per point is the cheaper below 70 ms / (2.4 - 0.3) us, about
-# 33k points, for both periods.  So the default 1e-4 grid (4999 points) and
-# the root grids at eps 1 (5830 points for period three, 1070 for five) run
-# per point, and a --step below 1.5e-5 scans arrays.
-PER_POINT_MAX = 33_000
+# The grid points a process scans per point before it scans arrays: the
+# rent-or-buy rule.  Per point, a grid point costs about 0.9 us of CPU (a
+# period-three solve, its 4999 domain and 5830 root points, takes 9-10
+# ms), as arrays about 0.03 us once numpy is imported, and the import
+# costs 70 ms or more (Python 3.11.7, numpy 2.4.6, one CPU of a shared
+# 2-vCPU VM; BENCH_30.json, BENCH_31.json): 70 ms / 0.93 us is about 75k
+# points.  So a solve (about 11k points) and the default horseshoe's five
+# distinct solves (54,148) never import numpy, and a process that scans
+# more spends at most about one import more than arrays from the start.
+SCAN_BUDGET = 75_000
+_scanned = 0  # the grid points this process has scanned per point
 
 
-def _scan_per_point(points) -> bool:
-    """Whether a scan over this many grid points runs per point."""
-    return _per_point and points <= PER_POINT_MAX
+def _scan_per_point(points: int) -> bool:
+    """Whether a scan of this many grid points runs per point, on the float
+    kernels, rather than as numpy arrays: never once numpy is loaded, by
+    whichever module, since its import is paid; else while the points
+    scanned per point, this scan's included, stay within SCAN_BUDGET, and
+    then the scan's points are charged.  Both forms give the same bits."""
+    global _scanned
+    if sys.modules.get("numpy") is not None or _scanned + points > SCAN_BUDGET:
+        return False
+    _scanned += points
+    return True
 
 
 class NumericalFailure(Exception):
@@ -806,7 +814,7 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    if _scan_per_point(0.5 / scan_step):
+    if _scan_per_point(math.ceil((0.5 - scan_step) / scan_step)):
         cs, cond, worst = _point_conditions(period, scan_step, eps)
         ok = [w > 0.0 for w in worst]
     else:

@@ -4,10 +4,11 @@ Roots of R(c) - c are isolated by a sign scan over the feasible domain:
 the grids of all feasible intervals are written into one array, and the
 period's root_kernel, R(c) - c on an array with out= ufuncs, runs once
 over it (NaN where R's s2 guard trips, so the scan never pairs values
-across a pole, nor across the gap between two intervals).  Where the
-scans run per point (scaling._per_point, for the CLI commands that need
-no arrays), the grids are one list and r_kernel(c) - c, NaN where the
-guard raises, is evaluated point by point, bitwise root_kernel.  Each bracket
+across a pole, nor across the gap between two intervals).  Where
+scaling._scan_per_point's rule has the scan run per point (numpy not
+loaded, and the grid within the budget left), the grids are one list and
+r_kernel(c) - c, NaN where the guard raises, is evaluated point by point,
+bitwise root_kernel.  Each bracket
 is then refined on Python floats by scalar bisection and polished with a
 secant step loop, both calling the period's r_kernel directly.  Each
 period has exactly one expanding fixed point; finding none or several is
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
+from . import scaling
 from .scaling import (
     REFINE_TOL,
     DivisionGuard,
@@ -29,7 +31,6 @@ from .scaling import (
     Period,
     _flips,
     _linspace,
-    _scan_per_point,
     feasible_domain,
 )
 from .value import Value
@@ -112,16 +113,16 @@ def _refine_root(f, lo, hi, tol):
     return x1
 
 
-def _grids(intervals, grid, per_point=False):
+def _grids(intervals, grid):
     """Every interval's np.linspace(lo, hi, n + 1), n = max(ceil((hi - lo)
-    / grid), 2), bitwise, written into one array, or per_point into one
-    list (_linspace), and the index where each grid ends.  Each is
-    linspace's own formula, arange(n + 1) * ((hi - lo) / n) + lo with the
-    last point hi, except where that step is 0, which linspace computes
-    another way."""
+    / grid), 2), bitwise, written into one array, or, where
+    scaling._scan_per_point runs the scan per point, into one list
+    (_linspace), and the index where each grid ends.  Each is linspace's
+    own formula, arange(n + 1) * ((hi - lo) / n) + lo with the last point
+    hi, except where that step is 0, which linspace computes another way."""
     nums = [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
     ends = list(accumulate(nums))
-    if per_point:
+    if scaling._scan_per_point(ends[-1]):
         return [x for (lo, hi), num in zip(intervals, nums) for x in _linspace(lo, hi, num)], ends
     import numpy as np
 
@@ -139,25 +140,25 @@ def _grids(intervals, grid, per_point=False):
     return xs, ends
 
 
-def _scan_roots(g, intervals, grid, per_point=False):
+def _scan_roots(g, intervals, grid):
     """Sign changes of g on each (lo, hi) of intervals, sampled at spacing
     grid, as brackets of Python floats.
 
-    g takes every interval's grid as one array (_grids), or per_point as
-    one list, and returns its values alike; NaN values never pair into a
-    hit, and neither do the two points where one interval's grid ends and
-    the next begins.
+    g takes every interval's grid as _grids gives it, one array or one
+    list, and returns its values alike; NaN values never pair into a hit,
+    and neither do the two points where one interval's grid ends and the
+    next begins.
     """
     if not intervals:
         return []
-    xs, ends = _grids(intervals, grid, per_point)
+    xs, ends = _grids(intervals, grid)
     v = g(xs)
     # a hit is a step where v > 0 flips and the end not above 0 is below
     # 0: zeros and NaN never pair.  One mask, and the few flips read one
     # by one: np.sign and products of signs measured slower than the
     # comparisons.  No step joins the last point of one grid and the
     # first of the next.
-    pos = [x > 0.0 for x in v] if per_point else v > 0.0
+    pos = [x > 0.0 for x in v] if isinstance(v, list) else v > 0.0
     junctions = {end - 1 for end in ends[:-1]}
     hits = [i for i in _flips(pos) if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
     return [(float(xs[i]), float(xs[i + 1])) for i in hits]
@@ -217,12 +218,11 @@ def _solve_once(period, eps, domain, tol):
 
     pad = 2.0 * REFINE_TOL
     intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
-    # R(c) - c, NaN where R's s2 guard trips: one array call over every
-    # grid, or g at each point
-    if _scan_per_point(sum(hi - lo for lo, hi in intervals) / SCAN_GRID):
-        brackets = _scan_roots(lambda xs: [g(x) for x in xs], intervals, SCAN_GRID, True)
-    else:
-        brackets = _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
+    # R(c) - c, NaN where R's s2 guard trips: g at each point of a list,
+    # or one array call over every grid
+    brackets = _scan_roots(
+        lambda xs: [g(x) for x in xs] if isinstance(xs, list) else period.root_kernel(xs, eps),
+        intervals, SCAN_GRID)
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:

@@ -12,7 +12,9 @@ import math
 import numpy as np
 
 from . import extension as ext
-from .pwa import build_pwa, fixed_residual, shift_residual, tip_ratios, slope_profile, verify_combinatorics
+from .pwa import (
+    PiecewiseAffineMap, build_pwa, fixed_residual, shift_residual, tip_ratios, slope_profile, verify_combinatorics,
+)
 from .scaling import Period, eval_raw
 from .solver import FixedPointReport, continuum_sweep, solve_fixed_point
 from .tower import ScalingSequence, build_tower, cantor_dimension, hor_bound, ratio_report, verify_proper
@@ -27,11 +29,10 @@ def check(name, value, bound, ok=None, kind="<="):
     return {"name": name, "value": float(value), "bound": float(bound), "ok": bool(ok)}
 
 
-def tower_suite(rep: FixedPointReport):
-    period, c = rep.period, rep.c_star
-    seq = ScalingSequence.stationary(period, c)
+def tower_suite(rep: FixedPointReport, f: PiecewiseAffineMap):
+    c = rep.c_star
     depth = 10
-    t = build_tower(seq, depth)
+    t = build_tower(f.seq, depth)
     s, j = t.factors[0].s, t.central
     rows = [
         check("fixed-point-residual", rep.residual, 1e-12),
@@ -68,11 +69,9 @@ def tower_suite(rep: FixedPointReport):
     return rows
 
 
-def pwa_suite(rep: FixedPointReport):
+def pwa_suite(rep: FixedPointReport, f: PiecewiseAffineMap):
     period, c = rep.period, rep.c_star
-    depth = ext.DEFAULT_DEPTH[period]
-    seq = ScalingSequence.stationary(period, c)
-    f = build_pwa(seq, depth)
+    depth, seq = f.depth, f.seq
 
     worst = 0.0
     for b in f.branches:
@@ -110,11 +109,9 @@ def pwa_suite(rep: FixedPointReport):
     return rows
 
 
-def extension_suite(rep: FixedPointReport):
-    period, c = rep.period, rep.c_star
-    depth = ext.DEFAULT_DEPTH[period]
-    f = build_pwa(ScalingSequence.stationary(period, c), depth)  # the boxes read depth levels
-    curve = ext.extend(f, depth)
+def extension_suite(rep: FixedPointReport, f: PiecewiseAffineMap):
+    c, depth = rep.c_star, f.depth  # the boxes read depth levels
+    curve = ext.extend(f, depth)  # reads f, never changes it
 
     lam = ext.lipschitz_profile(curve)
     noninc = all(b <= a * (1.0 + 1e-6) for a, b in zip(lam[:-1], lam[1:]))
@@ -205,15 +202,18 @@ SUITES = {
 
 def run_suite(suite: str, period: Period, seed: int = 0, quick: bool = True):
     """One suite's rows, or for "all" the rows of every suite the period
-    runs, named suite/check.  The fixed point is solved once per call."""
+    runs, named suite/check.  The fixed point is solved once per call, and
+    its PWA map at the extension's default depth built once for the tower
+    suite, which reads its sequence, and the pwa and extension suites."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "horseshoe" and period is not Period.THREE:
         raise ValueError("horseshoe suite runs on the period-three system")
     rep = solve_fixed_point(period)
+    f = build_pwa(ScalingSequence.stationary(period, rep.c_star), ext.DEFAULT_DEPTH[period])
 
     def rows(name):
-        return horseshoe_suite(rep, seed, quick) if name == "horseshoe" else SUITES[name](rep)
+        return horseshoe_suite(rep, seed, quick) if name == "horseshoe" else SUITES[name](rep, f)
 
     if suite != "all":
         return rows(suite)

@@ -85,10 +85,12 @@ def test_a_process_entry_freezes_the_collectors_objects(entry):
     assert probe(code, "[code, gc.get_freeze_count() > 0, gc.isenabled()]") == [0, True, True]
 
 
-# the commands that need no arrays (cli.PER_POINT), for both periods, and
-# horseshoe, which reads no period, at the default eps and at five letters:
-# 21 of the benchmark's cli-mix processes
-NO_NUMPY = [[*name.split(), "--period", p] for p in ("3", "5") for name in sorted(cli.PER_POINT - {"horseshoe"})]
+# the commands that need no arrays, whose scans fit scaling.SCAN_BUDGET, for
+# both periods, and horseshoe, which reads no period, at the default eps and
+# at five letters: 21 of the benchmark's cli-mix processes
+NO_NUMPY = [[*name.split(), "--period", p] for p in ("3", "5") for name in (
+    "extend", "feasible", "plotdata cobweb", "plotdata extension", "plotdata returnmap",
+    "plotdata scaling", "plotdata tower", "solve", "tower")]
 NO_NUMPY += [["horseshoe"], ["horseshoe", "--eps", "1.02,1.01,1.0,0.99,0.98"]]
 REFERENCE_OUTPUTS = Path(__file__).resolve().parents[1] / "bench" / "reference_outputs.json"
 # runs the module as `python -m renorm.cli` does, with every import of numpy refused
@@ -120,7 +122,8 @@ def test_a_command_without_arrays_runs_with_numpy_blocked(argv, tmp_path):
 
 
 # 20 letters from 1.02 down to 0.98, and the sweep's three other eps: 23
-# distinct solves, above cli.PER_POINT_SOLVES, so the run scans arrays
+# distinct solves, more grid points than scaling.SCAN_BUDGET, so the run
+# scans arrays once the budget is spent
 TWENTY = ",".join(repr(e) for e in scaling._linspace(1.02, 0.98, 20))
 # runs the module as `python -m renorm.cli` does, then writes to stderr
 # whether numpy was loaded
@@ -143,14 +146,24 @@ def test_a_many_letter_horseshoe_scans_arrays_and_prints_the_per_point_bytes(mon
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, b"True\n")
-    # the same run with per-point scans allowed for that many solves
-    assert cli.PER_POINT_SOLVES < 23
-    monkeypatch.setattr(cli, "PER_POINT_SOLVES", 23)
+    # the same run with every scan per point: a domain and a root scan per solve
     seen = []
-    real = solver._solve_once
-    monkeypatch.setattr(solver, "_solve_once", lambda *a: seen.append(scaling._per_point) or real(*a))
+    monkeypatch.setattr(scaling, "_scan_per_point", lambda points: seen.append(points) or True)
     assert in_process(["horseshoe", "--eps", TWENTY]) == (0, proc.stdout)
-    assert seen == [True] * 23
+    assert len(seen) == 2 * 23 and sum(seen) > scaling.SCAN_BUDGET
+
+
+# each scan's decision in a fresh interpreter: the points it asks for, the
+# points scanned per point before it, whether numpy was loaded and the path
+SCANS = (
+    "from renorm import scaling\n"
+    "rule, scans = scaling._scan_per_point, []\n"
+    "def logged(points):\n"
+    "    scans.append([points, scaling._scanned, 'numpy' in sys.modules])\n"
+    "    scans[-1].append(rule(points))\n"
+    "    return scans[-1][-1]\n"
+    "scaling._scan_per_point = logged\n"
+)
 
 
 @pytest.mark.parametrize("eps, solves", [
@@ -163,28 +176,28 @@ def test_a_many_letter_horseshoe_scans_arrays_and_prints_the_per_point_bytes(mon
 def test_horseshoe_scans_per_point_up_to_the_solve_bound(eps, solves):
     # distinct solves: the eps list and the sweep's five from its least
     # to its greatest eps
-    args = cli._merge_config(cli.build_parser("horseshoe").parse_args(
-        ["horseshoe"] + ([] if eps is None else ["--eps", eps])))
+    argv = ["horseshoe"] + ([] if eps is None else ["--eps", eps])
+    args = cli._merge_config(cli.build_parser("horseshoe").parse_args(argv))
     e = cli._epsilons(args)
     assert len({*e, *scaling._linspace(min(e), max(e), solver.SWEEP_STEPS)}) == solves
-    assert cli._scans_per_point(args) is (solves <= cli.PER_POINT_SOLVES)
-
-
-def test_main_restores_the_scan_path(monkeypatch):
-    # main runs a light command's scans per point and verify's as arrays,
-    # and leaves the switch as it found it, on success and on failure alike
-    seen = []
-    for name in ("solve", "verify"):
-        real = cli.COMMANDS[name]
-        monkeypatch.setitem(cli.COMMANDS, name,
-                            lambda args, real=real: seen.append((args.command, scaling._per_point)) or real(args))
-    for switch in (False, True):
-        monkeypatch.setattr(scaling, "_per_point", switch)
-        assert in_process(["solve", "--period", "3"])[0] == 0
-        assert in_process(["solve", "--period", "3", "--step", "1"])[0] == 2
-        assert in_process(["verify", "tower", "--period", "5"])[0] == 0
-        assert scaling._per_point is switch
-    assert seen == [("solve", True), ("solve", True), ("verify", False)] * 2
+    # a domain and a root scan per solve; per point while the solves' points
+    # fit scaling.SCAN_BUDGET, never past it, and arrays once one does not
+    code = SCANS + (
+        "from renorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
+    scans = probe(code, "scans")
+    assert len(scans) == 2 * solves
+    per_point = [points for points, _, _, path in scans if path]
+    assert sum(per_point) <= scaling.SCAN_BUDGET
+    assert [path for *_, path in scans] == [True] * len(per_point) + [False] * (len(scans) - len(per_point))
+    if solves == 5:
+        assert len(per_point) == len(scans)
+    else:
+        first = scans[len(per_point)]
+        assert first[0] + first[1] > scaling.SCAN_BUDGET and not first[2]
+        assert all(loaded for _, _, loaded, _ in scans[len(per_point) + 1:])
 
 
 def test_main_solves_each_eps_once_and_keeps_no_solve_after_it(monkeypatch):

@@ -682,6 +682,35 @@ def test_verify_all_solves_the_fixed_point_once(monkeypatch):
     assert {r["name"].split("/")[0] for r in rows} == {"tower", "pwa", "extension", "horseshoe"}
 
 
+@pytest.mark.parametrize("period", ["THREE", "FIVE"])
+def test_verify_all_builds_the_fixed_points_pwa_map_once(monkeypatch, period):
+    # one stationary sequence at c* and one PWA map of it, at the
+    # extension's default depth, for the tower, pwa and extension suites;
+    # extend leaves the map as it found it
+    from renorm import verify as ver
+    from renorm.scaling import Period
+    from renorm.tower import ScalingSequence
+
+    period = Period[period]
+    c_star = ver.solve_fixed_point(period).c_star
+    seqs, maps = [], []
+    stationary, build_pwa, extend = ScalingSequence.stationary, ver.build_pwa, ver.ext.extend
+    monkeypatch.setattr(ScalingSequence, "stationary",
+                        staticmethod(lambda p, c, eps=1.0: seqs.append(c) or stationary(p, c, eps)))
+    monkeypatch.setattr(ver, "build_pwa", lambda seq, depth: maps.append(build_pwa(seq, depth)) or maps[-1])
+
+    def checked_extend(f, depth):
+        before = repr(f)
+        curve = extend(f, depth)
+        assert repr(f) == before
+        return curve
+
+    monkeypatch.setattr(ver.ext, "extend", checked_extend)
+    ver.run_suite("all", period)
+    assert seqs.count(c_star) == 1 and len(maps) == 1
+    assert maps[0].depth == ver.ext.DEFAULT_DEPTH[period]
+
+
 def test_cli_verify_tower(capsys):
     code, out = run_cli(capsys, "verify", "tower", "--period", "3")
     assert code == 0

@@ -9,6 +9,7 @@ against tests/frozen_scan.py, their frozen form before the eps-free rows,
 the in-place fold and the sign products."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import frozen_scan
+from test_lazy_imports import probe
 from renorm import scaling, solver
 from renorm.scaling import (
     REFINE_TOL,
@@ -440,17 +442,20 @@ def test_root_scan_is_the_frozen_scan_on_the_solver_grids(case):
     assert _scan_roots(g, intervals, SCAN_GRID) == frozen_scan._scan_roots(g, intervals, SCAN_GRID)
 
 
-# The per-point scans (scaling._per_point, which cli.main sets for the
-# commands that need no arrays) against the array scans.
+# The per-point scans against the array scans: scaling._scan_per_point, the
+# rule both scans ask, patched to have every scan run per point.
 PER_POINT_STEPS = (*STEPS, MEMO_ABOVE_CAP)
+
+
+def _per_point():
+    return mock.patch.object(scaling, "_scan_per_point", lambda points: True)
 
 
 def _per_point_scan(case):
     """The per-point domain, with _scan_conditions refused so that the
     array scan cannot stand in for it, and the array domain."""
     period, step, eps = case
-    with mock.patch.object(scaling, "_per_point", True), \
-            mock.patch.object(scaling, "_scan_conditions", side_effect=AssertionError("array scan")):
+    with _per_point(), mock.patch.object(scaling, "_scan_conditions", side_effect=AssertionError("array scan")):
         got = _domain_or_error(feasible_domain, period, step, eps)
     return got, _domain_or_error(feasible_domain, period, step, eps)
 
@@ -524,8 +529,9 @@ def test_the_finders_take_per_point_lists(rows):
 @example([(0.012723905050869407, 0.039794528690544236)], SCAN_GRID)
 def test_the_per_point_grid_is_the_array_grid(intervals, grid):
     xs, ends = _grids(intervals, grid)
-    pxs, pends = _grids(intervals, grid, True)
-    assert np.array(pxs).tobytes() == xs.tobytes()
+    with _per_point():
+        pxs, pends = _grids(intervals, grid)
+    assert isinstance(pxs, list) and np.array(pxs).tobytes() == xs.tobytes()
     assert pends == ends
 
 
@@ -533,7 +539,9 @@ def test_the_per_point_grid_is_the_array_grid(intervals, grid):
 @given(st.lists(_G_VALUES, min_size=15, max_size=15))
 def test_the_per_point_root_scan_is_the_array_scan_on_any_values(values):
     g = lambda xs: np.array(values[: len(xs)], dtype=float)  # noqa: E731
-    assert _scan_roots(lambda xs: values[: len(xs)], *GRIDS, True) == _scan_roots(g, *GRIDS)
+    with _per_point():
+        got = _scan_roots(lambda xs: values[: len(xs)], *GRIDS)
+    assert got == _scan_roots(g, *GRIDS)
 
 
 def _solve_or_error(period, eps):
@@ -558,7 +566,8 @@ def test_the_per_point_root_scan_is_the_root_kernel(case):
         domain = None
     if domain is not None:
         pad = 2.0 * REFINE_TOL
-        xs, _ = _grids([(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID, True)
+        with _per_point():
+            xs, _ = _grids([(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID)
         r_kernel = period.r_kernel
 
         def g(c):
@@ -568,19 +577,86 @@ def test_the_per_point_root_scan_is_the_root_kernel(case):
                 return math.nan
 
         assert np.array([g(x) for x in xs]).tobytes() == period.root_kernel(np.array(xs), eps).tobytes()
-    with mock.patch.object(scaling, "_per_point", True), \
-            mock.patch.object(period, "root_kernel", side_effect=AssertionError("array scan")):
+    with _per_point(), mock.patch.object(period, "root_kernel", side_effect=AssertionError("array scan")):
         got = _solve_or_error(period, eps)
     assert got == _solve_or_error(period, eps)
 
 
-def test_a_grid_above_the_cap_scans_arrays():
-    # per point only up to PER_POINT_MAX points: the 1e-6 step floor's
-    # 499999 points scan arrays even where the switch asks for points
+# The rule itself.  The test process has numpy loaded; where a test needs
+# it unloaded, the rule reads sys.modules["numpy"] as None.
+def _numpy_unloaded(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(scaling, "_scanned", 0)
+
+
+def test_scans_use_arrays_whenever_numpy_is_loaded(monkeypatch):
+    # whatever budget is left: nothing is charged, and the domain and root
+    # scans of a solve never run per point
+    monkeypatch.setattr(scaling, "_scanned", 0)
     assert not scaling._scan_per_point(1)
-    with mock.patch.object(scaling, "_per_point", True):
-        assert scaling._scan_per_point(0.5 / 1e-4) and scaling._scan_per_point(scaling.PER_POINT_MAX)
-        assert not scaling._scan_per_point(0.5 / 1e-6)
-        with mock.patch.object(scaling, "_point_conditions", side_effect=AssertionError("per point")):
-            fd = feasible_domain(Period.FIVE, 1e-6)
-    assert repr(fd) == repr(feasible_domain(Period.FIVE, 1e-6))
+    with mock.patch.object(scaling, "_point_conditions", side_effect=AssertionError("per point")):
+        solver.solve_fixed_point_eps(1.02)
+    assert scaling._scanned == 0
+
+
+def test_a_per_point_scan_charges_its_exact_point_count(monkeypatch):
+    # the domain scan's grid of ceil((0.5 - step)/step) points and the root
+    # scan's every grid point, those the scans evaluate
+    want, _ = _grids([(lo + 2.0 * REFINE_TOL, hi - 2.0 * REFINE_TOL)
+                      for lo, hi in feasible_domain(Period.FIVE, 2e-4).intervals], SCAN_GRID)
+    _numpy_unloaded(monkeypatch)
+    cs, _, _ = scaling._point_conditions(Period.FIVE, 2e-4, 1.0)
+    assert len(cs) == math.ceil((0.5 - 2e-4) / 2e-4) == 2499
+    domain = feasible_domain(Period.FIVE, 2e-4)
+    assert scaling._scanned == 2499
+    solver.solve_fixed_point(Period.FIVE, domain)
+    assert scaling._scanned == 2499 + len(want)
+
+
+def test_a_grid_above_the_cap_scans_arrays(monkeypatch):
+    # the budget is never overrun: a scan runs per point only if all of its
+    # points fit what is left, and is then charged; the 1e-6 step floor's
+    # 499999 points scan arrays in a process that has scanned none
+    _numpy_unloaded(monkeypatch)
+    assert not scaling._scan_per_point(scaling.SCAN_BUDGET + 1) and scaling._scanned == 0
+    assert scaling._scan_per_point(scaling.SCAN_BUDGET - 10) and scaling._scanned == scaling.SCAN_BUDGET - 10
+    assert not scaling._scan_per_point(11) and scaling._scanned == scaling.SCAN_BUDGET - 10
+    assert scaling._scan_per_point(10) and scaling._scanned == scaling.SCAN_BUDGET
+    assert not scaling._scan_per_point(1) and scaling._scanned == scaling.SCAN_BUDGET
+    monkeypatch.undo()
+    code = "from renorm import scaling\nfd = repr(scaling.feasible_domain(scaling.Period.FIVE, 1e-6))\n"
+    assert math.ceil((0.5 - 1e-6) / 1e-6) > scaling.SCAN_BUDGET
+    assert probe(code, "[fd, scaling._scanned, 'numpy' in sys.modules]") == [
+        repr(feasible_domain(Period.FIVE, 1e-6)), 0, True]
+
+
+def test_once_the_budget_is_spent_the_next_scan_imports_numpy():
+    # in a fresh interpreter, eps solves of about 11k points each: per point
+    # while they fit, then the scan that would overrun the budget imports
+    # numpy and every later scan runs on arrays, all bitwise the array solves
+    code = (
+        "from renorm import scaling, solver\n"
+        "reps, log = [], []\n"
+        "for k in range(10):\n"
+        "    reps.append(repr(solver.solve_fixed_point_eps(1.0 + k / 1000)))\n"
+        "    log.append([scaling._scanned, 'numpy' in sys.modules])\n"
+    )
+    reps, log = probe(code, "[reps, log]")
+    assert reps == [repr(solver.solve_fixed_point_eps(1.0 + k / 1000)) for k in range(10)]
+    spent = [scanned for scanned, loaded in log if not loaded]
+    assert 0 < len(spent) < len(log) and spent == sorted(set(spent))
+    assert max(scanned for scanned, _ in log) <= scaling.SCAN_BUDGET
+    # from the solve that imported numpy on, nothing more is charged
+    assert [loaded for _, loaded in log] == [False] * len(spent) + [True] * (len(log) - len(spent))
+    assert len({scanned for scanned, loaded in log if loaded}) == 1
+
+
+def test_a_library_solve_without_numpy_is_the_array_solve():
+    # within the budget a library caller's solves never import numpy, and
+    # print the array solves' reports
+    code = (
+        "from renorm import Period, solve_fixed_point, solve_fixed_point_eps\n"
+        "reps = [repr(solve_fixed_point(p)) for p in Period] + [repr(solve_fixed_point_eps(1.02))]\n"
+    )
+    want = [repr(solver.solve_fixed_point(p)) for p in Period] + [repr(solver.solve_fixed_point_eps(1.02))]
+    assert probe(code, "[reps, 'numpy' in sys.modules]") == [want, False]
