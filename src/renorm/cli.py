@@ -30,9 +30,9 @@ from .solver import continuum_sweep, solve_fixed_point
 
 # The core, scaling and solver, is imported above; every other stage module
 # is imported inside the commands that call it, so that a command compiles
-# and runs only the modules it uses.  numpy is imported by verify and by the
-# first array scan, which scaling's rule leaves to processes that scan more
-# grid points than numpy's import is worth.
+# and runs only the modules it uses.  numpy is imported only by the first
+# array scan, which scaling's rule leaves to processes that scan more grid
+# points than numpy's import is worth.
 
 MAX_GRID = 100_000  # plotdata rows; at the ceiling, rows and CSV text take tens of MB
 

@@ -133,9 +133,10 @@ SCAN_MEMO_CAP = 1 << 20
 # ms), as arrays about 0.03 us once numpy is imported, and the import
 # costs 70 ms or more (Python 3.11.7, numpy 2.4.6, one CPU of a shared
 # 2-vCPU VM; BENCH_30.json, BENCH_31.json): 70 ms / 0.93 us is about 75k
-# points.  So a solve (about 11k points) and the default horseshoe's five
-# distinct solves (54,148) never import numpy, and a process that scans
-# more spends at most about one import more than arrays from the start.
+# points.  So a solve (about 11k points) and the five distinct solves of
+# the default horseshoe or of verify all --period 3 (54,148) never import
+# numpy, and a process that scans more spends at most about one import
+# more than arrays from the start.
 SCAN_BUDGET = 75_000
 _scanned = 0  # the grid points this process has scanned per point
 

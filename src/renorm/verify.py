@@ -7,9 +7,9 @@ criteria's full depths.
 
 from __future__ import annotations
 
+import itertools
 import math
-
-import numpy as np
+import operator
 
 from . import extension as ext
 from .pwa import (
@@ -52,7 +52,7 @@ def tower_suite(rep: FixedPointReport, f: PiecewiseAffineMap):
             nest = max(nest, plo - lo, hi - phi)
     rows.append(check("nesting-violation", nest, 1e-12))
 
-    min_gap = np.inf
+    min_gap = math.inf
     for n in range(1, depth + 1):
         ivs = sorted(t.generations[n - 1].values())
         for (a, b_), (c2, d) in zip(ivs[:-1], ivs[1:]):
@@ -141,9 +141,83 @@ def extension_suite(rep: FixedPointReport, f: PiecewiseAffineMap):
     return rows
 
 
+M32, M64, M128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+
+
+def _draws(seed: int, bound: int):
+    """numpy's `np.random.default_rng(seed).integers(0, bound)` stream, one
+    int at a time, for 2 <= bound <= 2**32: the words verify checks, drawn
+    with the standard library alone.
+
+    numpy seeds PCG64 through SeedSequence: the seed's 32-bit words,
+    least significant first, hashed into a pool of four and mixed, then
+    hashed out as four 64-bit words (low half first), which seed the
+    128-bit LCG through PCG's `srandom_r`.  Each step's XSL-RR output
+    (O'Neill, HMC-CS-2014-0905) is spent as two 32-bit draws, low half
+    first, the high half buffered for the next draw, and each draw is
+    bounded by Lemire's multiply-shift (ACM TOMACS 2019), redrawing while
+    the low word is below (2**32 - bound) % bound.  The seed must be a
+    non-negative int, and is checked here, before the first draw: numpy's
+    other seeds (None, arrays, a SeedSequence) raise TypeError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")  # numpy's text
+    entropy = [seed & M32]  # SeedSequence(seed): its 32-bit words, into a pool of 4
+    while seed := seed >> 32:
+        entropy.append(seed & M32)
+
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & M32
+        value = value * const & M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    const, out = 0x8B51F9DD, []  # generate_state(4, np.uint64)
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & M32
+        value = value * const & M32
+        out.append(value ^ value >> 16)
+    s = [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & M128  # PCG64: srandom_r(s0:s1, s2:s3)
+    threshold = (2**32 - bound) % bound
+
+    def stream(state):
+        while True:
+            state = (state * PCG_MULT + inc) & M128
+            x, rot = (state >> 64 ^ state) & M64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & M64
+            for half in (x & M32, x >> 32):
+                m = half * bound
+                if m & M32 >= threshold:
+                    yield m >> 32
+
+    return stream(((inc + (s[0] << 64 | s[1])) * PCG_MULT + inc) & M128)
+
+
 def horseshoe_suite(rep: FixedPointReport, seed: int = 0, quick: bool = True):
     """The eps-horseshoe around the period-three fixed point rep.  Its
-    module is imported here, since `verify all --period 5` skips it."""
+    module is imported here, since `verify all --period 5` skips it.  The
+    seed, a non-negative int, picks the random words (`_draws`)."""
+    rng = _draws(seed, 3)  # a bad seed is refused before any work
     from . import horseshoe as hs
 
     b = hs.build_branch_system(1.02, 1.00, 0.98)
@@ -163,16 +237,15 @@ def horseshoe_suite(rep: FixedPointReport, seed: int = 0, quick: bool = True):
     mono = all(y < x for x, y in zip(cs[:-1], cs[1:]))
     rows.append(check("eps-sweep-decreasing", 1.0 if mono else 0.0, 1.0, kind=">="))
 
-    rng = np.random.default_rng(seed)
     worst_resid = 0.0
     for _ in range(5):
-        word = hs.Word(tuple(int(x) for x in rng.integers(0, 3, size=8)))
+        word = hs.Word(tuple(itertools.islice(rng, 8)))
         worst_resid = max(worst_resid, hs.code_to_point(b, word, 8).residual)
     rows.append(check("coding-residual", worst_resid, 1e-9))
 
     order_ok = True
     for _ in range(3):
-        suffix = tuple(int(x) for x in rng.integers(0, 3, size=6))
+        suffix = tuple(itertools.islice(rng, 6))
         pts = [hs.code_to_point(b, hs.Word((i,) + suffix), 7).c_alpha for i in range(3)]
         order_ok = order_ok and pts[0] < pts[1] < pts[2]
     rows.append(check("coding-monotone-order", 1.0 if order_ok else 0.0, 1.0, kind=">="))
@@ -180,7 +253,7 @@ def horseshoe_suite(rep: FixedPointReport, seed: int = 0, quick: bool = True):
     worst_shift = 0.0
     n_words = 5 if quick else 20
     for _ in range(n_words):
-        word = hs.Word(tuple(int(x) for x in rng.integers(0, 3, size=6)))
+        word = hs.Word(tuple(itertools.islice(rng, 6)))
         seq = hs.symbol_scaling_sequence(b, word)
         worst_shift = max(worst_shift, shift_residual(seq, 6).sup_norm)
     rows.append(check("shift-identity-random-words", worst_shift, 1e-9))
@@ -204,7 +277,9 @@ def run_suite(suite: str, period: Period, seed: int = 0, quick: bool = True):
     """One suite's rows, or for "all" the rows of every suite the period
     runs, named suite/check.  The fixed point is solved once per call, and
     its PWA map at the extension's default depth built once for the tower
-    suite, which reads its sequence, and the pwa and extension suites."""
+    suite, which reads its sequence, and the pwa and extension suites.
+    seed and quick are read by the horseshoe suite alone, which refuses a
+    seed that is not a non-negative int."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if suite == "horseshoe" and period is not Period.THREE:

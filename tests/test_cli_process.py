@@ -86,12 +86,15 @@ def test_a_process_entry_freezes_the_collectors_objects(entry):
 
 
 # the commands that need no arrays, whose scans fit scaling.SCAN_BUDGET, for
-# both periods, and horseshoe, which reads no period, at the default eps and
-# at five letters: 21 of the benchmark's cli-mix processes
+# both periods, horseshoe, which reads no period, at the default eps and at
+# five letters, and verify, whose words are numpy's stream drawn without
+# numpy, at both periods, at full depth on another seed, and its horseshoe
+# suite: every command of the benchmark's cli-mix processes
 NO_NUMPY = [[*name.split(), "--period", p] for p in ("3", "5") for name in (
     "extend", "feasible", "plotdata cobweb", "plotdata extension", "plotdata returnmap",
-    "plotdata scaling", "plotdata tower", "solve", "tower")]
-NO_NUMPY += [["horseshoe"], ["horseshoe", "--eps", "1.02,1.01,1.0,0.99,0.98"]]
+    "plotdata scaling", "plotdata tower", "solve", "tower", "verify all")]
+NO_NUMPY += [["horseshoe"], ["horseshoe", "--eps", "1.02,1.01,1.0,0.99,0.98"],
+             ["verify", "all", "--period", "3", "--full", "--seed", "7"], ["verify", "horseshoe"]]
 REFERENCE_OUTPUTS = Path(__file__).resolve().parents[1] / "bench" / "reference_outputs.json"
 # runs the module as `python -m renorm.cli` does, with every import of numpy refused
 BLOCKED = (
@@ -116,9 +119,12 @@ def test_a_command_without_arrays_runs_with_numpy_blocked(argv, tmp_path):
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == in_process(argv)[1]
     recorded = json.loads(REFERENCE_OUTPUTS.read_text()).get(" ".join(argv))
-    assert recorded is not None or argv[0] == "horseshoe"
     if recorded is not None:
         assert hashlib.sha256(proc.stdout).hexdigest() == recorded["sha256"]
+
+
+def test_every_recorded_command_runs_with_numpy_blocked():
+    assert set(json.loads(REFERENCE_OUTPUTS.read_text())) <= {" ".join(argv) for argv in NO_NUMPY}
 
 
 # 20 letters from 1.02 down to 0.98, and the sweep's three other eps: 23
@@ -198,6 +204,18 @@ def test_horseshoe_scans_per_point_up_to_the_solve_bound(eps, solves):
         first = scans[len(per_point)]
         assert first[0] + first[1] > scaling.SCAN_BUDGET and not first[2]
         assert all(loaded for _, _, loaded, _ in scans[len(per_point) + 1:])
+
+
+def test_verify_all_scans_per_point_and_never_loads_numpy():
+    # its 5 distinct solves (the fixed point is the sweep's eps 1) scan
+    # 54,148 grid points, within scaling.SCAN_BUDGET
+    code = (
+        "from renorm import scaling\n"
+        "from renorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', 'all', '--period', '3']) == 0\n"
+    )
+    assert probe(code, "[scaling._scanned, 'numpy' in sys.modules]") == [54148, False]
 
 
 def test_main_solves_each_eps_once_and_keeps_no_solve_after_it(monkeypatch):

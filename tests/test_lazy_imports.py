@@ -76,6 +76,10 @@ def test_import_renorm_loads_only_the_core():
     assert loaded_modules("import renorm") == CORE
 
 
+def test_import_verify_leaves_numpy_unloaded():
+    assert probe("import renorm.verify", "'numpy' in sys.modules") is False
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--period", "3"],
     ["feasible", "--period", "5"],
