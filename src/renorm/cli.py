@@ -162,6 +162,11 @@ def _merge_config(args):
             setattr(args, key, default)
     if args.depth is not None and args.depth < 1:
         raise ValueError(f"depth must be an integer >= 1, got {args.depth!r}")
+    # refused for every verify suite, in numpy's words, not only by the
+    # horseshoe suite, the one that reads it; a flag's type= would leave the
+    # refusal to argparse, with its own message
+    if args.seed < 0:
+        raise ValueError("expected non-negative integer")
     return args
 
 

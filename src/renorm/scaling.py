@@ -36,7 +36,7 @@ enters the orbit, and no loop left to run per call.  Each Period's code
 is one piece, compiled the first time any of its generated names is read
 (a _FirstUse descriptor on the class), so importing the package compiles
 none and a process compiles only the periods it uses.  The piece holds
-six functions, stored on the member beside comb, of two kinds:
+eight functions, stored on the member beside comb, of three kinds:
 
 - orbit(c, eps=1.0), the generic orbit, which runs on floats, numpy
   arrays, Intervals and interval.Jets, with eps an Interval or a Jet too.
@@ -56,7 +56,15 @@ six functions, stored on the member beside comb, of two kinds:
   tail (the pull and the u-steps after it, each step in place in a new
   array), and root_kernel, the whole block with out= ufuncs and R(c) - c
   from it, NaN where the s2 guard trips, bitwise return_map(period, c,
-  eps) - c: the solver's root scan.
+  eps) - c: the solver's root scan;
+- two scan loops, the per-point form of each scan: the block run inline
+  at each grid point of a Python for loop, with no call, tuple or list
+  per point.  domain_scan(step, n, eps) walks the domain scan's grid,
+  step + i*step, and returns its runs of feasible points and its dips,
+  the feasible points where a condition is at or below 1e-4;
+  root_scan(xs, eps) computes R(c) - c over a list of grid points, NaN
+  where the s2 guard trips, and returns the indices i where it changes
+  sign from xs[i] to xs[i + 1] by the array scan's rule.
 
 The domain scan's grid is fixed by its step, and so is every orbit point
 before the pull, and every condition no pulled point enters: period
@@ -70,20 +78,22 @@ below the default, is computed afresh for its scan and not kept.
 
 Both scans, the domain scan and the solver's root scan, run per point or
 as arrays by one rule, _scan_per_point: arrays once numpy is loaded,
-else per point while the process's per-point grid points stay within
-SCAN_BUDGET.  Per point, feasible_domain reads values_kernel at each grid
-point and the root scan r_kernel, both bitwise the array scans, and a
+else per point while the process's per-point work, grid points times the
+period, stays within SCAN_BUDGET.  Per point, feasible_domain runs
+domain_scan and recomputes the condition tuples around each dip with
+values_kernel (_loop_touches), and the root scan runs root_scan: the
+same runs, touches and brackets as the array scans, bitwise, and a
 process that scans only per point never imports numpy: np is bound on
-the first array call (_Numpy).  The finders of runs, touches and sign
-changes take the values in either form.
+the first array call (_Numpy).  The array forms fold the condition rows
+(_worst) and find runs, touches and sign changes with numpy.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
 site that knows the rule.
 
 All condition evaluators and return_map accept numpy arrays of critical
-points; the tests hold root_kernel, the per-point scans and the plot data
-to them.  return_map also takes an Interval or a Jet of c and then
+points; the tests hold root_kernel, the scan loops and the plot data to
+them.  return_map also takes an Interval or a Jet of c and then
 encloses R (and dR/dc for a Jet); its one s2 guard has a rule for each
 of the four kinds of number: a float c raises, an array gets NaN, an
 Interval or a Jet raises unless its s2 enclosure lies above the floor.
@@ -127,30 +137,35 @@ REFINE_TOL = 1e-12
 # three) and 360 KB (five); one at the 1e-6 step floor takes up to 36 MB
 # and is computed fresh every scan
 SCAN_MEMO_CAP = 1 << 20
-# The grid points a process scans per point before it scans arrays: the
-# rent-or-buy rule.  Per point, a grid point costs about 0.9 us of CPU (a
-# period-three solve, its 4999 domain and 5830 root points, takes 9-10
-# ms), as arrays about 0.03 us once numpy is imported, and the import
-# costs 70 ms or more (Python 3.11.7, numpy 2.4.6, one CPU of a shared
-# 2-vCPU VM; BENCH_30.json, BENCH_31.json): 70 ms / 0.93 us is about 75k
-# points.  So a solve (about 11k points) and the five distinct solves of
-# the default horseshoe or of verify all --period 3 (54,148) never import
-# numpy, and a process that scans more spends at most about one import
-# more than arrays from the start.
-SCAN_BUDGET = 75_000
-_scanned = 0  # the grid points this process has scanned per point
+# The scan work a process does per point before it scans arrays: the
+# rent-or-buy rule.  Per point, a grid point of either scan's loop
+# (domain_scan, root_scan) runs the whole orbit, and costs about the same
+# per unit of the period p in either loop and at either period: 0.32 us
+# a point for period three, 0.55 us for five.  So a scan's work is its
+# grid points times p.  A whole per-point solve costs 0.11-0.13 us per
+# unit more CPU than on arrays (a period-three eps solve, 32,640 units,
+# 4.0-4.4 ms against 0.23 ms; period five, 30,345 units, 3.5-3.6 ms
+# against 0.25 ms), and numpy's import 68-70 ms (Python 3.11.7, numpy
+# 2.4.6, one CPU of a shared 2-vCPU VM; BENCH_34.json): 69 ms / 0.12 us
+# is about 575k.  So the five distinct solves of the default horseshoe or
+# of verify all --period 3 (162,444) and a horseshoe's nine (about 290k)
+# never import numpy, and a process that scans more spends at most about
+# one import more than arrays from the start.
+SCAN_BUDGET = 575_000
+_scanned = 0  # the work, grid points times p, this process has scanned per point
 
 
-def _scan_per_point(points: int) -> bool:
-    """Whether a scan of this many grid points runs per point, on the float
-    kernels, rather than as numpy arrays: never once numpy is loaded, by
-    whichever module, since its import is paid; else while the points
-    scanned per point, this scan's included, stay within SCAN_BUDGET, and
-    then the scan's points are charged.  Both forms give the same bits."""
+def _scan_per_point(work: int) -> bool:
+    """Whether a scan of this much work, its grid points times the period
+    p, runs per point, in its period's loop, rather than as numpy arrays:
+    never once numpy is loaded, by whichever module, since its import is
+    paid; else while the work scanned per point, this scan's included,
+    stays within SCAN_BUDGET, and then the scan's work is charged.  Both
+    forms give the same bits."""
     global _scanned
-    if sys.modules.get("numpy") is not None or _scanned + points > SCAN_BUDGET:
+    if sys.modules.get("numpy") is not None or _scanned + work > SCAN_BUDGET:
         return False
-    _scanned += points
+    _scanned += work
     return True
 
 
@@ -232,7 +247,8 @@ COMBINATORICS = {3: (2, 3, 1), 5: (2, 5, 1, 3, 4)}
 
 
 # the names of each Period's generated functions (_KERNELS), in the order its piece returns them
-_GENERATED = ("orbit", "r_kernel", "feasible_kernel", "values_kernel", "scan_tail", "root_kernel")
+_GENERATED = ("orbit", "r_kernel", "feasible_kernel", "values_kernel", "scan_tail", "root_kernel",
+              "domain_scan", "root_scan")
 
 
 class Period(enum.Enum):
@@ -355,9 +371,11 @@ _IN_PLACE = (
 # kind of c and eps; for a float c and a float eps, return_map's R,
 # feasibility past its 0 < c < 1/2 test and the condition values, each
 # bitwise what the generic path computes from the orbit; the scan's tail,
-# the pull and the in-place u-steps after it on the arrays of a grid; and
-# the root scan's R(c) - c on an array c, bitwise return_map(period, c,
-# eps) - c.
+# the pull and the in-place u-steps after it on the arrays of a grid; the
+# root scan's R(c) - c on an array c, bitwise return_map(period, c, eps) -
+# c; and the two scan loops, the block indented into a for loop over the
+# grid ({loop_orbit}), the domain loop testing {feasible}, every condition
+# above 0 (NaN is not), and {dip}, one at or below 1e-4.
 # {check} is the period's pull check, {orbit} the block of orbit lines and
 # {array_orbit} its lines on arrays, either of which may set the point 1.0,
 # one, too; {points} are the orbit's points, {top} and {bottom} the ends
@@ -414,6 +432,39 @@ def _kernels{p}(period):
         np.divide(r, s2, out=r)
         return np.subtract(r, c, out=r)
 
+    def domain_scan(step, n, eps):
+{check}        runs, dips, start = [], [], -1
+        x0, one = 0.0, 1.0
+        for i in range(n):
+            c = step + i * step
+            d = 1.0 - c
+{loop_orbit}            if {feasible}:
+                if start < 0:
+                    start = i
+                if {dip}:
+                    dips.append(i)
+            elif start >= 0:
+                runs.append((start, i - 1))
+                start = -1
+        if start >= 0:
+            runs.append((start, n - 1))
+        return runs, dips
+
+    def root_scan(xs, eps):
+{check}        hits, v = [], math.nan
+        x0, one = 0.0, 1.0
+        for i, c in enumerate(xs):
+            w = v
+            d = 1.0 - c
+{loop_orbit}            s2 = {top} - {bottom}
+            v = ({top} - c) / s2 - c if s2 > S2_FLOOR else math.nan
+            if v > 0.0:
+                if w < 0.0:
+                    hits.append(i - 1)
+            elif v < 0.0 and w > 0.0:
+                hits.append(i - 1)
+        return hits
+
     return {generated}
 '''
 _CONDITION = "        s{n} = {plus} - {minus}\n        if not s{n} > 0.0:\n            return False\n"
@@ -449,8 +500,9 @@ def _orbit_block(p: int, first: int = 1, steps: tuple = (_U_STEP, _PULL), keep: 
 def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     """The source of _kernels{p}(period), which returns period's
     _GENERATED functions: the generic orbit and the R, feasibility and
-    condition-value kernels over orbit, and the root scan kernel over
-    array_orbit: lines that set x1 .. x{2p-2} from c, d = 1 - c, eps and
+    condition-value kernels and the scan loops over orbit, and the root
+    scan kernel over array_orbit: lines that set x1 .. x{2p-2} from c, d =
+    1 - c, eps and
     x0 = 0.0, and may set the point one = 1.0; the array lines must leave
     the central interval's ends as they set them.  Every condition that is
     not above 0, NaN too, ends the feasibility test with False; the lengths
@@ -465,9 +517,15 @@ def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     values = ", ".join(f"{plus} - {minus}" for plus, minus in pairs)
     pulled = ", ".join(f"x{k}" for k in range(p, 2 * p - 1))
     points = ", ".join(f"x{k}" for k in range(2 * p - 1))
+    # the scan loop's conditions: a minus point o_0 = 0.0 leaves the plus
+    # point as is, as the array scan's row does
+    scanned = [plus if minus == "x0" else f"{plus} - {minus}" for plus, minus in pairs]
     return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, array_orbit=array_orbit,
+                           loop_orbit="".join("    " + line for line in orbit.splitlines(True)),
                            points=points, top=_point(right), bottom=_point(left), conditions=conditions,
                            lengths=lengths, values=values,
+                           feasible=" and ".join(f"{s} > 0.0" for s in scanned),
+                           dip=" or ".join(f"{s} <= 1e-4" for s in scanned),
                            tail=_orbit_block(p, p + 1, (_IN_PLACE[0], _PULL), range(p, 2 * p - 2)),
                            pulled=pulled, generated=", ".join(_GENERATED))
 
@@ -476,8 +534,9 @@ def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
 def _generated(period: Period) -> tuple:
     """period's one piece of generated code, compiled once, on the first
     read of a _GENERATED name on the member (_FirstUse): its block of u-steps
-    with the pull after step p, read by the generic orbit and the float
-    kernels, and the block's in-place form, read by root_kernel.  Compiled
+    with the pull after step p, read by the generic orbit, the float
+    kernels and the scan loops, and the block's in-place form, read by
+    root_kernel.  Compiled
     under this file's name, so profiles count it in scaling; a traceback
     through it gives the generated source's line numbers."""
     p = period.p
@@ -719,39 +778,18 @@ def _worst(cond):
     return worst
 
 
-def _point_conditions(period: Period, scan_step: float, eps: float):
-    """_scan_conditions and _worst point by point, in Python floats: the
-    grid, each point's condition tuple from values_kernel, and the list of
-    their minima, a NaN first, as np.minimum folds them.  The grid point i
-    is scan_step + i*scan_step, np.arange's bitwise: arange fills start +
-    i*((start + step) - start), and 2s - s is s exactly."""
-    values = period.values_kernel
-    cs = [scan_step + i * scan_step for i in range(math.ceil((0.5 - scan_step) / scan_step))]
-    cond = [values(c, eps) for c in cs]
-    worst = []
-    for row in cond:
-        w = row[0]
-        for v in row[1:]:
-            if v < w or v != v:
-                w = v
-        worst.append(w)
-    return cs, cond, worst
-
-
 def _flips(mask) -> list:
-    """The indices i where mask[i + 1] differs from mask[i], for a mask of
-    bools: .nonzero() on an array, one loop on a list."""
-    if isinstance(mask, list):
-        return [i for i, (a, b) in enumerate(zip(mask, mask[1:])) if a != b]
-    # nonzero()[0] of a 1-d mask is np.flatnonzero without its ravel call
+    """The indices i where mask[i + 1] differs from mask[i], for an array of
+    bools: nonzero()[0] of a 1-d mask is np.flatnonzero without its ravel
+    call."""
     return (mask[1:] != mask[:-1]).nonzero()[0].tolist()
 
 
 def _runs(ok) -> list:
-    """The maximal runs of True in the mask ok, an array or a list, as
-    (first, last) indices, read off ok's transitions: a run starts after
-    each index where ok turns True, or at 0, and ends at each index where
-    it turns False, or at the last."""
+    """The maximal runs of True in the mask ok as (first, last) indices,
+    read off ok's transitions: a run starts after each index where ok turns
+    True, or at 0, and ends at each index where it turns False, or at the
+    last."""
     edges = _flips(ok)
     if ok[-1]:
         edges.append(len(ok) - 1)
@@ -760,32 +798,21 @@ def _runs(ok) -> list:
     return [(i0 + 1, i1) for i0, i1 in zip(edges[::2], edges[1::2])]
 
 
-def _dips(cond, worst, i0, i1):
-    """The interior indices m of the run i0 .. i1 where worst is at or
-    below 1e-4, and each condition's values from the first m - 1 to the
-    last m + 1 as floats: nonzero() and tolist() on the array rows of
-    _scan_conditions, loops over _point_conditions' per-point tuples."""
-    if isinstance(worst, list):
-        ms = [m for m in range(i0 + 1, i1) if worst[m] <= 1e-4]
-        return ms, ms and list(zip(*cond[ms[0] - 1 : ms[-1] + 2]))
-    ms = [i0 + 1 + m for m in (worst[i0 + 1 : i1] <= 1e-4).nonzero()[0].tolist()]
-    return ms, ms and [row[ms[0] - 1 : ms[-1] + 2].tolist() for row in cond]
-
-
 def _touches(cond, worst, i0, i1) -> list:
     """The interior touch points of the run i0 .. i1: grid minima that dip
     to near zero (above 1e-4 is an ordinary smooth minimum), each as the
     grid index before the minimum and the first condition dipping there.
 
     A condition at or below 1e-4 holds worst at or below it, and a run
-    holds no NaN, so only the run's interior points where worst is at or
-    below 1e-4 are read (_dips), one by one, as Python floats, and only
-    the conditions that fall to 1e-4 there: near a puncture Gl and Gr read
-    0.43-0.56 and never dip."""
-    ms, window = _dips(cond, worst, i0, i1)
+    holds no NaN, so only the run's interior points m where worst is at or
+    below 1e-4 are read, one by one, as Python floats, from the first m - 1
+    to the last m + 1, and only the conditions that fall to 1e-4 there:
+    near a puncture Gl and Gr read 0.43-0.56 and never dip."""
+    ms = [i0 + 1 + m for m in (worst[i0 + 1 : i1] <= 1e-4).nonzero()[0].tolist()]
     if not ms:
         return []
     lo = ms[0] - 1
+    window = [row[lo : ms[-1] + 2].tolist() for row in cond]
     rows = [(j, row) for j, row in enumerate(window) if min(row) <= 1e-4]
     out = []
     for m in ms:
@@ -793,6 +820,22 @@ def _touches(cond, worst, i0, i1) -> list:
         for j, row in rows:
             v = row[k]
             if v <= 1e-4 and v < row[k - 1] and v < row[k + 1]:
+                out.append((m - 1, j))
+                break
+    return out
+
+
+def _loop_touches(period: Period, scan_step: float, eps: float, ms) -> list:
+    """_touches for domain_scan, which keeps no condition row: its dips ms
+    inside one run, each with the condition tuples at m - 1, m and m + 1
+    recomputed by values_kernel at the grid points scan_step + k*scan_step,
+    bitwise the array scan's rows."""
+    values = period.values_kernel
+    out = []
+    for m in ms:
+        before, here, after = (values(scan_step + k * scan_step, eps) for k in (m - 1, m, m + 1))
+        for j, v in enumerate(here):
+            if v <= 1e-4 and v < before[j] and v < after[j]:
                 out.append((m - 1, j))
                 break
     return out
@@ -815,17 +858,18 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         raise ValueError(f"scan_step {scan_step} must lie in [1e-6, 1e-2]")
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps!r}")
-    if _scan_per_point(math.ceil((0.5 - scan_step) / scan_step)):
-        cs, cond, worst = _point_conditions(period, scan_step, eps)
-        ok = [w > 0.0 for w in worst]
+    n = math.ceil((0.5 - scan_step) / scan_step)
+    if _scan_per_point(n * period.p):
+        runs, dips = period.domain_scan(scan_step, n, eps)
+        touches = [_loop_touches(period, scan_step, eps, [m for m in dips if i0 < m < i1]) for i0, i1 in runs]
     else:
         # one row per condition, never stacked into one matrix: that stack
         # (195 KiB for period three, 351 KiB for five) can be large enough for
         # the allocator to map it afresh, page fault by page fault, every call
-        cs, cond = _scan_conditions(period, scan_step, eps)
+        _, cond = _scan_conditions(period, scan_step, eps)
         worst = _worst(cond)
-        ok = worst > 0.0
-    runs = _runs(ok)
+        runs = _runs(worst > 0.0)
+        touches = [_touches(cond, worst, i0, i1) for i0, i1 in runs]
     if not runs:
         raise EmptyDomain(f"no feasible point for {period} at step {scan_step}")
 
@@ -833,10 +877,12 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
     intervals = []
     boundaries = []
     punctures = []
-    for i0, i1 in runs:
-        lo_in, hi_in = float(cs[i0]), float(cs[i1])
+    # grid point i is scan_step + i*scan_step, np.arange's, bitwise: arange
+    # fills start + i*((start + step) - start), and 2s - s is s exactly
+    for (i0, i1), touched in zip(runs, touches):
+        lo_in, hi_in = scan_step + i0 * scan_step, scan_step + i1 * scan_step
         lo_out = lo_in - scan_step if i0 > 0 else 0.0
-        hi_out = hi_in + scan_step if i1 + 1 < len(cs) else 0.5
+        hi_out = hi_in + scan_step if i1 + 1 < n else 0.5
         lo, lo_name = _bisect_boundary(period, lo_in, lo_out, eps)
         hi, hi_name = _bisect_boundary(period, hi_in, hi_out, eps)
         boundaries.append((lo, lo_name))
@@ -846,8 +892,8 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         # once, on the one condition that dips there, and name it after
         # every condition that vanishes there
         cut = []
-        for k, j in _touches(cond, worst, i0, i1):
-            x = _refine_touch(values, eps, j, float(cs[k]), float(cs[k + 2]))
+        for k, j in touched:
+            x = _refine_touch(values, eps, j, scan_step + k * scan_step, scan_step + (k + 2) * scan_step)
             names = sorted(nm for nm, v in zip(comb.names, values(x, eps)) if v < 1e-10)
             if names:
                 cut.append((x, "+".join(names)))

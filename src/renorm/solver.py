@@ -6,14 +6,14 @@ period's root_kernel, R(c) - c on an array with out= ufuncs, runs once
 over it (NaN where R's s2 guard trips, so the scan never pairs values
 across a pole, nor across the gap between two intervals).  Where
 scaling._scan_per_point's rule has the scan run per point (numpy not
-loaded, and the grid within the budget left), the grids are one list and
-r_kernel(c) - c, NaN where the guard raises, is evaluated point by point,
-bitwise root_kernel.  Each bracket
-is then refined on Python floats by scalar bisection and polished with a
-secant step loop, both calling the period's r_kernel directly.  Each
-period has exactly one expanding fixed point; finding none or several is
-surfaced as an error rather than silently resolved, and so is a polish
-that does not converge.
+loaded, and the work within the budget left), the period's root_scan
+loop runs over each interval's grid, a list, with the orbit inline and
+the same rule for a sign change, bitwise the array scan's brackets.  Each
+bracket is then refined on Python floats by scalar bisection and
+polished with a secant step loop, both calling the period's r_kernel
+directly.  Each period has exactly one expanding fixed point; finding
+none or several is surfaced as an error rather than silently resolved,
+and so is a polish that does not converge.
 """
 
 from __future__ import annotations
@@ -113,28 +113,38 @@ def _refine_root(f, lo, hi, tol):
     return x1
 
 
+def _sizes(intervals, grid) -> list:
+    """The number of points of each interval's grid, n + 1 with
+    n = max(ceil((hi - lo) / grid), 2)."""
+    return [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
+
+
+_ramp = ()  # 0.0, 1.0, 2.0, ... read-only, grown by _grids on demand
+
+
 def _grids(intervals, grid):
-    """Every interval's np.linspace(lo, hi, n + 1), n = max(ceil((hi - lo)
-    / grid), 2), bitwise, written into one array, or, where
-    scaling._scan_per_point runs the scan per point, into one list
-    (_linspace), and the index where each grid ends.  Each is linspace's
+    """Every interval's np.linspace(lo, hi, n + 1) (_sizes), bitwise, written
+    into one array, and the index where each grid ends.  Each is linspace's
     own formula, arange(n + 1) * ((hi - lo) / n) + lo with the last point
-    hi, except where that step is 0, which linspace computes another way."""
-    nums = [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
-    ends = list(accumulate(nums))
-    if scaling._scan_per_point(ends[-1]):
-        return [x for (lo, hi), num in zip(intervals, nums) for x in _linspace(lo, hi, num)], ends
+    hi, except where that step is 0, which linspace computes another way;
+    the arange is the head of _ramp, read-only and kept across calls, which
+    a longer grid replaces with one twice its length."""
+    global _ramp
     import numpy as np
 
+    nums = _sizes(intervals, grid)
+    ends = list(accumulate(nums))
+    if len(_ramp) < max(nums):
+        _ramp = np.arange(float(2 * max(nums)))
+        _ramp.flags.writeable = False
     xs = np.empty(ends[-1])
-    ramp = np.arange(float(max(nums)))
     for (lo, hi), num, end in zip(intervals, nums, ends):
         out = xs[end - num : end]
         step = (hi - lo) / (num - 1)
         if step == 0.0:
             out[:] = np.linspace(lo, hi, num)
         else:
-            np.multiply(ramp[:num], step, out=out)
+            np.multiply(_ramp[:num], step, out=out)
             out += lo
             out[-1] = hi
     return xs, ends
@@ -144,10 +154,10 @@ def _scan_roots(g, intervals, grid):
     """Sign changes of g on each (lo, hi) of intervals, sampled at spacing
     grid, as brackets of Python floats.
 
-    g takes every interval's grid as _grids gives it, one array or one
-    list, and returns its values alike; NaN values never pair into a hit,
-    and neither do the two points where one interval's grid ends and the
-    next begins.
+    g takes every interval's grid as _grids gives it, one array, and
+    returns its values as an array; NaN values never pair into a hit, and
+    neither do the two points where one interval's grid ends and the next
+    begins.
     """
     if not intervals:
         return []
@@ -158,10 +168,25 @@ def _scan_roots(g, intervals, grid):
     # by one: np.sign and products of signs measured slower than the
     # comparisons.  No step joins the last point of one grid and the
     # first of the next.
-    pos = [x > 0.0 for x in v] if isinstance(v, list) else v > 0.0
     junctions = {end - 1 for end in ends[:-1]}
-    hits = [i for i in _flips(pos) if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
+    hits = [i for i in _flips(v > 0.0) if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
     return [(float(xs[i]), float(xs[i + 1])) for i in hits]
+
+
+def _root_brackets(period, eps, intervals):
+    """The brackets of R(c, eps) - c over intervals at SCAN_GRID, by
+    scaling._scan_per_point's rule: per point, the period's root_scan over
+    each interval's _linspace grid, bitwise _grids' piece of it, which
+    applies _scan_roots' hit rule as it goes; as arrays, _scan_roots of
+    root_kernel."""
+    nums = _sizes(intervals, SCAN_GRID)
+    if not scaling._scan_per_point(sum(nums) * period.p):
+        return _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
+    scan, brackets = period.root_scan, []
+    for (lo, hi), num in zip(intervals, nums):
+        xs = _linspace(lo, hi, num)
+        brackets += [(xs[i], xs[i + 1]) for i in scan(xs, eps)]
+    return brackets
 
 
 def _report(period, g, R, bracket, tol, eps):
@@ -217,12 +242,7 @@ def _solve_once(period, eps, domain, tol):
             return math.nan
 
     pad = 2.0 * REFINE_TOL
-    intervals = [(lo + pad, hi - pad) for lo, hi in domain.intervals]
-    # R(c) - c, NaN where R's s2 guard trips: g at each point of a list,
-    # or one array call over every grid
-    brackets = _scan_roots(
-        lambda xs: [g(x) for x in xs] if isinstance(xs, list) else period.root_kernel(xs, eps),
-        intervals, SCAN_GRID)
+    brackets = _root_brackets(period, eps, [(lo + pad, hi - pad) for lo, hi in domain.intervals])
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:

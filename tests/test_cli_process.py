@@ -128,7 +128,7 @@ def test_every_recorded_command_runs_with_numpy_blocked():
 
 
 # 20 letters from 1.02 down to 0.98, and the sweep's three other eps: 23
-# distinct solves, more grid points than scaling.SCAN_BUDGET, so the run
+# distinct solves, more work than scaling.SCAN_BUDGET, so the run
 # scans arrays once the budget is spent
 TWENTY = ",".join(repr(e) for e in scaling._linspace(1.02, 0.98, 20))
 # runs the module as `python -m renorm.cli` does, then writes to stderr
@@ -154,19 +154,19 @@ def test_a_many_letter_horseshoe_scans_arrays_and_prints_the_per_point_bytes(mon
     assert (proc.returncode, proc.stderr) == (0, b"True\n")
     # the same run with every scan per point: a domain and a root scan per solve
     seen = []
-    monkeypatch.setattr(scaling, "_scan_per_point", lambda points: seen.append(points) or True)
+    monkeypatch.setattr(scaling, "_scan_per_point", lambda work: seen.append(work) or True)
     assert in_process(["horseshoe", "--eps", TWENTY]) == (0, proc.stdout)
     assert len(seen) == 2 * 23 and sum(seen) > scaling.SCAN_BUDGET
 
 
-# each scan's decision in a fresh interpreter: the points it asks for, the
-# points scanned per point before it, whether numpy was loaded and the path
+# each scan's decision in a fresh interpreter: the work it asks for, the
+# work scanned per point before it, whether numpy was loaded and the path
 SCANS = (
     "from renorm import scaling\n"
     "rule, scans = scaling._scan_per_point, []\n"
-    "def logged(points):\n"
-    "    scans.append([points, scaling._scanned, 'numpy' in sys.modules])\n"
-    "    scans[-1].append(rule(points))\n"
+    "def logged(work):\n"
+    "    scans.append([work, scaling._scanned, 'numpy' in sys.modules])\n"
+    "    scans[-1].append(rule(work))\n"
     "    return scans[-1][-1]\n"
     "scaling._scan_per_point = logged\n"
 )
@@ -186,8 +186,8 @@ def test_horseshoe_scans_per_point_up_to_the_solve_bound(eps, solves):
     args = cli._merge_config(cli.build_parser("horseshoe").parse_args(argv))
     e = cli._epsilons(args)
     assert len({*e, *scaling._linspace(min(e), max(e), solver.SWEEP_STEPS)}) == solves
-    # a domain and a root scan per solve; per point while the solves' points
-    # fit scaling.SCAN_BUDGET, never past it, and arrays once one does not
+    # a domain and a root scan per solve; per point while the solves' work
+    # fits scaling.SCAN_BUDGET, never past it, and arrays once one does not
     code = SCANS + (
         "from renorm.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -195,10 +195,11 @@ def test_horseshoe_scans_per_point_up_to_the_solve_bound(eps, solves):
     )
     scans = probe(code, "scans")
     assert len(scans) == 2 * solves
-    per_point = [points for points, _, _, path in scans if path]
+    per_point = [work for work, _, _, path in scans if path]
     assert sum(per_point) <= scaling.SCAN_BUDGET
     assert [path for *_, path in scans] == [True] * len(per_point) + [False] * (len(scans) - len(per_point))
-    if solves == 5:
+    # up to 9 solves fit, 23 do not
+    if solves < 23:
         assert len(per_point) == len(scans)
     else:
         first = scans[len(per_point)]
@@ -208,14 +209,15 @@ def test_horseshoe_scans_per_point_up_to_the_solve_bound(eps, solves):
 
 def test_verify_all_scans_per_point_and_never_loads_numpy():
     # its 5 distinct solves (the fixed point is the sweep's eps 1) scan
-    # 54,148 grid points, within scaling.SCAN_BUDGET
+    # 54,148 grid points, 162,444 units of work at period three, within
+    # scaling.SCAN_BUDGET
     code = (
         "from renorm import scaling\n"
         "from renorm.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['verify', 'all', '--period', '3']) == 0\n"
     )
-    assert probe(code, "[scaling._scanned, 'numpy' in sys.modules]") == [54148, False]
+    assert probe(code, "[scaling._scanned, 'numpy' in sys.modules]") == [3 * 54148, False]
 
 
 def test_main_solves_each_eps_once_and_keeps_no_solve_after_it(monkeypatch):

@@ -10,6 +10,8 @@ the in-place fold and the sign products."""
 
 import math
 import sys
+from itertools import accumulate
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -291,6 +293,22 @@ def test_the_one_buffer_grid_is_bitwise_the_concatenated_linspaces(intervals, gr
     assert ends == np.cumsum([len(x) for x in grids]).tolist()
 
 
+def test_the_grids_share_one_read_only_ramp(monkeypatch):
+    # a grid no longer than the ramp reads its head; a longer one replaces
+    # it with one twice its length; every grid stays linspace's, bitwise
+    monkeypatch.setattr(solver, "_ramp", ())
+    short, long = [(0.1, 0.2)], [(0.1, 0.2), (0.2, 0.5)]
+    _grids(short, 1e-3)
+    ramp = solver._ramp
+    assert ramp.tolist() == [float(k) for k in range(2 * max(solver._sizes(short, 1e-3)))]
+    assert not ramp.flags.writeable
+    xs, _ = _grids(short[:1], 2e-3)
+    assert solver._ramp is ramp and xs.tobytes() == np.concatenate(_linspace_grids(short, 2e-3)).tobytes()
+    xs, _ = _grids(long, 1e-3)
+    assert len(solver._ramp) == 2 * max(solver._sizes(long, 1e-3)) > len(ramp)
+    assert xs.tobytes() == np.concatenate(_linspace_grids(long, 1e-3)).tobytes()
+
+
 def test_the_denormal_branch_is_reached():
     # a width of one denormal over two steps rounds the step to 0, where
     # linspace divides the ramp before multiplying
@@ -443,12 +461,13 @@ def test_root_scan_is_the_frozen_scan_on_the_solver_grids(case):
 
 
 # The per-point scans against the array scans: scaling._scan_per_point, the
-# rule both scans ask, patched to have every scan run per point.
+# rule both scans ask, patched to have every scan run per point, in its
+# period's loop, domain_scan or root_scan.
 PER_POINT_STEPS = (*STEPS, MEMO_ABOVE_CAP)
 
 
 def _per_point():
-    return mock.patch.object(scaling, "_scan_per_point", lambda points: True)
+    return mock.patch.object(scaling, "_scan_per_point", lambda work: True)
 
 
 def _per_point_scan(case):
@@ -475,35 +494,78 @@ def test_the_per_point_domain_is_the_array_domain(case):
         assert got[0] is scaling.EmptyDomain
 
 
+def _array_runs_and_dips(period, step, eps):
+    """The array scan's condition rows, the runs of their worst fold, and
+    its feasible points at or below 1e-4: what domain_scan returns."""
+    _, rows = _scan_conditions(period, step, eps)
+    worst = _worst(rows)
+    ok = worst > 0.0
+    return rows, _runs(ok), np.flatnonzero(ok & (worst <= 1e-4)).tolist()
+
+
+def _padded(domain):
+    """The solver's root-scan intervals over a feasible domain."""
+    pad = 2.0 * REFINE_TOL
+    return [(lo + pad, hi - pad) for lo, hi in domain.intervals]
+
+
 @pytest.mark.parametrize("eps", [1.0, 0.25, 1.03, 4.0, 1e300])
 @pytest.mark.parametrize("step", [1e-4, MEMO_ABOVE_CAP])
 def test_the_per_point_rows_and_worst_are_the_arrays(step, eps):
-    # the grid and every condition bitwise; worst equal, NaN where a
-    # condition is NaN, -inf and inf where a huge eps overflows
-    cs, rows = _scan_conditions(Period.THREE, step, eps)
-    pcs, points, worst = scaling._point_conditions(Period.THREE, step, eps)
-    assert np.array(pcs).tobytes() == cs.tobytes()
+    # the loop's runs and dips are the array fold's, none where a huge eps
+    # overflows; the rows _loop_touches recomputes, values_kernel at a grid
+    # point, are the array rows bitwise, -inf and inf at eps 1e300 too
+    rows, runs, dips = _array_runs_and_dips(Period.THREE, step, eps)
+    n = len(rows[0])
+    assert Period.THREE.domain_scan(step, n, eps) == (runs, dips)
+    points = [Period.THREE.values_kernel(step + i * step, eps) for i in range(n)]
     assert np.array(points).T.tobytes() == np.array(rows).tobytes()
-    assert np.array_equal(np.array(worst), _worst(rows), equal_nan=True)
     if eps == 1e300:
-        assert np.isneginf(worst).all()
+        assert runs == [] and np.isneginf(points).any() and np.isposinf(points).any()
 
 
-@settings(BITWISE, max_examples=50)
-@given(st.integers(1, 5).flatmap(
-    lambda n: st.lists(st.tuples(*[_VALUES] * n), min_size=49, max_size=49)))
-def test_the_per_point_worst_folds_as_np_minimum(points):
-    # on any condition values, NaN and ties of zeros among them: the fold of
-    # each point's tuple is the array fold's, NaN where that holds a NaN
+def _table_loops(period, table):
+    """period's generated functions compiled with an orbit read from table,
+    each grid point's x1 .. x{2p-2}: the loops' conditions, fold and hit
+    rule on any orbit."""
+    points = ", ".join(f"x{k}" for k in range(1, 2 * period.p - 1))
+    orbit = f"        {points} = table[c]\n"
+    namespace = {}
+    src = scaling._kernel_source(period, orbit, orbit)
+    exec(compile(src, "<table>", "exec"), {**vars(scaling), "table": table}, namespace)
+    return dict(zip(scaling._GENERATED, namespace[f"_kernels{period.p}"](period)))
+
+
+# orbit points that collide: ties, zeros of either sign, the dip threshold
+# and the floats either side of it, S2_FLOOR, NaN and infinities
+_POINTS = st.sampled_from([-1.0, 0.0, -0.0, 5e-5, 1e-4, 1.0000000000000002e-4, 9.999999999999999e-05,
+                           scaling.S2_FLOOR, 0.3, 0.7, 1.0, math.nan, math.inf, -math.inf])
+# a feasible orbit x1 .. x{2p-2} per period, every condition above 1e-4
+_FEASIBLE = {Period.THREE: (0.3, 0.7, 0.2, 0.5),
+             Period.FIVE: (0.617, 0.856, 0.413, 0.998, 0.008, 0.633, 0.835, 0.462)}
+
+
+def _orbits(period):
+    """49 orbits: each point the feasible orbit's or any of _POINTS."""
+    point = st.tuples(*[st.one_of(st.just(x), _POINTS) for x in _FEASIBLE[period]])
+    return st.tuples(st.just(period), st.lists(point, min_size=49, max_size=49))
+
+
+@settings(BITWISE, max_examples=100)
+@given(st.sampled_from(list(Period)).flatmap(_orbits))
+@example((Period.THREE, [(0.3, 0.7, x3, 0.5) for x3 in [0.2, 1e-4, 0.2, 9.999999999999999e-05, 0.2] * 9 + [0.2] * 4]))
+def test_the_per_point_worst_folds_as_np_minimum(case):
+    # on any orbit: the loop's runs and dips are those of np.minimum's fold
+    # of the condition rows, a NaN first, as the array scan computes them
+    period, orbits = case
     step = 1e-2  # a grid of 49 points
-    table = dict(zip(np.arange(step, 0.5, step).tolist(), points))
-    with mock.patch.object(Period.FIVE, "values_kernel", lambda c, eps: table[c]):
-        _, got_points, worst = scaling._point_conditions(Period.FIVE, step, 1.0)
-    assert got_points == points
-    rows = [np.array(row) for row in zip(*points)]
-    want = frozen_scan._fold(rows)
-    assert np.array_equal(np.array(worst), want, equal_nan=True)
-    assert [w > 0.0 for w in worst] == (want > 0.0).tolist()
+    loops = _table_loops(period, {step + i * step: orbit for i, orbit in enumerate(orbits)})
+    o = [np.zeros(49), *(np.array(x) for x in zip(*orbits)), np.ones(49)]  # x0 .. x{2p-2}, then ONE
+    with np.errstate(invalid="ignore"):
+        worst = frozen_scan._fold([o[i] - o[j] for i, j in period.comb.pairs])
+    ok = worst > 0.0
+    want = frozen_scan._runs(ok), np.flatnonzero(ok & (worst <= 1e-4)).tolist()
+    assert loops["domain_scan"](step, 49, 1.0) == want
 
 
 @BITWISE
@@ -511,16 +573,16 @@ def test_the_per_point_worst_folds_as_np_minimum(points):
     lambda n: st.integers(1, 24).flatmap(
         lambda m: st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))))
 def test_the_finders_take_per_point_lists(rows):
-    # runs and dips from lists (the mask, the worst fold and each point's
-    # condition tuple) are the ones from the array rows
+    # _loop_touches, which reads each point's condition tuple from
+    # values_kernel, finds the touches _touches finds in the array rows
     cond = [np.array(row, dtype=float) for row in rows]
     worst = frozen_scan._fold(cond)
-    ok = worst > 0.0
-    runs = _runs(ok.tolist())
-    assert runs == _runs(ok)
-    points = [tuple(p) for p in zip(*rows)]
-    for i0, i1 in runs:
-        assert _touches(points, worst.tolist(), i0, i1) == _touches(cond, worst, i0, i1)
+    step = 1e-2
+    table = {step + k * step: point for k, point in enumerate(zip(*rows))}
+    with mock.patch.object(Period.FIVE, "values_kernel", lambda c, eps: table[c]):
+        for i0, i1 in _runs(worst > 0.0):
+            ms = [m for m in range(i0 + 1, i1) if worst[m] <= 1e-4]
+            assert scaling._loop_touches(Period.FIVE, step, 1.0, ms) == _touches(cond, worst, i0, i1)
 
 
 @BITWISE
@@ -528,20 +590,39 @@ def test_the_finders_take_per_point_lists(rows):
 @example([(0.3, 0.3 + 5e-324), (0.4, 0.4 - 1e-12)], SCAN_GRID)
 @example([(0.012723905050869407, 0.039794528690544236)], SCAN_GRID)
 def test_the_per_point_grid_is_the_array_grid(intervals, grid):
+    # root_scan's grids, each interval's _linspace, are _grids' pieces
     xs, ends = _grids(intervals, grid)
-    with _per_point():
-        pxs, pends = _grids(intervals, grid)
-    assert isinstance(pxs, list) and np.array(pxs).tobytes() == xs.tobytes()
-    assert pends == ends
+    nums = solver._sizes(intervals, grid)
+    pieces = [x for (lo, hi), num in zip(intervals, nums) for x in scaling._linspace(lo, hi, num)]
+    assert np.array(pieces).tobytes() == xs.tobytes()
+    assert list(accumulate(nums)) == ends
 
 
 @BITWISE
-@given(st.lists(_G_VALUES, min_size=15, max_size=15))
-def test_the_per_point_root_scan_is_the_array_scan_on_any_values(values):
-    g = lambda xs: np.array(values[: len(xs)], dtype=float)  # noqa: E731
-    with _per_point():
-        got = _scan_roots(lambda xs: values[: len(xs)], *GRIDS)
-    assert got == _scan_roots(g, *GRIDS)
+@given(st.lists(st.tuples(_POINTS, _POINTS), min_size=15, max_size=15))
+@example([(0.5, 0.5)] * 5 + [(1.0, -1.0)] * 5 + [(-1.0, 1.0)] * 5)
+@example([(1.0, 0.0), (scaling.S2_FLOOR, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)] * 3)  # s2 at the floor
+def test_the_per_point_root_scan_is_the_array_scan_on_any_values(ends):
+    # on any ends of the central interval, ties, NaN and infinities among
+    # them, over three grids of five points: root_scan's hits are
+    # _scan_roots' over R(c) - c computed as root_kernel computes it, NaN
+    # where s2 is at or below S2_FLOOR; the two forms of _root_brackets
+    grids = [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]
+    xs = [x for lo, hi in grids for x in scaling._linspace(lo, hi, 5)]
+    table = {c: (b, 0.5, 0.5, t) for c, (t, b) in zip(xs, ends)}  # p = 3: I2 = (x1, x4)
+    top, bottom = (np.array(x) for x in zip(*ends))
+
+    def root_kernel(c, eps):
+        with np.errstate(invalid="ignore", over="ignore"):
+            s2 = top - bottom
+            s2[s2 <= scaling.S2_FLOOR] = np.nan
+            return (top - c) / s2 - c
+
+    period = SimpleNamespace(p=3, root_scan=_table_loops(Period.THREE, table)["root_scan"], root_kernel=root_kernel)
+    with mock.patch.object(solver, "SCAN_GRID", 0.25):
+        with _per_point():
+            got = solver._root_brackets(period, 1.0, grids)
+        assert got == solver._root_brackets(period, 1.0, grids) == _scan_roots(lambda c: root_kernel(c, 1.0), grids, 0.25)
 
 
 def _solve_or_error(period, eps):
@@ -556,30 +637,77 @@ def _solve_or_error(period, eps):
 @example((Period.THREE, 1.0))
 @example((Period.THREE, 0.25))
 def test_the_per_point_root_scan_is_the_root_kernel(case):
-    # on the solver's grids: r_kernel(c) - c per point, NaN where the s2
-    # guard raises, is root_kernel bitwise, NaN for NaN, and the solve is
-    # the array solve, exceptions included
+    # on the solver's grids: root_scan's brackets are root_kernel's, and the
+    # solve is the array solve, exceptions included
     period, eps = case
     try:
-        domain = feasible_domain(period, eps=eps)
+        intervals = _padded(feasible_domain(period, eps=eps))
     except scaling.EmptyDomain:
-        domain = None
-    if domain is not None:
-        pad = 2.0 * REFINE_TOL
+        intervals = None
+    if intervals is not None:
         with _per_point():
-            xs, _ = _grids([(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID)
-        r_kernel = period.r_kernel
-
-        def g(c):
-            try:
-                return r_kernel(c, eps) - c
-            except scaling.DivisionGuard:
-                return math.nan
-
-        assert np.array([g(x) for x in xs]).tobytes() == period.root_kernel(np.array(xs), eps).tobytes()
+            got = solver._root_brackets(period, eps, intervals)
+        assert got == _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
     with _per_point(), mock.patch.object(period, "root_kernel", side_effect=AssertionError("array scan")):
         got = _solve_or_error(period, eps)
     assert got == _solve_or_error(period, eps)
+
+
+@st.composite
+def _loop_cases(draw):
+    """(period, step, eps): any step the domain scan takes, log-uniform in
+    [1e-6, 1e-2], period three at eps in [0.3, 3] or at 1e300, period five
+    at eps 1."""
+    period = draw(st.sampled_from(list(Period)))
+    eps = draw(st.one_of(st.floats(0.3, 3.0), st.just(1e300))) if period is Period.THREE else 1.0
+    return period, min(max(10.0 ** draw(st.floats(-6.0, -2.0)), 1e-6), 1e-2), eps
+
+
+@settings(BITWISE, max_examples=20)
+@given(_loop_cases())
+@example((Period.THREE, 1e-6, 1.0))
+@example((Period.FIVE, 1e-6, 1.0))
+@example((Period.THREE, 1e-2, 1e300))
+def test_the_loops_are_bitwise_the_array_scans(case):
+    # domain_scan's runs and dips, the per-point domain and root_scan's
+    # brackets, over the domain or, where it is empty, over (step, 1/2 -
+    # step), are the array scans', exceptions included; root_kernel
+    # overflows quietly, as the loop does, only off a feasible domain
+    period, step, eps = case
+    rows, runs, dips = _array_runs_and_dips(period, step, eps)
+    assert period.domain_scan(step, len(rows[0]), eps) == (runs, dips)
+    with _per_point():
+        got = _domain_or_error(feasible_domain, period, step, eps)
+    try:
+        domain = feasible_domain(period, step, eps)
+    except scaling.EmptyDomain as exc:
+        assert got == (scaling.EmptyDomain, str(exc))
+        intervals = [(step, 0.5 - step)]
+    else:
+        assert got == _domain_or_error(lambda *case: domain, *case)
+        intervals = _padded(domain)
+    with _per_point():
+        got = solver._root_brackets(period, eps, intervals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert got == _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
+
+
+@pytest.mark.parametrize("period, eps", [(Period.THREE, 1.02), (Period.FIVE, 1.0)])
+def test_a_per_point_scan_calls_no_kernel_per_grid_point(period, eps, monkeypatch):
+    # the loops run the orbit inline: values_kernel is called around the
+    # dips, boundaries and punctures only, far fewer times than the domain
+    # scan has grid points, and the root scan calls r_kernel not at all
+    calls = []
+    for name in ("values_kernel", "r_kernel"):
+        kernel = getattr(period, name)
+        monkeypatch.setattr(period, name, lambda c, e, name=name, kernel=kernel: calls.append(name) or kernel(c, e))
+    with _per_point():
+        domain = feasible_domain(period, eps=eps)
+        assert calls.count("values_kernel") < 0.1 * math.ceil((0.5 - 1e-4) / 1e-4)
+        calls.clear()
+        intervals = _padded(domain)
+        assert len(solver._root_brackets(period, eps, intervals)) == 1
+    assert calls == [] and sum(solver._sizes(intervals, SCAN_GRID)) > 1000
 
 
 # The rule itself.  The test process has numpy loaded; where a test needs
@@ -594,29 +722,30 @@ def test_scans_use_arrays_whenever_numpy_is_loaded(monkeypatch):
     # scans of a solve never run per point
     monkeypatch.setattr(scaling, "_scanned", 0)
     assert not scaling._scan_per_point(1)
-    with mock.patch.object(scaling, "_point_conditions", side_effect=AssertionError("per point")):
+    with mock.patch.object(Period.THREE, "domain_scan", side_effect=AssertionError("per point")), \
+            mock.patch.object(Period.THREE, "root_scan", side_effect=AssertionError("per point")):
         solver.solve_fixed_point_eps(1.02)
     assert scaling._scanned == 0
 
 
 def test_a_per_point_scan_charges_its_exact_point_count(monkeypatch):
     # the domain scan's grid of ceil((0.5 - step)/step) points and the root
-    # scan's every grid point, those the scans evaluate
-    want, _ = _grids([(lo + 2.0 * REFINE_TOL, hi - 2.0 * REFINE_TOL)
-                      for lo, hi in feasible_domain(Period.FIVE, 2e-4).intervals], SCAN_GRID)
+    # scan's every grid point, those the loops evaluate, each times the
+    # period p: the work a grid point costs in either loop
+    want, _ = _grids(_padded(feasible_domain(Period.FIVE, 2e-4)), SCAN_GRID)
     _numpy_unloaded(monkeypatch)
-    cs, _, _ = scaling._point_conditions(Period.FIVE, 2e-4, 1.0)
-    assert len(cs) == math.ceil((0.5 - 2e-4) / 2e-4) == 2499
+    assert math.ceil((0.5 - 2e-4) / 2e-4) == 2499
     domain = feasible_domain(Period.FIVE, 2e-4)
-    assert scaling._scanned == 2499
+    assert scaling._scanned == 2499 * 5
     solver.solve_fixed_point(Period.FIVE, domain)
-    assert scaling._scanned == 2499 + len(want)
+    assert scaling._scanned == (2499 + len(want)) * 5
 
 
 def test_a_grid_above_the_cap_scans_arrays(monkeypatch):
     # the budget is never overrun: a scan runs per point only if all of its
-    # points fit what is left, and is then charged; the 1e-6 step floor's
-    # 499999 points scan arrays in a process that has scanned none
+    # work fits what is left, and is then charged; the 1e-6 step floor's
+    # 499999 points, five units of work each at period five, scan arrays in
+    # a process that has scanned none
     _numpy_unloaded(monkeypatch)
     assert not scaling._scan_per_point(scaling.SCAN_BUDGET + 1) and scaling._scanned == 0
     assert scaling._scan_per_point(scaling.SCAN_BUDGET - 10) and scaling._scanned == scaling.SCAN_BUDGET - 10
@@ -625,24 +754,25 @@ def test_a_grid_above_the_cap_scans_arrays(monkeypatch):
     assert not scaling._scan_per_point(1) and scaling._scanned == scaling.SCAN_BUDGET
     monkeypatch.undo()
     code = "from renorm import scaling\nfd = repr(scaling.feasible_domain(scaling.Period.FIVE, 1e-6))\n"
-    assert math.ceil((0.5 - 1e-6) / 1e-6) > scaling.SCAN_BUDGET
+    assert math.ceil((0.5 - 1e-6) / 1e-6) * 5 > scaling.SCAN_BUDGET
     assert probe(code, "[fd, scaling._scanned, 'numpy' in sys.modules]") == [
         repr(feasible_domain(Period.FIVE, 1e-6)), 0, True]
 
 
 def test_once_the_budget_is_spent_the_next_scan_imports_numpy():
-    # in a fresh interpreter, eps solves of about 11k points each: per point
+    # in a fresh interpreter, eps solves of about 11k points, 33k units of
+    # work, each: per point
     # while they fit, then the scan that would overrun the budget imports
     # numpy and every later scan runs on arrays, all bitwise the array solves
     code = (
         "from renorm import scaling, solver\n"
         "reps, log = [], []\n"
-        "for k in range(10):\n"
+        "for k in range(25):\n"
         "    reps.append(repr(solver.solve_fixed_point_eps(1.0 + k / 1000)))\n"
         "    log.append([scaling._scanned, 'numpy' in sys.modules])\n"
     )
     reps, log = probe(code, "[reps, log]")
-    assert reps == [repr(solver.solve_fixed_point_eps(1.0 + k / 1000)) for k in range(10)]
+    assert reps == [repr(solver.solve_fixed_point_eps(1.0 + k / 1000)) for k in range(25)]
     spent = [scanned for scanned, loaded in log if not loaded]
     assert 0 < len(spent) < len(log) and spent == sorted(set(spent))
     assert max(scanned for scanned, _ in log) <= scaling.SCAN_BUDGET

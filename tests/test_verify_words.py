@@ -87,3 +87,18 @@ def test_the_horseshoe_suite_reads_numpys_words(monkeypatch, seed, quick):
 def test_verify_horseshoe_refuses_a_negative_seed_as_a_usage_error(capsys):
     assert main(["verify", "horseshoe", "--seed", "-1"]) == 2
     assert capsys.readouterr() == ("", "usage error: expected non-negative integer\n")
+
+
+@pytest.mark.parametrize("period", ["3", "5"])
+@pytest.mark.parametrize("suite", ["all", "tower", "pwa", "extension", "horseshoe"])
+def test_every_verify_suite_refuses_a_negative_seed(suite, period, capsys, tmp_path):
+    # before any suite runs, whichever suite reads the seed, from the flag
+    # or from a config file, and no report is written
+    out = tmp_path / "report.json"
+    assert main(["verify", suite, "--period", period, "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "usage error: expected non-negative integer\n")
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": -5}')
+    assert main(["verify", suite, "--period", period, "--config", str(config)]) == 2
+    assert capsys.readouterr() == ("", "usage error: expected non-negative integer\n")
+    assert not out.exists()
