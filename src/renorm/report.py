@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import sys
 import tempfile
 
 from . import __version__
@@ -25,9 +24,6 @@ SCHEMA_VERSION = 1
 def _fmt(value) -> str:
     if value is None:
         return "null"
-    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
-    if np is not None and isinstance(value, np.bool_):
-        value = bool(value)
     if value is True:
         return "true"
     if value is False:
@@ -45,8 +41,8 @@ def _fmt(value) -> str:
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    # a numpy scalar is written as a float; anything else, a value object
-    # (renorm.value) among them, as the JSON string of its str()
+    # any other number float() takes is written as a float; anything else,
+    # a value object (renorm.value) among them, as the JSON string of its str()
     try:
         return _fmt(float(value))
     except (TypeError, ValueError):

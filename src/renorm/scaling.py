@@ -56,7 +56,7 @@ eight functions, stored on the member beside comb, of three kinds:
   tail (the pull and the u-steps after it, each step in place in a new
   array), and root_kernel, the whole block with out= ufuncs and R(c) - c
   from it, NaN where the s2 guard trips, bitwise return_map(period, c,
-  eps) - c: the solver's root scan;
+  eps) - c: the root scan on arrays;
 - two scan loops, the per-point form of each scan: the block run inline
   at each grid point of a Python for loop, with no call, tuple or list
   per point.  domain_scan(step, n, eps) walks the domain scan's grid,
@@ -76,16 +76,20 @@ subtractions of the other conditions, but S1 = u^p(0) - 0, which is the
 pulled row as is.  A memo above SCAN_MEMO_CAP bytes, from a step far
 below the default, is computed afresh for its scan and not kept.
 
-Both scans, the domain scan and the solver's root scan, run per point or
-as arrays by one rule, _scan_per_point: arrays once numpy is loaded,
-else per point while the process's per-point work, grid points times the
-period, stays within SCAN_BUDGET.  Per point, feasible_domain runs
-domain_scan and recomputes the condition tuples around each dip with
-values_kernel (_loop_touches), and the root scan runs root_scan: the
-same runs, touches and brackets as the array scans, bitwise, and a
+Both scans live here, the domain scan (feasible_domain) and the root
+scan for R(c) = c (_root_brackets, whose brackets the solver refines),
+and this is the one module that imports numpy or asks whether it is
+loaded.  Each scan runs per point or as arrays by one rule,
+_scan_per_point: arrays once numpy is loaded, else per point while the
+process's per-point work, grid points times the period, stays within
+SCAN_BUDGET.  Per point, feasible_domain runs domain_scan and recomputes
+the condition tuples around each dip with values_kernel (_loop_touches),
+and the root scan runs root_scan over every interval's grid as one list:
+the same runs, touches and brackets as the array scans, bitwise, and a
 process that scans only per point never imports numpy: np is bound on
 the first array call (_Numpy).  The array forms fold the condition rows
-(_worst) and find runs, touches and sign changes with numpy.
+(_worst) and find runs, touches and sign changes with numpy; the root
+scan's two forms end in one junction filter.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
@@ -106,6 +110,7 @@ import math
 import mmap
 import sys
 from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 from operator import add
 
 from .value import Value
@@ -596,7 +601,7 @@ def return_map(period: Period, c, eps: float = 1.0):
     the s2 enclosure lies above the floor.  A float (or int) c with a float
     (or int) eps runs the period's straight-line kernel, period.r_kernel;
     any other argument (an array, an Interval, a Jet, a numpy integer)
-    reads period.orbit.  The solver's root scan does not come here:
+    reads period.orbit.  The root scan does not come here:
     period.root_kernel computes an array call minus c, bitwise, in place.
     """
     if isinstance(c, _SCALARS) and isinstance(eps, _SCALARS):
@@ -904,3 +909,54 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
             intervals.append((a, b))
 
     return FeasibleDomain(period, intervals, boundaries, punctures)
+
+
+_ramp = ()  # 0.0, 1.0, 2.0, ... read-only, grown by _grids on demand
+
+
+def _grids(intervals, nums):
+    """Every interval's np.linspace(lo, hi, num), num its entry in nums,
+    bitwise, written into one array.  Each is linspace's own formula,
+    arange(num) * ((hi - lo) / (num - 1)) + lo with the last point hi,
+    except where that step is 0, which linspace computes another way; the
+    arange is the head of _ramp, read-only and kept across calls, which a
+    longer grid replaces with one twice its length."""
+    global _ramp
+    if len(_ramp) < max(nums, default=0):
+        _ramp = np.arange(float(2 * max(nums)))
+        _ramp.flags.writeable = False
+    xs = np.empty(sum(nums))
+    for (lo, hi), end, num in zip(intervals, accumulate(nums), nums):
+        out = xs[end - num : end]
+        step = (hi - lo) / (num - 1)
+        if step == 0.0:
+            out[:] = np.linspace(lo, hi, num)
+        else:
+            np.multiply(_ramp[:num], step, out=out)
+            out += lo
+            out[-1] = hi
+    return xs
+
+
+def _root_brackets(period, eps, intervals, grid) -> list:
+    """The sign changes of R(c, eps) - c over intervals, as brackets of
+    Python floats: each (lo, hi) sampled at spacing grid on n + 1 points,
+    n = max(ceil((hi - lo)/grid), 2), and every interval's grid scanned as
+    one, by _scan_per_point's rule.  Per point, the period's root_scan runs
+    over the _linspace grids as one list; as arrays, root_kernel runs over
+    _grids' one array, and a hit is a step where v > 0 flips and the end
+    not above 0 is below 0, root_scan's rule: zeros and NaN, the s2
+    guard's, never pair.  One mask, and the few flips read one by one:
+    np.sign and products of signs measured slower than the comparisons.
+    Either form's hits then pass one junction filter: no step joins the
+    last point of one grid and the first of the next."""
+    nums = [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
+    if _scan_per_point(sum(nums) * period.p):
+        xs = [x for (lo, hi), num in zip(intervals, nums) for x in _linspace(lo, hi, num)]
+        hits = period.root_scan(xs, eps)
+    else:
+        xs = _grids(intervals, nums)
+        v = period.root_kernel(xs, eps)
+        hits = [i for i in _flips(v > 0.0) if v[i] < 0.0 or v[i + 1] < 0.0]
+    junctions = {end - 1 for end in accumulate(nums[:-1])}
+    return [(float(xs[i]), float(xs[i + 1])) for i in hits if i not in junctions]

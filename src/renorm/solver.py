@@ -1,27 +1,20 @@
 """Fixed points of the return maps R(c) and R(c, eps).
 
-Roots of R(c) - c are isolated by a sign scan over the feasible domain:
-the grids of all feasible intervals are written into one array, and the
-period's root_kernel, R(c) - c on an array with out= ufuncs, runs once
-over it (NaN where R's s2 guard trips, so the scan never pairs values
-across a pole, nor across the gap between two intervals).  Where
-scaling._scan_per_point's rule has the scan run per point (numpy not
-loaded, and the work within the budget left), the period's root_scan
-loop runs over each interval's grid, a list, with the orbit inline and
-the same rule for a sign change, bitwise the array scan's brackets.  Each
-bracket is then refined on Python floats by scalar bisection and
-polished with a secant step loop, both calling the period's r_kernel
-directly.  Each period has exactly one expanding fixed point; finding
-none or several is surfaced as an error rather than silently resolved,
-and so is a polish that does not converge.
+Roots of R(c) - c are isolated by a sign scan over the feasible domain,
+each interval padded by 2*REFINE_TOL and sampled at spacing SCAN_GRID:
+scaling._root_brackets, which runs it per point or on arrays by the
+domain scan's rule and gives the same brackets either way.  Each bracket
+is then refined on Python floats by scalar bisection and polished with a
+secant step loop, both calling the period's r_kernel directly.  Each
+period has exactly one expanding fixed point; finding none or several is
+surfaced as an error rather than silently resolved, and so is a polish
+that does not converge.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
-from . import scaling
 from .scaling import (
     REFINE_TOL,
     DivisionGuard,
@@ -29,8 +22,8 @@ from .scaling import (
     FeasibleDomain,
     NumericalFailure,
     Period,
-    _flips,
     _linspace,
+    _root_brackets,
     feasible_domain,
 )
 from .value import Value
@@ -113,82 +106,6 @@ def _refine_root(f, lo, hi, tol):
     return x1
 
 
-def _sizes(intervals, grid) -> list:
-    """The number of points of each interval's grid, n + 1 with
-    n = max(ceil((hi - lo) / grid), 2)."""
-    return [max(math.ceil((hi - lo) / grid), 2) + 1 for lo, hi in intervals]
-
-
-_ramp = ()  # 0.0, 1.0, 2.0, ... read-only, grown by _grids on demand
-
-
-def _grids(intervals, grid):
-    """Every interval's np.linspace(lo, hi, n + 1) (_sizes), bitwise, written
-    into one array, and the index where each grid ends.  Each is linspace's
-    own formula, arange(n + 1) * ((hi - lo) / n) + lo with the last point
-    hi, except where that step is 0, which linspace computes another way;
-    the arange is the head of _ramp, read-only and kept across calls, which
-    a longer grid replaces with one twice its length."""
-    global _ramp
-    import numpy as np
-
-    nums = _sizes(intervals, grid)
-    ends = list(accumulate(nums))
-    if len(_ramp) < max(nums):
-        _ramp = np.arange(float(2 * max(nums)))
-        _ramp.flags.writeable = False
-    xs = np.empty(ends[-1])
-    for (lo, hi), num, end in zip(intervals, nums, ends):
-        out = xs[end - num : end]
-        step = (hi - lo) / (num - 1)
-        if step == 0.0:
-            out[:] = np.linspace(lo, hi, num)
-        else:
-            np.multiply(_ramp[:num], step, out=out)
-            out += lo
-            out[-1] = hi
-    return xs, ends
-
-
-def _scan_roots(g, intervals, grid):
-    """Sign changes of g on each (lo, hi) of intervals, sampled at spacing
-    grid, as brackets of Python floats.
-
-    g takes every interval's grid as _grids gives it, one array, and
-    returns its values as an array; NaN values never pair into a hit, and
-    neither do the two points where one interval's grid ends and the next
-    begins.
-    """
-    if not intervals:
-        return []
-    xs, ends = _grids(intervals, grid)
-    v = g(xs)
-    # a hit is a step where v > 0 flips and the end not above 0 is below
-    # 0: zeros and NaN never pair.  One mask, and the few flips read one
-    # by one: np.sign and products of signs measured slower than the
-    # comparisons.  No step joins the last point of one grid and the
-    # first of the next.
-    junctions = {end - 1 for end in ends[:-1]}
-    hits = [i for i in _flips(v > 0.0) if (v[i] < 0.0 or v[i + 1] < 0.0) and i not in junctions]
-    return [(float(xs[i]), float(xs[i + 1])) for i in hits]
-
-
-def _root_brackets(period, eps, intervals):
-    """The brackets of R(c, eps) - c over intervals at SCAN_GRID, by
-    scaling._scan_per_point's rule: per point, the period's root_scan over
-    each interval's _linspace grid, bitwise _grids' piece of it, which
-    applies _scan_roots' hit rule as it goes; as arrays, _scan_roots of
-    root_kernel."""
-    nums = _sizes(intervals, SCAN_GRID)
-    if not scaling._scan_per_point(sum(nums) * period.p):
-        return _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
-    scan, brackets = period.root_scan, []
-    for (lo, hi), num in zip(intervals, nums):
-        xs = _linspace(lo, hi, num)
-        brackets += [(xs[i], xs[i + 1]) for i in scan(xs, eps)]
-    return brackets
-
-
 def _report(period, g, R, bracket, tol, eps):
     c = float(_refine_root(g, bracket[0], bracket[1], tol))
     residual = float(abs(R(c) - c))
@@ -242,7 +159,7 @@ def _solve_once(period, eps, domain, tol):
             return math.nan
 
     pad = 2.0 * REFINE_TOL
-    brackets = _root_brackets(period, eps, [(lo + pad, hi - pad) for lo, hi in domain.intervals])
+    brackets = _root_brackets(period, eps, [(lo + pad, hi - pad) for lo, hi in domain.intervals], SCAN_GRID)
     if not brackets:
         raise NoRoot(f"no sign change of R(c)-c at eps={eps} over {domain.intervals}")
     if len(brackets) > 1:

@@ -1,6 +1,7 @@
 """What `import renorm` and each light command load, and the namespace
 that loading on first use must keep."""
 
+import ast
 import copy
 import importlib
 import json
@@ -50,6 +51,25 @@ EXPORTED = {
     ],
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
+
+
+def _names_numpy(node) -> bool:
+    """Whether node imports numpy or spells its module name, as a lookup in
+    sys.modules or an import by name must."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numpy"
+    return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.split(".")[0] == "numpy"
+
+
+def test_numpy_is_named_by_scaling_alone():
+    # scaling imports numpy on an array call and asks whether it is loaded;
+    # every other module reaches arrays through scaling, so one module
+    # decides when a process pays numpy's import
+    named = sorted(path.name for path in (SRC / "renorm").glob("*.py")
+                   if any(map(_names_numpy, ast.walk(ast.parse(path.read_text())))))
+    assert named == ["scaling.py"]
 
 
 def probe(code: str, result: str):

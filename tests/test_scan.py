@@ -10,7 +10,6 @@ the in-place fold and the sign products."""
 
 import math
 import sys
-from itertools import accumulate
 from types import SimpleNamespace
 from unittest import mock
 
@@ -27,6 +26,8 @@ from renorm.scaling import (
     Period,
     _argmin,
     _condition_values,
+    _grids,
+    _root_brackets,
     _runs,
     _scan_conditions,
     _scan_head,
@@ -34,7 +35,7 @@ from renorm.scaling import (
     _worst,
     feasible_domain,
 )
-from renorm.solver import SCAN_GRID, _grids, _scan_roots
+from renorm.solver import SCAN_GRID
 
 BITWISE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 STEPS = (1e-4, 2e-4, 5e-4, 1e-3)
@@ -62,6 +63,37 @@ def _matrix_touches(cond, i0, i1):
 def _linspace_grids(intervals, grid):
     """The grids the root scan wrote into one buffer, as it built them."""
     return [np.linspace(lo, hi, max(int(np.ceil((hi - lo) / grid)), 2) + 1) for lo, hi in intervals]
+
+
+def _sizes(intervals, grid):
+    """The number of points of each of those grids."""
+    return [len(x) for x in _linspace_grids(intervals, grid)]
+
+
+def _scan_roots(g, intervals, grid):
+    """_root_brackets on arrays, the form a process with numpy loaded
+    runs, with g, which takes the whole grid, as the root kernel."""
+    return _root_brackets(SimpleNamespace(p=1, root_kernel=lambda xs, eps: g(xs)), 1.0, intervals, grid)
+
+
+def _scanned_grids(intervals, grid):
+    """The grids _root_brackets hands root_scan per point, a list, and
+    root_kernel as arrays, one array."""
+    seen = {}
+
+    def root_scan(xs, eps):
+        seen["points"] = xs
+        return []
+
+    def root_kernel(xs, eps):
+        seen["array"] = xs.copy()
+        return np.zeros(len(xs))
+
+    period = SimpleNamespace(p=1, root_scan=root_scan, root_kernel=root_kernel)
+    with _per_point():
+        _root_brackets(period, 1.0, intervals, grid)
+    _root_brackets(period, 1.0, intervals, grid)
+    return seen["points"], seen["array"]
 
 
 def _sign_scan(g, intervals, grid):
@@ -288,24 +320,24 @@ _INTERVALS = st.lists(st.tuples(_ENDS, _WIDTHS).map(lambda t: (t[0], t[0] + t[1]
 @example([(0.012723905050869407, 0.039794528690544236)], SCAN_GRID)  # the ramp's last point is not hi
 def test_the_one_buffer_grid_is_bitwise_the_concatenated_linspaces(intervals, grid):
     grids = _linspace_grids(intervals, grid)
-    xs, ends = _grids(intervals, grid)
+    xs = _grids(intervals, _sizes(intervals, grid))
     assert xs.tobytes() == np.concatenate(grids).tobytes()
-    assert ends == np.cumsum([len(x) for x in grids]).tolist()
+    assert _scanned_grids(intervals, grid)[1].tobytes() == xs.tobytes()
 
 
 def test_the_grids_share_one_read_only_ramp(monkeypatch):
     # a grid no longer than the ramp reads its head; a longer one replaces
     # it with one twice its length; every grid stays linspace's, bitwise
-    monkeypatch.setattr(solver, "_ramp", ())
+    monkeypatch.setattr(scaling, "_ramp", ())
     short, long = [(0.1, 0.2)], [(0.1, 0.2), (0.2, 0.5)]
-    _grids(short, 1e-3)
-    ramp = solver._ramp
-    assert ramp.tolist() == [float(k) for k in range(2 * max(solver._sizes(short, 1e-3)))]
+    _grids(short, _sizes(short, 1e-3))
+    ramp = scaling._ramp
+    assert ramp.tolist() == [float(k) for k in range(2 * max(_sizes(short, 1e-3)))]
     assert not ramp.flags.writeable
-    xs, _ = _grids(short[:1], 2e-3)
-    assert solver._ramp is ramp and xs.tobytes() == np.concatenate(_linspace_grids(short, 2e-3)).tobytes()
-    xs, _ = _grids(long, 1e-3)
-    assert len(solver._ramp) == 2 * max(solver._sizes(long, 1e-3)) > len(ramp)
+    xs = _grids(short[:1], _sizes(short[:1], 2e-3))
+    assert scaling._ramp is ramp and xs.tobytes() == np.concatenate(_linspace_grids(short, 2e-3)).tobytes()
+    xs = _grids(long, _sizes(long, 1e-3))
+    assert len(scaling._ramp) == 2 * max(_sizes(long, 1e-3)) > len(ramp)
     assert xs.tobytes() == np.concatenate(_linspace_grids(long, 1e-3)).tobytes()
 
 
@@ -313,7 +345,7 @@ def test_the_denormal_branch_is_reached():
     # a width of one denormal over two steps rounds the step to 0, where
     # linspace divides the ramp before multiplying
     assert (5e-324 / 2) == 0.0
-    xs, _ = _grids([(0.0, 5e-324)], SCAN_GRID)
+    xs = _grids([(0.0, 5e-324)], _sizes([(0.0, 5e-324)], SCAN_GRID))
     assert xs.tolist() == [0.0, 0.0, 5e-324]
 
 
@@ -590,12 +622,11 @@ def test_the_finders_take_per_point_lists(rows):
 @example([(0.3, 0.3 + 5e-324), (0.4, 0.4 - 1e-12)], SCAN_GRID)
 @example([(0.012723905050869407, 0.039794528690544236)], SCAN_GRID)
 def test_the_per_point_grid_is_the_array_grid(intervals, grid):
-    # root_scan's grids, each interval's _linspace, are _grids' pieces
-    xs, ends = _grids(intervals, grid)
-    nums = solver._sizes(intervals, grid)
-    pieces = [x for (lo, hi), num in zip(intervals, nums) for x in scaling._linspace(lo, hi, num)]
+    # root_scan's grid, every interval's _linspace as one list, is _grids'
+    # one array, and holds each reference grid's points
+    pieces, xs = _scanned_grids(intervals, grid)
     assert np.array(pieces).tobytes() == xs.tobytes()
-    assert list(accumulate(nums)) == ends
+    assert len(pieces) == sum(_sizes(intervals, grid))
 
 
 @BITWISE
@@ -619,10 +650,24 @@ def test_the_per_point_root_scan_is_the_array_scan_on_any_values(ends):
             return (top - c) / s2 - c
 
     period = SimpleNamespace(p=3, root_scan=_table_loops(Period.THREE, table)["root_scan"], root_kernel=root_kernel)
-    with mock.patch.object(solver, "SCAN_GRID", 0.25):
-        with _per_point():
-            got = solver._root_brackets(period, 1.0, grids)
-        assert got == solver._root_brackets(period, 1.0, grids) == _scan_roots(lambda c: root_kernel(c, 1.0), grids, 0.25)
+    with _per_point():
+        got = _root_brackets(period, 1.0, grids, 0.25)
+    assert got == _root_brackets(period, 1.0, grids, 0.25) == _scan_roots(lambda c: root_kernel(c, 1.0), grids, 0.25)
+
+
+@pytest.mark.parametrize("per_point", [True, False])
+def test_no_bracket_joins_two_grids(per_point):
+    # in either form: R(c) - c changes sign from the last point of one
+    # grid to the first of the next, across c*, which no step of a grid
+    # brackets; over one interval across c*, the one bracket holds it
+    period = Period.THREE
+    c = solver.solve_fixed_point(period).c_star
+    g = lambda x: period.r_kernel(x, 1.0) - x  # noqa: E731
+    assert g(c - 1e-5) < 0.0 < g(c + 1e-5)
+    with mock.patch.object(scaling, "_scan_per_point", lambda work: per_point):
+        assert _root_brackets(period, 1.0, [(c - 1e-3, c - 1e-5), (c + 1e-5, c + 1e-3)], SCAN_GRID) == []
+        (lo, hi), = _root_brackets(period, 1.0, [(c - 1e-3, c + 1e-3)], SCAN_GRID)
+    assert lo < c < hi
 
 
 def _solve_or_error(period, eps):
@@ -646,7 +691,7 @@ def test_the_per_point_root_scan_is_the_root_kernel(case):
         intervals = None
     if intervals is not None:
         with _per_point():
-            got = solver._root_brackets(period, eps, intervals)
+            got = _root_brackets(period, eps, intervals, SCAN_GRID)
         assert got == _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
     with _per_point(), mock.patch.object(period, "root_kernel", side_effect=AssertionError("array scan")):
         got = _solve_or_error(period, eps)
@@ -687,7 +732,7 @@ def test_the_loops_are_bitwise_the_array_scans(case):
         assert got == _domain_or_error(lambda *case: domain, *case)
         intervals = _padded(domain)
     with _per_point():
-        got = solver._root_brackets(period, eps, intervals)
+        got = _root_brackets(period, eps, intervals, SCAN_GRID)
     with np.errstate(over="ignore", invalid="ignore"):
         assert got == _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
 
@@ -706,8 +751,8 @@ def test_a_per_point_scan_calls_no_kernel_per_grid_point(period, eps, monkeypatc
         assert calls.count("values_kernel") < 0.1 * math.ceil((0.5 - 1e-4) / 1e-4)
         calls.clear()
         intervals = _padded(domain)
-        assert len(solver._root_brackets(period, eps, intervals)) == 1
-    assert calls == [] and sum(solver._sizes(intervals, SCAN_GRID)) > 1000
+        assert len(_root_brackets(period, eps, intervals, SCAN_GRID)) == 1
+    assert calls == [] and sum(_sizes(intervals, SCAN_GRID)) > 1000
 
 
 # The rule itself.  The test process has numpy loaded; where a test needs
@@ -732,7 +777,8 @@ def test_a_per_point_scan_charges_its_exact_point_count(monkeypatch):
     # the domain scan's grid of ceil((0.5 - step)/step) points and the root
     # scan's every grid point, those the loops evaluate, each times the
     # period p: the work a grid point costs in either loop
-    want, _ = _grids(_padded(feasible_domain(Period.FIVE, 2e-4)), SCAN_GRID)
+    intervals = _padded(feasible_domain(Period.FIVE, 2e-4))
+    want = _grids(intervals, _sizes(intervals, SCAN_GRID))
     _numpy_unloaded(monkeypatch)
     assert math.ceil((0.5 - 2e-4) / 2e-4) == 2499
     domain = feasible_domain(Period.FIVE, 2e-4)

@@ -21,7 +21,6 @@ from renorm.solver import (
     NoConvergence,
     NoRoot,
     _refine_root,
-    _scan_roots,
     _solve,
     continuum_sweep,
     solve_fixed_point,
@@ -38,6 +37,7 @@ from reference_values import (
     R5_DERIV,
 )
 from reference_solves import SOLVE_HEXES
+from test_scan import _scan_roots
 
 
 def test_tripling_fixed_point(rep3):
