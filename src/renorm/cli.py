@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import sys
 
@@ -144,6 +143,8 @@ def _config_value(key, value):
 def _merge_config(args):
     cfg = {}
     if args.config:
+        import json  # only a --config run reads JSON; reports are written by report._fmt
+
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):

@@ -6,10 +6,15 @@ point diffeomorphically onto the common base [c_first*, c_last*] with
 derivative above 2.  An outward-rounded interval proof (BranchSystem.slopes)
 certifies the full shift: the A_i are disjoint, each branch image covers
 the base and inf R_i' > 1 on A_i, so there are m^k k-cylinders for every k
-with no enumeration.  Backward composition of the contracting inverse
-branches codes symbol sequences to points of the invariant Cantor set,
-and the coded critical points generate proper scaling data for
-symbol-driven towers and maps.
+with no enumeration.  The proof runs each period's float-bound pass
+(scaling's r_bounds), which also bounds eta, the float kernel's rounding
+error on A_i, once per system.  Backward composition of the contracting
+inverse branches codes symbol sequences to points of the invariant Cantor
+set; each inversion bisects A_i in plain floats and evaluates R only at
+the nodes within 2*eta/inf R' of its estimated answer, every other node's
+comparison being known, bitwise what the plain bisection computes.  The
+coded critical points generate proper scaling data for symbol-driven
+towers and maps.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import itertools
 import math
 from functools import cached_property
 
-from .interval import Interval, Jet
+from .interval import Interval, div, widen
 from .scaling import DivisionGuard, NumericalFailure, bisect, return_map
 from .solver import solve_fixed_point_eps
 from .tower import LevelData, ScalingSequence
@@ -35,7 +40,6 @@ MARGIN = 1e-11
 # m of 2..1000 letters (tests/test_horseshoe.py)
 MAX_COUNT = 2**63 - 1
 CODING_PAD = 16  # extra backward letters; contraction > 2 makes 2^-16 plenty
-NODE_CAP = 4096  # memo entries per branch (about 0.4 MB); later nodes are not stored
 
 
 class NotAHorseshoe(NumericalFailure, RuntimeError):
@@ -99,18 +103,16 @@ class BranchSystem(Value, frozen=True):
         return return_map(self.reports[i].period, c, eps=self.epsilons[i])
 
     @cached_property
-    def _nodes(self) -> tuple:
-        """Per-branch memo {node: R(node)} of _invert_point's bisection."""
-        return tuple({} for _ in self.epsilons)
+    def _proof(self):
+        """The full-shift proof, run once per system whether it holds or
+        fails: per branch its slope enclosure and its inversion window, or
+        the message of the first condition that failed.
 
-    @cached_property
-    def slopes(self) -> tuple:
-        """Enclosures of R_i' over each A_i widened by MARGIN/2, once the
-        interval proof certifies the full shift on the base widened by
-        MARGIN; raises NotAHorseshoe naming the condition that failed.
-
-        (a) the widened A_i are disjoint, increasing and inside the widened
-            base;
+        Over each A_i widened by MARGIN/2, [a, z], the period's float-bound
+        pass (Period.r_bounds) encloses R_i and R_i' and bounds eta, the
+        float kernel's rounding error at any float of [a, z]:
+        (a) the widened A_i are disjoint, increasing and inside the base
+            widened by MARGIN;
         (c) inf R_i' > 1 over each (R_i is smooth there: s2 stays above
             S2_FLOOR);
         (b) R_i sends the widened A_i's ends below and above the base, so
@@ -118,30 +120,45 @@ class BranchSystem(Value, frozen=True):
         Then each inverse branch maps the base into A_i, every word's
         cylinder is a nonempty interval, and distinct words of one length
         give disjoint ones: alphabet^k k-cylinders for every k.
+
+        A branch's window is (a, z, band), band = 2*eta/inf R_i' rounded
+        up: two floats of [a, z] a band or more apart have kernel values in
+        their order, which _invert_point reads; None where eta is not
+        finite.
         """
         lo, hi = self.base[0] - MARGIN, self.base[1] + MARGIN
         doms = [(a - 0.5 * MARGIN, z + 0.5 * MARGIN) for a, z in self.domains]
         ends = [x for d in doms for x in d]
         if any(not x < y for x, y in zip(ends, ends[1:])):
-            raise NotAHorseshoe(f"branch domains {self.domains} are not disjoint and increasing")
+            return f"branch domains {self.domains} are not disjoint and increasing"
         if not (lo <= ends[0] and ends[-1] <= hi):
-            raise NotAHorseshoe(f"branch domains {self.domains} leave the base {self.base}")
+            return f"branch domains {self.domains} leave the base {self.base}"
         out = []
         for i, ((a, z), e, rep) in enumerate(zip(doms, self.epsilons, self.reports)):
+            bounds = rep.period.r_bounds
             try:
-                slope = return_map(rep.period, Jet(Interval(a, z), Interval(1.0, 1.0)), e).der
+                _, _, dlo, dhi, eta = bounds(a, z, e)
             except DivisionGuard as exc:
-                raise NotAHorseshoe(f"branch {i} is not smooth on A_{i}: {exc}") from None
-            if not slope.lo > 1.0:
-                raise NotAHorseshoe(f"branch {i} slope {slope} is not above 1 on A_{i}")
-            img_lo = return_map(rep.period, Interval(a, a), e)
-            img_hi = return_map(rep.period, Interval(z, z), e)
-            if not (img_lo.hi <= lo and img_hi.lo >= hi):
-                raise NotAHorseshoe(
-                    f"branch {i} image [{img_lo.hi}, {img_hi.lo}] does not cover the base"
-                )
-            out.append(slope)
+                return f"branch {i} is not smooth on A_{i}: {exc}"
+            slope = Interval(dlo, dhi)
+            if not dlo > 1.0:
+                return f"branch {i} slope {slope} is not above 1 on A_{i}"
+            img_lo, img_hi = bounds(a, a, e)[1], bounds(z, z, e)[0]
+            if not (img_lo <= lo and img_hi >= hi):
+                return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
+            _, band = div(2.0 * eta, 2.0 * eta, dlo, dlo)  # rounded up
+            out.append((slope, (a, z, band) if band < math.inf else None))
         return tuple(out)
+
+    @cached_property
+    def slopes(self) -> tuple:
+        """Enclosures of R_i' over each A_i widened by MARGIN/2, once the
+        interval proof (_proof) certifies the full shift on the base widened
+        by MARGIN; raises NotAHorseshoe naming the condition that failed."""
+        proof = self._proof
+        if isinstance(proof, str):
+            raise NotAHorseshoe(proof)
+        return tuple(slope for slope, _ in proof)
 
 
 def _invert_point(b: BranchSystem, i: int, y: float) -> float:
@@ -152,47 +169,59 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
     update either leaves lo and hi as they are or collapses them onto mid,
     so every later step of a fixed 64 finds the same mid and their result
     0.5 * (lo + hi) is mid, bitwise.  A width test would stop short of that
-    point and change the result.
+    point and change the result.  R is the period's float kernel r,
+    Period.r_kernel, bitwise return_map; where s2 is below the floor its
+    guard counts as NaN, which compares as "not below", as return_map's
+    NaN on an array does.
 
-    The nodes are the same for every y until the path splits, so R at each
-    node is kept in the branch's memo (b._nodes[i]).  It is read down to
-    the first node the memo does not hold; from that node down, R is
-    evaluated by the period's float kernel (Period.r_kernel, bitwise
-    return_map) and stored while the memo has room (NODE_CAP entries),
-    with no more lookups.  None are needed because of the memo's
-    invariant: no stored node lies below a missing one.  Nodes are stored
-    top-down along a path (each node's ancestors were read or stored
-    before it, and the room only shrinks) and the memo only grows, so a
-    node missing from it has no stored descendant.  The first inversions
-    store the top levels, which every later word passes through.  R is a
-    pure function of the node, so a memo read is bitwise the evaluation.
-    Where s2 is below the floor the guard is stored as NaN, which compares
-    as "not below", as return_map's NaN on an array does.
+    Most nodes' comparisons are known without r.  Where the proof holds,
+    R rises on the widened A_i with slope at least inf R' and |r - R| <=
+    eta there, so two floats a band = 2*eta/inf R' or more apart have r in
+    their order.  From c* and the derivative estimate, a Newton step and
+    two secant steps give an estimate x^; if x_L = x^ - band and x_R = x^ +
+    band lie in the widened A_i and r(x_L) < y <= r(x_R), then every node
+    m at or below x_L - band has r(m) <= r(x_L) < y and takes lo = m, and
+    every node at or above x_R + band has r(m) >= r(x_R) >= y and takes
+    hi = m, with no kernel call: the comparison the plain bisection makes
+    there, so the result is bitwise its result.  Both thresholds are
+    rounded outward.  Where the proof fails, or the estimate is not
+    bracketed, every node is evaluated.
     """
     lo, hi = b.domains[i]
     e = b.epsilons[i]
-    r_kernel = b.reports[i].period.r_kernel
-    memo = b._nodes[i]
-    get = memo.get  # None from the first miss on
-    room = NODE_CAP - len(memo)  # entries the memo may still take
+    rep = b.reports[i]
+    r_kernel = rep.period.r_kernel
+    below, above = -math.inf, math.inf  # nodes decided without r: none yet
+    proof = b._proof
+    window = None if isinstance(proof, str) else proof[i][1]
+    if window is not None:
+        a, z, band = window
+        c = rep.c_star  # R(c*) = c*: the first secant's other point
+        x1 = min(max(c + (y - c) / rep.derivative_estimate, a), z)
+        r1 = r_kernel(x1, e)
+        x2 = min(max(x1 + (y - r1) * (x1 - c) / (r1 - c), a), z) if r1 != c else x1
+        r2 = r_kernel(x2, e)
+        x = x2 + (y - r2) * (x2 - x1) / (r2 - r1) if r2 != r1 else x2
+        xl, xr = x - band, x + band
+        if a <= xl and xr <= z and r_kernel(xl, e) < y <= r_kernel(xr, e):
+            below, above = widen(xl - band, xr + band)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        r = get(mid) if get else None
-        if r is None:
-            get = None
+        if mid <= below:
+            lo = mid
+        elif mid >= above:
+            hi = mid
+        else:
             try:
                 r = r_kernel(mid, e)
             except DivisionGuard:
                 r = math.nan
-            if room > 0:
-                memo[mid] = r
-                room -= 1
-        if r < y:
-            lo = mid
-        else:
-            hi = mid
+            if r < y:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
 
 
@@ -300,7 +329,7 @@ def cylinder_counts(b: BranchSystem, n: int) -> list:
             f"{m}^{n} cylinders exceed the count limit 2^63 - 1: "
             f"need n <= {limit} for {m} letters"
         )
-    b.slopes  # the proof, once per system; raises NotAHorseshoe if it fails
+    b.slopes  # the proof runs once per system; raises NotAHorseshoe if it failed
     return [m**k for k in range(1, n + 1)]
 
 

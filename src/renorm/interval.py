@@ -7,9 +7,29 @@ of its operands.  A Jet carries an enclosure of a function of c and one
 of its c-derivative through the same operations; an Interval operand
 mixes into a Jet as a constant, whichever side it stands on.
 
-The operations are the horseshoe's full-shift proof's inner loop, so they
-take three fast paths, each bitwise the plain formulas:
-- results are built without __init__ (_out); a NaN bound is still
+Each rounding rule is written once, as a float-bound helper on plain
+floats that returns the (lo, hi) pair: widen, the one ulp outward, then
+hull and hull4 and the operations add, sub, mul, scale, div and square
+on top of it.  Interval's operators build their results from them, Jet's
+reach them through Interval's, and so does the float-bound pass, which
+runs a generated return map on bounds alone (scaling's r_bounds), without
+an Interval or a Jet per operation.
+The pass carries a jet bound, the 5-tuple (lo, hi, dlo, dhi, err): an
+enclosure of a value over a box of c, one of its c-derivative, each
+bitwise the Jet's, and err, a bound on how far the float kernel's result
+at any float c of the box lies from the exact value.  The jet_* helpers
+are the Jet's operations on jet bounds; err is running error analysis
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+ch. 3): an operation on computed operands w = x op y with |x^ - x| <= ex
+and |y^ - y| <= ey is off its exact value by a propagated error, and its
+rounding adds at most u*|w| (u = 2^-53, the standard model), with |w| at
+most the value enclosure's magnitude plus the propagated error.  Every
+term of err is rounded up, and the last nextafter also covers an
+underflow's absolute error.
+
+The operations are the interval proofs' inner loop, so they take three
+fast paths, each bitwise the plain formulas:
+- results are built without __init__ (_iv); a NaN bound is still
   refused with __init__'s ValueError and message;
 - an Interval operand is told by its exact class, o.__class__ is Interval;
 - any other operand but a Jet (a float, int or numpy scalar x) is the
@@ -28,34 +48,143 @@ from __future__ import annotations
 from math import inf, nextafter
 
 _new = object.__new__
+U = 2.0**-53  # the unit roundoff of binary64, round to nearest
 
 
-def _out(lo: float, hi: float) -> "Interval":
-    """[lo, hi] moved one ulp outward, refused as __init__ refuses it."""
+def widen(lo: float, hi: float) -> tuple:
+    """(lo, hi) moved one ulp outward, refused as Interval() refuses it."""
     lo = nextafter(lo, -inf)
     hi = nextafter(hi, inf)
     if not lo <= hi:  # a NaN bound is refused too
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    r = _new(Interval)
-    r.lo = lo
-    r.hi = hi
-    return r
+    return lo, hi
 
 
-def _hull(p: float, q: float) -> "Interval":
-    """_out(min(p, q), max(p, q))."""
-    return _out(q if q < p else p, q if q > p else p)
+def hull(p: float, q: float) -> tuple:
+    """widen(min(p, q), max(p, q))."""
+    return widen(q if q < p else p, q if q > p else p)
 
 
-def _hull4(p: float, q: float, r: float, s: float) -> "Interval":
-    """_out(min(p, q, r, s), max(p, q, r, s))."""
+def hull4(p: float, q: float, r: float, s: float) -> tuple:
+    """widen(min(p, q, r, s), max(p, q, r, s))."""
     lo = hi = p
-    for v in (q, r, s):
-        if v < lo:
-            lo = v
-        if v > hi:
-            hi = v
-    return _out(lo, hi)
+    if q < lo:
+        lo = q
+    if q > hi:
+        hi = q
+    if r < lo:
+        lo = r
+    if r > hi:
+        hi = r
+    if s < lo:
+        lo = s
+    if s > hi:
+        hi = s
+    return widen(lo, hi)
+
+
+def add(a: float, b: float, c: float, d: float) -> tuple:
+    """[a, b] + [c, d]."""
+    return widen(a + c, b + d)
+
+
+def sub(a: float, b: float, c: float, d: float) -> tuple:
+    """[a, b] - [c, d]."""
+    return widen(a - d, b - c)
+
+
+def mul(a: float, b: float, c: float, d: float) -> tuple:
+    """[a, b] * [c, d], two distinct intervals."""
+    return hull4(a * c, a * d, b * c, b * d)
+
+
+def scale(a: float, b: float, x: float) -> tuple:
+    """[a, b] * x, for a float x."""
+    return hull(a * x, b * x)
+
+
+def div(a: float, b: float, c: float, d: float) -> tuple:
+    """[a, b] / [c, d]; ZeroDivisionError where [c, d] holds 0."""
+    if c <= 0.0 <= d:
+        raise ZeroDivisionError(f"denominator {Interval(c, d)} contains 0")
+    return hull4(a / c, a / d, b / c, b / d)
+
+
+def square(lo: float, hi: float) -> tuple:
+    """[lo, hi] squared, one variable: its lower end is never negative."""
+    a, b = abs(lo), abs(hi)
+    m = 0.0 if lo <= 0.0 <= hi else (b if b < a else a)
+    lo, hi = widen(m * m, (b if b > a else a) ** 2)
+    return (lo if lo > 0.0 else 0.0), hi
+
+
+def _err(lo: float, hi: float, prop: float) -> float:
+    """The error bound of a computed result whose exact value lies in
+    [lo, hi], its operands' errors propagated to prop: prop plus the
+    rounding, u*(magnitude + prop), every term rounded up.  A product by u,
+    a power of 2, is exact but where it underflows, by at most 2^-1075,
+    which the last nextafter's step of at least 2^-1074 covers."""
+    mag = hi if hi > -lo else -lo
+    return nextafter(prop + U * nextafter(mag + prop, inf), inf)
+
+
+def jet_sub(x: tuple, y: tuple) -> tuple:
+    """Jet x - Jet y, on jet bounds."""
+    xlo, xhi, xdlo, xdhi, xe = x
+    ylo, yhi, ydlo, ydhi, ye = y
+    lo, hi = sub(xlo, xhi, ylo, yhi)
+    dlo, dhi = sub(xdlo, xdhi, ydlo, ydhi)
+    return lo, hi, dlo, dhi, _err(lo, hi, nextafter(xe + ye, inf))
+
+
+def jet_rsub(k: float, y: tuple) -> tuple:
+    """The float constant k minus Jet y, on jet bounds."""
+    ylo, yhi, ydlo, ydhi, ye = y
+    lo, hi = sub(k, k, ylo, yhi)
+    return lo, hi, -ydhi, -ydlo, _err(lo, hi, ye)
+
+
+def jet_scale(x: tuple, k: float) -> tuple:
+    """Jet x times the float constant k, on jet bounds."""
+    xlo, xhi, xdlo, xdhi, xe = x
+    lo, hi = scale(xlo, xhi, k)
+    dlo, dhi = scale(xdlo, xdhi, k)
+    return lo, hi, dlo, dhi, _err(lo, hi, nextafter(abs(k) * xe, inf))
+
+
+def jet_square(x: tuple) -> tuple:
+    """Jet x times itself, on jet bounds: |x^2 - x^^2| <= ex*(2|x| + ex)."""
+    xlo, xhi, xdlo, xdhi, xe = x
+    lo, hi = square(xlo, xhi)
+    tlo, thi = scale(xlo, xhi, 2.0)
+    dlo, dhi = mul(tlo, thi, xdlo, xdhi)
+    mag = xhi if xhi > -xlo else -xlo
+    return lo, hi, dlo, dhi, _err(lo, hi, nextafter(xe * nextafter(2.0 * mag + xe, inf), inf))
+
+
+def jet_div(x: tuple, y: tuple) -> tuple:
+    """Jet x / Jet y, on jet bounds: |x^/y^ - x/y| <= (ex + |x/y|*ey)/|y^|,
+    with |y^| at least y's least magnitude less ey; err is inf where that
+    is not above 0."""
+    xlo, xhi, xdlo, xdhi, xe = x
+    ylo, yhi, ydlo, ydhi, ye = y
+    lo, hi = div(xlo, xhi, ylo, yhi)
+    plo, phi = mul(lo, hi, ydlo, ydhi)
+    nlo, nhi = sub(xdlo, xdhi, plo, phi)
+    dlo, dhi = div(nlo, nhi, ylo, yhi)
+    least = nextafter((ylo if ylo > 0.0 else -yhi) - ye, -inf)
+    if not least > 0.0:
+        return lo, hi, dlo, dhi, inf
+    mag = hi if hi > -lo else -lo
+    prop = nextafter(nextafter(xe + nextafter(mag * ye, inf), inf) / least, inf)
+    return lo, hi, dlo, dhi, _err(lo, hi, prop)
+
+
+def _iv(bounds: tuple) -> "Interval":
+    """The Interval of a (lo, hi) pair a helper returned, without __init__."""
+    r = _new(Interval)
+    r.lo, r.hi = bounds
+    return r
 
 
 class Interval:
@@ -74,11 +203,11 @@ class Interval:
 
     def __add__(self, other):
         if other.__class__ is Interval:
-            return _out(self.lo + other.lo, self.hi + other.hi)
+            return _iv(add(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):  # a constant plus a Jet: Jet.__radd__
             return NotImplemented
         x = float(other)
-        return _out(self.lo + x, self.hi + x)
+        return _iv(add(self.lo, self.hi, x, x))
 
     __radd__ = __add__
 
@@ -90,42 +219,36 @@ class Interval:
 
     def __sub__(self, other):
         if other.__class__ is Interval:
-            return _out(self.lo - other.hi, self.hi - other.lo)
+            return _iv(sub(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):
             return NotImplemented
         x = float(other)
-        return _out(self.lo - x, self.hi - x)
+        return _iv(sub(self.lo, self.hi, x, x))
 
     def __rsub__(self, other):
         x = float(other)
-        return _out(x - self.hi, x - self.lo)
+        return _iv(sub(x, x, self.lo, self.hi))
 
     def __mul__(self, other):
         if other is self:  # one variable: x*x is its square, not [lo*hi, ...]
             return self.square()
         if other.__class__ is Interval:
-            a, b, c, d = self.lo, self.hi, other.lo, other.hi
-            return _hull4(a * c, a * d, b * c, b * d)
+            return _iv(mul(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):
             return NotImplemented
-        x = float(other)
-        return _hull(self.lo * x, self.hi * x)
+        return _iv(scale(self.lo, self.hi, float(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is Interval:
-            c, d = other.lo, other.hi
-            if c <= 0.0 <= d:
-                raise ZeroDivisionError(f"denominator {other} contains 0")
-            a, b = self.lo, self.hi
-            return _hull4(a / c, a / d, b / c, b / d)
+            return _iv(div(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):
             return NotImplemented
         x = float(other)
         if x == 0.0:
             raise ZeroDivisionError(f"denominator {Interval(x, x)} contains 0")
-        return _hull(self.lo / x, self.hi / x)
+        return _iv(hull(self.lo / x, self.hi / x))
 
     def __rtruediv__(self, other):
         x = float(other)
@@ -133,15 +256,10 @@ class Interval:
             raise ValueError(f"empty interval [{x}, {x}]")
         if self.lo <= 0.0 <= self.hi:
             raise ZeroDivisionError(f"denominator {self} contains 0")
-        return _hull(x / self.lo, x / self.hi)
+        return _iv(hull(x / self.lo, x / self.hi))
 
     def square(self):
-        a, b = abs(self.lo), abs(self.hi)
-        lo = 0.0 if self.lo <= 0.0 <= self.hi else (b if b < a else a)
-        sq = _out(lo * lo, (b if b > a else a) ** 2)
-        if not sq.lo > 0.0:  # max(0.0, sq.lo): a square is never negative
-            sq.lo = 0.0
-        return sq
+        return _iv(square(self.lo, self.hi))
 
 
 class Jet:

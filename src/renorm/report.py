@@ -11,7 +11,6 @@ file and a rename, with the mode a shell redirect would give the file.
 
 from __future__ import annotations
 
-import json
 import os
 import stat
 import tempfile
@@ -19,6 +18,32 @@ import tempfile
 from . import __version__
 
 SCHEMA_VERSION = 1
+
+
+# json.dumps's escapes, ensure_ascii on: these seven as two characters,
+# every other control character and DEL as \u00XX, the rest of the BMP
+# as \uXXXX, lone surrogates too, and a character above U+FFFF as its
+# surrogate pair
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string, bitwise json.dumps(s), without importing json."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'  # printable ASCII, DEL excluded: nothing to escape
+    out = []
+    for ch in s:
+        code = ord(ch)
+        if ch in _ESCAPES:
+            out.append(_ESCAPES[ch])
+        elif 0x20 <= code < 0x7F:
+            out.append(ch)
+        elif code < 0x10000:
+            out.append(f"\\u{code:04x}")
+        else:
+            code -= 0x10000
+            out.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(out) + '"'
 
 
 def _fmt(value) -> str:
@@ -35,10 +60,10 @@ def _fmt(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if isinstance(value, dict):
         items = sorted(value.items())
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt(v)}" for k, v in items) + "}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {_fmt(v)}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in value) + "]"
     # any other number float() takes is written as a float; anything else,
@@ -46,7 +71,7 @@ def _fmt(value) -> str:
     try:
         return _fmt(float(value))
     except (TypeError, ValueError):
-        return json.dumps(str(value))
+        return _quote(str(value))
 
 
 def write_report(command: str, config: dict, results: dict) -> str:

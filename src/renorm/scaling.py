@@ -36,7 +36,7 @@ enters the orbit, and no loop left to run per call.  Each Period's code
 is one piece, compiled the first time any of its generated names is read
 (a _FirstUse descriptor on the class), so importing the package compiles
 none and a process compiles only the periods it uses.  The piece holds
-eight functions, stored on the member beside comb, of three kinds:
+nine functions, stored on the member beside comb, of four kinds:
 
 - orbit(c, eps=1.0), the generic orbit, which runs on floats, numpy
   arrays, Intervals and interval.Jets, with eps an Interval or a Jet too.
@@ -64,7 +64,18 @@ eight functions, stored on the member beside comb, of three kinds:
   the feasible points where a condition is at or below 1e-4;
   root_scan(xs, eps) computes R(c) - c over a list of grid points, NaN
   where the s2 guard trips, and returns the indices i where it changes
-  sign from xs[i] to xs[i + 1] by the array scan's rule.
+  sign from xs[i] to xs[i + 1] by the array scan's rule.  domain_scan
+  tests each condition right after the later of its two points is set
+  (after the pull, for the pulled point), so a point leaves the loop
+  body at its first failing condition; the dip test comes last;
+- the float-bound pass, r_bounds(a, z, eps): the block run on jet bounds
+  (interval.jet_*), with the same operations in the same order as
+  r_kernel.  Over the box [a, z] it returns R's value bounds and R''s,
+  bitwise return_map(period, Jet(Interval(a, z), Interval(1.0, 1.0)),
+  eps), and eta, a bound on |r_kernel(x, eps) - R(x, eps)| at every float
+  x of the box, by running error analysis; the s2 guard raises as
+  return_map's does on a Jet.  The horseshoe's full-shift proof reads it,
+  and its inversions skip the bisection nodes eta decides.
 
 The domain scan's grid is fixed by its step, and so is every orbit point
 before the pull, and every condition no pulled point enters: period
@@ -87,7 +98,8 @@ the condition tuples around each dip with values_kernel (_loop_touches),
 and the root scan runs root_scan over every interval's grid as one list:
 the same runs, touches and brackets as the array scans, bitwise, and a
 process that scans only per point never imports numpy: np is bound on
-the first array call (_Numpy).  The array forms fold the condition rows
+the first array call (_LazyModule), as interval is on the first
+float-bound pass.  The array forms fold the condition rows
 (_worst) and find runs, touches and sign changes with numpy; the root
 scan's two forms end in one junction filter.
 
@@ -116,21 +128,28 @@ from operator import add
 from .value import Value
 
 
-class _Numpy:
-    """numpy, imported on first use: this module's np until an array call
-    first reads one of its names, which imports numpy and binds it as np in
-    this object's place, so that the generated array kernels, which read np
-    at call time, and every later read find numpy itself.  A float,
-    Interval or Jet call, and a per-point scan, read no name of it."""
+class _LazyModule:
+    """A module imported on first use: the global name of this module stands
+    for it until a call first reads one of its attributes, which imports the
+    module and binds name to it in this object's place, so that the
+    generated code, which reads name at call time, and every later read
+    find the module itself."""
 
-    def __getattr__(self, name):
-        global np
-        import numpy as np
+    def __init__(self, name: str, module: str):
+        self.name = name
+        self.module = module
 
-        return getattr(np, name)
+    def __getattr__(self, attr):
+        from importlib import import_module
+
+        module = globals()[self.name] = import_module(self.module)
+        return getattr(module, attr)
 
 
-np = _Numpy()
+# numpy, which a float, Interval or Jet call and a per-point scan never
+# read, and renorm.interval, which only the float-bound pass reads
+np = _LazyModule("np", "numpy")
+interval = _LazyModule("interval", "renorm.interval")
 
 S2_FLOOR = 1e-14  # refuse to divide by a smaller central-interval length
 # bracket width of every domain boundary, and the golden section's final
@@ -253,7 +272,7 @@ COMBINATORICS = {3: (2, 3, 1), 5: (2, 5, 1, 3, 4)}
 
 # the names of each Period's generated functions (_KERNELS), in the order its piece returns them
 _GENERATED = ("orbit", "r_kernel", "feasible_kernel", "values_kernel", "scan_tail", "root_kernel",
-              "domain_scan", "root_scan")
+              "domain_scan", "root_scan", "r_bounds")
 
 
 class Period(enum.Enum):
@@ -372,15 +391,29 @@ _IN_PLACE = (
     "        np.multiply(x{k}, x{k}, out=x{k})\n        np.subtract(1.0, x{k}, out=x{k})\n",
     "        np.multiply(eps, x{k}, out=x{k})\n",
 )
+# _BOUNDS is the same u-step and pull on jet bounds (interval.jet_*), each
+# point the 5-tuple of its value's and c-derivative's enclosures over a box
+# of c and its error bound: the template's operations, one helper call
+# each, in the template's order.  Its third entry is the first u-step,
+# from the constant x0 = 0.0, which a Jet subtracts as a float.
+_BOUNDS = (
+    "        t = interval.jet_div(interval.jet_sub(x{j}, c), d)\n"
+    "        x{k} = interval.jet_rsub(1.0, interval.jet_square(t))\n",
+    "        x{k} = interval.jet_scale(x{k}, eps)\n",
+    "        t = interval.jet_div(interval.jet_rsub(x{j}, c), d)\n"
+    "        x{k} = interval.jet_rsub(1.0, interval.jet_square(t))\n",
+)
 # A Period's generated functions (_GENERATED): the generic orbit, for any
 # kind of c and eps; for a float c and a float eps, return_map's R,
 # feasibility past its 0 < c < 1/2 test and the condition values, each
 # bitwise what the generic path computes from the orbit; the scan's tail,
 # the pull and the in-place u-steps after it on the arrays of a grid; the
 # root scan's R(c) - c on an array c, bitwise return_map(period, c, eps) -
-# c; and the two scan loops, the block indented into a for loop over the
-# grid ({loop_orbit}), the domain loop testing {feasible}, every condition
-# above 0 (NaN is not), and {dip}, one at or below 1e-4.
+# c; the two scan loops, the block indented into a for loop over the grid
+# ({loop_orbit}), the domain loop's copy ({scan_orbit}) leaving a point at
+# its first condition not above 0 (NaN is not) and testing {dip}, one at
+# or below 1e-4, last; and the float-bound pass over {bounds_orbit}, the
+# block on jet bounds.
 # {check} is the period's pull check, {orbit} the block of orbit lines and
 # {array_orbit} its lines on arrays, either of which may set the point 1.0,
 # one, too; {points} are the orbit's points, {top} and {bottom} the ends
@@ -438,21 +471,20 @@ def _kernels{p}(period):
         return np.subtract(r, c, out=r)
 
     def domain_scan(step, n, eps):
-{check}        runs, dips, start = [], [], -1
+{check}        runs, dips, start, last = [], [], -1, -2
         x0, one = 0.0, 1.0
         for i in range(n):
             c = step + i * step
             d = 1.0 - c
-{loop_orbit}            if {feasible}:
-                if start < 0:
-                    start = i
-                if {dip}:
-                    dips.append(i)
-            elif start >= 0:
-                runs.append((start, i - 1))
-                start = -1
+{scan_orbit}            if i != last + 1:
+                if start >= 0:
+                    runs.append((start, last))
+                start = i
+            last = i
+            if {dip}:
+                dips.append(i)
         if start >= 0:
-            runs.append((start, n - 1))
+            runs.append((start, last))
         return runs, dips
 
     def root_scan(xs, eps):
@@ -470,9 +502,24 @@ def _kernels{p}(period):
                 hits.append(i - 1)
         return hits
 
+    def r_bounds(a, z, eps):
+{check}        c = (a, z, 1.0, 1.0, 0.0)
+        d = interval.jet_rsub(1.0, c)
+        x0 = 0.0
+{bounds_orbit}        s2 = interval.jet_sub({top}, {bottom})
+        if not s2[0] > S2_FLOOR:
+            raise DivisionGuard(f"s2 enclosure {{interval.Interval(s2[0], s2[1])}} over "
+                                f"{{interval.Interval(a, z)}} is not above the floor {{S2_FLOOR}}")
+        lo, hi, dlo, dhi, eta = interval.jet_div(interval.jet_sub({top}, c), s2)
+        if not interval.sub(s2[0], s2[0], s2[4], s2[4])[0] > S2_FLOOR:
+            eta = math.inf  # the kernel's own s2 may reach the floor in the box
+        return lo, hi, dlo, dhi, eta
+
     return {generated}
 '''
 _CONDITION = "        s{n} = {plus} - {minus}\n        if not s{n} > 0.0:\n            return False\n"
+# the domain loop's test of the conditions whose last point was just set
+_SCAN_TEST = "        if not ({feasible}):\n            continue\n"
 # _check_pull's rule on a real eps, one comparison: the pull is defined for
 # period three and an eps above 0 (NaN is not), any other period has eps 1
 _PULL_CHECK = {
@@ -491,15 +538,34 @@ def _orbit_block(p: int, first: int = 1, steps: tuple = (_U_STEP, _PULL), keep: 
     p: from first = 1 the whole block from x0 = 0, from first = p + 1 its
     tail, the pull and the u-steps after it.  steps is the template's
     (u-step, pull), or _IN_PLACE's, whose step k takes over the array of
-    point k - 1 unless that is x0 or a point in keep."""
-    u_step, pull = steps
+    point k - 1 unless that is x0 or a point in keep, or _BOUNDS', whose
+    third entry is step 1."""
+    u_step, pull, *start = steps
     src = ""
     for k in range(first, 2 * p - 1):
         if k == p + 1:
             src += pull.format(k=p)
         out = "" if k == 1 or k - 1 in keep else f", out=x{k - 1}"
-        src += u_step.format(j=k - 1, k=k, out=out)
+        src += (start[0] if start and k == 1 else u_step).format(j=k - 1, k=k, out=out)
     return src
+
+
+def _tested(orbit: str, pairs, scanned) -> str:
+    """orbit's lines with the domain loop's condition tests in between:
+    scanned[n], the condition of pairs[n], is tested right after the line
+    that last sets the later of its two points, after the pull for the
+    pulled point, and every condition a line finishes in one test, in table
+    order."""
+    lines = orbit.splitlines(True)
+    last = {}  # each point's last line, read off the names left of each "="
+    for n, line in enumerate(lines):
+        for name in line.split("=")[0].replace(",", " ").split():
+            last[name] = n
+    tests = {}
+    for (i, j), s in zip(pairs, scanned):
+        tests.setdefault(last[_point(max(i, j))], []).append(f"{s} > 0.0")
+    return "".join(line + (_SCAN_TEST.format(feasible=" and ".join(tests[n])) if n in tests else "")
+                   for n, line in enumerate(lines))
 
 
 def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
@@ -523,16 +589,23 @@ def _kernel_source(period: Period, orbit: str, array_orbit: str) -> str:
     pulled = ", ".join(f"x{k}" for k in range(p, 2 * p - 1))
     points = ", ".join(f"x{k}" for k in range(2 * p - 1))
     # the scan loop's conditions: a minus point o_0 = 0.0 leaves the plus
-    # point as is, as the array scan's row does
+    # point as is, as the array scan's row does; each is tested as soon as
+    # the later of its points is final, and the point leaves the loop body
+    # at its first failing test
     scanned = [plus if minus == "x0" else f"{plus} - {minus}" for plus, minus in pairs]
     return _KERNELS.format(p=p, check=_PULL_CHECK[p == 3], orbit=orbit, array_orbit=array_orbit,
-                           loop_orbit="".join("    " + line for line in orbit.splitlines(True)),
+                           loop_orbit=_indented(orbit), scan_orbit=_indented(_tested(orbit, comb.pairs, scanned)),
+                           bounds_orbit=_orbit_block(p, steps=_BOUNDS),
                            points=points, top=_point(right), bottom=_point(left), conditions=conditions,
                            lengths=lengths, values=values,
-                           feasible=" and ".join(f"{s} > 0.0" for s in scanned),
                            dip=" or ".join(f"{s} <= 1e-4" for s in scanned),
                            tail=_orbit_block(p, p + 1, (_IN_PLACE[0], _PULL), range(p, 2 * p - 2)),
                            pulled=pulled, generated=", ".join(_GENERATED))
+
+
+def _indented(block: str) -> str:
+    """block's lines one level deeper: inside a scan loop's for."""
+    return "".join("    " + line for line in block.splitlines(True))
 
 
 @lru_cache(maxsize=None)

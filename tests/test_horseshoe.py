@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from renorm.interval import Interval, Jet
 from renorm.pwa import shift_residual
@@ -27,6 +28,7 @@ from renorm.horseshoe import (
 )
 from cylinders import _invert_fixed_64, resolved_levels, widths_within_bounds
 from reference_bisections import BRANCH_DOMAIN_HEXES
+from reference_inversions import INVERSION_HEXES
 from reference_values import C3_STAR, C_EPS_098, C_EPS_102
 from values import field_names, replace
 
@@ -104,18 +106,16 @@ def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
     assert cylinder_counts(bsys, 10) == [3**n for n in range(1, 11)]
     assert cylinder_counts(bsys5, 6) == [5**n for n in range(1, 7)]
     # one proof per system, kept for every later count: per branch one
-    # derivative enclosure over A_i and two value-only images of its ends;
-    # a refused depth proves nothing
+    # float-bound pass over A_i and one at each of its ends; a refused
+    # depth proves nothing
     calls = []
+    real_bounds = Period.THREE.r_bounds
 
-    def counted(period, c, eps=1.0):
-        if isinstance(c, Jet):
-            calls.append(("slope", eps))
-        elif isinstance(c, Interval):
-            calls.append(("image", eps))
-        return return_map(period, c, eps)
+    def counted(a, z, eps):
+        calls.append(("slope" if a < z else "image", eps))
+        return real_bounds(a, z, eps)
 
-    monkeypatch.setattr(horseshoe, "return_map", counted)
+    monkeypatch.setattr(Period.THREE, "r_bounds", counted)
     b = replace(bsys)  # a copy without the cached proof
     with pytest.raises(ValueError):
         cylinder_counts(b, 40)
@@ -160,11 +160,13 @@ def test_certificate_refuses_a_branch_that_misses_the_base(bsys):
 
 
 def test_certificate_refuses_a_slope_below_one(bsys, monkeypatch):
-    def flat(period, c, eps=1.0):
-        r = return_map(period, c, eps)
-        return Jet(r.val, r.der * (0.9 / r.der.hi)) if isinstance(c, Jet) else r
+    real_bounds = Period.THREE.r_bounds
 
-    monkeypatch.setattr(horseshoe, "return_map", flat)
+    def flat(a, z, eps):
+        lo, hi, dlo, dhi, eta = real_bounds(a, z, eps)
+        return lo, hi, dlo * (0.9 / dhi), 0.9, eta
+
+    monkeypatch.setattr(Period.THREE, "r_bounds", flat)
     with pytest.raises(NotAHorseshoe, match="is not above 1"):
         cylinder_count(replace(bsys), 3)
 
@@ -389,25 +391,16 @@ def _count_evaluations(monkeypatch):
 
 def test_inversion_stops_before_the_cap(bsys, monkeypatch):
     # the A_i are ~1e-5 wide, so the bisection stops moving well before 64
-    # steps; a copy starts with an empty memo, whatever ran on bsys before
+    # steps
     b = replace(bsys)
     steps = _count_evaluations(monkeypatch)
     _invert_point(b, 1, 0.5 * (b.base[0] + b.base[1]))
     assert 0 < len(steps) < 64
 
 
-def test_repeated_inversion_evaluates_nothing(bsys, monkeypatch):
-    b = replace(bsys)
-    y = 0.5 * (b.base[0] + b.base[1])
-    x = _invert_point(b, 1, y)
-    steps = _count_evaluations(monkeypatch)
-    assert _invert_point(b, 1, y).hex() == x.hex()
-    assert steps == []
-
-
 @pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys5"])
 def test_warmed_memo_codes_bitwise(request, name):
-    # codings on a system whose memo other words filled equal those on a
+    # codings on a system that coded other words first equal those on a
     # fresh copy and the fixed-64 reference
     b = request.getfixturevalue(name)
     m = b.alphabet
@@ -415,7 +408,6 @@ def test_warmed_memo_codes_bitwise(request, name):
     warm = replace(b)
     for _ in range(6):
         coded_orbit(warm, Word(tuple(int(x) for x in rng.integers(0, m, size=12)), m), 6)
-    assert all(warm._nodes)
     for _ in range(4):
         word = Word(tuple(int(x) for x in rng.integers(0, m, size=10)), m)
         ref = _backward_fixed_64(b, word.symbols)[0]
@@ -433,18 +425,6 @@ def test_memo_is_per_branch(bsys):
     for i in (0, 1):
         x = _invert_point(b, i, y)
         assert np.float64(x).tobytes() == _invert_fixed_64(b, i, [y])[0].tobytes()
-
-
-def test_capped_memo_stays_bitwise(bsys, monkeypatch):
-    # past the cap nodes are evaluated, not stored; results do not change
-    monkeypatch.setattr(horseshoe, "NODE_CAP", 8)
-    b = replace(bsys)
-    rng = np.random.default_rng(7)
-    for _ in range(4):
-        word = Word(tuple(int(x) for x in rng.integers(0, 3, size=10)), 3)
-        ref = _backward_fixed_64(bsys, word.cyclic(6 + CODING_PAD))[:6]
-        assert np.array(coded_orbit(b, word, 6)).tobytes() == np.array(ref).tobytes()
-    assert [len(memo) for memo in b._nodes] == [8, 8, 8]
 
 
 @pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5"])
@@ -466,17 +446,27 @@ def test_invert_point_is_bitwise_one_lane(request, name):
         assert _invert_point(b, i, above) == pytest.approx(z, abs=1e-15)
 
 
-def test_invert_point_reads_the_guard_as_the_array_nan(bsys):
+def test_invert_point_reads_the_guard_as_the_array_nan(bsys, monkeypatch):
     # a hand-built branch whose domain reaches below the s2 pole at
     # c ~ 0.352: the scalar raise must steer the bisection as NaN does
     with pytest.raises(DivisionGuard):
         bsys.map(1, 0.3)
     b = BranchSystem((1.0,), bsys.reports[1:2], ((0.3, 0.45),))
-    for _ in range(2):  # the second pass reads the guard from the memo
-        for y in (0.0, 0.44, 50.0):
-            x = _invert_point(b, 0, y)
-            assert np.float64(x).tobytes() == _invert_fixed_64(b, 0, [y])[0].tobytes()
-    assert any(np.isnan(r) for r in b._nodes[0].values())
+    guards = []
+    real_kernel = Period.THREE.r_kernel
+
+    def guarded_kernel(c, eps):
+        try:
+            return real_kernel(c, eps)
+        except DivisionGuard:
+            guards.append(c)
+            raise
+
+    monkeypatch.setattr(Period.THREE, "r_kernel", guarded_kernel)
+    for y in (0.0, 0.44, 50.0):
+        x = _invert_point(b, 0, y)
+        assert np.float64(x).tobytes() == _invert_fixed_64(b, 0, [y])[0].tobytes()
+    assert guards  # the bisection met the guard
 
 
 def test_branch_system_reads_its_period_from_its_reports(rep5):
@@ -518,101 +508,6 @@ def test_words_over_another_alphabet_are_refused(bsys):
         symbol_scaling_sequence(bsys, Word((1, 1), 2))
 
 
-class _CountingMemo(dict):
-    """A node memo that logs every key _invert_point looks up."""
-
-    def __init__(self):
-        super().__init__()
-        self.gets = []
-
-    def get(self, key, default=None):
-        self.gets.append(key)
-        return super().get(key, default)
-
-
-def _counting_copy(b):
-    copy = replace(b)
-    copy.__dict__["_nodes"] = tuple(_CountingMemo() for _ in b.epsilons)
-    return copy
-
-
-def _nodes_to(domain, key):
-    """The bisection nodes from A_i's midpoint down to the node key."""
-    lo, hi = domain
-    path = []
-    while True:
-        mid = 0.5 * (lo + hi)
-        path.append(mid)
-        if mid == key:
-            return path
-        assert mid != lo and mid != hi and len(path) < 64, f"{key!r} is not a node"
-        if key < mid:
-            hi = mid
-        else:
-            lo = mid
-
-
-def _node_path(b, i, y):
-    """Every node the 64-step bisection for y evaluates, in order."""
-    lo, hi = b.domains[i]
-    path = []
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        path.append(mid)
-        try:
-            r = b.map(i, mid)
-        except DivisionGuard:
-            r = np.nan
-        if r < y:
-            lo = mid
-        else:
-            hi = mid
-    return path
-
-
-@pytest.mark.parametrize("cap", [horseshoe.NODE_CAP, 40])
-def test_no_stored_node_lies_below_a_missing_one(bsys, monkeypatch, cap):
-    # nodes are stored top-down and the memo only grows: every stored
-    # node's ancestors are stored, also once a small cap stops the stores
-    monkeypatch.setattr(horseshoe, "NODE_CAP", cap)
-    b = _counting_copy(bsys)
-    rng = np.random.default_rng(31)
-    for _ in range(8):
-        coded_orbit(b, Word(tuple(int(x) for x in rng.integers(0, 3, size=10)), 3), 6)
-    for i, memo in enumerate(b._nodes):
-        assert 0 < len(memo) <= cap
-        for key in memo:
-            assert all(node in memo for node in _nodes_to(b.domains[i], key))
-
-
-def test_lookups_stop_at_the_first_miss(bsys, monkeypatch):
-    # the looked-up keys are the path's nodes down to its first miss and
-    # no further; every node below it is evaluated, none looked up
-    b = _counting_copy(bsys)
-    steps = _count_evaluations(monkeypatch)
-    rng = np.random.default_rng(32)
-    lo, hi = b.base
-    misses = 0
-    for y in [*rng.uniform(lo, hi, 24), lo, hi, lo - 1.0, hi + 1.0]:
-        for i, memo in enumerate(b._nodes):
-            before = set(memo)
-            path = _node_path(bsys, i, y)
-            memo.gets.clear()
-            del steps[:]
-            x = _invert_point(b, i, y)
-            assert np.float64(x).tobytes() == _invert_fixed_64(bsys, i, [y])[0].tobytes()
-            first_miss = next((k for k, node in enumerate(path) if node not in before), None)
-            if first_miss is None:
-                assert memo.gets == path and steps == []
-            else:
-                misses += 1
-                assert memo.gets == path[: first_miss + 1]
-                assert len(steps) == len(path) - first_miss
-    assert misses > 0
-
-
 def test_shift_residual_builds_one_tower_for_the_shifted_sequence(bsys, monkeypatch):
     seq = symbol_scaling_sequence(bsys, Word((0, 2, 1, 1, 0, 2)))
     want = shift_residual(seq, 6)
@@ -638,3 +533,108 @@ def test_shift_residual_builds_one_tower_for_the_shifted_sequence(bsys, monkeypa
     for depth in (2, 1, 0):
         with pytest.raises(ValueError, match="depth must be >= 2"):
             shift_residual(seq, depth)
+
+
+# The bounded inversion: recorded bits, the kernel error bound eta against
+# 40-digit mpmath, a negative control and the failed-proof path.
+_SYSTEMS = {2: "bsys2", 3: "bsys", 5: "bsys5"}
+
+
+def _recorded(request, epsilons):
+    b = request.getfixturevalue(_SYSTEMS[len(epsilons)])
+    assert b.epsilons == epsilons
+    return b, INVERSION_HEXES[epsilons]
+
+
+def _misses(b, record) -> int:
+    """How many recorded inversions of b _invert_point does not reproduce."""
+    return sum(_invert_point(b, i, float.fromhex(y)).hex() != x
+               for i, branch in enumerate(record) for y, x in branch)
+
+
+@pytest.mark.parametrize("epsilons", sorted(INVERSION_HEXES))
+def test_inversions_are_bitwise_the_recorded_bisection(request, epsilons, monkeypatch):
+    # every recorded target, the base's ends, its midpoint, 50 seeded
+    # interior ones and two outside it, per branch; the interior ones are
+    # bracketed by the error band and skip most nodes (the plain bisection
+    # evaluates about 37)
+    b, record = _recorded(request, epsilons)
+    assert _misses(replace(b), record) == 0
+    steps = _count_evaluations(monkeypatch)
+    for i, branch in enumerate(record):
+        for y, _ in branch[3:-2]:
+            del steps[:]
+            _invert_point(b, i, float.fromhex(y))
+            assert 4 <= len(steps) <= 20
+
+
+def test_inversions_differ_with_an_error_bound_below_the_kernel_error(request, monkeypatch):
+    # the negative control: eta/40, about a quarter of the kernel's largest
+    # error seen against mpmath, makes the band about one ulp, so some
+    # skipped node is decided the wrong way and some of 20,000 inversions
+    # miss the plain bisection's bits.  (eta/100 gives a band under half
+    # an ulp: x_L = x^ = x_R, no bracket holds, every node is evaluated.)
+    real_bounds = Period.THREE.r_bounds
+
+    def small(a, z, eps):
+        *bounds, eta = real_bounds(a, z, eps)
+        return (*bounds, eta / 40.0)
+
+    monkeypatch.setattr(Period.THREE, "r_bounds", small)
+    misses = 0
+    for name in _SYSTEMS.values():
+        b = request.getfixturevalue(name)
+        rng = np.random.default_rng(4100 + b.alphabet)
+        small_b = replace(b)
+        for i in range(b.alphabet):
+            ys = rng.uniform(*b.base, 2000)
+            ref = _invert_fixed_64(b, i, ys)
+            misses += sum(_invert_point(small_b, i, float(y)) != x for y, x in zip(ys, ref))
+    assert misses > 0
+
+
+def _r40(x: float, eps: float):
+    """R(x, eps) from the 40-digit orbit, as tests/make_reference.py's R3eps."""
+    with mp.workdps(40):
+        c, e = mp.mpf(x), mp.mpf(eps)
+        u = lambda t: 1 - ((t - c) / (1 - c)) ** 2
+        o1 = u(mp.mpf(0))
+        o3 = u(u(o1))
+        top = u(e * o3)
+        return (top - c) / (top - o1)
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS.values()))
+def test_eta_bounds_the_kernel_error_against_mpmath(request, name):
+    # at 200 seeded floats of each widened A_i the float kernel lies within
+    # eta of the 40-digit R; the band is 2*eta/inf R', rounded up
+    b = request.getfixturevalue(name)
+    rng = np.random.default_rng(4000 + b.alphabet)
+    for i, ((slope, window), e) in enumerate(zip(b._proof, b.epsilons)):
+        a, z, band = window
+        assert (a, z) == (b.domains[i][0] - 0.5 * MARGIN, b.domains[i][1] + 0.5 * MARGIN)
+        *_, eta = Period.THREE.r_bounds(a, z, e)
+        assert 0.0 < eta < 1e-12 and band == math.nextafter(2.0 * eta / slope.lo, math.inf)
+        with mp.workdps(40):
+            for x in rng.uniform(a, z, 200):
+                x = float(x)
+                assert abs(mp.mpf(b.map(i, x)) - _r40(x, e)) <= eta
+
+
+def test_a_failed_proof_codes_by_full_bisection_and_runs_once(bsys, monkeypatch):
+    # A_1 shrunk at its low end fails the cover check after branches 0 and
+    # 1 ran their passes; later counts refuse it without a second pass, and
+    # coding evaluates every node, bitwise the fixed-64 bisection
+    d0, (a, z), d2 = bsys.domains
+    b = replace(bsys, domains=(d0, (a + 1e-8, z), d2))
+    passes = []
+    real_bounds = Period.THREE.r_bounds
+    monkeypatch.setattr(Period.THREE, "r_bounds", lambda *args: passes.append(args) or real_bounds(*args))
+    for n in (1, 3, 1):
+        with pytest.raises(NotAHorseshoe, match="does not cover the base"):
+            cylinder_counts(b, n)
+    assert len(passes) == 6
+    steps = _count_evaluations(monkeypatch)
+    word = Word((1, 0, 2, 1, 1, 0, 2, 2), 3)
+    assert code_to_point(b, word, 8).c_alpha.hex() == _backward_fixed_64(b, word.symbols)[0].hex()
+    assert len(passes) == 6 and len(steps) > 8 * 30

@@ -229,3 +229,25 @@ def test_slopes_are_bitwise_the_reference(epsilons):
     ref = SLOPE_HEXES[epsilons]
     slopes = build_branch_system(*epsilons).slopes
     assert [(s.lo.hex(), s.hi.hex()) for s in slopes] == ref
+
+
+def _outcome(f, *args):
+    try:
+        return [x.hex() if isinstance(x, float) else x for x in f(*args)]
+    except Exception as exc:  # the failure is compared too
+        return [type(exc).__name__, str(exc)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.3, 0.49), st.floats(0.0, 1e-3), st.floats(0.9, 1.1))
+def test_the_float_bound_pass_is_bitwise_the_jet(c, width, eps):
+    # r_bounds' value and derivative bounds over [c, c + width] are the
+    # Jet's, and its s2 refusal is return_map's, message and all
+    for period, e in ((Period.THREE, eps), (Period.FIVE, 1.0)):
+        a, z = c, c + width
+
+        def jet(a, z, e):
+            r = return_map(period, Jet(Interval(a, z), Interval(1.0, 1.0)), e)
+            return r.val.lo, r.val.hi, r.der.lo, r.der.hi
+
+        assert _outcome(lambda *args: period.r_bounds(*args)[:4], a, z, e) == _outcome(jet, a, z, e)

@@ -129,6 +129,23 @@ def test_light_commands_load_only_the_core_cli_and_report(argv):
     assert probe(code, result) == [sorted(CORE + ["renorm.cli", "renorm.report"] + stage), False]
 
 
+@pytest.mark.parametrize("argv", [["solve", "--period", "3"], ["horseshoe"], ["verify", "all", "--period", "5"]])
+def test_a_command_without_config_holds_no_json(argv):
+    # report._fmt writes every report; json is imported only to read a
+    # --config file.  The probe itself imports json, so this process runs
+    # without it
+    code = (
+        "import contextlib, io, sys\n"
+        "from renorm.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "print('json' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["False"]
+
+
 @pytest.mark.parametrize("module, name", NAMES)
 def test_every_exported_name_is_its_submodule_attribute(module, name):
     assert getattr(renorm, name) is getattr(importlib.import_module(f"renorm.{module}"), name)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import renorm
 import renorm.cli as cli_mod
@@ -29,6 +30,14 @@ def test_float_serialization_roundtrip():
     assert back["results"]["x"] == 0.1 + 0.2
     assert back["results"]["y"][0] == 1e-300
     assert back["results"]["flag"] is True
+
+
+@given(st.text(st.characters(exclude_categories=())))
+@example("\x7f")  # DEL: ASCII, but escaped
+@example("\U0001f600 \ud800 \x00\x1f\n\t\"\\")  # a surrogate pair, a lone surrogate, controls
+def test_quote_is_json_dumps(s):
+    # the report writer's strings and keys without importing json
+    assert rpt._quote(s) == json.dumps(s)
 
 
 def test_report_envelope():

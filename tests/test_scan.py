@@ -737,6 +737,27 @@ def test_the_loops_are_bitwise_the_array_scans(case):
         assert got == _scan_roots(lambda xs: period.root_kernel(xs, eps), intervals, SCAN_GRID)
 
 
+def test_the_loop_test_kills_a_condition_dropped_from_an_early_block(monkeypatch):
+    # the mutant: period three's test right after the pull, x3 > 0 and
+    # x1 - x3 > 0, loses the gap x1 - x3, so a point that fails only that
+    # gap passes the loop; the loops' bitwise test must fail on it
+    real = scaling._tested
+    monkeypatch.setattr(scaling, "_tested", lambda *args: real(*args).replace(
+        "x3 > 0.0 and x1 - x3 > 0.0", "x3 > 0.0", 1))
+    period = Period.THREE
+    namespace = {}
+    src = scaling._kernel_source(period, scaling._orbit_block(3), scaling._orbit_block(
+        3, steps=scaling._IN_PLACE, keep=period.comb.central))
+    assert "if not (x3 > 0.0):" in src
+    exec(compile(src, "<mutant>", "exec"), dict(vars(scaling)), namespace)
+    mutant = dict(zip(scaling._GENERATED, namespace["_kernels3"](period)))["domain_scan"]
+    check = test_the_loops_are_bitwise_the_array_scans.hypothesis.inner_test
+    check((period, 1e-4, 1.0))
+    monkeypatch.setattr(period, "domain_scan", mutant)
+    with pytest.raises(AssertionError):
+        check((period, 1e-4, 1.0))
+
+
 @pytest.mark.parametrize("period, eps", [(Period.THREE, 1.02), (Period.FIVE, 1.0)])
 def test_a_per_point_scan_calls_no_kernel_per_grid_point(period, eps, monkeypatch):
     # the loops run the orbit inline: values_kernel is called around the

@@ -224,9 +224,9 @@ def test_cached_property_caches_on_frozen_values(bsys):
         first = getattr(comb, name)
         assert getattr(comb, name) is first and vars(comb)[name] is first
     b = replace(bsys)
-    assert "slopes" not in vars(b) and "_nodes" not in vars(b)
-    slopes, nodes = b.slopes, b._nodes
-    assert b.slopes is slopes and b._nodes is nodes and vars(b)["slopes"] is slopes
+    assert "slopes" not in vars(b) and "_proof" not in vars(b)
+    slopes, proof = b.slopes, b._proof
+    assert b.slopes is slopes and b._proof is proof and vars(b)["slopes"] is slopes
     assert repr(slopes) == repr(bsys.slopes) and b == bsys
 
 
