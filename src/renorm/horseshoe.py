@@ -7,11 +7,14 @@ derivative above 2.  An outward-rounded interval proof (BranchSystem.slopes)
 certifies the full shift: the A_i are disjoint, each branch image covers
 the base and inf R_i' > 1 on A_i, so there are m^k k-cylinders for every k
 with no enumeration.  The proof runs each period's float-bound pass
-(scaling's r_bounds), which also bounds eta, the float kernel's rounding
-error on A_i, once per system.  Backward composition of the contracting
-inverse branches codes symbol sequences to points of the invariant Cantor
-set; each inversion bisects A_i in plain floats and evaluates R only at
-the nodes within 2*eta/inf R' of its estimated answer, every other node's
+(scaling's r_bounds) once per branch and system: it encloses R_i' on A_i
+and bounds eta, the float kernel's rounding error there, and the image
+ends are the float kernel's values at the ends of A_i, eta either side;
+only where that does not prove the cover are the ends bounded by a pass
+of their own.  Backward composition of the contracting inverse branches
+codes symbol sequences to points of the invariant Cantor set; each
+inversion bisects A_i in plain floats and evaluates R only at the nodes
+within 2*eta/inf R' of its estimated answer, every other node's
 comparison being known, bitwise what the plain bisection computes.  The
 coded critical points generate proper scaling data for symbol-driven
 towers and maps.
@@ -108,15 +111,19 @@ class BranchSystem(Value, frozen=True):
         fails: per branch its slope enclosure and its inversion window, or
         the message of the first condition that failed.
 
-        Over each A_i widened by MARGIN/2, [a, z], the period's float-bound
-        pass (Period.r_bounds) encloses R_i and R_i' and bounds eta, the
-        float kernel's rounding error at any float of [a, z]:
+        Over each A_i widened by MARGIN/2, [a, z], one float-bound pass
+        (Period.r_bounds) encloses R_i and R_i' and bounds eta, the float
+        kernel's rounding error at any float of [a, z]:
         (a) the widened A_i are disjoint, increasing and inside the base
             widened by MARGIN;
         (c) inf R_i' > 1 over each (R_i is smooth there: s2 stays above
             S2_FLOOR);
         (b) R_i sends the widened A_i's ends below and above the base, so
-            its monotone image covers the base.
+            its monotone image covers the base.  a and z are floats of
+            [a, z], so R_i(a) <= r(a) + eta and R_i(z) >= r(z) - eta,
+            with r the float kernel (Period.r_kernel) and both rounded
+            outward.  Where eta is not finite, or these bounds do not prove
+            (b), a pass at a and one at z decide it and name the failure.
         Then each inverse branch maps the base into A_i, every word's
         cylinder is a nonempty interval, and distinct words of one length
         give disjoint ones: alphabet^k k-cylinders for every k.
@@ -135,7 +142,7 @@ class BranchSystem(Value, frozen=True):
             return f"branch domains {self.domains} leave the base {self.base}"
         out = []
         for i, ((a, z), e, rep) in enumerate(zip(doms, self.epsilons, self.reports)):
-            bounds = rep.period.r_bounds
+            bounds, r_kernel = rep.period.r_bounds, rep.period.r_kernel
             try:
                 _, _, dlo, dhi, eta = bounds(a, z, e)
             except DivisionGuard as exc:
@@ -143,9 +150,14 @@ class BranchSystem(Value, frozen=True):
             slope = Interval(dlo, dhi)
             if not dlo > 1.0:
                 return f"branch {i} slope {slope} is not above 1 on A_{i}"
-            img_lo, img_hi = bounds(a, a, e)[1], bounds(z, z, e)[0]
-            if not (img_lo <= lo and img_hi >= hi):
-                return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
+            covered = False
+            if eta < math.inf:  # a and z are floats of [a, z]: R there is within eta of r
+                ra, rz = r_kernel(a, e), r_kernel(z, e)
+                covered = widen(ra - eta, ra + eta)[1] <= lo and widen(rz - eta, rz + eta)[0] >= hi
+            if not covered:
+                img_lo, img_hi = bounds(a, a, e)[1], bounds(z, z, e)[0]
+                if not (img_lo <= lo and img_hi >= hi):
+                    return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
             _, band = div(2.0 * eta, 2.0 * eta, dlo, dlo)  # rounded up
             out.append((slope, (a, z, band) if band < math.inf else None))
         return tuple(out)

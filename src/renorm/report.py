@@ -112,10 +112,15 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def to_csv(header, rows) -> str:
+    """The CSV text of header and rows, tuples: a float (a float subclass
+    too) in 17 significant digits, any other cell as its str().  Each row
+    is one % operation, its format built once per tuple of cell types."""
     lines = [",".join(header)]
+    formats = {}
     for row in rows:
-        cells = []
-        for v in row:
-            cells.append("%.17g" % v if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(["%.17g" if issubclass(k, float) else "%s" for k in kinds])
+        lines.append(fmt % row)
     return "\n".join(lines) + "\n"

@@ -40,21 +40,22 @@ nine functions, stored on the member beside comb, of four kinds:
 
 - orbit(c, eps=1.0), the generic orbit, which runs on floats, numpy
   arrays, Intervals and interval.Jets, with eps an Interval or a Jet too.
-  The condition evaluators (conditions, scaling_from_critical, gaps), the
-  boundary naming of feasible_domain and its scan's memoized head, pwa,
-  tower, the cobweb plot data and the interval proofs read it, and so
-  does return_map for an array, an Interval or a Jet;
+  conditions, the boundary naming of feasible_domain and its scan's
+  memoized head, pwa, tower, the cobweb plot data and the interval proofs
+  read it, and so do return_map, scaling_from_critical and gaps for any
+  argument but a real scalar c and eps;
 - five kernels, each with the period's pull check written in.  Three
   run on floats: r_kernel, R with its s2 guard, feasible_kernel, the
   conditions in table order, and values_kernel, the condition tuple.
-  return_map and feasibility run the first two for a real scalar c and
-  eps, and the scalar hot loops call them directly: the solver's root
-  refinement, feasible_domain's boundary bisection, and horseshoe's
-  inversions and branch domain ends; feasible_domain's puncture
-  refinement and boundary naming read values_kernel.  Each is bitwise
-  the generic path on floats.  Two run on arrays: scan_tail, the block's
-  tail (the pull and the u-steps after it, each step in place in a new
-  array), and root_kernel, the whole block with out= ufuncs and R(c) - c
+  return_map and feasibility run the first two, and scaling_from_critical
+  and gaps the third, for a real scalar c and eps, and the scalar hot
+  loops call them directly: the solver's root refinement,
+  feasible_domain's boundary bisection, and horseshoe's inversions and
+  branch domain ends; feasible_domain's puncture refinement and boundary
+  naming read values_kernel.  Each is bitwise the generic path on
+  floats.  Two run on arrays: scan_tail, the block's tail (the pull and
+  the u-steps after it, each step in place in a new array), and
+  root_kernel, the whole block with out= ufuncs and R(c) - c
   from it, NaN where the s2 guard trips, bitwise return_map(period, c,
   eps) - c: the root scan on arrays;
 - two scan loops, the per-point form of each scan: the block run inline
@@ -639,14 +640,25 @@ def conditions(period: Period, c, eps: float = 1.0):
     return np.array(_condition_values(period, c, eps))
 
 
+_SCALARS = (float, int)  # a real scalar: return_map and _point_values send it to a kernel
+
+
+def _point_values(period: Period, c, eps: float = 1.0) -> tuple:
+    """_condition_values, through period.values_kernel for a real scalar c
+    and eps, bitwise the generic path there."""
+    if isinstance(c, _SCALARS) and isinstance(eps, _SCALARS):
+        return period.values_kernel(c, eps)
+    return _condition_values(period, c, eps)
+
+
 def scaling_from_critical(period: Period, c: float, eps: float = 1.0) -> ScalingFactor:
-    s = _condition_values(period, c, eps)[: period.p]
+    s = _point_values(period, c, eps)[: period.p]
     return ScalingFactor(period, tuple(float(x) for x in s))
 
 
 def gaps(period: Period, c: float) -> tuple:
     """The inter-interval gaps at c, the conditions after the lengths."""
-    return tuple(float(x) for x in _condition_values(period, c)[period.p :])
+    return tuple(float(x) for x in _point_values(period, c)[period.p :])
 
 
 def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
@@ -658,9 +670,6 @@ def feasibility(period: Period, c: float, eps: float = 1.0) -> bool:
     if not 0.0 < c < 0.5:
         return False
     return period.feasible_kernel(c, eps)
-
-
-_SCALARS = (float, int)  # a real scalar: return_map sends it to the period's kernel
 
 
 def return_map(period: Period, c, eps: float = 1.0):

@@ -241,6 +241,41 @@ def test_float_kernels_are_bitwise_the_generic_path(case):
     assert _bits(period.values_kernel(c, eps)) == _bits(_condition_values(period, c, eps))
 
 
+@pytest.mark.parametrize("period", list(Period))
+def test_scaling_factors_and_gaps_read_the_values_kernel_bitwise(period, monkeypatch):
+    # a real scalar c and eps run values_kernel: on a seeded grid over
+    # (0, 1/2), at eps in [0.5, 2] for period three, the scaling factor and
+    # the gaps are float.hex the generic orbit's conditions; a 0-d array c
+    # or a numpy integer eps keeps the generic path, and period five
+    # refuses an eps other than 1 with the orbit's error
+    rng = random.Random(20 + period.p)
+    kernel, calls = period.values_kernel, []
+    monkeypatch.setattr(period, "values_kernel", lambda c, eps: calls.append(eps) or kernel(c, eps))
+    hexes = lambda values: [float(x).hex() for x in values]
+    want_calls = 0
+    for k in range(400):
+        c = 0.5 * (k + rng.random()) / 400
+        eps = rng.uniform(0.5, 2.0) if period is Period.THREE and k % 2 else 1.0
+        want = _condition_values(period, c, eps)
+        assert hexes(scaling_from_critical(period, c, eps).s) == hexes(want[: period.p])
+        want_calls += 1
+        if eps == 1.0:
+            assert hexes(gaps(period, c)) == hexes(want[period.p :])
+            want_calls += 1
+    assert len(calls) == want_calls
+    want = _condition_values(period, 0.44)
+    assert hexes(scaling_from_critical(period, np.array(0.44)).s) == hexes(want[: period.p])
+    assert hexes(scaling_from_critical(period, 0.44, np.int64(1)).s) == hexes(want[: period.p])
+    assert hexes(gaps(period, np.array(0.44))) == hexes(want[period.p :])
+    assert len(calls) == want_calls
+    if period is Period.FIVE:
+        with pytest.raises(ValueError) as orbit:
+            period.orbit(0.44, 1.01)
+        with pytest.raises(ValueError) as got:
+            scaling_from_critical(period, 0.44, 1.01)
+        assert (type(got.value), str(got.value)) == (type(orbit.value), str(orbit.value))
+
+
 @st.composite
 def _root_scan_grids(draw):
     """(period, cs, eps): period three at eps in [0.25, 4], period five at
@@ -607,11 +642,13 @@ def test_a_cycle_no_unimodal_map_has_is_refused(cycle):
 
 def _with_rows(period, rows):
     """Patch period's combinatorics to hold rows: the fields derived from
-    them (lengths, gaps, the central ends) follow, the families read off
-    the cycle do not."""
+    them (lengths, gaps, the central ends) follow, and so does the
+    condition tuple of a float c, values_kernel, read off the generic
+    orbit; the families read off the cycle do not."""
     comb = Combinatorics(period.comb.cycle)
     comb.__dict__["intervals"] = rows  # the cached field, before any read
-    return mock.patch.object(period, "comb", comb)
+    values = lambda c, eps: _condition_values(period, c, eps)  # noqa: E731
+    return mock.patch.multiple(period, comb=comb, values_kernel=values)
 
 
 def _swapped_rows(period):

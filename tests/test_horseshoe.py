@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from renorm.interval import Interval, Jet
+from renorm.interval import Interval, Jet, widen
 from renorm.pwa import shift_residual
 from renorm.scaling import DivisionGuard, Period, return_map
 from renorm.tower import build_tower, verify_proper
@@ -106,8 +107,8 @@ def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
     assert cylinder_counts(bsys, 10) == [3**n for n in range(1, 11)]
     assert cylinder_counts(bsys5, 6) == [5**n for n in range(1, 7)]
     # one proof per system, kept for every later count: per branch one
-    # float-bound pass over A_i and one at each of its ends; a refused
-    # depth proves nothing
+    # float-bound pass over A_i, whose eta bounds the image ends from the
+    # float kernel; a refused depth proves nothing
     calls = []
     real_bounds = Period.THREE.r_bounds
 
@@ -122,7 +123,7 @@ def test_cylinder_counts_one_pass(bsys, bsys5, monkeypatch):
     assert calls == []
     for n in range(1, 9):
         assert cylinder_count(b, n) == 3**n
-    assert calls == [(kind, e) for e in bsys.epsilons for kind in ("slope", "image", "image")]
+    assert calls == [("slope", e) for e in bsys.epsilons]
 
 
 @pytest.mark.parametrize("kind", ["repeated", "overlapping"])
@@ -622,9 +623,10 @@ def test_eta_bounds_the_kernel_error_against_mpmath(request, name):
 
 
 def test_a_failed_proof_codes_by_full_bisection_and_runs_once(bsys, monkeypatch):
-    # A_1 shrunk at its low end fails the cover check after branches 0 and
-    # 1 ran their passes; later counts refuse it without a second pass, and
-    # coding evaluates every node, bitwise the fixed-64 bisection
+    # A_1 shrunk at its low end fails the cover check after branch 0's
+    # pass, branch 1's and the two at branch 1's ends; later counts refuse
+    # it without a second pass, and coding evaluates every node, bitwise
+    # the fixed-64 bisection
     d0, (a, z), d2 = bsys.domains
     b = replace(bsys, domains=(d0, (a + 1e-8, z), d2))
     passes = []
@@ -633,8 +635,102 @@ def test_a_failed_proof_codes_by_full_bisection_and_runs_once(bsys, monkeypatch)
     for n in (1, 3, 1):
         with pytest.raises(NotAHorseshoe, match="does not cover the base"):
             cylinder_counts(b, n)
-    assert len(passes) == 6
+    assert len(passes) == 4
     steps = _count_evaluations(monkeypatch)
     word = Word((1, 0, 2, 1, 1, 0, 2, 2), 3)
     assert code_to_point(b, word, 8).c_alpha.hex() == _backward_fixed_64(b, word.symbols)[0].hex()
-    assert len(passes) == 6 and len(steps) > 8 * 30
+    assert len(passes) == 4 and len(steps) > 8 * 30
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5", "bsys_wide"])
+def test_eta_bounds_the_kernel_error_at_the_widened_ends(request, name):
+    # the proof's image ends: at both ends of each widened A_i the float
+    # kernel's value, eta either side and rounded outward, encloses the
+    # 40-digit R, which the uniform draws above need not reach
+    b = request.getfixturevalue(name)
+    for i, ((_, (a, z, _)), e) in enumerate(zip(b._proof, b.epsilons)):
+        *_, eta = Period.THREE.r_bounds(a, z, e)
+        assert 0.0 < eta < 1e-12
+        for x in (a, z):
+            r = b.map(i, x)
+            lo, hi = widen(r - eta, r + eta)
+            with mp.workdps(40):
+                assert lo <= _r40(x, e) <= hi
+
+
+def _point_pass_message(b, i):
+    """The cover check's message for branch i of b from a float-bound pass
+    at each widened end of A_i, or None where those passes prove it."""
+    a, z = b.domains[i][0] - 0.5 * MARGIN, b.domains[i][1] + 0.5 * MARGIN
+    e = b.epsilons[i]
+    img_lo, img_hi = Period.THREE.r_bounds(a, a, e)[1], Period.THREE.r_bounds(z, z, e)[0]
+    if img_lo <= b.base[0] - MARGIN and img_hi >= b.base[1] + MARGIN:
+        return None
+    return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
+
+
+def _counted_passes(monkeypatch, eta=None):
+    """The list of every float-bound pass's (a, z); eta, where given,
+    replaces every pass's bound on the kernel error."""
+    passes = []
+    real_bounds = Period.THREE.r_bounds
+
+    def counted(a, z, e):
+        passes.append((a, z))
+        *bounds, real_eta = real_bounds(a, z, e)
+        return (*bounds, real_eta if eta is None else eta)
+
+    monkeypatch.setattr(Period.THREE, "r_bounds", counted)
+    return passes
+
+
+@pytest.mark.parametrize("shrunk", [False, True])
+def test_an_infinite_eta_proves_the_cover_by_the_end_passes(bsys, monkeypatch, shrunk):
+    # with no bound on the kernel error every branch bounds its image ends
+    # by a pass at each end, and the proof ends as those passes decide:
+    # the same slopes, no inversion window, or the end passes' message
+    b = bsys
+    if shrunk:
+        d0, (a, z), d2 = bsys.domains
+        b = replace(bsys, domains=(d0, (a + 1e-8, z), d2))
+    messages = [_point_pass_message(b, i) for i in range(b.alphabet)]
+    passes = _counted_passes(monkeypatch, eta=math.inf)
+    b = replace(b)  # a copy without the cached proof
+    if shrunk:
+        assert messages[0] is None and messages[1] is not None
+        with pytest.raises(NotAHorseshoe, match=re.escape(messages[1])):
+            cylinder_count(b, 3)
+        assert len(passes) == 6
+    else:
+        assert messages == [None] * 3
+        assert [(s.lo, s.hi) for s in b.slopes] == [(s.lo, s.hi) for s in bsys.slopes]
+        assert [window for _, window in b._proof] == [None] * 3
+        assert passes == [pair for a, z in passes[::3] for pair in ((a, z), (a, a), (z, z))]
+        assert len(passes) == 9
+
+
+def test_an_image_end_within_eta_of_the_base_takes_the_end_passes(bsys, monkeypatch):
+    # A_1's low end bisected until its widened end's kernel image is the
+    # first float above the widened base end: inside it by less than eta,
+    # so the kernel bound cannot prove the cover and the end passes decide,
+    # with their message
+    r_kernel, e = Period.THREE.r_kernel, bsys.epsilons[1]
+    lo = bsys.base[0] - MARGIN
+    d0, (x_lo, z), d2 = bsys.domains
+    x_hi = x_lo + 1e-10
+    assert r_kernel(x_lo - 0.5 * MARGIN, e) <= lo < r_kernel(x_hi - 0.5 * MARGIN, e)
+    while (mid := 0.5 * (x_lo + x_hi)) not in (x_lo, x_hi):
+        if r_kernel(mid - 0.5 * MARGIN, e) <= lo:
+            x_lo = mid
+        else:
+            x_hi = mid
+    b = replace(bsys, domains=(d0, (x_hi, z), d2))
+    a = x_hi - 0.5 * MARGIN
+    *_, eta = Period.THREE.r_bounds(a, z + 0.5 * MARGIN, e)
+    assert 0.0 < r_kernel(a, e) - lo < eta
+    message = _point_pass_message(b, 1)
+    assert message is not None
+    passes = _counted_passes(monkeypatch)
+    with pytest.raises(NotAHorseshoe, match=re.escape(message)):
+        cylinder_count(b, 3)
+    assert passes[2:] == [(a, a), (z + 0.5 * MARGIN,) * 2] and len(passes) == 4

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -38,6 +39,35 @@ def test_float_serialization_roundtrip():
 def test_quote_is_json_dumps(s):
     # the report writer's strings and keys without importing json
     assert rpt._quote(s) == json.dumps(s)
+
+
+def _to_csv_per_cell(header, rows) -> str:
+    """The writer's former per-cell loop, to_csv's reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = []
+        for v in row:
+            cells.append("%.17g" % v if isinstance(v, float) else str(v))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+_CELLS = st.one_of(
+    st.floats(allow_subnormal=True),  # NaN, +-inf, -0.0 and subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
+    st.integers(),
+    st.booleans(),
+    st.text(),
+    st.floats().map(np.float64),
+)
+
+
+@given(st.lists(st.text()), st.lists(st.lists(_CELLS, max_size=6).map(tuple), max_size=12))
+@example(["c", "R"], [(np.float64(-0.0), True), (np.float64(-0.0), True), (True, -0.0), (1, "x"), ()])
+def test_to_csv_is_the_per_cell_loop(header, rows):
+    # one format per tuple of cell types: the former loop's bytes, with
+    # rows of one shape and of many, numpy floats as floats
+    assert rpt.to_csv(header, rows) == _to_csv_per_cell(header, rows)
 
 
 def test_report_envelope():
