@@ -7,17 +7,16 @@ derivative above 2.  An outward-rounded interval proof (BranchSystem.slopes)
 certifies the full shift: the A_i are disjoint, each branch image covers
 the base and inf R_i' > 1 on A_i, so there are m^k k-cylinders for every k
 with no enumeration.  The proof runs each period's float-bound pass
-(scaling's r_bounds) once per branch and system: it encloses R_i' on A_i
-and bounds eta, the float kernel's rounding error there, and the image
-ends are the float kernel's values at the ends of A_i, eta either side;
-only where that does not prove the cover are the ends bounded by a pass
-of their own.  Backward composition of the contracting inverse branches
-codes symbol sequences to points of the invariant Cantor set; each
-inversion bisects A_i in plain floats and evaluates R only at the nodes
-within 2*eta/inf R' of its estimated answer, every other node's
-comparison being known, bitwise what the plain bisection computes.  The
-coded critical points generate proper scaling data for symbol-driven
-towers and maps.
+(scaling's r_bounds) once per branch and system, and no other pass: it
+encloses R_i' on A_i and bounds eta, the float kernel's rounding error
+there, and the image ends are the float kernel's values at the ends of
+A_i, eta either side; a non-finite eta fails the proof.  Backward
+composition of the contracting inverse branches codes symbol sequences
+to points of the invariant Cantor set; each inversion bisects A_i in
+plain floats and evaluates R only at the nodes within 2*eta/inf R' of
+its estimated answer, every other node's comparison being known, bitwise
+what the plain bisection computes.  The coded critical points generate
+proper scaling data for symbol-driven towers and maps.
 """
 
 from __future__ import annotations
@@ -122,16 +121,14 @@ class BranchSystem(Value, frozen=True):
             its monotone image covers the base.  a and z are floats of
             [a, z], so R_i(a) <= r(a) + eta and R_i(z) >= r(z) - eta,
             with r the float kernel (Period.r_kernel) and both rounded
-            outward.  Where eta is not finite, or these bounds do not prove
-            (b), a pass at a and one at z decide it and name the failure.
+            outward; a non-finite eta fails the proof.
         Then each inverse branch maps the base into A_i, every word's
         cylinder is a nonempty interval, and distinct words of one length
         give disjoint ones: alphabet^k k-cylinders for every k.
 
         A branch's window is (a, z, band), band = 2*eta/inf R_i' rounded
         up: two floats of [a, z] a band or more apart have kernel values in
-        their order, which _invert_point reads; None where eta is not
-        finite.
+        their order, which _invert_point reads.
         """
         lo, hi = self.base[0] - MARGIN, self.base[1] + MARGIN
         doms = [(a - 0.5 * MARGIN, z + 0.5 * MARGIN) for a, z in self.domains]
@@ -142,24 +139,22 @@ class BranchSystem(Value, frozen=True):
             return f"branch domains {self.domains} leave the base {self.base}"
         out = []
         for i, ((a, z), e, rep) in enumerate(zip(doms, self.epsilons, self.reports)):
-            bounds, r_kernel = rep.period.r_bounds, rep.period.r_kernel
             try:
-                _, _, dlo, dhi, eta = bounds(a, z, e)
+                _, _, dlo, dhi, eta = rep.period.r_bounds(a, z, e)
             except DivisionGuard as exc:
                 return f"branch {i} is not smooth on A_{i}: {exc}"
             slope = Interval(dlo, dhi)
             if not dlo > 1.0:
                 return f"branch {i} slope {slope} is not above 1 on A_{i}"
-            covered = False
-            if eta < math.inf:  # a and z are floats of [a, z]: R there is within eta of r
-                ra, rz = r_kernel(a, e), r_kernel(z, e)
-                covered = widen(ra - eta, ra + eta)[1] <= lo and widen(rz - eta, rz + eta)[0] >= hi
-            if not covered:
-                img_lo, img_hi = bounds(a, a, e)[1], bounds(z, z, e)[0]
-                if not (img_lo <= lo and img_hi >= hi):
-                    return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
+            if not eta < math.inf:
+                return f"branch {i} kernel error bound {eta} is not finite on A_{i}"
+            # a and z are floats of [a, z]: R there is within eta of r
+            ra, rz = rep.period.r_kernel(a, e), rep.period.r_kernel(z, e)
+            img_lo, img_hi = widen(ra - eta, ra + eta)[1], widen(rz - eta, rz + eta)[0]
+            if not (img_lo <= lo and img_hi >= hi):
+                return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
             _, band = div(2.0 * eta, 2.0 * eta, dlo, dlo)  # rounded up
-            out.append((slope, (a, z, band) if band < math.inf else None))
+            out.append((slope, (a, z, band)))
         return tuple(out)
 
     @cached_property
@@ -205,9 +200,8 @@ def _invert_point(b: BranchSystem, i: int, y: float) -> float:
     r_kernel = rep.period.r_kernel
     below, above = -math.inf, math.inf  # nodes decided without r: none yet
     proof = b._proof
-    window = None if isinstance(proof, str) else proof[i][1]
-    if window is not None:
-        a, z, band = window
+    if not isinstance(proof, str):
+        a, z, band = proof[i][1]
         c = rep.c_star  # R(c*) = c*: the first secant's other point
         x1 = min(max(c + (y - c) / rep.derivative_estimate, a), z)
         r1 = r_kernel(x1, e)

@@ -3,17 +3,20 @@
 Every bound of a result is the round-to-nearest value moved one ulp
 outward with math.nextafter.  A correctly rounded +, -, * or / is within
 half an ulp of the exact value, so each result contains the exact image
-of its operands.  A Jet carries an enclosure of a function of c and one
-of its c-derivative through the same operations; an Interval operand
-mixes into a Jet as a constant, whichever side it stands on.
+of its operands.  Floats mix in as point intervals.  A Jet carries an
+enclosure of a function of c and one of its c-derivative through the
+same operations; an Interval operand mixes into a Jet as a constant,
+whichever side it stands on.
 
 Each rounding rule is written once, as a float-bound helper on plain
 floats that returns the (lo, hi) pair: widen, the one ulp outward, then
 hull and hull4 and the operations add, sub, mul, scale, div and square
-on top of it.  Interval's operators build their results from them, Jet's
-reach them through Interval's, and so does the float-bound pass, which
-runs a generated return map on bounds alone (scaling's r_bounds), without
-an Interval or a Jet per operation.
+on top of it.  Interval's operators build their results from them and
+Jet's reach them through Interval's.  The horseshoe's full-shift proof
+runs neither: it runs the float-bound pass, a generated return map on
+bounds alone (scaling's r_bounds), with no Interval or Jet per
+operation.  Interval and Jet serve the library and the tests, where the
+Jet is the reference the pass is held to, bitwise.
 The pass carries a jet bound, the 5-tuple (lo, hi, dlo, dhi, err): an
 enclosure of a value over a box of c, one of its c-derivative, each
 bitwise the Jet's, and err, a bound on how far the float kernel's result
@@ -26,28 +29,12 @@ rounding adds at most u*|w| (u = 2^-53, the standard model), with |w| at
 most the value enclosure's magnitude plus the propagated error.  Every
 term of err is rounded up, and the last nextafter also covers an
 underflow's absolute error.
-
-The operations are the interval proofs' inner loop, so they take three
-fast paths, each bitwise the plain formulas:
-- results are built without __init__ (_iv); a NaN bound is still
-  refused with __init__'s ValueError and message;
-- an Interval operand is told by its exact class, o.__class__ is Interval;
-- any other operand but a Jet (a float, int or numpy scalar x) is the
-  point interval [float(x), float(x)] without boxing it: a product or
-  quotient takes two values, not four, because min and max of (a, a, b, b)
-  equal those of (a, b), NaN included; a NaN x is refused with the
-  ValueError its point interval raised.
-A hull's min and max scan their arguments as the builtins do (a later
-value replaces the current one only if it compares below, or above), so
-a NaN product lands in the same bound as with min() and max().  The
-rounding stays one ulp outward on every path.
 """
 
 from __future__ import annotations
 
 from math import inf, nextafter
 
-_new = object.__new__
 U = 2.0**-53  # the unit roundoff of binary64, round to nearest
 
 
@@ -180,11 +167,9 @@ def jet_div(x: tuple, y: tuple) -> tuple:
     return lo, hi, dlo, dhi, _err(lo, hi, prop)
 
 
-def _iv(bounds: tuple) -> "Interval":
-    """The Interval of a (lo, hi) pair a helper returned, without __init__."""
-    r = _new(Interval)
-    r.lo, r.hi = bounds
-    return r
+def _box(x) -> "Interval":
+    """x itself if an Interval, else the point interval [x, x]."""
+    return x if isinstance(x, Interval) else Interval(x, x)
 
 
 class Interval:
@@ -202,64 +187,46 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other):
-        if other.__class__ is Interval:
-            return _iv(add(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):  # a constant plus a Jet: Jet.__radd__
             return NotImplemented
-        x = float(other)
-        return _iv(add(self.lo, self.hi, x, x))
+        o = _box(other)
+        return Interval(*add(self.lo, self.hi, o.lo, o.hi))
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = _new(Interval)
-        r.lo = -self.hi
-        r.hi = -self.lo
-        return r
+        return Interval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        if other.__class__ is Interval:
-            return _iv(sub(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):
             return NotImplemented
-        x = float(other)
-        return _iv(sub(self.lo, self.hi, x, x))
+        o = _box(other)
+        return Interval(*sub(self.lo, self.hi, o.lo, o.hi))
 
     def __rsub__(self, other):
-        x = float(other)
-        return _iv(sub(x, x, self.lo, self.hi))
+        return _box(other) - self
 
     def __mul__(self, other):
         if other is self:  # one variable: x*x is its square, not [lo*hi, ...]
             return self.square()
-        if other.__class__ is Interval:
-            return _iv(mul(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):
             return NotImplemented
-        return _iv(scale(self.lo, self.hi, float(other)))
+        o = _box(other)
+        return Interval(*mul(self.lo, self.hi, o.lo, o.hi))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if other.__class__ is Interval:
-            return _iv(div(self.lo, self.hi, other.lo, other.hi))
         if isinstance(other, Jet):
             return NotImplemented
-        x = float(other)
-        if x == 0.0:
-            raise ZeroDivisionError(f"denominator {Interval(x, x)} contains 0")
-        return _iv(hull(self.lo / x, self.hi / x))
+        o = _box(other)
+        return Interval(*div(self.lo, self.hi, o.lo, o.hi))
 
     def __rtruediv__(self, other):
-        x = float(other)
-        if x != x:  # [x, x] is refused before self's 0 is looked at
-            raise ValueError(f"empty interval [{x}, {x}]")
-        if self.lo <= 0.0 <= self.hi:
-            raise ZeroDivisionError(f"denominator {self} contains 0")
-        return _iv(hull(x / self.lo, x / self.hi))
+        return _box(other) / self
 
     def square(self):
-        return _iv(square(self.lo, self.hi))
+        return Interval(*square(self.lo, self.hi))
 
 
 class Jet:

@@ -916,11 +916,12 @@ def _loop_touches(period: Period, scan_step: float, eps: float, ms) -> list:
     """_touches for domain_scan, which keeps no condition row: its dips ms
     inside one run, each with the condition tuples at m - 1, m and m + 1
     recomputed by values_kernel at the grid points scan_step + k*scan_step,
-    bitwise the array scan's rows."""
-    values = period.values_kernel
+    bitwise the array scan's rows, once per distinct k."""
+    ks = dict.fromkeys(k for m in ms for k in (m - 1, m, m + 1))
+    rows = {k: period.values_kernel(scan_step + k * scan_step, eps) for k in ks}
     out = []
     for m in ms:
-        before, here, after = (values(scan_step + k * scan_step, eps) for k in (m - 1, m, m + 1))
+        before, here, after = rows[m - 1], rows[m], rows[m + 1]
         for j, v in enumerate(here):
             if v <= 1e-4 and v < before[j] and v < after[j]:
                 out.append((m - 1, j))

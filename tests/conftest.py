@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from renorm.scaling import Period, feasible_domain
 from renorm.solver import solve_fixed_point
@@ -6,6 +7,11 @@ from renorm.tower import ScalingSequence
 from renorm.pwa import build_pwa
 from renorm.extension import extend
 from renorm.horseshoe import build_branch_system
+
+# the one definition of a reproducible property: the same examples every
+# run, no example database, no deadline; each test names its max_examples
+# (test files read it as settings.get_profile("bitwise"))
+settings.register_profile("bitwise", derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture(scope="session")

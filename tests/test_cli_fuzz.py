@@ -65,7 +65,7 @@ def invocations(draw):
     return argv, config
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(settings.get_profile("bitwise"), max_examples=150)
 @given(invocations())
 def test_fuzzed_flags_and_configs_end_in_a_documented_exit_code(tmp_path_factory, case):
     argv, config = case

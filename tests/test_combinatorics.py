@@ -39,8 +39,7 @@ from reference_domains import DOMAIN_HEXES
 from stand_in import stand_in_orbit
 
 # the same examples on every run: a bitwise failure must reproduce
-settings.register_profile("bitwise", derandomize=True, database=None, deadline=None, max_examples=300)
-BITWISE = settings.get_profile("bitwise")
+BITWISE = settings(settings.get_profile("bitwise"), max_examples=300)
 
 
 # The hand-written formulas the table replaced, kept verbatim as the

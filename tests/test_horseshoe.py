@@ -268,7 +268,7 @@ def test_symbol_sequence_shift_identity(bsys):
 
 
 @pytest.mark.parametrize("name", ["bsys", "bsys5"])
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(settings.get_profile("bitwise"), max_examples=40)
 @given(data=st.data())
 def test_shift_identity_on_random_words(request, name, data):
     # R f_s = f_{sigma(s)} on drawn words over the 3- and the 5-letter
@@ -624,9 +624,8 @@ def test_eta_bounds_the_kernel_error_against_mpmath(request, name):
 
 def test_a_failed_proof_codes_by_full_bisection_and_runs_once(bsys, monkeypatch):
     # A_1 shrunk at its low end fails the cover check after branch 0's
-    # pass, branch 1's and the two at branch 1's ends; later counts refuse
-    # it without a second pass, and coding evaluates every node, bitwise
-    # the fixed-64 bisection
+    # pass and branch 1's; later counts refuse it without a second pass,
+    # and coding evaluates every node, bitwise the fixed-64 bisection
     d0, (a, z), d2 = bsys.domains
     b = replace(bsys, domains=(d0, (a + 1e-8, z), d2))
     passes = []
@@ -635,11 +634,11 @@ def test_a_failed_proof_codes_by_full_bisection_and_runs_once(bsys, monkeypatch)
     for n in (1, 3, 1):
         with pytest.raises(NotAHorseshoe, match="does not cover the base"):
             cylinder_counts(b, n)
-    assert len(passes) == 4
+    assert len(passes) == 2
     steps = _count_evaluations(monkeypatch)
     word = Word((1, 0, 2, 1, 1, 0, 2, 2), 3)
     assert code_to_point(b, word, 8).c_alpha.hex() == _backward_fixed_64(b, word.symbols)[0].hex()
-    assert len(passes) == 4 and len(steps) > 8 * 30
+    assert len(passes) == 2 and len(steps) > 8 * 30
 
 
 @pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5", "bsys_wide"])
@@ -685,35 +684,41 @@ def _counted_passes(monkeypatch, eta=None):
 
 
 @pytest.mark.parametrize("shrunk", [False, True])
-def test_an_infinite_eta_proves_the_cover_by_the_end_passes(bsys, monkeypatch, shrunk):
-    # with no bound on the kernel error every branch bounds its image ends
-    # by a pass at each end, and the proof ends as those passes decide:
-    # the same slopes, no inversion window, or the end passes' message
+def test_an_infinite_eta_fails_the_proof(bsys, monkeypatch, shrunk):
+    # with no bound on the kernel error the first branch's pass fails the
+    # proof with its own message, before A_1's cover is looked at, and
+    # later counts refuse the system without a second proof
     b = bsys
     if shrunk:
         d0, (a, z), d2 = bsys.domains
         b = replace(bsys, domains=(d0, (a + 1e-8, z), d2))
-    messages = [_point_pass_message(b, i) for i in range(b.alphabet)]
     passes = _counted_passes(monkeypatch, eta=math.inf)
     b = replace(b)  # a copy without the cached proof
-    if shrunk:
-        assert messages[0] is None and messages[1] is not None
-        with pytest.raises(NotAHorseshoe, match=re.escape(messages[1])):
-            cylinder_count(b, 3)
-        assert len(passes) == 6
-    else:
-        assert messages == [None] * 3
-        assert [(s.lo, s.hi) for s in b.slopes] == [(s.lo, s.hi) for s in bsys.slopes]
-        assert [window for _, window in b._proof] == [None] * 3
-        assert passes == [pair for a, z in passes[::3] for pair in ((a, z), (a, a), (z, z))]
-        assert len(passes) == 9
+    for n in (3, 1, 3):
+        with pytest.raises(NotAHorseshoe, match=re.escape("branch 0 kernel error bound inf is not finite on A_0")):
+            cylinder_count(b, n)
+    assert passes == [(bsys.domains[0][0] - 0.5 * MARGIN, bsys.domains[0][1] + 0.5 * MARGIN)]
 
 
-def test_an_image_end_within_eta_of_the_base_takes_the_end_passes(bsys, monkeypatch):
+def _kernel_bound_message(b, i):
+    """The cover check's message for branch i of b from the float kernel at
+    each widened end of A_i, eta of A_i's pass either side and rounded
+    outward, or None where that bound proves it."""
+    a, z = b.domains[i][0] - 0.5 * MARGIN, b.domains[i][1] + 0.5 * MARGIN
+    e = b.epsilons[i]
+    *_, eta = Period.THREE.r_bounds(a, z, e)
+    ra, rz = Period.THREE.r_kernel(a, e), Period.THREE.r_kernel(z, e)
+    img_lo, img_hi = widen(ra - eta, ra + eta)[1], widen(rz - eta, rz + eta)[0]
+    if img_lo <= b.base[0] - MARGIN and img_hi >= b.base[1] + MARGIN:
+        return None
+    return f"branch {i} image [{img_lo}, {img_hi}] does not cover the base"
+
+
+def test_an_image_end_within_eta_of_the_base_fails_by_the_kernel_bound(bsys, monkeypatch):
     # A_1's low end bisected until its widened end's kernel image is the
     # first float above the widened base end: inside it by less than eta,
-    # so the kernel bound cannot prove the cover and the end passes decide,
-    # with their message
+    # so the kernel bound cannot prove the cover and the proof fails with
+    # its numbers after branch 0's pass and branch 1's, and no other
     r_kernel, e = Period.THREE.r_kernel, bsys.epsilons[1]
     lo = bsys.base[0] - MARGIN
     d0, (x_lo, z), d2 = bsys.domains
@@ -728,9 +733,54 @@ def test_an_image_end_within_eta_of_the_base_takes_the_end_passes(bsys, monkeypa
     a = x_hi - 0.5 * MARGIN
     *_, eta = Period.THREE.r_bounds(a, z + 0.5 * MARGIN, e)
     assert 0.0 < r_kernel(a, e) - lo < eta
-    message = _point_pass_message(b, 1)
-    assert message is not None
+    message = _kernel_bound_message(b, 1)
+    assert message is not None and _kernel_bound_message(b, 0) is None
     passes = _counted_passes(monkeypatch)
     with pytest.raises(NotAHorseshoe, match=re.escape(message)):
         cylinder_count(b, 3)
-    assert passes[2:] == [(a, a), (z + 0.5 * MARGIN,) * 2] and len(passes) == 4
+    assert passes[1] == (a, z + 0.5 * MARGIN) and len(passes) == 2
+
+
+def _stepped_ends(b, i, side, steps, ulps):
+    """Systems like b with A_i's end on side (0 low, 1 high) stepped ulps
+    floats at a time, steps times each way, about the end at which its
+    widened end's kernel image meets the widened base end; index 0 is
+    the innermost (A_i shortest)."""
+    r_kernel, e = Period.THREE.r_kernel, b.epsilons[i]
+    target = (b.base[0] - MARGIN, b.base[1] + MARGIN)[side]
+    shift = 0.5 * MARGIN if side == 0 else -0.5 * MARGIN
+    x_lo, x_hi = b.domains[i][side] - 1e-10, b.domains[i][side] + 1e-10
+    while (mid := 0.5 * (x_lo + x_hi)) not in (x_lo, x_hi):
+        if r_kernel(mid - shift, e) <= target:
+            x_lo = mid
+        else:
+            x_hi = mid
+    step = ulps * math.ulp(x_lo) * (1 if side == 0 else -1)
+    out = []
+    for k in range(steps, -steps - 1, -1):
+        domains = list(b.domains)
+        end = list(domains[i])
+        end[side] = x_lo + k * step
+        domains[i] = tuple(end)
+        out.append(replace(b, domains=tuple(domains)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["bsys2", "bsys", "bsys4", "bsys5", "bsys_wide"])
+def test_the_kernel_bound_proves_every_cover_the_end_passes_prove(request, name):
+    # each A_i end stepped 3 floats at a time across 300 floats either side
+    # of where its widened end's kernel image meets the widened base end:
+    # wherever a pass at each widened end (the reference, the proof's former
+    # cover test) proves the cover, the proof proves it from the kernel
+    # bound alone.  Both tests fail at the innermost end and hold at the
+    # outermost, so the span holds where each changes its answer
+    b = request.getfixturevalue(name)
+    for i in range(b.alphabet):
+        for side in (0, 1):
+            stepped = _stepped_ends(b, i, side, 100, 3)
+            assert _point_pass_message(stepped[0], i) is not None
+            assert stepped[0]._proof.startswith(f"branch {i} image ")
+            assert _point_pass_message(stepped[-1], i) is None
+            for s in stepped:
+                if _point_pass_message(s, i) is None:
+                    assert not isinstance(s._proof, str), (i, side, s.domains[i])

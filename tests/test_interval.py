@@ -187,13 +187,13 @@ def _same_outcome(f, *specs):
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(settings.get_profile("bitwise"), max_examples=300)
 @given(a=_OPERANDS, b=_OPERANDS)
 def test_operations_are_bitwise_the_frozen_module(op, a, b):
     _same_outcome(OPS[op], a, b)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(settings.get_profile("bitwise"), max_examples=300)
 @given(a=_OPERANDS)
 def test_one_operand_operations_are_bitwise_the_frozen_module(a):
     _same_outcome(lambda x: x * x, a)  # one variable: Interval.square, Jet's square
@@ -238,7 +238,7 @@ def _outcome(f, *args):
         return [type(exc).__name__, str(exc)]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(settings.get_profile("bitwise"), max_examples=200)
 @given(st.floats(0.3, 0.49), st.floats(0.0, 1e-3), st.floats(0.9, 1.1))
 def test_the_float_bound_pass_is_bitwise_the_jet(c, width, eps):
     # r_bounds' value and derivative bounds over [c, c + width] are the

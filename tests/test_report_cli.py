@@ -694,6 +694,19 @@ def test_every_numerical_error_exits_3(monkeypatch, capsys, module, name):
     assert captured.err == "numerical failure: forced\n"
 
 
+@pytest.mark.parametrize("eps, err", [
+    ("1.000000001,1.0", "branch domains ((0.44026159749265975, 0.4402615974928833), (0.4402615975020505, "
+                        "0.44026159750227406)) are not disjoint and increasing"),
+    ("1.0,0.3", "branch 1 slope Interval(0.14807541881810543, 27.73930712771694) is not above 1 on A_1"),
+])
+def test_a_failed_full_shift_proof_exits_3(capsys, eps, err):
+    # real inputs, nothing patched: the horseshoe's proof refuses them
+    assert main(["horseshoe", "--eps", eps]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {err}\n"
+
+
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         "renorm.verify.run_suite",

@@ -164,7 +164,7 @@ def test_feasible_domain_bitwise_reference(key):
     } == DOMAIN_HEXES[key]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(settings.get_profile("bitwise"), max_examples=40)
 @given(st.tuples(st.just(Period.THREE), st.floats(0.9, 1.1)))
 @example((Period.FIVE, 1.0))
 def test_feasible_domain_is_stable_across_scan_steps(case):

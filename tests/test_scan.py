@@ -37,7 +37,7 @@ from renorm.scaling import (
 )
 from renorm.solver import SCAN_GRID
 
-BITWISE = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+BITWISE = settings(settings.get_profile("bitwise"), max_examples=200)
 STEPS = (1e-4, 2e-4, 5e-4, 1e-3)
 
 
@@ -615,6 +615,26 @@ def test_the_finders_take_per_point_lists(rows):
         for i0, i1 in _runs(worst > 0.0):
             ms = [m for m in range(i0 + 1, i1) if worst[m] <= 1e-4]
             assert scaling._loop_touches(Period.FIVE, step, 1.0, ms) == _touches(cond, worst, i0, i1)
+
+
+@pytest.mark.parametrize("period, dips, points", [(Period.THREE, 20, 22), (Period.FIVE, 10, 12)])
+def test_the_per_point_touches_read_each_grid_point_once(period, dips, points):
+    # at eps 1 and the default step, the dips of every run and the grid
+    # points at m - 1, m and m + 1 about them, each read by one kernel call
+    step = 1e-4
+    n = math.ceil((0.5 - step) / step)
+    runs, found = period.domain_scan(step, n, 1.0)
+    calls = []
+    real = period.values_kernel
+    with mock.patch.object(period, "values_kernel", lambda c, eps: calls.append(c) or real(c, eps)):
+        for i0, i1 in runs:
+            ms = [m for m in found if i0 < m < i1]
+            scaling._loop_touches(period, step, 1.0, ms)
+            assert len(calls) == len(set(calls)) == len({k for m in ms for k in (m - 1, m, m + 1)})
+            dips -= len(ms)
+            points -= len(calls)
+            del calls[:]
+    assert dips == points == 0
 
 
 @BITWISE
