@@ -172,7 +172,9 @@ def _merge_config(args):
 
 
 def _config_echo(args) -> dict:
-    skip = {"command", "config"}
+    # out says where the report goes, not how it was computed: echoed, it
+    # would make an --out file differ in bytes from the same run's stdout
+    skip = {"command", "config", "out"}
     return {
         k: v for k, v in sorted(vars(args).items())
         if k not in skip and v is not None

@@ -88,6 +88,20 @@ subtractions of the other conditions, but S1 = u^p(0) - 0, which is the
 pulled row as is.  A memo above SCAN_MEMO_CAP bytes, from a step far
 below the default, is computed afresh for its scan and not kept.
 
+Nearby eps share almost all of their domain scan.  A period-three array
+scan at eps reads the eps window [jW, (j + 1)W], W = EPS_WINDOW = 2^-7,
+that holds it: two scans, one at each end, decide every grid point at
+which t = (x3 - c)/d, of the one u-step after the pull, has one sign at
+both ends, since each condition's float value there is monotone in eps
+(_window gives the argument, from Combinatorics.window_row).  _window
+keeps what the ends decide, the runs, dips and touch tests, and not their
+rows, in a memo of the last sixteen windows beside the head's, under the
+same SCAN_MEMO_CAP rule; a scan then evaluates only the points and touch
+tests the ends leave open, with values_kernel (_window_scan): 5-16 of the
+default step's 4,999 points in each window over [0.95, 1.05].  Period
+five, an eps below W and a step above the cap scan the degenerate window
+[eps, eps], one scan that decides every point.
+
 Both scans live here, the domain scan (feasible_domain) and the root
 scan for R(c) = c (_root_brackets, whose brackets the solver refines),
 and this is the one module that imports numpy or asks whether it is
@@ -101,8 +115,10 @@ the same runs, touches and brackets as the array scans, bitwise, and a
 process that scans only per point never imports numpy: np is bound on
 the first array call (_LazyModule), as interval is on the first
 float-bound pass.  The array forms fold the condition rows
-(_worst) and find runs, touches and sign changes with numpy; the root
-scan's two forms end in one junction filter.
+(_worst) and find sign changes with numpy, the domain scan at a window's
+two ends only, once per window; the root scan, whose grid moves with the
+domain's ends, runs whole at every solve, and its two forms end in one
+junction filter.
 
 pwa.build_pwa applies the same pull to the branch value at u^{p-1}(0),
 the inner end of step 1's interval (the pulled family), the one other
@@ -160,7 +176,8 @@ REFINE_TOL = 1e-12
 # the largest scan head _scan_head's memo keeps, in bytes, with its
 # eps-free condition rows: the default step's take about 240 KB (period
 # three) and 360 KB (five); one at the 1e-6 step floor takes up to 36 MB
-# and is computed fresh every scan
+# and is computed fresh every scan, and so are the decisions of its eps
+# window (_window), from one scan at eps
 SCAN_MEMO_CAP = 1 << 20
 # The scan work a process does per point before it scans arrays: the
 # rent-or-buy rule.  Per point, a grid point of either scan's loop
@@ -265,6 +282,17 @@ class Combinatorics(Value, frozen=True):
         is not o_0 = 0.0, whose condition is its plus point as is."""
         p = len(self.cycle)
         return tuple((i, j) for i, j in self.pairs if i < p and 0 != j < p)
+
+    @cached_property
+    def window_row(self):
+        """The index of the condition that is the pulled point o_p as is,
+        the pair (p, 0), where an eps window decides the domain scan
+        (_window), else None: o_p is followed by one u-step, to o_{p+1} =
+        o_{2p-2}, and no condition reads both.  That holds for p = 3 alone."""
+        p = len(self.cycle)
+        if 2 * p - 2 != p + 1 or any({i, j} == {p, p + 1} for i, j in self.pairs):
+            return None
+        return self.pairs.index((p, 0))
 
 
 # the one hand-written datum per period p: the visiting cycle
@@ -830,6 +858,14 @@ def _scan_head(period: Period, scan_step: float, free: tuple) -> tuple:
     return tuple(head)
 
 
+def _memoized(period: Period, scan_step: float) -> bool:
+    """Whether the scan head at this step, a row of np.arange's length for
+    each of cs, d, the p head points and the eps-free rows, fits
+    SCAN_MEMO_CAP: the rule for _scan_head's memo and _window's."""
+    points = math.ceil((0.5 - scan_step) / scan_step)
+    return (period.p + 2 + len(period.comb.eps_free)) * 8 * points <= SCAN_MEMO_CAP
+
+
 def _scan_conditions(period: Period, scan_step: float, eps: float):
     """The scan grid cs and _condition_values(period, cs, eps), bitwise,
     one row per condition in the table's order, read at call time.  A
@@ -846,9 +882,7 @@ def _scan_conditions(period: Period, scan_step: float, eps: float):
     the point fails worst > 0 whatever its other conditions read."""
     comb, p = period.comb, period.p
     free = comb.eps_free
-    points = math.ceil((0.5 - scan_step) / scan_step)
-    memo = (p + 2 + len(free)) * 8 * points <= SCAN_MEMO_CAP
-    cs, d, *head = (_scan_head if memo else _scan_head.__wrapped__)(period, scan_step, free)
+    cs, d, *head = (_scan_head if _memoized(period, scan_step) else _scan_head.__wrapped__)(period, scan_step, free)
     fixed = iter(head[p:])  # the eps-free rows, in table order
     with np.errstate(over="ignore", invalid="ignore"):
         o = [0.0, *head[: p - 1], *period.scan_tail(cs, d, head[p - 1], eps), 1.0]
@@ -885,38 +919,164 @@ def _runs(ok) -> list:
     return [(i0 + 1, i1) for i0, i1 in zip(edges[::2], edges[1::2])]
 
 
-def _touches(cond, worst, i0, i1) -> list:
-    """The interior touch points of the run i0 .. i1: grid minima that dip
-    to near zero (above 1e-4 is an ordinary smooth minimum), each as the
-    grid index before the minimum and the first condition dipping there.
-
-    A condition at or below 1e-4 holds worst at or below it, and a run
-    holds no NaN, so only the run's interior points m where worst is at or
-    below 1e-4 are read, one by one, as Python floats, from the first m - 1
-    to the last m + 1, and only the conditions that fall to 1e-4 there:
-    near a puncture Gl and Gr read 0.43-0.56 and never dip."""
-    ms = [i0 + 1 + m for m in (worst[i0 + 1 : i1] <= 1e-4).nonzero()[0].tolist()]
-    if not ms:
-        return []
-    lo = ms[0] - 1
-    window = [row[lo : ms[-1] + 2].tolist() for row in cond]
-    rows = [(j, row) for j, row in enumerate(window) if min(row) <= 1e-4]
+def _joined(runs) -> list:
+    """The runs (first, last), sorted, with each two that meet, one ending
+    right before the next begins, joined into one."""
     out = []
-    for m in ms:
-        k = m - lo
-        for j, row in rows:
-            v = row[k]
-            if v <= 1e-4 and v < row[k - 1] and v < row[k + 1]:
-                out.append((m - 1, j))
-                break
+    for i0, i1 in sorted(runs):
+        if out and i0 == out[-1][1] + 1:
+            out[-1] = (out[-1][0], i1)
+        else:
+            out.append((i0, i1))
     return out
 
 
+_OPEN = -2  # _touch_at's answer where the value ranges do not decide the test
+
+
+def _touch_at(low, high, m):
+    """The touch test at grid point m, from each condition's value range
+    [low[k][j], high[k][j]] at the points k = m - 1, m, m + 1: the first
+    condition j at or below 1e-4 at m and below its value at both
+    neighbours, or -1 for none, wherever every value in the ranges gives
+    the same answer, else _OPEN.  A condition whose range at m lies above
+    1e-4 or at or above the top of a neighbour's range is not the one; one
+    whose range at m lies at or below 1e-4 and below the bottom of both
+    neighbours' ranges is.  A NaN decides nothing."""
+    before, here, after = high[m - 1], low[m], high[m + 1]
+    for j, (a, z) in enumerate(zip(here, high[m])):
+        if a > 1e-4 or a >= before[j] or a >= after[j]:
+            continue
+        if z <= 1e-4 and z < low[m - 1][j] and z < low[m + 1][j]:
+            return j
+        return _OPEN
+    return -1
+
+
+def _decide(low, high, cross) -> tuple:
+    """What the condition rows' ranges decide, each condition's value at a
+    grid point lying between the rows low and high there, at every point
+    but those the mask cross (or None) marks: the runs of feasible points
+    and the dips among them, the points left open and the touch test at
+    each dip or open point it decides, a dict of m to the condition or -1
+    (_touch_at).  Its bounds on worst are the fold of low and the fold of
+    high: a point is feasible where the first is above 0 and infeasible
+    where the second is at or below it, and a feasible point dips where the
+    second is at or below 1e-4 and does not where the first is above it.
+    The few points neither clear of 1e-4 nor infeasible are read one by
+    one, as Python floats."""
+    lower = _worst(low)
+    upper = lower if high is low else _worst(high)
+    clear, out = lower > 1e-4, upper <= 0.0
+    if cross is not None:
+        clear &= ~cross
+        out &= ~cross
+    rest = (~(clear | out)).nonzero()[0].tolist()
+    crossed = cross[rest].tolist() if cross is not None else [False] * len(rest)
+    dips, opened = [], []
+    for i, a, z, b in zip(rest, lower[rest].tolist(), upper[rest].tolist(), crossed):
+        (dips if a > 0.0 and z <= 1e-4 and not b else opened).append(i)
+    clear[dips] = True
+    n = len(lower)
+    ms = [m for m in rest if 0 < m < n - 1]
+    ks = sorted({k for m in ms for k in (m - 1, m, m + 1)})
+    at = np.array(ks, dtype=int)
+    at_low = dict(zip(ks, zip(*[row[at].tolist() for row in low])))
+    at_high = at_low if high is low else dict(zip(ks, zip(*[row[at].tolist() for row in high])))
+    bent = set() if cross is None else {k for k, b in zip(ks, cross[at].tolist()) if b}
+    touched = {}
+    for m in ms:
+        if not bent & {m - 1, m, m + 1}:
+            j = _touch_at(at_low, at_high, m)
+            if j != _OPEN:
+                touched[m] = j
+    return _runs(clear), opened, dips, touched
+
+
+EPS_WINDOW = 2.0 ** -7  # the width of an eps window, a power of two
+
+
+def _window_ends(period: Period, scan_step: float, eps: float) -> tuple:
+    """The ends of the eps window that holds eps, [jW, (j + 1)W] with W =
+    EPS_WINDOW: j*W is eps less its remainder modulo W, exactly, and eps
+    lies between the two ends wherever (j + 1)W rounds.  It is the
+    degenerate window [eps, eps] for an eps below W, for a period whose
+    conditions a window does not decide (Combinatorics.window_row) and for
+    a step whose scan head is above SCAN_MEMO_CAP."""
+    if period.comb.window_row is not None and _memoized(period, scan_step):
+        lo = eps - math.fmod(eps, EPS_WINDOW)
+        if lo > 0.0:
+            return lo, lo + EPS_WINDOW
+    return eps, eps
+
+
+@lru_cache(maxsize=16)
+def _window(period: Period, scan_step: float, lo: float, hi: float) -> tuple:
+    """The domain scan's decisions (_decide) for every eps in the window
+    [lo, hi], from _scan_conditions' rows at its two ends: computed once
+    per window and kept, without the rows, in a memo of the last sixteen
+    (period, step, lo, hi) keys, which hold the windows that eps in [0.96,
+    1.04] falls in.  The degenerate window [eps, eps] is one scan, every
+    point decided but a NaN, and is computed for its scan and not kept.
+
+    Why the two ends decide a point, for a period whose window_row is set
+    (Combinatorics; period three): eps enters the orbit only at the pull,
+    x_p = eps*X with X the point's u^p(0), and one u-step follows it, t =
+    (x_p - c)/d and x_{p+1} = 1 - t*t, the orbit's last point.  Each
+    condition reads at most one of x_p and x_{p+1}, and subtracts from it,
+    or it from, a point eps does not move.  Every IEEE operation on the way
+    is monotone in its one operand that eps moves: eps*X in eps, x_p - c
+    and the division by d = 1 - c > 0 in x_p, t*t in t while t keeps one
+    sign, 1 - t*t and each difference in theirs.  So at a grid point where
+    t has one sign at both ends, or is 0 at one, each condition's float
+    value at every eps in [lo, hi] lies between its values at the two ends,
+    and is NaN only if one of them is.  t keeps its sign where x_p - c
+    does, and the row window_row is x_p as is.  A point where t changes
+    sign is left open: there t*t falls to 0 inside the window, and the
+    conditions that read x_{p+1} can leave the ends' range."""
+    cs, ends = _scan_conditions(period, scan_step, lo)
+    if hi == lo:
+        return _decide(ends, ends, None)
+    _, far = _scan_conditions(period, scan_step, hi)
+    low = [a if a is b else np.minimum(a, b) for a, b in zip(ends, far)]
+    high = [a if a is b else np.maximum(a, b) for a, b in zip(ends, far)]
+    k = period.comb.window_row
+    return _decide(low, high, (low[k] < cs) & (high[k] > cs))
+
+
+def _window_scan(period: Period, scan_step: float, eps: float, decided) -> tuple:
+    """The runs and each run's touches at eps from its window's decisions:
+    the open points' condition tuples from values_kernel at the grid points
+    scan_step + i*scan_step, bitwise the rows, and the open touch tests by
+    _loop_touches."""
+    runs, opened, dips, touched = decided
+    values = period.values_kernel
+    more, dips = [], list(dips)
+    for i in opened:
+        v = values(scan_step + i * scan_step, eps)
+        worst = v[_argmin(v)]
+        if worst > 0.0:
+            more.append((i, i))
+            if worst <= 1e-4:
+                dips.append(i)
+    if more:
+        runs = _joined(runs + more)
+        dips.sort()
+    touches = []
+    for i0, i1 in runs:
+        ms = [m for m in dips if i0 < m < i1]
+        known = [(m - 1, touched[m]) for m in ms if touched.get(m, -1) >= 0]
+        found = _loop_touches(period, scan_step, eps, [m for m in ms if m not in touched])
+        touches.append(sorted(known + found) if found else known)
+    return runs, touches
+
+
 def _loop_touches(period: Period, scan_step: float, eps: float, ms) -> list:
-    """_touches for domain_scan, which keeps no condition row: its dips ms
-    inside one run, each with the condition tuples at m - 1, m and m + 1
-    recomputed by values_kernel at the grid points scan_step + k*scan_step,
-    bitwise the array scan's rows, once per distinct k."""
+    """The touch test of _touch_at on exact values, for domain_scan, which
+    keeps no condition row, and for the dips a window leaves open: the
+    dips ms inside one run, each with the condition tuples at m - 1, m and
+    m + 1 recomputed by values_kernel at the grid points scan_step +
+    k*scan_step, bitwise the array scan's rows, once per distinct k."""
     ks = dict.fromkeys(k for m in ms for k in (m - 1, m, m + 1))
     rows = {k: period.values_kernel(scan_step + k * scan_step, eps) for k in ks}
     out = []
@@ -951,13 +1111,9 @@ def feasible_domain(period: Period, scan_step: float = 1e-4, eps: float = 1.0) -
         runs, dips = period.domain_scan(scan_step, n, eps)
         touches = [_loop_touches(period, scan_step, eps, [m for m in dips if i0 < m < i1]) for i0, i1 in runs]
     else:
-        # one row per condition, never stacked into one matrix: that stack
-        # (195 KiB for period three, 351 KiB for five) can be large enough for
-        # the allocator to map it afresh, page fault by page fault, every call
-        _, cond = _scan_conditions(period, scan_step, eps)
-        worst = _worst(cond)
-        runs = _runs(worst > 0.0)
-        touches = [_touches(cond, worst, i0, i1) for i0, i1 in runs]
+        lo, hi = _window_ends(period, scan_step, eps)
+        decided = (_window if lo < hi else _window.__wrapped__)(period, scan_step, lo, hi)
+        runs, touches = _window_scan(period, scan_step, eps, decided)
     if not runs:
         raise EmptyDomain(f"no feasible point for {period} at step {scan_step}")
 

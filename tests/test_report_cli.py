@@ -354,6 +354,16 @@ def test_cli_out_file_and_config(tmp_path, capsys):
     assert json.loads(out_path.read_text())["results"]["period"] == 3
 
 
+def test_cli_out_file_holds_the_bytes_stdout_gets(tmp_path, capsys):
+    # the report does not echo where it was written
+    code, printed = run_cli(capsys, "solve", "--period", "3")
+    assert code == 0
+    out_path = tmp_path / "solve.json"
+    assert run_cli(capsys, "solve", "--period", "3", "--out", str(out_path)) == (0, "")
+    assert out_path.read_bytes() == printed.encode()
+    assert "out" not in json.loads(printed)["provenance"]["config"]
+
+
 @pytest.mark.parametrize(
     "config",
     [{"period": 4}, {"period": "3"}, {"depth": 0}, {"depth": "5"}, [1, 2], 5, {"depht": 30}],

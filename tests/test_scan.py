@@ -4,9 +4,10 @@ against the whole orbit;
 the run, dip and sign-change finders against the np.split, matrix-dip and
 np.sign formulas they replaced, and the root scan's one-buffer grid
 against np.concatenate of np.linspace, kept here verbatim as the
-references; and feasible_domain, its runs and dips and the root scan
+references; feasible_domain, its runs and dips and the root scan
 against tests/frozen_scan.py, their frozen form before the eps-free rows,
-the in-place fold and the sign products."""
+the in-place fold, the sign products and the eps windows; and the eps
+window's decisions against the values between its two ends."""
 
 import math
 import sys
@@ -26,12 +27,15 @@ from renorm.scaling import (
     Period,
     _argmin,
     _condition_values,
+    _decide,
     _grids,
     _root_brackets,
     _runs,
     _scan_conditions,
     _scan_head,
-    _touches,
+    _window,
+    _window_ends,
+    _window_scan,
     _worst,
     feasible_domain,
 )
@@ -211,14 +215,37 @@ def _scan_case(rows):
     return cond, worst, worst > 0.0
 
 
+def _table_period(rows, step=1e-2):
+    """A stand-in period whose values_kernel reads the condition tuples of
+    the rows at the grid points step + k*step."""
+    table = {step + k * step: point for k, point in enumerate(zip(*(np.asarray(row).tolist() for row in rows)))}
+    return SimpleNamespace(values_kernel=lambda c, eps: table[c])
+
+
+def _window_of(low, high, rows, cross=None):
+    """The runs and each run's touches (_window_scan) that the ranges low
+    and high decide, the open points and tests read from rows, which lie
+    between them: a scan has two conditions or more, and a single row
+    stands twice, which moves no run, dip or touch."""
+    if len(rows) == 1:
+        low, high, rows = low * 2, high * 2, rows * 2
+    return _window_scan(_table_period(rows), 1e-2, 1.0, _decide(low, high, cross))
+
+
+def _degenerate(cond):
+    """The runs and touches of the degenerate window over the rows cond."""
+    return _window_of(cond, cond, cond)
+
+
 def _assert_scan_matches(rows):
     cond, worst, ok = _scan_case(rows)
+    runs, touches = _degenerate(cond)
+    assert runs == _runs(ok)
     if not ok.any():
-        assert _runs(ok) == []
+        assert runs == []
         return
-    assert _runs(ok) == _split_runs(ok)
-    for i0, i1 in _runs(ok):
-        assert _touches(cond, worst, i0, i1) == _matrix_touches(cond, i0, i1)
+    assert runs == _split_runs(ok)
+    assert touches == [_matrix_touches(cond, i0, i1) for i0, i1 in runs]
 
 
 D = 5e-5  # a dip: at or below the 1e-4 touch threshold
@@ -249,14 +276,13 @@ def test_runs_and_dips_match_the_formulas_they_replaced(name):
 
 def test_crafted_rows_find_touches():
     # the crafted rows are not vacuous: each named dip is found
-    cond, worst, ok = _scan_case(CRAFTED["two conditions dip at one index"])
-    assert _touches(cond, worst, 0, 4) == [(1, 0)]
-    cond, worst, ok = _scan_case(CRAFTED["the second condition dips"])
-    assert _touches(cond, worst, 0, 4) == [(1, 1)]
-    cond, worst, ok = _scan_case(CRAFTED["dips at both ends of a three-point run"])
-    assert _runs(ok) == [(1, 3), (5, 7)]
-    assert [_touches(cond, worst, i0, i1) for i0, i1 in _runs(ok)] == [[(1, 0)], [(5, 0)]]
-    cond, worst, ok = _scan_case(CRAFTED["runs touching both ends of the grid"])
+    cond, _, _ = _scan_case(CRAFTED["two conditions dip at one index"])
+    assert _degenerate(cond) == ([(0, 4)], [[(1, 0)]])
+    cond, _, _ = _scan_case(CRAFTED["the second condition dips"])
+    assert _degenerate(cond) == ([(0, 4)], [[(1, 1)]])
+    cond, _, _ = _scan_case(CRAFTED["dips at both ends of a three-point run"])
+    assert _degenerate(cond) == ([(1, 3), (5, 7)], [[(1, 0)], [(5, 0)]])
+    cond, _, ok = _scan_case(CRAFTED["runs touching both ends of the grid"])
     assert _runs(ok) == [(0, 2), (4, 6)]
 
 
@@ -408,6 +434,145 @@ def test_the_frozen_scan_is_compared_above_the_memo_cap():
         assert all(_memo_bytes(period, step) <= scaling.SCAN_MEMO_CAP for step in STEPS)
 
 
+# The eps window: an array scan at eps reads the decisions of the window
+# [jW, (j + 1)W] that holds it, W = EPS_WINDOW, made from the condition rows
+# at its two ends (scaling._window).
+W = scaling.EPS_WINDOW
+WINDOW_END = 128 * W  # 1.0
+
+
+@settings(BITWISE, max_examples=100)
+@given(st.tuples(st.just(Period.THREE), st.sampled_from([1e-4, 2e-4, 1e-3]), st.floats(0.25, 4.0)))
+@example((Period.THREE, 1e-4, WINDOW_END))
+@example((Period.THREE, 1e-4, math.nextafter(WINDOW_END, 0.0)))
+@example((Period.THREE, 1e-4, math.nextafter(WINDOW_END, 2.0)))
+@example((Period.THREE, 1e-4, W / 2))
+@example((Period.THREE, 1e-4, 1e300))
+@example((Period.THREE, 2e-4, 1.02))
+@example((Period.THREE, MEMO_ABOVE_CAP, 1.02))
+def test_the_windowed_domain_is_the_per_point_and_the_frozen_domain(case):
+    # bitwise, exceptions included: the array domain, read off the window
+    # that holds eps, the per-point loop's and the frozen dense scan's
+    got, per_point = _per_point_scan(case)
+    assert got == per_point == _domain_or_error(frozen_scan.feasible_domain, *case)
+
+
+def test_the_window_ends_hold_eps():
+    # [jW, (j + 1)W] for period three at a memoized step, eps at an end or
+    # a float either side of it, and up to 1e300, where (j + 1)W rounds to
+    # jW; the degenerate [eps, eps] below W, for period five and above the
+    # memo cap
+    three = Period.THREE
+    assert _window_ends(three, 1e-4, WINDOW_END) == (WINDOW_END, WINDOW_END + W)
+    assert _window_ends(three, 1e-4, math.nextafter(WINDOW_END, 0.0)) == (WINDOW_END - W, WINDOW_END)
+    assert _window_ends(three, 1e-4, math.nextafter(WINDOW_END, 2.0)) == (WINDOW_END, WINDOW_END + W)
+    assert _window_ends(three, 1e-3, 3.99) == (3.984375, 3.9921875)
+    assert _window_ends(three, 1e-4, 1e300) == (1e300, 1e300)
+    for eps in (W / 2, 0.0, -1.0):
+        assert _window_ends(three, 1e-4, eps) == (eps, eps)
+    assert _window_ends(three, MEMO_ABOVE_CAP, 1.02) == (1.02, 1.02)
+    assert _window_ends(Period.FIVE, 1e-4, 1.0) == (1.0, 1.0)
+    assert (three.comb.window_row, Period.FIVE.comb.window_row) == (0, None)
+
+
+def _window_rows(step, lo, hi):
+    """The grid, the lower and upper ends of each condition's range over the
+    window [lo, hi] and the points where x3 - c, and with it t = (x3 -
+    c)/d, changes sign from one end to the other."""
+    cs, a = _scan_conditions(Period.THREE, step, lo)
+    _, b = _scan_conditions(Period.THREE, step, hi)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    return cs, low, high, (low[0] < cs) & (high[0] > cs)
+
+
+@pytest.mark.parametrize("j", [123, 128, 132, 40, 320, 500])
+def test_the_ends_of_a_window_bound_every_value_it_decides(j):
+    # the lemma: at seeded eps inside the window, each condition's
+    # values_kernel value at every grid point where t keeps one sign lies
+    # between its values at the two ends
+    step, lo = 1e-4, j * W
+    cs, low, high, cross = _window_rows(step, lo, lo + W)
+    rng = np.random.default_rng(j)
+    keep = np.flatnonzero(~cross)
+    assert len(keep) > 0.98 * len(cs)
+    for eps in lo + W * rng.uniform(0.0, 1.0, 3):
+        values = np.array([Period.THREE.values_kernel(float(c), eps) for c in cs[keep]]).T
+        assert ((low[:, keep] <= values) & (values <= high[:, keep])).all()
+
+
+def test_a_window_leaves_open_a_point_where_t_changes_sign():
+    # the negative control of the t-sign test: in the window [1, 1 + W],
+    # x3 = eps*u^3(0) passes c at grid point 3847 (c = 0.3848), so t*t falls
+    # to 0 inside the window and x4 = 1 - t*t rises above both ends' x4:
+    # S2 = x4 - x1 and Gr = x2 - x4 leave the ends' range; the window
+    # leaves the point open, where a test without the sign rule would read
+    # its ranges as bounds
+    step, i = 1e-4, 3847
+    cs, low, high, cross = _window_rows(step, WINDOW_END, WINDOW_END + W)
+    c = float(cs[i])
+    eps = c / Period.THREE.orbit(c)[3]  # t = 0 at about this eps
+    assert WINDOW_END < eps < WINDOW_END + W and cross[i]
+    mid = Period.THREE.values_kernel(c, eps)
+    outside = [name for name, v, a, z in zip(Period.THREE.comb.names, mid, low[:, i], high[:, i]) if not a <= v <= z]
+    assert outside == ["S2", "Gr"]
+    _, opened, dips, touched = _window(Period.THREE, step, WINDOW_END, WINDOW_END + W)
+    assert i in opened and i not in dips and i not in touched
+    # the same point at eps 1 is decided: both ends are eps = 1
+    _, opened, _, _ = _window.__wrapped__(Period.THREE, step, WINDOW_END, WINDOW_END)
+    assert opened == []
+
+
+def test_the_window_memo_is_bounded_over_an_eps_sweep():
+    # sixteen windows at most, of decisions only, no condition row; a step
+    # whose scan head is above the memo cap keeps no window
+    _window.cache_clear()
+    for eps in np.linspace(0.3, 3.9, 500).tolist() + np.linspace(0.96, 1.04, 100).tolist():
+        feasible_domain(Period.THREE, 1e-4, eps)
+        assert _window.cache_info().currsize <= 16
+    info = _window.cache_info()
+    assert (info.maxsize, info.currsize) == (16, 16) and info.hits >= 80
+    feasible_domain(Period.THREE, MEMO_ABOVE_CAP, 1.02)
+    assert _window.cache_info().currsize == 16 and _window.cache_info().misses == info.misses
+
+
+def _is_plain(value) -> bool:
+    """Whether value is built of tuples, lists, dicts and ints alone."""
+    if isinstance(value, (tuple, list)):
+        return all(_is_plain(v) for v in value)
+    if isinstance(value, dict):
+        return all(_is_plain(k) and _is_plain(v) for k, v in value.items())
+    return type(value) is int
+
+
+def test_a_window_keeps_decisions_not_rows():
+    decided = _window(Period.THREE, 1e-4, WINDOW_END, WINDOW_END + W)
+    assert _is_plain(decided) and len(decided[1]) < 20
+
+
+@BITWISE
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.integers(1, 24).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.lists(st.tuples(_VALUES, _VALUES, st.sampled_from([0.0, 0.5, 1.0]), _VALUES),
+                              min_size=m, max_size=m), min_size=n, max_size=n),
+            st.lists(st.booleans(), min_size=m, max_size=m)))))
+def test_a_window_decides_as_any_values_between_its_ends(case):
+    # on any two ends a and z of each condition's rows, and any values v
+    # between them, a, z or their mean, or anything at a point the mask
+    # cross marks: the runs and touches the window decides, reading v
+    # where it leaves a point or a test open, are the dense scan's of v
+    rows, cross = case
+    a = [np.array([e[0] for e in row]) for row in rows]
+    z = [np.array([e[1] for e in row]) for row in rows]
+    v = [np.array([x if bent else (s, 0.5 * s + 0.5 * t, t)[int(2 * w)] for (s, t, w, x), bent in zip(row, cross)])
+         for row in rows]
+    low, high = [np.minimum(s, t) for s, t in zip(a, z)], [np.maximum(s, t) for s, t in zip(a, z)]
+    worst = frozen_scan._fold(v)
+    runs = frozen_scan._runs(worst > 0.0)
+    want = runs, [frozen_scan._touches(v, worst, i0, i1) for i0, i1 in runs]
+    assert _window_of(low, high, v, np.array(cross)) == want
+
+
 @pytest.mark.parametrize("period", list(Period))
 def test_the_eps_free_rows_are_read_only_memoized_subtractions(period):
     # the conditions no pulled point enters are memoized beside the head,
@@ -465,8 +630,9 @@ def test_worst_runs_and_dips_are_the_frozen_ones_on_any_rows(rows):
         assert _worst(cond).tobytes() == worst.tobytes()
     ok = worst > 0.0
     assert _runs(ok) == frozen_scan._runs(ok)
-    for i0, i1 in _runs(ok):
-        assert _touches(cond, worst, i0, i1) == frozen_scan._touches(cond, worst, i0, i1)
+    runs, touches = _degenerate(cond)
+    assert runs == frozen_scan._runs(ok)
+    assert touches == [frozen_scan._touches(cond, worst, i0, i1) for i0, i1 in runs]
 
 
 @BITWISE
@@ -606,7 +772,7 @@ def test_the_per_point_worst_folds_as_np_minimum(case):
         lambda m: st.lists(st.lists(_VALUES, min_size=m, max_size=m), min_size=n, max_size=n))))
 def test_the_finders_take_per_point_lists(rows):
     # _loop_touches, which reads each point's condition tuple from
-    # values_kernel, finds the touches _touches finds in the array rows
+    # values_kernel, finds the touches the array rows' frozen test finds
     cond = [np.array(row, dtype=float) for row in rows]
     worst = frozen_scan._fold(cond)
     step = 1e-2
@@ -614,7 +780,7 @@ def test_the_finders_take_per_point_lists(rows):
     with mock.patch.object(Period.FIVE, "values_kernel", lambda c, eps: table[c]):
         for i0, i1 in _runs(worst > 0.0):
             ms = [m for m in range(i0 + 1, i1) if worst[m] <= 1e-4]
-            assert scaling._loop_touches(Period.FIVE, step, 1.0, ms) == _touches(cond, worst, i0, i1)
+            assert scaling._loop_touches(Period.FIVE, step, 1.0, ms) == frozen_scan._touches(cond, worst, i0, i1)
 
 
 @pytest.mark.parametrize("period, dips, points", [(Period.THREE, 20, 22), (Period.FIVE, 10, 12)])
